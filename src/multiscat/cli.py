@@ -151,20 +151,31 @@ def validate_config(text: str) -> RunConfig:
                                               float(rc) if rc is not None else None)))
 
     num_kwargs = {}
-    for key, caster, check in (
-            ("lmax", int, lambda v: 0 <= v <= 30),
-            ("p_max", float, lambda v: v > 0),
-            ("n_inner", int, lambda v: 8 <= v <= 512),
-            ("n_mid", int, lambda v: 8 <= v <= 512),
-            ("n_outer", int, lambda v: 16 <= v <= 4096),
-            ("angular_pad", int, lambda v: 0 <= v <= 400),
-            ("n_max", int, lambda v: 1 <= v <= 3),
-            ("tail_tol", float, lambda v: v > 0),
-            ("schatten_radial", int, lambda v: 4 <= v <= 64),
-            ("schatten_order", int, lambda v: 2 <= v <= 40)):
-        v = _get(raw, f"numerics.{key}")
+    num_schema = {
+        "lmax": (int, lambda v: 0 <= v <= 30),
+        "p_max": (float, lambda v: v > 0),
+        "n_inner": (int, lambda v: 8 <= v <= 512),
+        "n_mid": (int, lambda v: 8 <= v <= 512),
+        "n_outer": (int, lambda v: 16 <= v <= 4096),
+        "n_max": (int, lambda v: 1 <= v <= 3),
+        "tail_tol": (float, lambda v: v > 0),
+        "schatten_radial": (int, lambda v: 4 <= v <= 64),
+        "schatten_order": (int, lambda v: 2 <= v <= 40),
+    }
+    raw_num = raw.get("numerics")
+    if raw_num is None:
+        raw_num = {}
+    elif not isinstance(raw_num, dict):
+        errors.append(("numerics", "must be a mapping"))
+        raw_num = {}
+    for key, v in raw_num.items():
+        if key not in num_schema:
+            errors.append((f"numerics.{key}",
+                           f"unknown numerics key; known: {sorted(num_schema)}"))
+            continue
         if v is None:
             continue
+        caster, check = num_schema[key]
         if not isinstance(v, (int, float)) or not check(caster(v)):
             errors.append((f"numerics.{key}", f"out of range or wrong type: {v!r}"))
         else:

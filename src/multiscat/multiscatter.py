@@ -125,7 +125,6 @@ class Numerics:
     n_inner: int = 64
     n_mid: int = 48
     n_outer: int | None = None
-    angular_pad: int = 30
     n_max: int = 2
     tail_tol: float = 0.05
     schatten_radial: int = 14
@@ -238,31 +237,51 @@ class ScenarioEngine:
         return self._eta[key]
 
     def angular_grid(self) -> AngularGrid:
+        """The engine's one angular rule, exact to degree 4*lmax + 8.
+
+        Every angular integral of the engine has, once its plane waves are
+        truncated at L = 2*lmax, a polynomial integrand of degree at most
+        4*lmax (see geometry and _born3); the 8 extra degrees are margin.
+        """
         if self._ang is None:
-            deg = int(np.ceil(self.p_max * self.max_sep)
-                      + 2 * self.sc.numerics.lmax + self.sc.numerics.angular_pad)
-            self._ang = AngularGrid.for_degree(deg)
+            self._ang = AngularGrid.for_degree(4 * self.sc.numerics.lmax + 8)
         return self._ang
+
+    def _plane_wave(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rayleigh expansion of e^{i q k^.D}, truncated at L = 2*lmax.
+
+        Returns ``(PL, wave)`` with PL[L, a] = P_L(k^_a.D^) on the angular
+        rule and wave[L, i] = i^L (2L+1) j_L(q_i |D|) on the momentum grid,
+        so e^{i q_i k^_a.D} = sum_L wave[L, i] PL[L, a] against any spherical
+        polynomial of degree <= 2*lmax.  For |D| = 0 only L = 0 survives
+        (j_L(0) = delta_L0), so any axis is valid and the z axis is used.
+        """
+        D_len = float(np.linalg.norm(D))
+        axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
+        u = self.angular_grid().nodes @ axis
+        x = self.grid.nodes * D_len
+        Ls = range(2 * self.sc.numerics.lmax + 1)
+        PL = np.stack([eval_legendre(L, u) for L in Ls])
+        wave = np.stack([(1j) ** L * (2 * L + 1) * spherical_jn(L, x) for L in Ls])
+        return PL, wave
 
     def geometry(self, pair: tuple[int, int]):
         """Triple-Legendre couplings for the pair's intermediate-momentum sums.
 
-        Returns ``(G, D_len)`` with G[L, l, l'] the exact angular integral of
-        P_L(k^.D^) P_l(k^.k1^) P_l'(k^.k2^); it vanishes for L > l + l', so
-        the two-center plane-wave expansion truncates exactly at 2*lmax.
+        Returns ``(G, wave)`` with G[L, l, l'] the exact angular integral of
+        P_L(k^.D^) P_l(k^.k1^) P_l'(k^.k2^) and ``wave`` the radial factors of
+        the plane wave between the centers (see _plane_wave).  G vanishes for
+        L > l + l', so the two-center expansion truncates exactly at 2*lmax.
         """
         if pair in self._geometry:
             return self._geometry[pair]
         j, h = pair
-        D = (self.sc.scatterers[j].center_array
-             - self.sc.scatterers[h].center_array)
-        D_len = float(np.linalg.norm(D))
+        PL, wave = self._plane_wave(self.sc.scatterers[j].center_array
+                                    - self.sc.scatterers[h].center_array)
         lmax = self.sc.numerics.lmax
-        ang = AngularGrid.for_degree(4 * lmax + 8)
-        u = ang.nodes @ (D / D_len)
+        ang = self.angular_grid()
         c1 = ang.nodes @ np.asarray(self.sc.dir_out)
         c2 = ang.nodes @ np.asarray(self.sc.dir_in)
-        PL = np.stack([eval_legendre(L, u) for L in range(2 * lmax + 1)])
         P1 = np.stack([eval_legendre(l, c1) for l in range(lmax + 1)])
         P2 = np.stack([eval_legendre(l, c2) for l in range(lmax + 1)])
         G = np.einsum("La,la,pa,a->Llp", PL, P1, P2, ang.weights, optimize=True)
@@ -273,7 +292,7 @@ class ScenarioEngine:
         ls = np.arange(lmax + 1)[None, :, None]
         ps = np.arange(lmax + 1)[None, None, :]
         G[(Ls > ls + ps) | (Ls < np.abs(ls - ps))] = 0.0
-        self._geometry[pair] = (G, D_len)
+        self._geometry[pair] = (G, wave)
         return self._geometry[pair]
 
     def _pair_profile(self, pair: tuple[int, int], eps: float):
@@ -293,13 +312,8 @@ class ScenarioEngine:
             return self._profiles[key]
         j, h = pair
         lmax = self.sc.numerics.lmax
-        q = self.grid.nodes
-        G, D_len = self.geometry(pair)
-        x = q * D_len
-        wave = np.stack([spherical_jn(L, x) for L in range(2 * lmax + 1)])
-        Ls = np.arange(2 * lmax + 1)
-        A = np.einsum("L,Llp,Li->lpi", (1j) ** Ls * (2 * Ls + 1), G, wave,
-                      optimize=True)
+        G, wave = self.geometry(pair)
+        A = np.einsum("Llp,Li->lpi", G, wave, optimize=True)
         tj = np.stack([self.offshell(j, l, eps).half_shell()[:-1]
                        for l in range(lmax + 1)])
         th = np.stack([self.offshell(h, l, eps).half_shell()[:-1]
@@ -448,43 +462,59 @@ class ScenarioEngine:
         raise ValueError("orders above 3 are not implemented")
 
     def _born3(self, j: int, h: int, k: int, eps: float) -> complex:
+        """Third-order term <k1|t_j R0 t_h R0 t_k|k2> at z = k0^2 + i eps.
+
+        Both free propagations are projected onto partial waves (l, m) about
+        scatterer h (see _projection); the t_h table then couples them l by
+        l.  Each projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
+        over directions k^.  The Rayleigh expansion
+        e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes this exact
+        at L <= 2*lmax: Y_lm P_l' is a spherical polynomial of degree at most
+        2*lmax, to which every P_L with L > 2*lmax is orthogonal.  What is
+        left has degree at most 4*lmax, which angular_grid integrates
+        exactly, with no dependence on q*|D|.
+        """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
         lmax = sc.numerics.lmax
         q = self.grid.nodes
         w = self.grid.weights
         ang = self.angular_grid()
-        Y = ylm_table(lmax, ang.nodes)
-        D1 = sc.scatterers[j].center_array - sc.scatterers[h].center_array
-        D2 = sc.scatterers[h].center_array - sc.scatterers[k].center_array
-        c1 = ang.nodes @ np.asarray(sc.dir_out)
-        c2 = ang.nodes @ np.asarray(sc.dir_in)
-        cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        tj = np.stack([self.offshell(j, l, eps).half_shell()[:-1]
-                       for l in range(lmax + 1)])
-        tk = np.stack([self.offshell(k, l, eps).half_shell()[:-1]
-                       for l in range(lmax + 1)])
-        Tj = np.einsum("l,la,li->ai", cl, np.stack(
-            [eval_legendre(l, c1) for l in range(lmax + 1)]), tj)
-        Tk = np.einsum("l,la,li->ai", cl, np.stack(
-            [eval_legendre(l, c2) for l in range(lmax + 1)]), tk)
-        e1 = np.exp(1j * np.outer(ang.nodes @ D1, q))
-        e2 = np.exp(1j * np.outer(ang.nodes @ D2, q))
-        wa = ang.weights
-        # projections onto intermediate partial waves around scatterer h
-        A = (Y * wa) @ (e1 * Tj)                 # (nlm, nq)
-        B = (np.conj(Y) * wa) @ (e2 * Tk)        # (nlm, nq)
+        Yw = ylm_table(lmax, ang.nodes) * ang.weights
+        centers = [s.center_array for s in sc.scatterers]
         denom = w * q * q / (z - q * q)
+        A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, eps) * denom
+        B = self._projection(np.conj(Yw), k, centers[h] - centers[k], sc.dir_in,
+                             eps) * denom
         total = 0.0 + 0.0j
         for l in range(lmax + 1):
             th = self.offshell(h, l, eps).values[:-1, :-1]
-            for m in range(-l, l + 1):
-                a = A[sph_index(l, m)] * denom
-                b = B[sph_index(l, m)] * denom
-                total += (4.0 * np.pi / (2 * l + 1)) * (a @ th @ b)
-        phase = np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
-                       + 1j * np.dot(sc.k2, sc.scatterers[k].center_array))
+            block = slice(sph_index(l, -l), sph_index(l, l) + 1)
+            total += (4.0 * np.pi / (2 * l + 1)) * np.sum((A[block] @ th) * B[block])
+        phase = np.exp(-1j * np.dot(sc.k1, centers[j])
+                       + 1j * np.dot(sc.k2, centers[k]))
         return complex(phase * total)
+
+    def _projection(self, Yw: np.ndarray, s: int, D: np.ndarray, direction,
+                    eps: float) -> np.ndarray:
+        """(nlm, nq) array sum_a Yw[:, a] e^{i q k^_a.D} T_s(k^_a, q).
+
+        T_s(k^, q) = sum_l (2l+1)/(4 pi) P_l(k^.direction) t_l(q, k0) is the
+        half-shell amplitude of scatterer s; the plane wave enters through
+        its Rayleigh expansion truncated at L = 2*lmax (exact, see _born3).
+        """
+        lmax = self.sc.numerics.lmax
+        ang = self.angular_grid()
+        PL, wave = self._plane_wave(D)
+        c = ang.nodes @ np.asarray(direction)
+        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
+        cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+        t = np.stack([cl[l] * self.offshell(s, l, eps).half_shell()[:-1]
+                      for l in range(lmax + 1)])
+        # sum over (L, l') as one matrix product on each side
+        angular = (PL[:, None, :] * P[None, :, :]).reshape(-1, ang.size)
+        radial = (wave[:, None, :] * t[None, :, :]).reshape(-1, wave.shape[1])
+        return (Yw @ angular.T) @ radial
 
     # -- the full experiment -------------------------------------------------
 
@@ -718,7 +748,6 @@ def _scenario_echo(engine: ScenarioEngine) -> dict:
         "p_max": float(engine.p_max),
         "n_max": sc.numerics.n_max,
         "momentum_nodes": int(engine.grid.size),
-        "angular_pad": sc.numerics.angular_pad,
         "tail_tol": sc.numerics.tail_tol,
         "schatten_radial": sc.numerics.schatten_radial,
         "schatten_order": sc.numerics.schatten_order,

@@ -56,6 +56,19 @@ def test_non_unit_direction_warns():
     assert cfg.scenario.dir_in == (0.0, 0.0, 1.0)
 
 
+def test_unknown_numerics_keys_rejected():
+    with pytest.raises(ConfigError) as exc:
+        validate_config(MINIMAL + "numerics:\n  lmx: 2\n  angular_pad: 30\n")
+    errors = dict(exc.value.errors)
+    assert set(errors) == {"numerics.lmx", "numerics.angular_pad"}
+    assert "lmax" in errors["numerics.lmx"]     # the known keys are listed
+    with pytest.raises(ConfigError) as exc:
+        validate_config(MINIMAL + "numerics: 3\n")
+    assert [p for p, _ in exc.value.errors] == ["numerics"]
+    # an empty block is still the defaults
+    assert validate_config(MINIMAL + "numerics:\n").scenario.numerics.lmax == 8
+
+
 def test_validate_subcommand(tmp_path, capsys):
     p = tmp_path / "c.yaml"
     p.write_text(MINIMAL)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 from multiscat.multiscatter import (
     ExtrapolationError,
@@ -12,6 +13,7 @@ from multiscat.multiscatter import (
     sinc_window,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
+from multiscat.specfun import AngularGrid, sph_index, ylm_table
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +205,78 @@ def test_born_term_orders(wells_engine):
     pair_sum = (wells_engine.x_alpha(0.0, eps, (0, 1))
                 + wells_engine.x_alpha(0.0, eps, (1, 0)))
     assert b2 == pytest.approx(pair_sum, rel=1e-12)
+
+
+def _born3_brute_force(eng, j, h, k, eps):
+    """Reference Born-3 term: the full plane wave e^{i q k^.D}, no expansion.
+
+    Integrates directly on an angular rule of degree
+    ceil(p_max * max_sep) + 2*lmax + 30, high enough to resolve the plane
+    wave at every grid momentum.
+    """
+    sc = eng.sc
+    z = complex(sc.k0 ** 2, eps)
+    lmax = sc.numerics.lmax
+    q, w = eng.grid.nodes, eng.grid.weights
+    ang = AngularGrid.for_degree(int(np.ceil(eng.p_max * eng.max_sep)) + 2 * lmax + 30)
+    Y = ylm_table(lmax, ang.nodes)
+    D1 = sc.scatterers[j].center_array - sc.scatterers[h].center_array
+    D2 = sc.scatterers[h].center_array - sc.scatterers[k].center_array
+    cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+
+    def amplitude(s, direction):
+        t = np.stack([eng.offshell(s, l, eps).half_shell()[:-1] for l in range(lmax + 1)])
+        c = ang.nodes @ np.asarray(direction)
+        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
+        return np.einsum("l,la,li->ai", cl, P, t)
+
+    e1 = np.exp(1j * np.outer(ang.nodes @ D1, q))
+    e2 = np.exp(1j * np.outer(ang.nodes @ D2, q))
+    A = (Y * ang.weights) @ (e1 * amplitude(j, sc.dir_out))
+    B = (np.conj(Y) * ang.weights) @ (e2 * amplitude(k, sc.dir_in))
+    denom = w * q * q / (z - q * q)
+    total = 0.0 + 0.0j
+    for l in range(lmax + 1):
+        th = eng.offshell(h, l, eps).values[:-1, :-1]
+        for m in range(-l, l + 1):
+            a = A[sph_index(l, m)] * denom
+            b = B[sph_index(l, m)] * denom
+            total += (4.0 * np.pi / (2 * l + 1)) * (a @ th @ b)
+    phase = np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
+                   + 1j * np.dot(sc.k2, sc.scatterers[k].center_array))
+    return complex(phase * total)
+
+
+def test_born3_matches_brute_force_quadrature():
+    eng = ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0.3, -0.2, 0.1), square_well(-1.0, 1.0)),
+                    Scatterer((2.0, 1.0, 2.5), gaussian(-0.8, 0.9)),
+                    Scatterer((-1.5, 1.8, -1.2), square_well(-0.7, 1.2))),
+        k0=1.1, dir_in=(0.2, 0.3, 0.9), dir_out=(0.7, -0.5, 0.3),
+        numerics=Numerics(lmax=3, n_max=3, p_max=8.0, n_inner=16, n_mid=16)))
+    terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
+             if j != h and h != k]
+    assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
+    for j, h, k in terms:
+        ref = _born3_brute_force(eng, j, h, k, 0.05)
+        assert abs(eng._born3(j, h, k, 0.05) - ref) <= 1e-12 * abs(ref), (j, h, k)
+
+
+def test_concentric_scatterers_give_finite_terms():
+    def engine(sep):
+        return ScenarioEngine(Scenario(
+            scatterers=(Scatterer((0, 0, 0), gaussian(-1.0, 1.0)),
+                        Scatterer((0, 0, sep), gaussian(-0.5, 0.8))),
+            k0=1.0, dir_in=(0, 0, 1), dir_out=(0.6, 0, 0.8),
+            numerics=Numerics(lmax=4, n_max=3)))
+
+    same, near = engine(0.0), engine(1e-7)
+    x_same, x_near = same.x_alpha(0.0, 0.05), near.x_alpha(0.0, 0.05)
+    assert np.isfinite(x_same)
+    assert abs(x_same - x_near) <= 1e-6 * abs(x_near)
+    b_same, b_near = same.born_term(3, 0.05), near.born_term(3, 0.05)
+    assert np.isfinite(b_same)
+    assert abs(b_same - b_near) <= 1e-6 * abs(b_near)
 
 
 def test_born_term_order_guard(wells_engine):
