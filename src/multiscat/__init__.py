@@ -17,13 +17,12 @@ from multiscat.potentials import (
     square_well,
     truncated_coulomb,
 )
-from multiscat.radial import PhaseShiftTable, onshell_t_lm, phase_shift
+from multiscat.radial import onshell_t_lm, phase_shift
 
 __all__ = [
     "ComplexEnergy",
     "MomentumGrid",
     "Numerics",
-    "PhaseShiftTable",
     "Potential",
     "Scatterer",
     "Scenario",

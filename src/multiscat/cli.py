@@ -150,6 +150,12 @@ def validate_config(text: str) -> RunConfig:
                                     Potential(kind, float(v0), float(a),
                                               float(rc) if rc is not None else None)))
 
+    if len(scatterers) > 2:
+        warnings.append(f"{len(scatterers)} scatterers: the gates check only the pair "
+                        "scatterers[0], scatterers[1], and the on-shell equivalence "
+                        "and phase-law gates are skipped; the other scatterers enter "
+                        "only the Born terms")
+
     num_kwargs = {}
     num_schema = {
         "lmax": (int, lambda v: 0 <= v <= 30),
@@ -395,8 +401,9 @@ def main(argv=None) -> int:
             return 2
         try:
             g = structure_constants(args.k0, R, args.lmax)
-        except ValueError as exc:
-            log.error("%s", exc)
+        except (ValueError, OverflowError) as exc:
+            # h+_L(k0 |R|) overflows for L = 2 lmax far above k0 |R|
+            log.error("cannot compute structure constants: %s", exc)
             return 2
         args.out.parent.mkdir(parents=True, exist_ok=True)
         g.to_csv(args.out)

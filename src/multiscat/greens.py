@@ -21,6 +21,17 @@ valid for |x| + |y-R| < |R|; the re-expansion coefficients g (structure
 constants) are assembled here by a Gaunt contraction over outgoing waves
 h+_L(k|R|) Y_LM(R^), and that pointwise identity - not any printed formula -
 is what the test-suite validates them against.
+
+One kernel computes that contraction, one azimuthal pair (m, m') at a
+time: ``_gaunt_integrals`` gets every Gaunt integral of the pair from a
+single matrix product on a Gauss-Legendre rule, and ``_g_block`` contracts
+it over L.  ``structure_constants`` calls it for each (m, m') whose
+Y_LM(R^) column is nonzero (only m = m' when R lies on the z axis); the
+spectral Schatten norm calls it once per m with R along z and never builds
+the dense matrix.  The triangle and parity zeros of the Gaunt table are
+imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
+grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
+entry would be amplified past every allowed one.
 """
 
 from __future__ import annotations
@@ -94,20 +105,6 @@ def r0_kernel(z: ComplexEnergy, x, y):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def ktilde_kernel(j: Scatterer, h: Scatterer, z: ComplexEnergy, x, y):
-    """Two-center kernel phi_j(x) e^{i sqrt(z) r}/(4 pi i r) phi_h(y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rj = np.linalg.norm(x - j.center_array, axis=-1)
-    rh = np.linalg.norm(y - h.center_array, axis=-1)
-    r = np.linalg.norm(x - y, axis=-1)
-    if np.any(r == 0):
-        raise ValueError("ktilde_kernel is singular at x = y")
-    out = (j.potential.phi(rj) * h.potential.phi(rh)
-           * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -170,18 +167,6 @@ class StructureConstantMatrix:
                             wr.writerow([l, m, lp, mp,
                                          f"{v.real:.16e}", f"{v.imag:.16e}"])
 
-    @classmethod
-    def from_csv(cls, path, k0: float, R, lmax: int) -> "StructureConstantMatrix":
-        n = (lmax + 1) ** 2
-        mat = np.zeros((n, n), dtype=complex)
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            next(rd)
-            for l, m, lp, mp, re, im in rd:
-                mat[sph_index(int(l), int(m)), sph_index(int(lp), int(mp))] = (
-                    float(re) + 1j * float(im))
-        return cls(k0=k0, R=tuple(float(v) for v in R), lmax=lmax, matrix=mat)
-
 
 def _neg_sign(m):
     """Parity factor relating Y_{l,-|m|} to the positive-m Legendre row."""
@@ -189,53 +174,91 @@ def _neg_sign(m):
     return np.where(m < 0, (-1.0) ** np.abs(m), 1.0)
 
 
+def _ipow(n):
+    """Exact powers of the imaginary unit, i^n, for integer n (array or scalar)."""
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[np.asarray(n) % 4]
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule(lmax: int):
+    """Normalised P_LM for L <= 2 lmax on Gauss-Legendre nodes exact to degree 6 lmax.
+
+    Both callers sweep the azimuthal pairs of one lmax, so one cached table
+    serves a whole sweep.
+    """
+    Lmax = 2 * lmax
+    xg, wg = gauss_legendre(Lmax + Lmax // 2 + 8)
+    return plm_norm_table(Lmax, xg), wg
+
+
+def _gaunt_integrals(m: int, mp: int, lmax: int) -> np.ndarray:
+    """G[l, l', L] = integral of Y_lm conj(Y_l'm') conj(Y_LM) over the sphere.
+
+    M = m - m'; the axes run over l = |m|..lmax, l' = |m'|..lmax and
+    L = |M|..2 lmax.  One matrix product on the Gauss-Legendre rule gives
+    every Legendre triple integral at once; the entries that the triangle
+    and parity rules forbid are then set to exact zeros (see the module
+    docstring for why that mask cannot be left to the quadrature).
+    """
+    M = m - mp
+    plm, w = _legendre_rule(lmax)
+    ls = np.arange(abs(m), lmax + 1)
+    lps = np.arange(abs(mp), lmax + 1)
+    Ls = np.arange(abs(M), 2 * lmax + 1)
+    pairs = (plm[tri_index(ls, abs(m))][:, None, :]
+             * plm[tri_index(lps, abs(mp))][None, :, :]).reshape(-1, w.size)
+    I = (pairs @ (w * plm[tri_index(Ls, abs(M))]).T).reshape(ls.size, lps.size, Ls.size)
+    lsum = ls[:, None, None] + lps[None, :, None]
+    allowed = ((Ls >= np.abs(ls[:, None, None] - lps[None, :, None]))
+               & (Ls <= lsum) & ((lsum + Ls) % 2 == 0))
+    sign = _neg_sign(m) * _neg_sign(mp) * _neg_sign(M)
+    return np.where(allowed, (2.0 * np.pi * sign) * I, 0.0)
+
+
+def _outgoing_waves(k: float, R, Lmax: int) -> np.ndarray:
+    """c[sph_index(L, M)] = i^{-L} (-1)^L h+_L(k|R|) conj(Y_LM(R^)), L <= Lmax."""
+    Rv = np.asarray(R, dtype=float)
+    Ls = np.arange(Lmax + 1)
+    hL = np.array([hankel_plus(L, k * float(np.linalg.norm(Rv))) for L in Ls])
+    # (-1)^L: the inner argument enters the one-center expansion through
+    # its antipode
+    coef = _ipow(-Ls) * (-1.0) ** Ls * hL
+    return np.repeat(coef, 2 * Ls + 1) * np.conj(ylm_table(Lmax, Rv))
+
+
+def _g_block(k: float, c: np.ndarray, m: int, mp: int, lmax: int) -> np.ndarray:
+    """Structure constants g_{lm;l'm'} of one azimuthal pair (m, m').
+
+    Rows run over l = |m|..lmax and columns over l' = |m'|..lmax; ``c`` is
+    ``_outgoing_waves(k, R, 2 lmax)``.  The phase i^{l+l'-L} factorises, so
+    the L-sum is one contraction of the Gaunt table with c.
+    """
+    M = m - mp
+    ls = np.arange(abs(m), lmax + 1)
+    lps = np.arange(abs(mp), lmax + 1)
+    cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]
+    G = _gaunt_integrals(m, mp, lmax)
+    # two real products: G is never copied to complex
+    contracted = G @ cM.real + 1j * (G @ cM.imag)
+    # (-1)^l: the origin-side argument enters the translation formula
+    # through its antipode as well
+    return ((-4.0j * np.pi * k) * ((-1.0) ** ls * _ipow(ls))[:, None]
+            * _ipow(lps)[None, :] * contracted)
+
+
 @lru_cache(maxsize=32)
 def _structure_constants_cached(k0: float, R: tuple, lmax: int) -> StructureConstantMatrix:
-    Rv = np.asarray(R, dtype=float)
-    Rlen = float(np.linalg.norm(Rv))
-    Lmax = 2 * lmax
-    hL = np.array([hankel_plus(L, k0 * Rlen) for L in range(Lmax + 1)])
-    YR = np.conj(ylm_table(Lmax, Rv))          # conj(Y_LM(R^))
-
-    n_nodes = 2 * Lmax // 2 + Lmax + 8         # exact for degree <= 3*Lmax
-    xg, wg = gauss_legendre(n_nodes)
-    plm = plm_norm_table(Lmax, xg)
-
-    nsph = (lmax + 1) ** 2
-    g = np.zeros((nsph, nsph), dtype=complex)
-
-    for l in range(lmax + 1):
-        for lp in range(lmax + 1):
-            ms = np.arange(-l, l + 1)
-            L0 = abs(l - lp)
-            for M in range(-(l + lp), l + lp + 1):
-                mps = ms - M
-                ok = np.abs(mps) <= lp
-                if not np.any(ok):
-                    continue
-                mv, mpv = ms[ok], mps[ok]
-                Ls = np.arange(max(L0, abs(M)), l + lp + 1)
-                Ls = Ls[(l + lp + Ls) % 2 == 0]
-                if Ls.size == 0:
-                    continue
-                # I[m_idx, L_idx]: exact GL integral of the Legendre triple product
-                T = plm[[tri_index(l, abs(m)) for m in mv]] * \
-                    plm[[tri_index(lp, abs(mp)) for mp in mpv]]
-                K = plm[[tri_index(L, abs(M)) for L in Ls]]
-                I = T @ (wg[:, None] * K.T)
-                sigma = (_neg_sign(-mpv) * _neg_sign(mv))[:, None] * _neg_sign(M)
-                gaunt_vals = 2.0 * np.pi * sigma * I
-                # (-1)^L: the inner argument enters the one-center expansion
-                # through its antipode
-                phase = (1j) ** (l + lp - Ls) * (-1.0) ** Ls
-                contrib = gaunt_vals * (phase * hL[Ls] * YR[[sph_index(L, M) for L in Ls]])
-                # (-1)^l: the origin-side argument enters the translation
-                # formula through its antipode as well
-                vals = ((-4.0j * np.pi * k0) * (-1.0) ** l
-                        * ((-1.0) ** mpv) * contrib.sum(axis=1))
-                rows = [sph_index(l, m) for m in mv]
-                cols = [sph_index(lp, mp) for mp in mpv]
-                g[rows, cols] = vals
+    c = _outgoing_waves(k0, R, 2 * lmax)
+    g = np.zeros(((lmax + 1) ** 2, (lmax + 1) ** 2), dtype=complex)
+    for m in range(-lmax, lmax + 1):
+        rows = sph_index(np.arange(abs(m), lmax + 1), m)
+        for mp in range(-lmax, lmax + 1):
+            M = m - mp
+            # with R on the z axis only the M = 0 column of Y_LM(R^) is nonzero
+            if not np.any(c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]):
+                continue
+            cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
+            g[np.ix_(rows, cols)] = _g_block(k0, c, m, mp, lmax)
     return StructureConstantMatrix(k0=k0, R=tuple(R), lmax=lmax, matrix=g)
 
 
@@ -374,6 +397,15 @@ def schatten4_norm(K: KtildeDiscretization, refine: bool = True,
     return v2, delta
 
 
+#: Radial Gauss nodes per support segment for the spectral nu_l moments; the
+#: refined estimate uses 3/2 as many.
+_SPECTRAL_RADIAL_NODES = 160
+#: Largest l kept by the spectral Schatten norm's coarse estimate.
+_SPECTRAL_LMAX_CAP = 100
+#: Exponent r of the decay diagnostic's integrand ||K||_4^r.
+_DECAY_EXPONENT = 4.5
+
+
 def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarray:
     """nu_l = integral of |V(r)| j_l(k r)^2 r^2 dr over the support."""
     r_eff = pot.effective_radius()
@@ -393,8 +425,7 @@ def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarra
 
 
 def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
-                            R_len: float, lmax: int | None = None,
-                            n_radial: int = 160):
+                            R_len: float):
     """Schatten-4 norm for non-overlapping spherical scatterers, any k.
 
     Uses the displaced spherical-wave factorisation: in a frame with R
@@ -406,14 +437,12 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
     if pot_j.effective_radius() + pot_h.effective_radius() >= R_len:
         raise ValueError("spectral Schatten norm requires non-overlapping supports")
     ka = k * max(pot_j.effective_radius(), pot_h.effective_radius())
-    if lmax is None:
-        # past l ~ ka the coupled entries decay geometrically with ratio
-        # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
-        ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
-        pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
-        lmax = int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad
-    lmax = min(lmax, 100)
-    blocks = _g_mdiagonal_blocks(k, R_len, lmax + 8)
+    # past l ~ ka the coupled entries decay geometrically with ratio
+    # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
+    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
+    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
+    lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad, _SPECTRAL_LMAX_CAP)
+    blocks = _zaxis_blocks(k, R_len, lmax + 8)
 
     def total(lm, n_rad):
         nu_j = _nu_weights(pot_j, k, lm, n_rad)
@@ -427,46 +456,24 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
             s4 += (1.0 if m == 0 else 2.0) * float(np.sum(sv ** 4))
         return s4 ** 0.25
 
-    v1 = total(lmax, n_radial)
-    v2 = total(lmax + 8, int(n_radial * 3 // 2))
+    v1 = total(lmax, _SPECTRAL_RADIAL_NODES)
+    v2 = total(lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
 @lru_cache(maxsize=16)
-def _g_mdiagonal_blocks(k: float, R_len: float, lmax: int):
+def _zaxis_blocks(k: float, R_len: float, lmax: int):
     """m-diagonal structure-constant blocks in the frame with R along z.
 
     Returns a list over m = 0..lmax of arrays g[l - m, l' - m]; the +/-m
     blocks coincide.
     """
-    Lmax = 2 * lmax
-    hL = np.array([hankel_plus(L, k * R_len) for L in range(Lmax + 1)])
-    YL0 = np.sqrt((2 * np.arange(Lmax + 1) + 1) / (4.0 * np.pi))
-    n_nodes = Lmax + Lmax // 2 + 8
-    xg, wg = gauss_legendre(n_nodes)
-    plm = plm_norm_table(Lmax, xg)
-    blocks = []
-    for m in range(lmax + 1):
-        ls = np.arange(m, lmax + 1)
-        nl = ls.size
-        block = np.zeros((nl, nl), dtype=complex)
-        P_lm = plm[[tri_index(l, m) for l in ls]]
-        for i, l in enumerate(ls):
-            T = P_lm[i] * P_lm                      # (nl, nodes)
-            for jdx, lp in enumerate(ls):
-                Ls = np.arange(abs(l - lp), l + lp + 1)
-                Ls = Ls[(l + lp + Ls) % 2 == 0]
-                K = plm[[tri_index(L, 0) for L in Ls]]
-                I = K @ (wg * T[jdx])
-                phase = (1j) ** (l + lp - Ls) * (-1.0) ** Ls
-                block[i, jdx] = ((-4.0j * np.pi * k) * (-1.0) ** l * np.sum(
-                    2.0 * np.pi * I * phase * hL[Ls] * YL0[Ls]))
-        blocks.append(block)
-    return blocks
+    c = _outgoing_waves(k, (0.0, 0.0, R_len), 2 * lmax)
+    return [_g_block(k, c, m, m, lmax) for m in range(lmax + 1)]
 
 
 def schatten4_decay_diagnostic(pot_j: Potential, pot_h: Potential, R_len: float,
-                               k_values, r_exponent: float = 4.5) -> dict:
+                               k_values) -> dict:
     """Truncated integral of ||K(k^2+i0)||_4^r over dk^2 (report-only).
 
     The tail beyond the sampled k-range is not computable at desk scale, so
@@ -474,10 +481,10 @@ def schatten4_decay_diagnostic(pot_j: Potential, pot_h: Potential, R_len: float,
     """
     ks = np.asarray(sorted(k_values), dtype=float)
     norms = np.array([schatten4_norm_spectral(pot_j, pot_h, k, R_len)[0] for k in ks])
-    integrand = norms ** r_exponent
+    integrand = norms ** _DECAY_EXPONENT
     return {
         "k_values": ks.tolist(),
         "norms": norms.tolist(),
-        "r_exponent": r_exponent,
+        "r_exponent": _DECAY_EXPONENT,
         "truncated_integral_dk2": float(np.trapezoid(integrand, ks ** 2)),
     }

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from multiscat.greens import ComplexEnergy
-from multiscat.potentials import Potential, QuadratureError
+from multiscat.potentials import Potential
 
 
 class PoleProximityError(RuntimeError):
@@ -136,21 +136,6 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
     core = ws * rs * rs * pot.evaluate(rs)
     out = (2.0 / np.pi) * (J.T * core) @ J
     return 0.5 * (out + out.T)
-
-
-def vl_kernel(pot: Potential, l: int, p1: float, p2: float,
-              rel_tol: float = 1e-8) -> float:
-    """Scalar V_l(p1, p2) with a node-doubling convergence check."""
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("momenta must be positive")
-    ms = np.array([p1, p2]) if p1 != p2 else np.array([p1])
-    v1 = vl_matrix(pot, l, ms, scale=1)[0, -1]
-    v2 = vl_matrix(pot, l, ms, scale=2)[0, -1]
-    if abs(v2 - v1) > max(rel_tol * abs(v2), 1e-12):
-        raise QuadratureError(
-            f"V_l quadrature not converged for l={l}: {v1:.3e} vs {v2:.3e}",
-            residual=abs(v2 - v1))
-    return float(v2)
 
 
 # ---------------------------------------------------------------------------

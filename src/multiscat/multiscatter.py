@@ -68,22 +68,6 @@ class ExtrapolationError(RuntimeError):
         self.samples = samples
 
 
-def sinc_window(a: float, k: float, k0: float) -> complex:
-    """Window factor (e^{i a (k-k0)} - 1) / (i a (k-k0)); exactly 1 at k = k0.
-
-    This is the alpha-average of the conjugation phases acting on a
-    t-matrix element between momenta k and k0: it dies off for large a
-    unless k = k0, which is the mechanism that filters out everything
-    off shell.
-    """
-    if a <= 0:
-        raise ValueError("window length a must be positive")
-    x = a * (k - k0)
-    if x == 0:
-        return 1.0 + 0.0j
-    return (np.exp(1j * x) - 1.0) / (1j * x)
-
-
 def eps_extrapolate(samples: dict) -> tuple[complex, float]:
     """Richardson/Neville extrapolation of eps -> complex samples to eps = 0.
 

@@ -7,8 +7,7 @@ potential's breakpoints, then matches the log-derivative at r_match to
     u(r) -> k r [cos(eta) j_l(kr) - sin(eta) y_l(kr)],
 
 which defines the phase shift eta_l(k).  Returned phase shifts live on the
-branch (-pi/2, pi/2]; ``PhaseShiftTable.build`` reconstructs a branch that
-is continuous in k, anchored at the large-k zero.
+branch (-pi/2, pi/2].
 
 The on-shell partial-wave amplitude is
 
@@ -18,8 +17,6 @@ an exactly unitary combination: Im t = -k0 |t|^2 for any real eta.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -276,49 +273,3 @@ def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = Non
     elif eta <= -np.pi / 2:
         eta += np.pi
     return float(eta)
-
-
-@dataclass
-class PhaseShiftTable:
-    """eta_l(k) on a (l, k) grid with a branch made continuous in k.
-
-    The branch is anchored at the largest k in the table, where eta is
-    taken in (-pi/2, pi/2] (it tends to 0 as k -> infinity), and unwrapped
-    downward in k by multiples of pi.
-    """
-
-    potential: Potential
-    entries: dict = field(default_factory=dict)   # (l, k) -> eta
-
-    @classmethod
-    def build(cls, pot: Potential, ls, ks, threads: int = 1, **kw) -> "PhaseShiftTable":
-        tab = cls(potential=pot)
-        ks = sorted(float(k) for k in ks)
-        pairs = [(l, k) for l in ls for k in ks]
-        if threads > 1:
-            # per-(l, k) solves are pure; the continuity pass below runs on
-            # the gathered dict in a fixed order, so results are identical
-            # for any schedule
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                raw_all = dict(zip(pairs, pool.map(
-                    lambda p: phase_shift(pot, p[0], p[1], **kw), pairs)))
-        else:
-            raw_all = {p: phase_shift(pot, p[0], p[1], **kw) for p in pairs}
-        for l in ls:
-            raw = [raw_all[(l, k)] for k in ks]
-            etas = [raw[-1]]
-            for val in raw[-2::-1]:
-                prev = etas[-1]
-                shift = np.round((prev - val) / np.pi)
-                etas.append(val + np.pi * shift)
-            etas.reverse()
-            for k, eta in zip(ks, etas):
-                tab.entries[(l, k)] = float(eta)
-        return tab
-
-    def eta(self, l: int, k: float) -> float:
-        return self.entries[(l, float(k))]
-
-    def onshell(self, l: int, k: float) -> complex:
-        return onshell_t_lm(self.eta(l, k), k)

@@ -1,8 +1,8 @@
 """Special functions for partial-wave scattering work.
 
 Spherical Bessel/Neumann/Hankel functions, complex spherical harmonics,
-Legendre polynomials, Wigner 3j symbols, Gaunt coefficients, and product
-quadrature grids on the unit sphere.
+normalised associated Legendre tables, and Gauss-Legendre and product
+quadrature rules.
 
 Conventions (used consistently by every module that imports this one):
 
@@ -10,21 +10,16 @@ Conventions (used consistently by every module that imports this one):
   ``Y_lm(theta, phi) = N_lm P_lm(cos theta) e^{i m phi}`` with
   ``Y_{l,-m} = (-1)^m conj(Y_{l,m})``.  They are orthonormal on the sphere.
 * The outgoing spherical Hankel function is ``h+_l = j_l + i y_l``.
-* ``gaunt(l1,m1, l2,m2, l3,m3)`` is the integral of
-  ``Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3})`` over the sphere; it vanishes
-  identically unless ``m3 = m1 + m2``, the triangle rule holds and
-  ``l1 + l2 + l3`` is even.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
 #: Largest angular momentum any routine in this module is vetted for.
 LMAX_SUPPORTED = 220
@@ -91,12 +86,6 @@ def bessel_y_prime(l: int, x):
 def hankel_plus(l: int, x):
     """Outgoing spherical Hankel function h+_l(x) = j_l(x) + i y_l(x), x > 0."""
     return bessel_j(l, x) + 1j * bessel_y(l, x)
-
-
-def legendre_p(l: int, x):
-    """Legendre polynomial P_l(x)."""
-    l = _check_l(l)
-    return eval_legendre(l, x)
 
 
 # ---------------------------------------------------------------------------
@@ -218,60 +207,9 @@ class AngularGrid:
         weights = np.outer(wg, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
         return cls(nodes=nodes, weights=weights, degree=degree)
 
-    @classmethod
-    def for_ylm_products(cls, lmax: int) -> "AngularGrid":
-        """Grid exact for all products Y_lm * conj(Y_l'm') with l, l' <= lmax."""
-        return cls.for_degree(2 * lmax)
-
     @property
     def size(self) -> int:
         return self.weights.size
-
-    def integrate(self, values) -> complex:
-        return np.tensordot(np.asarray(values), self.weights, axes=([-1], [0]))
-
-
-# ---------------------------------------------------------------------------
-# Wigner 3j and Gaunt coefficients
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _w3j_exact(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    # Racah's closed form evaluated in exact rational arithmetic; the final
-    # square root is taken in log space so large factorials cannot overflow.
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if j3 < abs(j1 - j2) or j3 > j1 + j2:
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
-        return 0.0
-    f = math.factorial
-    tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    s = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        den = (f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
-               * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
-        s += Fraction((-1) ** t, den)
-    if s == 0:
-        return 0.0
-    num = (f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
-           * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2)
-           * f(j3 + m3) * f(j3 - m3))
-    den = f(j1 + j2 + j3 + 1)
-    sign = (-1) ** (j1 - j2 - m3) * (1 if s > 0 else -1)
-    log_mag = (math.log(abs(s.numerator)) - math.log(s.denominator)
-               + 0.5 * (math.log(num) - math.log(den)))
-    return sign * math.exp(log_mag)
-
-
-def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3j symbol for integer arguments (exact rational evaluation)."""
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        _check_l(j)
-        if abs(m) > j:
-            return 0.0
-    return _w3j_exact(j1, j2, j3, m1, m2, m3)
 
 
 @lru_cache(maxsize=64)
@@ -279,52 +217,3 @@ def gauss_legendre(n: int):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-@lru_cache(maxsize=16)
-def _plm_quad_table(lmax: int, n_nodes: int):
-    x, w = gauss_legendre(n_nodes)
-    return plm_norm_table(lmax, x), w
-
-
-def _neg_m_sign(m: int) -> float:
-    # Y_{l,-|m|} = (-1)^{|m|} N_{l|m|} P_{l|m|} e^{-i|m| phi}
-    return (-1.0) ** (-m) if m < 0 else 1.0
-
-
-@lru_cache(maxsize=None)
-def _gaunt_cached(l1, m1, l2, m2, l3, m3) -> float:
-    # Triple products of normalised associated Legendre functions are
-    # polynomials of degree l1+l2+l3 when m3 = m1+m2, so Gauss-Legendre
-    # integrates them exactly.
-    deg = l1 + l2 + l3
-    n = 32 * ((deg // 2 + 2) // 32 + 1)
-    plm, w = _plm_quad_table(max(l1, l2, l3), n)
-    prod = (plm[tri_index(l1, abs(m1))] * plm[tri_index(l2, abs(m2))]
-            * plm[tri_index(l3, abs(m3))])
-    sign = _neg_m_sign(m1) * _neg_m_sign(m2) * _neg_m_sign(m3)
-    return float(2.0 * math.pi * sign * np.dot(w, prod))
-
-
-def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """Gaunt coefficient: integral of Y_{l1m1} Y_{l2m2} conj(Y_{l3m3}) dOmega.
-
-    Selection rules (m3 = m1+m2, triangle rule, even parity) return an
-    exact 0.0; exchange symmetry in (l1,m1) <-> (l2,m2) is exact because
-    arguments are canonicalised before evaluation.  Nonzero values come
-    from an exact-degree Gauss-Legendre integral of the associated
-    Legendre triple product, which is machine accurate for any supported l.
-    """
-    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
-        _check_l(l)
-        if abs(m) > l:
-            raise ValueError(f"|m| <= l required, got l={l}, m={m}")
-    if m1 + m2 != m3:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if (l1 + l2 + l3) % 2 != 0:
-        return 0.0
-    if (l2, m2) < (l1, m1):
-        l1, m1, l2, m2 = l2, m2, l1, m1
-    return _gaunt_cached(l1, m1, l2, m2, l3, m3)

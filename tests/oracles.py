@@ -1,0 +1,121 @@
+"""Test oracles: independent reference evaluations the library does not use.
+
+* ``wigner3j`` - Racah's closed form in exact rational arithmetic;
+* ``gaunt`` - the integral of ``Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3})`` over
+  the sphere, one coefficient at a time; it vanishes identically unless
+  ``m3 = m1 + m2``, the triangle rule holds and ``l1 + l2 + l3`` is even;
+* ``ktilde_kernel`` - the two-center kernel evaluated pointwise, with no
+  regularisation of near-coincident points.
+"""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from multiscat.specfun import _check_l, gauss_legendre, plm_norm_table, tri_index
+
+
+def ktilde_kernel(j, h, z, x, y):
+    """Two-center kernel phi_j(x) e^{i sqrt(z) r}/(4 pi i r) phi_h(y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rj = np.linalg.norm(x - j.center_array, axis=-1)
+    rh = np.linalg.norm(y - h.center_array, axis=-1)
+    r = np.linalg.norm(x - y, axis=-1)
+    if np.any(r == 0):
+        raise ValueError("ktilde_kernel is singular at x = y")
+    out = (j.potential.phi(rj) * h.potential.phi(rh)
+           * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+@lru_cache(maxsize=None)
+def _w3j_exact(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    # Racah's closed form evaluated in exact rational arithmetic; the final
+    # square root is taken in log space so large factorials cannot overflow.
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if j3 < abs(j1 - j2) or j3 > j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    f = math.factorial
+    tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
+    tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
+    s = Fraction(0)
+    for t in range(tmin, tmax + 1):
+        den = (f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
+               * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
+        s += Fraction((-1) ** t, den)
+    if s == 0:
+        return 0.0
+    num = (f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+           * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2)
+           * f(j3 + m3) * f(j3 - m3))
+    den = f(j1 + j2 + j3 + 1)
+    sign = (-1) ** (j1 - j2 - m3) * (1 if s > 0 else -1)
+    log_mag = (math.log(abs(s.numerator)) - math.log(s.denominator)
+               + 0.5 * (math.log(num) - math.log(den)))
+    return sign * math.exp(log_mag)
+
+
+def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    """Wigner 3j symbol for integer arguments (exact rational evaluation)."""
+    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
+        _check_l(j)
+        if abs(m) > j:
+            return 0.0
+    return _w3j_exact(j1, j2, j3, m1, m2, m3)
+
+
+
+
+@lru_cache(maxsize=16)
+def _plm_quad_table(lmax: int, n_nodes: int):
+    x, w = gauss_legendre(n_nodes)
+    return plm_norm_table(lmax, x), w
+
+
+def _neg_m_sign(m: int) -> float:
+    # Y_{l,-|m|} = (-1)^{|m|} N_{l|m|} P_{l|m|} e^{-i|m| phi}
+    return (-1.0) ** (-m) if m < 0 else 1.0
+
+
+@lru_cache(maxsize=None)
+def _gaunt_cached(l1, m1, l2, m2, l3, m3) -> float:
+    # Triple products of normalised associated Legendre functions are
+    # polynomials of degree l1+l2+l3 when m3 = m1+m2, so Gauss-Legendre
+    # integrates them exactly.
+    deg = l1 + l2 + l3
+    n = 32 * ((deg // 2 + 2) // 32 + 1)
+    plm, w = _plm_quad_table(max(l1, l2, l3), n)
+    prod = (plm[tri_index(l1, abs(m1))] * plm[tri_index(l2, abs(m2))]
+            * plm[tri_index(l3, abs(m3))])
+    sign = _neg_m_sign(m1) * _neg_m_sign(m2) * _neg_m_sign(m3)
+    return float(2.0 * math.pi * sign * np.dot(w, prod))
+
+
+def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
+    """Gaunt coefficient: integral of Y_{l1m1} Y_{l2m2} conj(Y_{l3m3}) dOmega.
+
+    Selection rules (m3 = m1+m2, triangle rule, even parity) return an
+    exact 0.0; exchange symmetry in (l1,m1) <-> (l2,m2) is exact because
+    arguments are canonicalised before evaluation.  Nonzero values come
+    from an exact-degree Gauss-Legendre integral of the associated
+    Legendre triple product, which is machine accurate for any supported l.
+    """
+    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
+        _check_l(l)
+        if abs(m) > l:
+            raise ValueError(f"|m| <= l required, got l={l}, m={m}")
+    if m1 + m2 != m3:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    if (l1 + l2 + l3) % 2 != 0:
+        return 0.0
+    if (l2, m2) < (l1, m1):
+        l1, m1, l2, m2 = l2, m2, l1, m1
+    return _gaunt_cached(l1, m1, l2, m2, l3, m3)

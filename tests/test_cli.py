@@ -95,6 +95,42 @@ def test_structconst_export(tmp_path):
     assert len(lines) == 1 + 81   # (lmax+1)^4 entries
 
 
+def test_structconst_overflow_is_an_input_error(tmp_path, caplog):
+    # h+_L(0.1) overflows at L = 107 < 2 lmax: report it, write nothing
+    out = tmp_path / "g.csv"
+    assert main(["structconst", "--k0", "0.1", "--r", "1.0",
+                 "--lmax", "60", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any("overflow" in r.getMessage() for r in caplog.records)
+
+
+def test_more_than_two_scatterers_warns(tmp_path, capsys):
+    text = f"""
+scenario:
+  k0: 1.0
+  alpha_list: [0.0, 0.5]
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
+  - center: [0.0, 0.0, 1.0]
+    potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
+  - center: [0.0, 1.0, 0.0]
+    potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
+numerics: {{lmax: 2, schatten_radial: 4, schatten_order: 2}}
+output:
+  dir: {tmp_path / "three"}
+"""
+    warnings = validate_config(text).warnings
+    assert len(warnings) == 1 and "3 scatterers" in warnings[0]
+    assert "scatterers[0], scatterers[1]" in warnings[0]
+    p = tmp_path / "three.yaml"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 0
+    assert "warning: 3 scatterers" in capsys.readouterr().err
+    report = json.loads((tmp_path / "three" / "report.json").read_text())
+    assert report["config_warnings"] == warnings
+
+
 def _small_config(tmp_path, name, extra=""):
     text = f"""
 scenario:
@@ -153,3 +189,4 @@ def test_bundled_configs_validate():
     for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
         cfg = validate_config((CONFIG_DIR / name).read_text())
         assert cfg.scenario.k0 == 1.0
+        assert cfg.warnings == []

@@ -8,13 +8,19 @@ from multiscat.greens import (
     ComplexEnergy,
     ConvergenceRegionError,
     KtildeDiscretization,
-    ktilde_kernel,
+    _ball_grid,
+    _gaunt_integrals,
+    _ktilde_matrix,
+    _zaxis_blocks,
     r0_kernel,
     schatten4_norm,
     schatten4_norm_spectral,
     structure_constants,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
+from multiscat.specfun import sph_index
+
+from oracles import ktilde_kernel, wigner3j
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,20 @@ def test_ktilde_distance_bound():
         assert abs(v) <= 1.0 / (4 * np.pi * d) + 1e-12
 
 
+def test_ktilde_matrix_matches_pointwise_oracle():
+    # on disjoint supports every node pair is farther apart than the cell
+    # radius, so the regularised matrix is the plain kernel entrywise
+    sj = Scatterer((0, 0, 0), square_well(-1.0, 1.0))
+    sh = Scatterer((0.4, 0.0, 2.9), square_well(-2.0, 0.8))
+    z = ComplexEnergy(1.3, 0.0)
+    pj, wj = _ball_grid(sj, 6, 4)
+    ph, wh = _ball_grid(sh, 5, 3)
+    got = _ktilde_matrix(sj, sh, z, pj, wj, ph, wh)
+    want = ktilde_kernel(sj, sh, z, pj[:, None, :], ph[None, :, :])
+    assert got.shape == want.shape == (pj.shape[0], ph.shape[0])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -138,12 +158,61 @@ def test_convergence_region_error():
 
 
 def test_csv_roundtrip(tmp_path):
-    from multiscat.greens import StructureConstantMatrix
-    g = structure_constants(1.0, [0, 0, 3.0], 3)
+    import csv
+    g = structure_constants(1.0, [1.0, 0.5, 3.0], 3)
     path = tmp_path / "g.csv"
     g.to_csv(path)
-    g2 = StructureConstantMatrix.from_csv(path, 1.0, (0, 0, 3.0), 3)
-    assert np.max(np.abs(g.matrix - g2.matrix)) < 1e-15 * np.max(np.abs(g.matrix))
+    back = np.zeros_like(g.matrix)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["l", "m", "lp", "mp", "re_g", "im_g"]
+    for l, m, lp, mp, re, im in rows[1:]:
+        back[sph_index(int(l), int(m)), sph_index(int(lp), int(mp))] = (
+            float(re) + 1j * float(im))
+    assert len(rows) == 1 + g.matrix.size
+    assert np.max(np.abs(g.matrix - back)) < 1e-15 * np.max(np.abs(g.matrix))
+
+
+def _racah_gaunt(l, m, lp, mp, L):
+    """Integral of Y_lm conj(Y_l'm') conj(Y_LM), M = m - m', from 3j symbols."""
+    M = m - mp
+    return ((-1.0) ** (mp + M)
+            * np.sqrt((2 * l + 1) * (2 * lp + 1) * (2 * L + 1) / (4 * np.pi))
+            * wigner3j(l, lp, L, 0, 0, 0) * wigner3j(l, lp, L, m, -mp, -M))
+
+
+def test_gaunt_integrals_match_racah():
+    # quadrature-free reference: Racah's closed form in exact arithmetic;
+    # the forbidden entries must be exact zeros, not quadrature roundoff
+    for lmax in range(6):
+        for m in range(-lmax, lmax + 1):
+            for mp in range(-lmax, lmax + 1):
+                G = _gaunt_integrals(m, mp, lmax)
+                index = [[[(l, lp, L) for L in range(abs(m - mp), 2 * lmax + 1)]
+                          for lp in range(abs(mp), lmax + 1)]
+                         for l in range(abs(m), lmax + 1)]
+                ref = np.array([[[_racah_gaunt(l, m, lp, mp, L) for l, lp, L in row]
+                                 for row in plane] for plane in index])
+                forbidden = np.array([[[not (abs(l - lp) <= L <= l + lp) or (l + lp + L) % 2
+                                        for l, lp, L in row] for row in plane]
+                                      for plane in index], dtype=bool)
+                assert G.shape == ref.shape
+                assert np.max(np.abs(G - ref)) < 1e-13
+                assert np.all(G[forbidden] == 0.0)
+
+
+def test_zaxis_blocks_match_structure_constants():
+    for lmax in (0, 3, 7, 12):
+        for k, R in ((1.0, 5.0), (2.5, 3.0)):
+            g = structure_constants(k, (0.0, 0.0, R), lmax).matrix
+            blocks = _zaxis_blocks(k, R, lmax)
+            scale = np.max(np.abs(g))
+            assert len(blocks) == lmax + 1
+            for m in range(lmax + 1):
+                ls = np.arange(m, lmax + 1)
+                for mm in (m, -m):
+                    idx = sph_index(ls, mm)
+                    assert np.max(np.abs(g[np.ix_(idx, idx)] - blocks[m])) <= 1e-14 * scale
 
 
 def test_structure_constants_preconditions():
@@ -310,3 +379,16 @@ def test_schatten_decay_direction():
     v12, d12 = schatten4_norm_spectral(pj, pj, 12.0, 3.0)
     assert v12 < v5
     assert d5 < 0.05 and d12 < 0.05
+
+
+@pytest.mark.parametrize("k,R_len,expected", [
+    (1.0, 5.0, 0.0671055181780924),
+    (3.0, 5.0, 0.0662560605324915),
+    (5.0, 3.0, 0.102672542887881),
+])
+def test_schatten_spectral_pinned_values(k, R_len, expected):
+    # values of the earlier per-(l, l') loop implementation, square well
+    # v0 = -1, a = 1
+    pot = square_well(-1.0, 1.0)
+    value, _ = schatten4_norm_spectral(pot, pot, k, R_len)
+    assert value == pytest.approx(expected, rel=1e-10)

@@ -6,7 +6,6 @@ from multiscat.lippmann import (
     MomentumGrid,
     PoleProximityError,
     solve_offshell_t,
-    vl_kernel,
     vl_matrix,
 )
 from multiscat.potentials import (
@@ -42,13 +41,13 @@ def test_grid_rejects_bad_cutoff():
 
 
 def test_vl_zero_potential():
-    assert vl_kernel(gaussian(0.0, 1.0), 0, 1.0, 2.0) == 0.0
+    assert np.all(vl_matrix(gaussian(0.0, 1.0), 0, [1.0, 2.0]) == 0.0)
 
 
 def test_vl_symmetry():
     for l in (0, 2):
-        a = vl_kernel(square_well(-1.0, 1.0), l, 0.8, 1.7)
-        b = vl_kernel(square_well(-1.0, 1.0), l, 1.7, 0.8)
+        a = vl_matrix(square_well(-1.0, 1.0), l, [0.8, 1.7])[0, 1]
+        b = vl_matrix(square_well(-1.0, 1.0), l, [1.7, 0.8])[0, 1]
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -56,15 +55,17 @@ def test_vl_square_well_closed_form():
     # V_0(1,1) = (2/pi) v0 * integral_0^1 sin^2 r dr, with the 1D integral
     # evaluated independently as (r - sin r cos r)/2 at r = 1
     exact = (2 / np.pi) * (-1.0) * (1.0 - np.sin(1.0) * np.cos(1.0)) / 2.0
-    assert vl_kernel(square_well(-1.0, 1.0), 0, 1.0, 1.0) == pytest.approx(
+    assert vl_matrix(square_well(-1.0, 1.0), 0, [1.0])[0, 0] == pytest.approx(
         exact, abs=1e-12)
 
 
 def test_vl_matrix_matches_kernel():
+    # an entry does not depend on the other momenta in the set, and it is
+    # converged: doubling the radial nodes leaves it unchanged
     ms = np.array([0.5, 1.0, 3.0])
     V = vl_matrix(square_well(-1.0, 1.0), 1, ms)
-    assert V[0, 2] == pytest.approx(vl_kernel(square_well(-1.0, 1.0), 1, 0.5, 3.0),
-                                    rel=1e-10)
+    pair = vl_matrix(square_well(-1.0, 1.0), 1, [0.5, 3.0], scale=2)
+    assert V[0, 2] == pytest.approx(pair[0, 1], rel=1e-10)
 
 
 def test_solve_zero_potential():

@@ -10,37 +10,9 @@ from multiscat.multiscatter import (
     Scenario,
     ScenarioEngine,
     eps_extrapolate,
-    sinc_window,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
 from multiscat.specfun import AngularGrid, sph_index, ylm_table
-
-
-# ---------------------------------------------------------------------------
-# sinc window
-# ---------------------------------------------------------------------------
-
-def test_sinc_window_removable_singularity():
-    assert sinc_window(3.0, 1.0, 1.0) == 1.0
-
-
-def test_sinc_window_zero():
-    a, k0 = 2.0, 1.0
-    k = k0 + 2 * np.pi / a
-    assert abs(sinc_window(a, k, k0)) < 1e-15
-
-
-def test_sinc_window_needs_positive_a():
-    with pytest.raises(ValueError):
-        sinc_window(0.0, 1.0, 1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(1e-3, 50.0), st.floats(0.0, 20.0), st.floats(1e-3, 20.0))
-def test_sinc_window_bound(a, k, k0):
-    w = sinc_window(a, k, k0)
-    assert abs(w) <= min(1.0, 2.0 / (a * abs(k - k0))) + 1e-12 if k != k0 \
-        else abs(w) == 1.0
 
 
 # ---------------------------------------------------------------------------
