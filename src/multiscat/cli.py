@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from multiscat.greens import structure_constants
-from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine
+from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine, eps_list_problem
 from multiscat.potentials import KINDS, Potential, Scatterer
 
 log = logging.getLogger("multiscat")
@@ -111,6 +111,8 @@ def validate_config(text: str) -> RunConfig:
         if v is not None and (not isinstance(v, list)
                               or not all(isinstance(x, (int, float)) for x in v)):
             errors.append((f"scenario.{name}", "must be a list of numbers"))
+        elif name == "eps_list" and v and (problem := eps_list_problem(v)):
+            errors.append(("scenario.eps_list", problem))
 
     scatterers = []
     raw_scat = raw.get("scatterers")
@@ -188,8 +190,10 @@ def validate_config(text: str) -> RunConfig:
             num_kwargs[key] = caster(v)
 
     tolerances = dict(Numerics().tolerances)
-    raw_tol = raw.get("tolerances", {})
-    if not isinstance(raw_tol, dict):
+    raw_tol = raw.get("tolerances")
+    if raw_tol is None:
+        raw_tol = {}
+    elif not isinstance(raw_tol, dict):
         errors.append(("tolerances", "must be a mapping"))
     else:
         for k, v in raw_tol.items():
@@ -271,7 +275,7 @@ def _write_summary(path: Path, report) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_plotdata(outdir: Path, report, engine: ScenarioEngine) -> None:
+def _write_plotdata(outdir: Path, report) -> None:
     pd = outdir / "plotdata"
     pd.mkdir(parents=True, exist_ok=True)
     sv = str(SUMMARY_SCHEMA_VERSION)
@@ -284,7 +288,7 @@ def _write_plotdata(outdir: Path, report, engine: ScenarioEngine) -> None:
     for a in sorted(report.y_alpha_samples):
         vals = []
         for e in eps_seq:
-            v = report.x_alpha_by_eps[a][e] * np.exp(-1j * a * engine.sc.k0)
+            v = report.x_alpha_by_eps[a][e] * np.exp(-1j * a * report.scenario["k0"])
             vals += [_fmt(v.real), _fmt(v.imag)]
         y = report.y_alpha_samples[a]
         vals += [_fmt(y.real), _fmt(y.imag)]
@@ -300,21 +304,20 @@ def _write_plotdata(outdir: Path, report, engine: ScenarioEngine) -> None:
                  f"{_fmt(report.x0_direct.imag)}")
     (pd / "x0_vs_eps.csv").write_text("\n".join(lines) + "\n")
 
-    if report.x0_structconst is not None:
+    if report.x0_structconst_by_lmax:
         lines = ["schema_version,lmax,re_x0,im_x0,rel_delta_vs_full"]
         full = report.x0_structconst
-        for lm in range(0, engine.sc.numerics.lmax + 1):
-            v, _ = engine.x0_structconst(lmax=lm)
+        for lm, v in enumerate(report.x0_structconst_by_lmax):
             lines.append(f"{sv},{lm},{_fmt(v.real)},{_fmt(v.imag)},"
                          f"{_fmt(abs(v - full) / abs(full))}")
         (pd / "structconst_lmax.csv").write_text("\n".join(lines) + "\n")
 
 
-def run(config: RunConfig, threads: int = 1) -> int:
+def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    engine = ScenarioEngine(config.scenario, threads=threads)
+    engine = ScenarioEngine(config.scenario)
     try:
         report = engine.verify()
     except Exception as exc:
@@ -333,7 +336,7 @@ def run(config: RunConfig, threads: int = 1) -> int:
     if "csv" in config.formats:
         _write_summary(outdir / "summary.csv", report)
     if "plotdata" in config.formats:
-        _write_plotdata(outdir, report, engine)
+        _write_plotdata(outdir, report)
     for c in report.comparisons:
         log.info("%-22s %.3e (tol %.1e) %s", c["name"], c["value"],
                  c["tolerance"], "PASS" if c["passed"] else "FAIL")
@@ -348,8 +351,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="multiscat",
         description="Desk-scale multiple-scattering verification runs")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for (alpha, eps) work items")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print("config OK")
             return 0
-        return run(config, threads=args.threads)
+        return run(config)
 
     if args.command == "structconst":
         if len(args.r) == 1:

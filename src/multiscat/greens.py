@@ -246,8 +246,21 @@ def _g_block(k: float, c: np.ndarray, m: int, mp: int, lmax: int) -> np.ndarray:
             * _ipow(lps)[None, :] * contracted)
 
 
-@lru_cache(maxsize=32)
-def _structure_constants_cached(k0: float, R: tuple, lmax: int) -> StructureConstantMatrix:
+def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
+    """Displaced-wave re-expansion coefficients g_{lm;l'm'}(k0, R).
+
+    Assembled by the Gaunt contraction over outgoing waves h+_L(k0 |R|)
+    Y_LM(R^); the defining pointwise identity (module docstring) is the
+    source of truth for sign and normalisation.
+    """
+    if k0 <= 0:
+        raise ValueError("k0 must be positive")
+    R = tuple(float(v) for v in np.asarray(R, dtype=float))
+    if np.linalg.norm(R) == 0:
+        raise ValueError("structure constants need |R| > 0")
+    if lmax < 0 or 2 * lmax > 140:
+        raise ValueError("lmax out of the supported range")
+    k0, lmax = float(k0), int(lmax)
     c = _outgoing_waves(k0, R, 2 * lmax)
     g = np.zeros(((lmax + 1) ** 2, (lmax + 1) ** 2), dtype=complex)
     for m in range(-lmax, lmax + 1):
@@ -259,24 +272,7 @@ def _structure_constants_cached(k0: float, R: tuple, lmax: int) -> StructureCons
                 continue
             cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
             g[np.ix_(rows, cols)] = _g_block(k0, c, m, mp, lmax)
-    return StructureConstantMatrix(k0=k0, R=tuple(R), lmax=lmax, matrix=g)
-
-
-def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
-    """Displaced-wave re-expansion coefficients g_{lm;l'm'}(k0, R).
-
-    Assembled by the Gaunt contraction over outgoing waves h+_L(k0 |R|)
-    Y_LM(R^); the defining pointwise identity (module docstring) is the
-    source of truth for sign and normalisation.
-    """
-    if k0 <= 0:
-        raise ValueError("k0 must be positive")
-    Rv = np.asarray(R, dtype=float)
-    if np.linalg.norm(Rv) == 0:
-        raise ValueError("structure constants need |R| > 0")
-    if lmax < 0 or 2 * lmax > 140:
-        raise ValueError("lmax out of the supported range")
-    return _structure_constants_cached(float(k0), tuple(float(v) for v in Rv), int(lmax))
+    return StructureConstantMatrix(k0=k0, R=R, lmax=lmax, matrix=g)
 
 
 # ---------------------------------------------------------------------------

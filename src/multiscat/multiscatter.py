@@ -36,7 +36,6 @@ with t_lm(k0) = -sin(eta_l) e^{i eta_l}/k0 from the radial solver.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,22 +67,33 @@ class ExtrapolationError(RuntimeError):
         self.samples = samples
 
 
+def eps_list_problem(eps) -> str | None:
+    """Why an eps list cannot be extrapolated to eps = 0, or None if it can.
+
+    The list needs at least 3 distinct values, all positive, with a ratio of
+    at least 1.2 between successive values once sorted.
+    """
+    eps = np.array(sorted(set(eps), reverse=True), dtype=float)
+    if eps.size < 3:
+        return "need at least 3 distinct eps values"
+    if np.any(eps <= 0):
+        return "eps values must be positive"
+    if np.any(eps[:-1] / eps[1:] < 1.2):
+        return "eps values must decrease geometrically (ratio >= 1.2 once sorted)"
+    return None
+
+
 def eps_extrapolate(samples: dict) -> tuple[complex, float]:
     """Richardson/Neville extrapolation of eps -> complex samples to eps = 0.
 
-    Needs >= 3 samples at (roughly geometrically) decreasing eps.  Returns
+    Needs samples at an eps list that eps_list_problem accepts.  Returns
     (limit, error) with the error taken as the difference between the last
     two extrapolation levels.
     """
-    if len(samples) < 3:
-        raise ExtrapolationError("need at least 3 eps samples", samples=samples)
+    problem = eps_list_problem(samples)
+    if problem is not None:
+        raise ExtrapolationError(problem, samples=samples)
     eps = np.array(sorted(samples.keys(), reverse=True), dtype=float)
-    if np.any(eps <= 0):
-        raise ExtrapolationError("eps samples must be positive", samples=samples)
-    ratios = eps[:-1] / eps[1:]
-    if np.any(ratios < 1.2):
-        raise ExtrapolationError(
-            "eps samples must decrease geometrically", samples=samples)
     f = np.array([samples[e] for e in eps], dtype=complex)
     n = eps.size
     tableau = [f]
@@ -177,17 +187,20 @@ def default_p_max(scenario: Scenario) -> float:
 
 
 class ScenarioEngine:
-    """Caches per-scenario tables and evaluates the verification operations.
+    """The inputs of one verification run and the operations on them.
 
-    All heavy inputs (off-shell tables, pair geometry matrices, phase
-    shifts, structure constants) are computed once and reused across the
-    (alpha, eps) work items; the items themselves are pure functions of
-    those tables, so threading over them cannot change results.
+    The constructor builds everything that depends only on the scenario:
+    the momentum grid, the engine's one angular rule and the principal-value
+    operator on the grid.  The off-shell LS tables are memoised by
+    ``offshell(j, l, eps)``, the engine's only cache; every other quantity
+    (pair geometry, pair profiles, phase shifts, structure constants) is
+    computed from those inputs where it is used.  run_verification calls
+    the operations in stages: tables, pair profiles, the X lattice, eps
+    extrapolation, gates.
     """
 
-    def __init__(self, scenario: Scenario, threads: int = 1):
+    def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.threads = max(1, int(threads))
         num = scenario.numerics
         self.p_max = num.p_max or default_p_max(scenario)
         centers = [s.center_array for s in scenario.scatterers]
@@ -197,13 +210,13 @@ class ScenarioEngine:
         self.grid = MomentumGrid.build(scenario.k0, self.p_max, n_inner=num.n_inner,
                                        n_mid=num.n_mid, n_outer=num.n_outer,
                                        osc_scale=osc)
+        # exact to degree 4*lmax + 8: every angular integral of the engine
+        # has, once its plane waves are truncated at L = 2*lmax, a polynomial
+        # integrand of degree at most 4*lmax (see geometry and _born3); the
+        # 8 extra degrees are margin
+        self.ang = AngularGrid.for_degree(4 * num.lmax + 8)
+        self.pv = _pv_operator(self.grid)
         self._tables: dict = {}
-        self._geometry: dict = {}
-        self._profiles: dict = {}
-        self._eta: dict = {}
-        self._ang = None
-
-    # -- cached inputs ------------------------------------------------------
 
     def offshell(self, j: int, l: int, eps: float) -> OffshellTable:
         pot = self.sc.scatterers[j].potential
@@ -212,24 +225,6 @@ class ScenarioEngine:
             self._tables[key] = solve_offshell_t(
                 pot, l, ComplexEnergy(self.sc.k0, eps), self.grid)
         return self._tables[key]
-
-    def eta(self, j: int, l: int) -> float:
-        pot = self.sc.scatterers[j].potential
-        key = (pot, l)
-        if key not in self._eta:
-            self._eta[key] = phase_shift(pot, l, self.sc.k0)
-        return self._eta[key]
-
-    def angular_grid(self) -> AngularGrid:
-        """The engine's one angular rule, exact to degree 4*lmax + 8.
-
-        Every angular integral of the engine has, once its plane waves are
-        truncated at L = 2*lmax, a polynomial integrand of degree at most
-        4*lmax (see geometry and _born3); the 8 extra degrees are margin.
-        """
-        if self._ang is None:
-            self._ang = AngularGrid.for_degree(4 * self.sc.numerics.lmax + 8)
-        return self._ang
 
     def _plane_wave(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rayleigh expansion of e^{i q k^.D}, truncated at L = 2*lmax.
@@ -242,7 +237,7 @@ class ScenarioEngine:
         """
         D_len = float(np.linalg.norm(D))
         axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
-        u = self.angular_grid().nodes @ axis
+        u = self.ang.nodes @ axis
         x = self.grid.nodes * D_len
         Ls = range(2 * self.sc.numerics.lmax + 1)
         PL = np.stack([eval_legendre(L, u) for L in Ls])
@@ -257,13 +252,11 @@ class ScenarioEngine:
         the plane wave between the centers (see _plane_wave).  G vanishes for
         L > l + l', so the two-center expansion truncates exactly at 2*lmax.
         """
-        if pair in self._geometry:
-            return self._geometry[pair]
         j, h = pair
         PL, wave = self._plane_wave(self.sc.scatterers[j].center_array
                                     - self.sc.scatterers[h].center_array)
         lmax = self.sc.numerics.lmax
-        ang = self.angular_grid()
+        ang = self.ang
         c1 = ang.nodes @ np.asarray(self.sc.dir_out)
         c2 = ang.nodes @ np.asarray(self.sc.dir_in)
         P1 = np.stack([eval_legendre(l, c1) for l in range(lmax + 1)])
@@ -276,10 +269,9 @@ class ScenarioEngine:
         ls = np.arange(lmax + 1)[None, :, None]
         ps = np.arange(lmax + 1)[None, None, :]
         G[(Ls > ls + ps) | (Ls < np.abs(ls - ps))] = 0.0
-        self._geometry[pair] = (G, wave)
-        return self._geometry[pair]
+        return G, wave
 
-    def _pair_profile(self, pair: tuple[int, int], eps: float):
+    def pair_profile(self, pair: tuple[int, int], eps: float):
         """Angular-reduced pair integrand S(q) and its standing-wave companion.
 
         S(q) is the angular average of <k1|t_j(z)|k><k|t_h(z)|k2> (phases
@@ -288,12 +280,9 @@ class ScenarioEngine:
         radial wave j_0(q|x-y|).  Sy(q) is the same sandwich through the
         irregular wave y_0(q|x-y|), obtained from S by the principal-value
         identity y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
-        a Hilbert-type transform on the momentum grid, valid for any
-        geometry including overlapping supports.
+        a Hilbert-type transform on the momentum grid (see _pv_operator),
+        valid for any geometry including overlapping supports.
         """
-        key = (pair, float(eps))
-        if key in self._profiles:
-            return self._profiles[key]
         j, h = pair
         lmax = self.sc.numerics.lmax
         G, wave = self.geometry(pair)
@@ -304,31 +293,7 @@ class ScenarioEngine:
                        for l in range(lmax + 1)])
         c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
         S = np.einsum("l,p,li,pi,lpi->i", c, c, tj, th, A, optimize=True)
-        Sy = self._standing_companion(S)
-        self._profiles[key] = (S, Sy)
-        return S, Sy
-
-    def _standing_companion(self, S: np.ndarray) -> np.ndarray:
-        """PV transform Sy(q) = (2/(pi q)) PV int dk k^2 S(k)/(q^2 - k^2)."""
-        from scipy.interpolate import CubicSpline
-        q = self.grid.nodes
-        w = self.grid.weights
-        P = self.grid.p_max
-        f = q * q * S
-        spl_re = CubicSpline(q, f.real)
-        spl_im = CubicSpline(q, f.imag)
-        fprime = spl_re(q, 1) + 1j * spl_im(q, 1)
-        Sy = np.empty_like(S)
-        denom_all = np.subtract.outer(q * q, q * q)   # q_i^2 - k_j^2
-        for i, qi in enumerate(q):
-            diff = f - f[i]
-            den = denom_all[i]
-            den[i] = 1.0
-            terms = w * diff / den
-            terms[i] = -w[i] * fprime[i] / (2.0 * qi)
-            pv = terms.sum() + f[i] * np.log((P + qi) / (P - qi)) / (2.0 * qi)
-            Sy[i] = (2.0 / (np.pi * qi)) * pv
-        return Sy
+        return S, self.pv @ S
 
     # -- operations ---------------------------------------------------------
 
@@ -349,15 +314,15 @@ class ScenarioEngine:
             total += (2 * l + 1) / (4.0 * np.pi) * eval_legendre(l, cang) * tl
         return complex(phase * total)
 
-    def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1),
-                check_tail: bool = True) -> complex:
-        """Pair term X_alpha(z) by intermediate-momentum quadrature.
+    def x_lattice(self, alphas, eps: float,
+                  pair: tuple[int, int] = (0, 1)) -> np.ndarray:
+        """Pair terms X_alpha(z) for every alpha in ``alphas`` at one eps.
 
-        The integrand uses genuinely off-shell half-shell t-matrix columns;
-        the alpha insertion carries the branch-continued phase (see
-        _alpha_kernel), under which X_alpha = e^{i alpha sqrt(z)} X_0 up to
-        quadrature error.  alpha = 0 is the plain pair term of the
-        multiple-scattering series.
+        The integrand uses genuinely off-shell half-shell t-matrix columns
+        through one pair profile; the alpha insertion carries the
+        branch-continued phase, under which X_alpha = e^{i alpha sqrt(z)} X_0
+        up to quadrature error.  Every entry passes the momentum-tail check
+        or raises TailEstimateError.
         """
         if eps <= 0:
             raise ValueError("x_alpha needs eps > 0; use eps_extrapolate for the limit")
@@ -368,36 +333,43 @@ class ScenarioEngine:
         z = complex(sc.k0 ** 2, eps)
         q = self.grid.nodes
         w = self.grid.weights
-        S, Sy = self._pair_profile(pair, eps)
+        S, Sy = self.pair_profile(pair, eps)
         # branch-continued alpha phase: e^{i alpha q} on the outgoing and
         # e^{-i alpha q} on the incoming half of the free propagation
-        weighted = S * np.cos(alpha * q) - Sy * np.sin(alpha * q)
+        aq = np.outer(alphas, q)
+        weighted = S * np.cos(aq) - Sy * np.sin(aq)
         radial = w * q * q / (z - q * q)
         contrib = radial * weighted
         phase = np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
                        + 1j * np.dot(sc.k2, sc.scatterers[h].center_array))
-        total = complex(phase * np.sum(contrib))
-        if check_tail:
-            est = _tail_estimate(q, contrib)
-            if est > sc.numerics.tail_tol * max(abs(total), 1e-300):
+        totals = phase * np.sum(contrib, axis=1)
+        tol = sc.numerics.tail_tol
+        for row, total in zip(contrib, totals):
+            est = _tail_estimate(q, row)
+            if est > tol * max(abs(total), 1e-300):
                 raise TailEstimateError(
                     f"momentum-tail estimate {est:.3e} exceeds "
-                    f"{sc.numerics.tail_tol:.1e} * |X| = "
-                    f"{sc.numerics.tail_tol * abs(total):.3e}; increase p_max",
+                    f"{tol:.1e} * |X| = {tol * abs(total):.3e}; increase p_max",
                     estimate=est)
-        return total
+        return totals
 
-    def y_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
-        return complex(np.exp(-1j * alpha * self.sc.k0)
-                       * self.x_alpha(alpha, eps, pair))
+    def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
+        """Pair term X_alpha(z) by intermediate-momentum quadrature.
 
-    def x0_structconst(self, pair: tuple[int, int] = (0, 1),
-                       lmax: int | None = None) -> tuple[complex, float]:
+        x_lattice with the single alpha; alpha = 0 is the plain pair term of
+        the multiple-scattering series.
+        """
+        return complex(self.x_lattice([alpha], eps, pair)[0])
+
+    def x0_structconst(self, pair: tuple[int, int] = (0, 1)) -> list:
         """On-shell-only evaluation of X_0(k0^2 + i0) for two muffin tins.
 
-        Returns (value, truncation_delta).  Hard precondition: the two
-        effective supports must not overlap (the re-expansion behind the
-        formula has no meaning otherwise).
+        Returns X_0 summed over l, l' <= L for every truncation L = 0..lmax;
+        the last entry is the full value.  The structure constants are built
+        once at lmax (g_{lm;l'm'} does not depend on the truncation) and the
+        phase shifts once per distinct potential.  Hard precondition: the
+        two effective supports must not overlap (the re-expansion behind
+        the formula has no meaning otherwise).
         """
         sc = self.sc
         j, h = pair
@@ -406,24 +378,21 @@ class ScenarioEngine:
         if gap <= 0:
             raise ValueError(
                 f"x0_structconst requires non-overlapping supports (gap {gap:.4g})")
-        lmax = sc.numerics.lmax if lmax is None else lmax
-        R = sh.center_array - sj.center_array
-        g = structure_constants(sc.k0, R, lmax)
+        lmax = sc.numerics.lmax
+        g = structure_constants(sc.k0, sh.center_array - sj.center_array, lmax).matrix
         y1 = ylm_table(lmax, np.asarray(sc.dir_out))
         y2c = np.conj(ylm_table(lmax, np.asarray(sc.dir_in)))
         ls = np.concatenate([[l] * (2 * l + 1) for l in range(lmax + 1)]).astype(int)
-        tj = np.array([onshell_t_lm(self.eta(j, l), sc.k0) for l in range(lmax + 1)])
-        th = np.array([onshell_t_lm(self.eta(h, l), sc.k0) for l in range(lmax + 1)])
-        left = (1j) ** (-ls) * y1 * tj[ls]
-        right = (1j) ** ls * y2c * th[ls]
+        t = {pot: np.array([onshell_t_lm(phase_shift(pot, l, sc.k0), sc.k0)
+                            for l in range(lmax + 1)])
+             for pot in {sj.potential, sh.potential}}
+        left = (1j) ** (-ls) * y1 * t[sj.potential][ls]
+        right = (1j) ** ls * y2c * t[sh.potential][ls]
         phase = np.exp(-1j * np.dot(sc.k1, sj.center_array)
                        + 1j * np.dot(sc.k2, sh.center_array))
         pref = (2.0 / np.pi) * phase
-        total = complex(pref * (left @ g.matrix @ right))
-        inner = (lmax + 1) ** 2 - (2 * lmax + 1)   # drop the top-l shell
-        partial = complex(pref * (left[:inner] @ g.matrix[:inner, :inner] @ right[:inner]))
-        delta = abs(total - partial) / max(abs(total), 1e-300)
-        return total, delta
+        return [complex(pref * (left[:n] @ g[:n, :n] @ right[:n]))
+                for n in ((L + 1) ** 2 for L in range(lmax + 1))]
 
     def born_term(self, order: int, eps: float) -> complex:
         """Order-n term of the multiple-scattering series at z = k0^2 + i eps."""
@@ -455,15 +424,15 @@ class ScenarioEngine:
         e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes this exact
         at L <= 2*lmax: Y_lm P_l' is a spherical polynomial of degree at most
         2*lmax, to which every P_L with L > 2*lmax is orthogonal.  What is
-        left has degree at most 4*lmax, which angular_grid integrates
-        exactly, with no dependence on q*|D|.
+        left has degree at most 4*lmax, which the engine's angular rule
+        ``ang`` integrates exactly, with no dependence on q*|D|.
         """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
         lmax = sc.numerics.lmax
         q = self.grid.nodes
         w = self.grid.weights
-        ang = self.angular_grid()
+        ang = self.ang
         Yw = ylm_table(lmax, ang.nodes) * ang.weights
         centers = [s.center_array for s in sc.scatterers]
         denom = w * q * q / (z - q * q)
@@ -488,7 +457,7 @@ class ScenarioEngine:
         its Rayleigh expansion truncated at L = 2*lmax (exact, see _born3).
         """
         lmax = self.sc.numerics.lmax
-        ang = self.angular_grid()
+        ang = self.ang
         PL, wave = self._plane_wave(D)
         c = ang.nodes @ np.asarray(direction)
         P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
@@ -524,12 +493,38 @@ def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> float:
     return float(last * r / (1.0 - r))
 
 
+def _pv_operator(grid: MomentumGrid) -> np.ndarray:
+    """Real matrix M with M @ S = (2/(pi q)) PV int dk k^2 S(k)/(q^2 - k^2).
+
+    With f = k^2 S, the PV integral at node q_i is the subtracted grid sum
+    sum_j w_j (f_j - f_i)/(q_i^2 - q_j^2), whose j = i term takes its limit
+    -w_i f'(q_i)/(2 q_i) from a cubic spline through f, plus the analytic
+    counter-term f_i ln((P + q_i)/(P - q_i))/(2 q_i) for the integral of
+    1/(q_i^2 - k^2) over [0, P].  Each step is linear in f, so the transform
+    is one matrix on the grid.
+    """
+    # imported here: scipy.interpolate is not otherwise needed at start-up
+    from scipy.interpolate import CubicSpline
+    q = grid.nodes
+    w = grid.weights
+    P = grid.p_max
+    den = np.subtract.outer(q * q, q * q)   # q_i^2 - k_j^2
+    np.fill_diagonal(den, 1.0)
+    K = w / den
+    np.fill_diagonal(K, 0.0)
+    diag = np.log((P + q) / (P - q)) / (2.0 * q) - K.sum(axis=1)
+    K -= (w / (2.0 * q))[:, None] * CubicSpline(q, np.eye(q.size))(q, 1)
+    K[np.diag_indices_from(K)] += diag
+    return (2.0 / (np.pi * q))[:, None] * K * (q * q)
+
+
 @dataclass
 class VerificationReport:
     scenario: dict
     x0_direct: complex
     x0_direct_error: float
     x0_structconst: complex | None
+    x0_structconst_by_lmax: list | None
     structconst_truncation: float | None
     onshell_rel_diff: float | None
     x_alpha_extrapolated: dict
@@ -597,7 +592,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         b1 = engine.born_term(1, min(eps_seq))
         report = VerificationReport(
             scenario=_scenario_echo(engine), x0_direct=0j, x0_direct_error=0.0,
-            x0_structconst=None, structconst_truncation=None, onshell_rel_diff=None,
+            x0_structconst=None, x0_structconst_by_lmax=None,
+            structconst_truncation=None, onshell_rel_diff=None,
             x_alpha_extrapolated={}, x_alpha_by_eps={}, y_alpha_samples={},
             alpha_flatness=0.0, phase_law_residuals={}, y_average=0j,
             y_average_rel_diff=0.0, born_terms=[b1], born2_identity_rel=None,
@@ -608,32 +604,20 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics["pair_gap"] = float(gap)
     overlapping = gap <= 0
 
-    # X_alpha over the (alpha, eps) lattice, threaded over work items
+    # stage 1, the LS tables, is engine.offshell's memo, filled on first
+    # read; stages 2-3: one pair profile and one row of X_alpha per eps
     if not alphas:
         alphas = (0.0,)
-    items = [(a, e) for a in alphas for e in eps_seq]
+    lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)
+    lattice = {e: engine.x_lattice(lattice_alphas, e) for e in eps_seq}
 
-    def work(item):
-        a, e = item
-        return engine.x_alpha(a, e)
-
-    if engine.threads > 1:
-        with ThreadPoolExecutor(max_workers=engine.threads) as pool:
-            values = dict(zip(items, pool.map(work, items)))
-    else:
-        values = {it: work(it) for it in items}
-
-    x_by_eps = {a: {e: values[(a, e)] for e in eps_seq} for a in alphas}
-    x_extrap, x_err = {}, {}
-    for a in alphas:
-        lim, err = eps_extrapolate(x_by_eps[a])
-        x_extrap[a] = lim
-        x_err[a] = err
-
-    if 0.0 not in x_extrap:
-        lim, err = eps_extrapolate({e: engine.x_alpha(0.0, e) for e in eps_seq})
-        x_extrap[0.0] = lim
-        x_err[0.0] = err
+    # stage 4: extrapolation to eps = 0, per alpha
+    x_by_eps, x_extrap, x_err = {}, {}, {}
+    for i, a in enumerate(lattice_alphas):
+        samples = {e: complex(lattice[e][i]) for e in eps_seq}
+        if a in alphas:
+            x_by_eps[a] = samples
+        x_extrap[a], x_err[a] = eps_extrapolate(samples)
     x0 = x_extrap[0.0]
 
     y_samples = {a: complex(np.exp(-1j * a * sc.k0) * x_extrap[a]) for a in alphas}
@@ -656,9 +640,12 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         y_avg = x0
     y_avg_rel = abs(y_avg - x0) / abs(x0)
 
-    x0_sc, trunc, onshell_rel = None, None, None
+    x0_sc, x0_sc_by_lmax, trunc, onshell_rel = None, None, None, None
     if not overlapping and n_scat == 2:
-        x0_sc, trunc = engine.x0_structconst()
+        x0_sc_by_lmax = engine.x0_structconst()
+        x0_sc = x0_sc_by_lmax[-1]
+        # the top-l shell: lmax against lmax - 1 (against 0 at lmax 0)
+        trunc = abs(x0_sc - ([0j] + x0_sc_by_lmax)[-2]) / max(abs(x0_sc), 1e-300)
         onshell_rel = abs(x0_sc - x0) / abs(x0_sc)
 
     born = [engine.born_term(1, min(eps_seq)), engine.born_term(2, min(eps_seq))]
@@ -688,6 +675,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
             sc.scatterers[0].potential, sc.scatterers[1].potential, R_len,
             [0.5 * sc.k0, sc.k0, 2.0 * sc.k0, 3.0 * sc.k0])
 
+    # stage 5: the gates
     tol = num.tolerances
     if onshell_rel is not None:
         compare("onshell_equivalence", onshell_rel, tol["onshell_equivalence"])
@@ -702,6 +690,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         x0_direct=x0,
         x0_direct_error=float(x_err[0.0]),
         x0_structconst=x0_sc,
+        x0_structconst_by_lmax=x0_sc_by_lmax,
         structconst_truncation=trunc,
         onshell_rel_diff=onshell_rel,
         x_alpha_extrapolated=x_extrap,

@@ -54,25 +54,34 @@ def _numerov_segment(w, r_lo, r_hi, u, up, n):
     r = r_lo + h * np.arange(n + 1)
     wv = w(r)
 
-    # RK4 bootstrap for the first two lattice points
-    y = np.array([u, up])
+    # RK4 bootstrap for the first two lattice points; w is evaluated once,
+    # on the substep starts (accumulated as x += hh) and their midpoints
     vals = np.empty(n + 1)
     vals[0] = u
     sub = 8
     hh = h / sub
-    x = r_lo
-    for i in range(1, min(n, 2) + 1):
-        for _ in range(sub):
-            k1 = np.array([y[1], w(x) * y[0]])
-            k2 = np.array([y[1] + 0.5 * hh * k1[1], w(x + 0.5 * hh) * (y[0] + 0.5 * hh * k1[0])])
-            k3 = np.array([y[1] + 0.5 * hh * k2[1], w(x + 0.5 * hh) * (y[0] + 0.5 * hh * k2[0])])
-            k4 = np.array([y[1] + hh * k3[1], w(x + hh) * (y[0] + hh * k3[0])])
-            y = y + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += hh
-        if i <= n:
-            vals[i] = y[0]
+    steps = min(n, 2) * sub
+    xs = np.empty(steps + 1)
+    xs[0] = r_lo
+    for s in range(steps):
+        xs[s + 1] = xs[s] + hh
+    ab = np.empty(2 * steps + 1)
+    ab[0::2] = xs
+    ab[1::2] = xs[:-1] + 0.5 * hh
+    wb = w(ab)
+    y0, y1 = u, up
+    for s in range(steps):
+        w0, wm, w1 = wb[2 * s], wb[2 * s + 1], wb[2 * s + 2]
+        k1a, k1b = y1, w0 * y0
+        k2a, k2b = y1 + 0.5 * hh * k1b, wm * (y0 + 0.5 * hh * k1a)
+        k3a, k3b = y1 + 0.5 * hh * k2b, wm * (y0 + 0.5 * hh * k2a)
+        k4a, k4b = y1 + hh * k3b, w1 * (y0 + hh * k3a)
+        y0 = y0 + (hh / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        y1 = y1 + (hh / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+        if (s + 1) % sub == 0:
+            vals[(s + 1) // sub] = y0
     if n == 1:
-        return vals[1], y[1]
+        return vals[1], y1
 
     c = 1.0 - (h * h / 12.0) * wv
     g = 2.0 * (1.0 + 5.0 * h * h / 12.0 * wv)

@@ -5,7 +5,9 @@
   the sphere, one coefficient at a time; it vanishes identically unless
   ``m3 = m1 + m2``, the triangle rule holds and ``l1 + l2 + l3`` is even;
 * ``ktilde_kernel`` - the two-center kernel evaluated pointwise, with no
-  regularisation of near-coincident points.
+  regularisation of near-coincident points;
+* ``standing_companion`` - the principal-value transform of a pair profile,
+  one grid node at a time.
 """
 
 import math
@@ -29,6 +31,29 @@ def ktilde_kernel(j, h, z, x, y):
     out = (j.potential.phi(rj) * h.potential.phi(rh)
            * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
     return complex(out) if np.ndim(out) == 0 else out
+
+
+def standing_companion(grid, S):
+    """PV transform Sy(q) = (2/(pi q)) PV int dk k^2 S(k)/(q^2 - k^2), node by node."""
+    from scipy.interpolate import CubicSpline
+    q = grid.nodes
+    w = grid.weights
+    P = grid.p_max
+    f = q * q * S
+    spl_re = CubicSpline(q, f.real)
+    spl_im = CubicSpline(q, f.imag)
+    fprime = spl_re(q, 1) + 1j * spl_im(q, 1)
+    Sy = np.empty_like(S)
+    denom_all = np.subtract.outer(q * q, q * q)   # q_i^2 - k_j^2
+    for i, qi in enumerate(q):
+        diff = f - f[i]
+        den = denom_all[i]
+        den[i] = 1.0
+        terms = w * diff / den
+        terms[i] = -w[i] * fprime[i] / (2.0 * qi)
+        pv = terms.sum() + f[i] * np.log((P + qi) / (P - qi)) / (2.0 * qi)
+        Sy[i] = (2.0 / (np.pi * qi)) * pv
+    return Sy
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from multiscat.cli import ConfigError, main, validate_config
+from multiscat.multiscatter import Numerics
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -67,6 +68,35 @@ def test_unknown_numerics_keys_rejected():
     assert [p for p, _ in exc.value.errors] == ["numerics"]
     # an empty block is still the defaults
     assert validate_config(MINIMAL + "numerics:\n").scenario.numerics.lmax == 8
+
+
+@pytest.mark.parametrize("eps", ["[0.2, 0.1]", "[0.2, 0.19, 0.1]", "[0.2, 0.1, 0.0]",
+                                 "[0.2, 0.1, 0.1]"])
+def test_eps_list_that_cannot_extrapolate_rejected(tmp_path, eps):
+    text = MINIMAL.replace("k0: 1.0", f"k0: 1.0\n  eps_list: {eps}")
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == ["scenario.eps_list"]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    # any order is accepted once the sorted values decrease geometrically
+    ok = MINIMAL.replace("k0: 1.0", "k0: 1.0\n  eps_list: [0.05, 0.2, 0.1]")
+    assert validate_config(ok).scenario.eps_sequence() == (0.05, 0.2, 0.1)
+
+
+def test_null_tolerances_are_the_defaults():
+    cfg = validate_config(MINIMAL + "tolerances:\n")
+    assert cfg.scenario.numerics.tolerances == Numerics().tolerances
+    with pytest.raises(ConfigError) as exc:
+        validate_config(MINIMAL + "tolerances: 3\n")
+    assert [p for p, _ in exc.value.errors] == ["tolerances"]
+
+
+def test_threads_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "run", "config.yaml"])
+    assert exc.value.code == 2
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -215,6 +215,18 @@ def test_zaxis_blocks_match_structure_constants():
                     assert np.max(np.abs(g[np.ix_(idx, idx)] - blocks[m])) <= 1e-14 * scale
 
 
+def test_structure_constants_truncate_as_blocks():
+    # g_{lm;l'm'} does not depend on the truncation: the lmax-L matrix is
+    # the top-left block of the lmax-8 one
+    for R in ((0.0, 0.0, 5.0), (1.2, -0.7, 2.5)):
+        big = structure_constants(1.0, R, 8).matrix
+        scale = np.max(np.abs(big))
+        for lm in range(8):
+            n = (lm + 1) ** 2
+            g = structure_constants(1.0, R, lm).matrix
+            assert np.max(np.abs(g - big[:n, :n])) <= 1e-12 * scale, (R, lm)
+
+
 def test_structure_constants_preconditions():
     with pytest.raises(ValueError):
         structure_constants(0.0, [0, 0, 1.0], 4)

@@ -14,6 +14,8 @@ from multiscat.multiscatter import (
 from multiscat.potentials import Scatterer, gaussian, square_well
 from multiscat.specfun import AngularGrid, sph_index, ylm_table
 
+from oracles import standing_companion
+
 
 # ---------------------------------------------------------------------------
 # eps extrapolation
@@ -136,8 +138,26 @@ def test_x_alpha_zero_potential():
     assert eng.x_alpha(0.0, 0.1) == 0.0
 
 
-def test_y_alpha_at_zero_equals_x0(wells_engine):
-    assert wells_engine.y_alpha(0.0, 0.1) == wells_engine.x_alpha(0.0, 0.1)
+def test_x_lattice_rows_are_x_alpha(wells_engine):
+    alphas = [0.0, 0.5, 1.5]
+    lattice = wells_engine.x_lattice(alphas, 0.1)
+    assert [complex(v) for v in lattice] == [wells_engine.x_alpha(a, 0.1) for a in alphas]
+
+
+def test_pv_operator_closed_form(wells_engine):
+    # S = 1: PV int_0^P dk k^2/(q^2 - k^2) = -P + (q/2) ln((P+q)/(P-q))
+    q, P = wells_engine.grid.nodes, wells_engine.grid.p_max
+    expected = (2.0 / (np.pi * q)) * (-P + 0.5 * q * np.log((P + q) / (P - q)))
+    Sy = wells_engine.pv @ np.ones_like(q)
+    assert np.max(np.abs(Sy - expected) / np.abs(expected)) < 1e-12
+
+
+def test_pv_operator_matches_nodewise_oracle(wells_engine):
+    rng = np.random.default_rng(7)
+    q = wells_engine.grid.nodes
+    S = (rng.standard_normal(q.size) + 1j * rng.standard_normal(q.size)) / (1 + q * q)
+    ref = standing_companion(wells_engine.grid, S)
+    assert np.max(np.abs(wells_engine.pv @ S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_finite_eps_phase_identity(wells_engine):
@@ -162,8 +182,9 @@ def test_x0_structconst_swave_dominated():
         scatterers=(Scatterer((0, 0, 0), pot), Scatterer((0, 0, 2.0), pot)),
         k0=0.5, dir_in=(0, 0, 1), dir_out=(0.6, 0, 0.8),
         numerics=Numerics(lmax=6)))
-    full, _ = eng.x0_structconst()
-    swave, _ = eng.x0_structconst(lmax=0)
+    by_lmax = eng.x0_structconst()
+    assert len(by_lmax) == 7
+    swave, full = by_lmax[0], by_lmax[-1]
     assert abs(swave - full) / abs(full) < 0.01
 
 
@@ -279,15 +300,3 @@ def test_verify_report_json_roundtrip(overlap_engine):
     assert back["schatten"]["method"] == "grid"
     # complex values serialised as [re, im]
     assert isinstance(back["x0_direct"], list) and len(back["x0_direct"]) == 2
-
-
-def test_threaded_verify_matches_serial():
-    pot = gaussian(-1.0, 1.0)
-    scenario = Scenario(
-        scatterers=(Scatterer((0, 0, 0), pot), Scatterer((0, 0, 1.0), pot)),
-        k0=1.0, dir_in=(0, 0, 1), dir_out=(0.6, 0, 0.8),
-        numerics=Numerics(lmax=4, alpha_list=(0.0, 0.5, 1.0)))
-    r1 = ScenarioEngine(scenario, threads=1).verify()
-    r2 = ScenarioEngine(scenario, threads=4).verify()
-    assert r1.x0_direct == r2.x0_direct
-    assert r1.alpha_flatness == r2.alpha_flatness
