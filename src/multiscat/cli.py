@@ -189,6 +189,10 @@ def validate_config(text: str) -> RunConfig:
         else:
             num_kwargs[key] = caster(v)
 
+    p_max = num_kwargs.get("p_max")
+    if p_max is not None and isinstance(k0, (int, float)) and k0 > 0 and p_max <= 2 * k0:
+        errors.append(("numerics.p_max", f"must exceed 2*k0 = {2 * k0:g}, got {p_max:g}"))
+
     tolerances = dict(Numerics().tolerances)
     raw_tol = raw.get("tolerances")
     if raw_tol is None:
@@ -317,9 +321,8 @@ def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    engine = ScenarioEngine(config.scenario)
     try:
-        report = engine.verify()
+        report = ScenarioEngine(config.scenario).verify()
     except Exception as exc:
         log.error("run failed: %s", exc)
         payload = {"error": str(exc), "error_type": type(exc).__name__,

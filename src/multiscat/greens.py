@@ -457,7 +457,6 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
-@lru_cache(maxsize=16)
 def _zaxis_blocks(k: float, R_len: float, lmax: int):
     """m-diagonal structure-constant blocks in the frame with R along z.
 
@@ -468,15 +467,15 @@ def _zaxis_blocks(k: float, R_len: float, lmax: int):
     return [_g_block(k, c, m, m, lmax) for m in range(lmax + 1)]
 
 
-def schatten4_decay_diagnostic(pot_j: Potential, pot_h: Potential, R_len: float,
-                               k_values) -> dict:
+def schatten4_decay_diagnostic(k_values, norms) -> dict:
     """Truncated integral of ||K(k^2+i0)||_4^r over dk^2 (report-only).
 
-    The tail beyond the sampled k-range is not computable at desk scale, so
+    ``norms`` are the Schatten-4 norms at the increasing ``k_values``.  The
+    tail beyond the sampled k-range is not computable at desk scale, so
     this is a diagnostic, never a pass/fail quantity.
     """
-    ks = np.asarray(sorted(k_values), dtype=float)
-    norms = np.array([schatten4_norm_spectral(pot_j, pot_h, k, R_len)[0] for k in ks])
+    ks = np.asarray(k_values, dtype=float)
+    norms = np.asarray(norms, dtype=float)
     integrand = norms ** _DECAY_EXPONENT
     return {
         "k_values": ks.tolist(),

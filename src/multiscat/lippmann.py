@@ -24,13 +24,13 @@ plus an analytic counter-term and the -i pi k0/2 half-residue).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import spherical_jn
 
 from multiscat.greens import ComplexEnergy
 from multiscat.potentials import Potential
+from multiscat.specfun import gauss_legendre
 
 
 class PoleProximityError(RuntimeError):
@@ -71,7 +71,7 @@ class MomentumGrid:
         nodes, weights = [], []
         for (a, b, n) in ((0.0, k0, n_inner), (k0, 2 * k0, n_mid),
                           (2 * k0, p_max, n_outer)):
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = gauss_legendre(n)
             nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
             weights.append(0.5 * (b - a) * w)
         return cls(nodes=np.concatenate(nodes), weights=np.concatenate(weights),
@@ -105,7 +105,6 @@ class OffshellTable:
 # partial-wave potential matrix elements
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
 def _radial_rule(pot: Potential, p_top: float, scale: int):
     """Panelled Gauss nodes resolving j_l(p_top * r) over the support."""
     r_eff = pot.effective_radius() or pot.a   # V = 0: any panel integrates 0
@@ -122,7 +121,7 @@ def _radial_rule(pot: Potential, p_top: float, scale: int):
     rs, ws = [], []
     for a, b in zip(full[:-1], full[1:]):
         n = scale * max(24, int(0.7 * (b - a) * p_top) + 16)
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre(n)
         rs.append(0.5 * (b - a) * x + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * w)
     return np.concatenate(rs), np.concatenate(ws)

@@ -193,10 +193,10 @@ class ScenarioEngine:
     the momentum grid, the engine's one angular rule and the principal-value
     operator on the grid.  The off-shell LS tables are memoised by
     ``offshell(j, l, eps)``, the engine's only cache; every other quantity
-    (pair geometry, pair profiles, phase shifts, structure constants) is
-    computed from those inputs where it is used.  run_verification calls
-    the operations in stages: tables, pair profiles, the X lattice, eps
-    extrapolation, gates.
+    (plane waves and amplitudes on the angular rule, pair profiles, phase
+    shifts, structure constants) is computed from those inputs where it is
+    used.  run_verification calls the operations in stages: tables, pair
+    profiles, the X lattice, eps extrapolation, gates.
     """
 
     def __init__(self, scenario: Scenario):
@@ -212,8 +212,8 @@ class ScenarioEngine:
                                        osc_scale=osc)
         # exact to degree 4*lmax + 8: every angular integral of the engine
         # has, once its plane waves are truncated at L = 2*lmax, a polynomial
-        # integrand of degree at most 4*lmax (see geometry and _born3); the
-        # 8 extra degrees are margin
+        # integrand of degree at most 4*lmax (see _born3); the 8 extra
+        # degrees are margin
         self.ang = AngularGrid.for_degree(4 * num.lmax + 8)
         self.pv = _pv_operator(self.grid)
         self._tables: dict = {}
@@ -226,13 +226,18 @@ class ScenarioEngine:
                 pot, l, ComplexEnergy(self.sc.k0, eps), self.grid)
         return self._tables[key]
 
-    def _plane_wave(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rayleigh expansion of e^{i q k^.D}, truncated at L = 2*lmax.
+    def _phase(self, j: int, h: int) -> complex:
+        """e^{-i k1.x_j + i k2.x_h}, the phase of a term that starts on h and ends on j."""
+        sc = self.sc
+        return complex(np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
+                              + 1j * np.dot(sc.k2, sc.scatterers[h].center_array)))
 
-        Returns ``(PL, wave)`` with PL[L, a] = P_L(k^_a.D^) on the angular
-        rule and wave[L, i] = i^L (2L+1) j_L(q_i |D|) on the momentum grid,
-        so e^{i q_i k^_a.D} = sum_L wave[L, i] PL[L, a] against any spherical
-        polynomial of degree <= 2*lmax.  For |D| = 0 only L = 0 survives
+    def _plane_wave(self, D: np.ndarray) -> np.ndarray:
+        """e^{i q_i k^_a.D} on the angular rule and the momentum grid, (n_ang, n_q).
+
+        The Rayleigh expansion sum_L i^L (2L+1) j_L(q|D|) P_L(k^_a.D^),
+        truncated at L = 2*lmax: exact against any spherical polynomial of
+        degree <= 2*lmax (see _born3).  For |D| = 0 only L = 0 survives
         (j_L(0) = delta_L0), so any axis is valid and the z axis is used.
         """
         D_len = float(np.linalg.norm(D))
@@ -242,34 +247,19 @@ class ScenarioEngine:
         Ls = range(2 * self.sc.numerics.lmax + 1)
         PL = np.stack([eval_legendre(L, u) for L in Ls])
         wave = np.stack([(1j) ** L * (2 * L + 1) * spherical_jn(L, x) for L in Ls])
-        return PL, wave
+        return PL.T @ wave
 
-    def geometry(self, pair: tuple[int, int]):
-        """Triple-Legendre couplings for the pair's intermediate-momentum sums.
+    def _amplitude(self, s: int, eps: float, direction) -> np.ndarray:
+        """Half-shell amplitude of scatterer s on the angular rule, (n_ang, n_q).
 
-        Returns ``(G, wave)`` with G[L, l, l'] the exact angular integral of
-        P_L(k^.D^) P_l(k^.k1^) P_l'(k^.k2^) and ``wave`` the radial factors of
-        the plane wave between the centers (see _plane_wave).  G vanishes for
-        L > l + l', so the two-center expansion truncates exactly at 2*lmax.
+        T_s[a, i] = sum_l (2l+1)/(4 pi) P_l(k^_a.direction) t_l(q_i, k0; z).
         """
-        j, h = pair
-        PL, wave = self._plane_wave(self.sc.scatterers[j].center_array
-                                    - self.sc.scatterers[h].center_array)
         lmax = self.sc.numerics.lmax
-        ang = self.ang
-        c1 = ang.nodes @ np.asarray(self.sc.dir_out)
-        c2 = ang.nodes @ np.asarray(self.sc.dir_in)
-        P1 = np.stack([eval_legendre(l, c1) for l in range(lmax + 1)])
-        P2 = np.stack([eval_legendre(l, c2) for l in range(lmax + 1)])
-        G = np.einsum("La,la,pa,a->Llp", PL, P1, P2, ang.weights, optimize=True)
-        # enforce the exact triangle selection rule: quadrature roundoff in
-        # forbidden entries would otherwise couple to huge y_L values at
-        # small q
-        Ls = np.arange(2 * lmax + 1)[:, None, None]
-        ls = np.arange(lmax + 1)[None, :, None]
-        ps = np.arange(lmax + 1)[None, None, :]
-        G[(Ls > ls + ps) | (Ls < np.abs(ls - ps))] = 0.0
-        return G, wave
+        c = self.ang.nodes @ np.asarray(direction)
+        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
+        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l, eps).half_shell()[:-1]
+                      for l in range(lmax + 1)])
+        return P.T @ t
 
     def pair_profile(self, pair: tuple[int, int], eps: float):
         """Angular-reduced pair integrand S(q) and its standing-wave companion.
@@ -277,42 +267,31 @@ class ScenarioEngine:
         S(q) is the angular average of <k1|t_j(z)|k><k|t_h(z)|k2> (phases
         stripped) over directions of the intermediate momentum, i.e. the
         sandwich of the two half-shell amplitudes through the regular
-        radial wave j_0(q|x-y|).  Sy(q) is the same sandwich through the
+        radial wave j_0(q|x-y|): one nodal sum of T_j e^{i q k^.(x_j - x_h)}
+        T_h on the angular rule.  Sy(q) is the same sandwich through the
         irregular wave y_0(q|x-y|), obtained from S by the principal-value
         identity y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
         a Hilbert-type transform on the momentum grid (see _pv_operator),
         valid for any geometry including overlapping supports.
         """
         j, h = pair
-        lmax = self.sc.numerics.lmax
-        G, wave = self.geometry(pair)
-        A = np.einsum("Llp,Li->lpi", G, wave, optimize=True)
-        tj = np.stack([self.offshell(j, l, eps).half_shell()[:-1]
-                       for l in range(lmax + 1)])
-        th = np.stack([self.offshell(h, l, eps).half_shell()[:-1]
-                       for l in range(lmax + 1)])
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        S = np.einsum("l,p,li,pi,lpi->i", c, c, tj, th, A, optimize=True)
+        sc = self.sc
+        # T_j * E * T_h in place, so at most two (n_ang, n_q) arrays are alive
+        TE = self._amplitude(j, eps, sc.dir_out)
+        TE *= self._plane_wave(sc.scatterers[j].center_array - sc.scatterers[h].center_array)
+        TE *= self._amplitude(h, eps, sc.dir_in)
+        S = self.ang.weights @ TE
         return S, self.pv @ S
 
     # -- operations ---------------------------------------------------------
 
-    def t_elem(self, j: int, eps: float, k1, k2) -> complex:
-        """<k1|t_j(z)|k2> for momenta whose magnitudes sit on the table grid."""
-        k1 = np.asarray(k1, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        p1, p2 = np.linalg.norm(k1), np.linalg.norm(k2)
-        lmax = self.sc.numerics.lmax
-        tab0 = self.offshell(j, 0, eps)
-        i1 = _momentum_index(tab0.momenta, p1)
-        i2 = _momentum_index(tab0.momenta, p2)
-        cang = float(np.dot(k1, k2) / (p1 * p2))
-        phase = np.exp(-1j * np.dot(k1 - k2, self.sc.scatterers[j].center_array))
-        total = 0.0 + 0.0j
-        for l in range(lmax + 1):
-            tl = self.offshell(j, l, eps).values[i1, i2]
-            total += (2 * l + 1) / (4.0 * np.pi) * eval_legendre(l, cang) * tl
-        return complex(phase * total)
+    def t_elem(self, j: int, eps: float) -> complex:
+        """On-shell element <k1|t_j(z)|k2> of scatterer j."""
+        cang = float(np.dot(self.sc.dir_out, self.sc.dir_in))
+        total = sum((2 * l + 1) / (4.0 * np.pi) * eval_legendre(l, cang)
+                    * self.offshell(j, l, eps).on_shell
+                    for l in range(self.sc.numerics.lmax + 1))
+        return self._phase(j, j) * complex(total)
 
     def x_lattice(self, alphas, eps: float,
                   pair: tuple[int, int] = (0, 1)) -> np.ndarray:
@@ -340,9 +319,7 @@ class ScenarioEngine:
         weighted = S * np.cos(aq) - Sy * np.sin(aq)
         radial = w * q * q / (z - q * q)
         contrib = radial * weighted
-        phase = np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
-                       + 1j * np.dot(sc.k2, sc.scatterers[h].center_array))
-        totals = phase * np.sum(contrib, axis=1)
+        totals = self._phase(j, h) * np.sum(contrib, axis=1)
         tol = sc.numerics.tail_tol
         for row, total in zip(contrib, totals):
             est = _tail_estimate(q, row)
@@ -388,9 +365,7 @@ class ScenarioEngine:
              for pot in {sj.potential, sh.potential}}
         left = (1j) ** (-ls) * y1 * t[sj.potential][ls]
         right = (1j) ** ls * y2c * t[sh.potential][ls]
-        phase = np.exp(-1j * np.dot(sc.k1, sj.center_array)
-                       + 1j * np.dot(sc.k2, sh.center_array))
-        pref = (2.0 / np.pi) * phase
+        pref = (2.0 / np.pi) * self._phase(j, h)
         return [complex(pref * (left[:n] @ g[:n, :n] @ right[:n]))
                 for n in ((L + 1) ** 2 for L in range(lmax + 1))]
 
@@ -404,7 +379,7 @@ class ScenarioEngine:
                 f"order {order} exceeds configured n_max = {sc.numerics.n_max}")
         n = len(sc.scatterers)
         if order == 1:
-            return complex(sum(self.t_elem(j, eps, sc.k1, sc.k2) for j in range(n)))
+            return complex(sum(self.t_elem(j, eps) for j in range(n)))
         if order == 2:
             return complex(sum(self.x_alpha(0.0, eps, (j, h))
                                for j in range(n) for h in range(n) if j != h))
@@ -420,12 +395,13 @@ class ScenarioEngine:
         Both free propagations are projected onto partial waves (l, m) about
         scatterer h (see _projection); the t_h table then couples them l by
         l.  Each projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
-        over directions k^.  The Rayleigh expansion
-        e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes this exact
-        at L <= 2*lmax: Y_lm P_l' is a spherical polynomial of degree at most
-        2*lmax, to which every P_L with L > 2*lmax is orthogonal.  What is
-        left has degree at most 4*lmax, which the engine's angular rule
-        ``ang`` integrates exactly, with no dependence on q*|D|.
+        over directions k^, as pair_profile integrates e^{i q k^.D}
+        P_l(k^.k1^) P_l'(k^.k2^).  The Rayleigh expansion
+        e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes both exact
+        at L <= 2*lmax: the other factor is a spherical polynomial of degree
+        at most 2*lmax, to which every P_L with L > 2*lmax is orthogonal.
+        What is left has degree at most 4*lmax, which the engine's angular
+        rule ``ang`` integrates exactly, with no dependence on q*|D|.
         """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
@@ -444,44 +420,23 @@ class ScenarioEngine:
             th = self.offshell(h, l, eps).values[:-1, :-1]
             block = slice(sph_index(l, -l), sph_index(l, l) + 1)
             total += (4.0 * np.pi / (2 * l + 1)) * np.sum((A[block] @ th) * B[block])
-        phase = np.exp(-1j * np.dot(sc.k1, centers[j])
-                       + 1j * np.dot(sc.k2, centers[k]))
-        return complex(phase * total)
+        return self._phase(j, k) * complex(total)
 
     def _projection(self, Yw: np.ndarray, s: int, D: np.ndarray, direction,
                     eps: float) -> np.ndarray:
         """(nlm, nq) array sum_a Yw[:, a] e^{i q k^_a.D} T_s(k^_a, q).
 
-        T_s(k^, q) = sum_l (2l+1)/(4 pi) P_l(k^.direction) t_l(q, k0) is the
-        half-shell amplitude of scatterer s; the plane wave enters through
-        its Rayleigh expansion truncated at L = 2*lmax (exact, see _born3).
+        T_s is the half-shell amplitude of scatterer s (see _amplitude); the
+        plane wave is truncated at L = 2*lmax (exact, see _born3).
         """
-        lmax = self.sc.numerics.lmax
-        ang = self.ang
-        PL, wave = self._plane_wave(D)
-        c = ang.nodes @ np.asarray(direction)
-        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
-        cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        t = np.stack([cl[l] * self.offshell(s, l, eps).half_shell()[:-1]
-                      for l in range(lmax + 1)])
-        # sum over (L, l') as one matrix product on each side
-        angular = (PL[:, None, :] * P[None, :, :]).reshape(-1, ang.size)
-        radial = (wave[:, None, :] * t[None, :, :]).reshape(-1, wave.shape[1])
-        return (Yw @ angular.T) @ radial
+        TE = self._amplitude(s, eps, direction)
+        TE *= self._plane_wave(D)
+        return Yw @ TE
 
     # -- the full experiment -------------------------------------------------
 
     def verify(self) -> "VerificationReport":
         return run_verification(self)
-
-
-def _momentum_index(momenta: np.ndarray, p: float) -> int:
-    idx = int(np.argmin(np.abs(momenta - p)))
-    if abs(momenta[idx] - p) > 1e-9 * max(p, 1.0):
-        raise ValueError(
-            f"momentum {p} is not on the table grid; t_elem only supports "
-            "the on-shell point and grid nodes")
-    return idx
 
 
 def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> float:
@@ -665,15 +620,18 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     else:
         R_len = float(np.linalg.norm(sc.scatterers[1].center_array
                                      - sc.scatterers[0].center_array))
-        s_val, s_delta = schatten4_norm_spectral(
-            sc.scatterers[0].potential, sc.scatterers[1].potential, sc.k0, R_len)
+        # one spectral norm per k of the decay diagnostic; the value is k0's
+        ks = [0.5 * sc.k0, sc.k0, 2.0 * sc.k0, 3.0 * sc.k0]
+        norms = [schatten4_norm_spectral(sc.scatterers[0].potential,
+                                         sc.scatterers[1].potential, k, R_len)
+                 for k in ks]
+        s_val, s_delta = norms[1]
         schatten = {"method": "spectral", "value": float(s_val),
                     "refinement_delta": float(s_delta)}
         # truncated-integral decay diagnostic (report-only; the tail beyond
         # the sampled k-range is not computable at desk scale)
         schatten["decay_diagnostic"] = schatten4_decay_diagnostic(
-            sc.scatterers[0].potential, sc.scatterers[1].potential, R_len,
-            [0.5 * sc.k0, sc.k0, 2.0 * sc.k0, 3.0 * sc.k0])
+            ks, [v for v, _ in norms])
 
     # stage 5: the gates
     tol = num.tolerances

@@ -197,7 +197,7 @@ class AngularGrid:
             raise ValueError("degree must be >= 0")
         n_theta = (degree + 2) // 2 + 1
         n_phi = degree + 1
-        xg, wg = np.polynomial.legendre.leggauss(n_theta)
+        xg, wg = gauss_legendre(n_theta)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         st = np.sqrt(1.0 - xg ** 2)
         nodes = np.empty((n_theta * n_phi, 3))
@@ -214,6 +214,7 @@ class AngularGrid:
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
+    """Cached Gauss-Legendre nodes/weights on [-1, 1], shared and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w

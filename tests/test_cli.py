@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from multiscat.cli import ConfigError, main, validate_config
-from multiscat.multiscatter import Numerics
+from multiscat.cli import ConfigError, RunConfig, main, run, validate_config
+from multiscat.multiscatter import Numerics, Scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,6 +83,30 @@ def test_eps_list_that_cannot_extrapolate_rejected(tmp_path, eps):
     # any order is accepted once the sorted values decrease geometrically
     ok = MINIMAL.replace("k0: 1.0", "k0: 1.0\n  eps_list: [0.05, 0.2, 0.1]")
     assert validate_config(ok).scenario.eps_sequence() == (0.05, 0.2, 0.1)
+
+
+@pytest.mark.parametrize("p_max", ["1.5", "2.0"])
+def test_p_max_at_or_below_two_k0_rejected(tmp_path, p_max):
+    text = MINIMAL + f"numerics:\n  p_max: {p_max}\n"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == ["numerics.p_max"]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p)]) == 2
+    assert validate_config(MINIMAL + "numerics:\n  p_max: 2.5\n").scenario.numerics.p_max == 2.5
+
+
+def test_engine_construction_error_writes_error_report(tmp_path):
+    # a scenario that validate_config would refuse, built by hand: the
+    # engine's constructor raises, and run reports it like any run failure
+    good = validate_config(MINIMAL).scenario
+    bad = Scenario(scatterers=good.scatterers, k0=1.0, numerics=Numerics(p_max=1.5))
+    assert run(RunConfig(scenario=bad, output_dir=tmp_path / "out")) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error_type"] == "ValueError"
+    assert "p_max" in report["error"]
 
 
 def test_null_tolerances_are_the_defaults():

@@ -76,7 +76,7 @@ def test_t_elem_zero_potential():
         scatterers=(Scatterer((0, 0, 0), gaussian(0.0, 1.0)),
                     Scatterer((0, 0, 5.0), square_well(-1.0, 1.0))),
         k0=1.0, numerics=Numerics(lmax=2)))
-    assert eng.t_elem(0, 0.1, eng.sc.k1, eng.sc.k2) == 0.0
+    assert eng.t_elem(0, 0.1) == 0.0
 
 
 def test_t_elem_translation_covariance():
@@ -92,31 +92,25 @@ def test_t_elem_translation_covariance():
                      numerics=Numerics(lmax=4))
     e1 = ScenarioEngine(base)
     e2 = ScenarioEngine(moved)
-    t1 = e1.t_elem(0, 0.1, e1.sc.k1, e1.sc.k2)
-    t2 = e2.t_elem(0, 0.1, e2.sc.k1, e2.sc.k2)
+    t1 = e1.t_elem(0, 0.1)
+    t2 = e2.t_elem(0, 0.1)
     expected = t1 * np.exp(-1j * np.dot(e1.sc.k1 - e1.sc.k2, shift))
     assert t2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_t_elem_identity_phase():
-    # x_j = 0 and k1 = k2: phase factor is exactly 1, element is l-sum only
+    # x_j = 0: the phase factor is exactly 1, the element is the l-sum only,
+    # which depends on k1.k2 alone, so swapping dir_in and dir_out keeps it
     pot = square_well(-1.0, 1.0)
-    eng = ScenarioEngine(Scenario(
-        scatterers=(Scatterer((0, 0, 0), pot), Scatterer((0, 0, 5.0), pot)),
-        k0=1.0, dir_in=(0, 0, 1), dir_out=(0, 0, 1), numerics=Numerics(lmax=4)))
-    t = eng.t_elem(0, 0.1, eng.sc.k1, eng.sc.k2)
+
+    def engine(dir_in, dir_out):
+        return ScenarioEngine(Scenario(
+            scatterers=(Scatterer((0, 0, 0), pot), Scatterer((0, 0, 5.0), pot)),
+            k0=1.0, dir_in=dir_in, dir_out=dir_out, numerics=Numerics(lmax=4)))
+
+    t = engine((0, 0, 1), (0.6, 0, 0.8)).t_elem(0, 0.1)
     assert abs(t.imag) > 0          # genuinely complex at finite eps
-    t_again = eng.t_elem(0, 0.1, eng.sc.k2, eng.sc.k1)
-    assert t == pytest.approx(t_again)   # forward element, symmetric dirs
-
-
-def test_t_elem_rejects_off_grid_momenta():
-    pot = square_well(-1.0, 1.0)
-    eng = ScenarioEngine(Scenario(
-        scatterers=(Scatterer((0, 0, 0), pot), Scatterer((0, 0, 5.0), pot)),
-        k0=1.0, numerics=Numerics(lmax=2)))
-    with pytest.raises(ValueError):
-        eng.t_elem(0, 0.1, np.array([0, 0, 1.234567]), eng.sc.k2)
+    assert engine((0.6, 0, 0.8), (0, 0, 1)).t_elem(0, 0.1) == t
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +185,8 @@ def test_x0_structconst_swave_dominated():
 def test_born_term_orders(wells_engine):
     eps = 0.05
     b1 = wells_engine.born_term(1, eps)
-    t0 = wells_engine.t_elem(0, eps, wells_engine.sc.k1, wells_engine.sc.k2)
-    t1 = wells_engine.t_elem(1, eps, wells_engine.sc.k1, wells_engine.sc.k2)
+    t0 = wells_engine.t_elem(0, eps)
+    t1 = wells_engine.t_elem(1, eps)
     assert b1 == pytest.approx(t0 + t1, rel=1e-12)
     b2 = wells_engine.born_term(2, eps)
     pair_sum = (wells_engine.x_alpha(0.0, eps, (0, 1))
@@ -200,33 +194,39 @@ def test_born_term_orders(wells_engine):
     assert b2 == pytest.approx(pair_sum, rel=1e-12)
 
 
-def _born3_brute_force(eng, j, h, k, eps):
-    """Reference Born-3 term: the full plane wave e^{i q k^.D}, no expansion.
+def _brute_force_rule(eng):
+    """Angular rule of degree ceil(p_max * max_sep) + 2*lmax + 30.
 
-    Integrates directly on an angular rule of degree
-    ceil(p_max * max_sep) + 2*lmax + 30, high enough to resolve the plane
-    wave at every grid momentum.
+    High enough to integrate the full plane wave e^{i q k^.D}, with no
+    expansion, at every grid momentum.
     """
+    return AngularGrid.for_degree(int(np.ceil(eng.p_max * eng.max_sep))
+                                  + 2 * eng.sc.numerics.lmax + 30)
+
+
+def _brute_force_factors(eng, ang, s, D, direction, eps):
+    """e^{i q k^.D} T_s(k^, q) on (ang node, grid momentum), T_s the half-shell amplitude."""
+    lmax = eng.sc.numerics.lmax
+    cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+    t = np.stack([eng.offshell(s, l, eps).half_shell()[:-1] for l in range(lmax + 1)])
+    P = np.stack([eval_legendre(l, ang.nodes @ np.asarray(direction))
+                  for l in range(lmax + 1)])
+    wave = np.exp(1j * np.outer(ang.nodes @ D, eng.grid.nodes))
+    return wave * np.einsum("l,la,li->ai", cl, P, t)
+
+
+def _born3_brute_force(eng, j, h, k, eps):
+    """Reference Born-3 term: the full plane wave on _brute_force_rule."""
     sc = eng.sc
     z = complex(sc.k0 ** 2, eps)
     lmax = sc.numerics.lmax
     q, w = eng.grid.nodes, eng.grid.weights
-    ang = AngularGrid.for_degree(int(np.ceil(eng.p_max * eng.max_sep)) + 2 * lmax + 30)
+    ang = _brute_force_rule(eng)
     Y = ylm_table(lmax, ang.nodes)
     D1 = sc.scatterers[j].center_array - sc.scatterers[h].center_array
     D2 = sc.scatterers[h].center_array - sc.scatterers[k].center_array
-    cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-
-    def amplitude(s, direction):
-        t = np.stack([eng.offshell(s, l, eps).half_shell()[:-1] for l in range(lmax + 1)])
-        c = ang.nodes @ np.asarray(direction)
-        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
-        return np.einsum("l,la,li->ai", cl, P, t)
-
-    e1 = np.exp(1j * np.outer(ang.nodes @ D1, q))
-    e2 = np.exp(1j * np.outer(ang.nodes @ D2, q))
-    A = (Y * ang.weights) @ (e1 * amplitude(j, sc.dir_out))
-    B = (np.conj(Y) * ang.weights) @ (e2 * amplitude(k, sc.dir_in))
+    A = (Y * ang.weights) @ _brute_force_factors(eng, ang, j, D1, sc.dir_out, eps)
+    B = (np.conj(Y) * ang.weights) @ _brute_force_factors(eng, ang, k, D2, sc.dir_in, eps)
     denom = w * q * q / (z - q * q)
     total = 0.0 + 0.0j
     for l in range(lmax + 1):
@@ -240,13 +240,34 @@ def _born3_brute_force(eng, j, h, k, eps):
     return complex(phase * total)
 
 
-def test_born3_matches_brute_force_quadrature():
-    eng = ScenarioEngine(Scenario(
+@pytest.fixture(scope="module")
+def three_engine():
+    """Two wells and a Gaussian off axis, lmax 3."""
+    return ScenarioEngine(Scenario(
         scatterers=(Scatterer((0.3, -0.2, 0.1), square_well(-1.0, 1.0)),
                     Scatterer((2.0, 1.0, 2.5), gaussian(-0.8, 0.9)),
                     Scatterer((-1.5, 1.8, -1.2), square_well(-0.7, 1.2))),
         k0=1.1, dir_in=(0.2, 0.3, 0.9), dir_out=(0.7, -0.5, 0.3),
         numerics=Numerics(lmax=3, n_max=3, p_max=8.0, n_inner=16, n_mid=16)))
+
+
+def test_pair_profile_matches_brute_force_quadrature(three_engine):
+    eng, eps = three_engine, 0.05
+    sc = eng.sc
+    ang = _brute_force_rule(eng)
+    for j in range(3):
+        for h in range(3):
+            if j == h:
+                continue
+            D = sc.scatterers[j].center_array - sc.scatterers[h].center_array
+            T_h = _brute_force_factors(eng, ang, h, np.zeros(3), sc.dir_in, eps)
+            ref = ang.weights @ (_brute_force_factors(eng, ang, j, D, sc.dir_out, eps) * T_h)
+            S, _ = eng.pair_profile((j, h), eps)
+            assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, h)
+
+
+def test_born3_matches_brute_force_quadrature(three_engine):
+    eng = three_engine
     terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
              if j != h and h != k]
     assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
