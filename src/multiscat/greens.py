@@ -1,4 +1,4 @@
-"""Free-resolvent kernels, two-center sandwich kernels, structure constants.
+"""Two-center sandwich kernels, structure constants, Schatten-4 norms.
 
 The free resolvent at z = k0^2 + i*eps has the coordinate kernel
 
@@ -32,6 +32,15 @@ the dense matrix.  The triangle and parity zeros of the Gaunt table are
 imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
 entry would be amplified past every allowed one.
+
+Both Schatten-4 norms go through one helper, ``_schatten4_of_blocks``,
+which sums (sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} over per-m blocks.  The
+spectral norm (disjoint supports) passes the |V|-weighted blocks g_m with R
+along z, counting the +/-m pair twice.  The grid norm (overlapping
+supports) passes the azimuthal Fourier blocks of the quadrature-discretised
+kernel, each once; they come from the kernel's first phi column on ball
+grids built with R on the polar axis, so the value does not depend on the
+pair's orientation and no (n_nodes x n_nodes) matrix is formed.
 """
 
 from __future__ import annotations
@@ -54,17 +63,6 @@ from multiscat.specfun import (
     tri_index,
     ylm_table,
 )
-
-
-class ConvergenceRegionError(ValueError):
-    """Evaluation point outside the re-expansion's region of validity."""
-
-
-class RefinementError(RuntimeError):
-    def __init__(self, msg, coarse=None, fine=None):
-        super().__init__(msg)
-        self.coarse = coarse
-        self.fine = fine
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,6 @@ class ComplexEnergy:
         return self.k0 * self.k0
 
 
-def r0_kernel(z: ComplexEnergy, x, y):
-    """Free-resolvent kernel <x|R0(z)|y> = -e^{i sqrt(z) r}/(4 pi r)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(x - y, axis=-1)
-    if np.any(r == 0):
-        raise ValueError("r0_kernel is singular at x = y")
-    out = -np.exp(1j * z.sqrt_z * r) / (4.0 * np.pi * r)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -121,39 +108,6 @@ class StructureConstantMatrix:
     R: tuple[float, float, float]
     lmax: int
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def R_array(self) -> np.ndarray:
-        return np.asarray(self.R, dtype=float)
-
-    def entry(self, l: int, m: int, lp: int, mp: int) -> complex:
-        return complex(self.matrix[sph_index(l, m), sph_index(lp, mp)])
-
-    def expansion_value(self, x, y) -> complex:
-        """Evaluate the displaced-wave expansion at coordinates (x, y).
-
-        x is measured from the origin-center, y from the origin as well
-        (the second center sits at R).  Raises ConvergenceRegionError
-        outside |x| + |y - R| < |R|.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(y, dtype=float) - self.R_array
-        rx = float(np.linalg.norm(x))
-        rv = float(np.linalg.norm(v))
-        Rlen = float(np.linalg.norm(self.R_array))
-        if rx + rv >= Rlen:
-            raise ConvergenceRegionError(
-                f"|x| + |y-R| = {rx + rv:.4g} >= |R| = {Rlen:.4g}: "
-                "outside the expansion's convergence region")
-        xa = ylm_table(self.lmax, x if rx > 0 else np.array([0.0, 0.0, 1.0]))
-        ya = ylm_table(self.lmax, v if rv > 0 else np.array([0.0, 0.0, 1.0]))
-        jx = np.concatenate([[bessel_j(l, self.k0 * rx)] * (2 * l + 1)
-                             for l in range(self.lmax + 1)])
-        jy = np.concatenate([[bessel_j(l, self.k0 * rv)] * (2 * l + 1)
-                             for l in range(self.lmax + 1)])
-        left = jx * xa
-        right = jy * np.conj(ya)
-        return complex(left @ self.matrix @ right)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -279,54 +233,69 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
 # discretised two-center kernel and Schatten-4 norms
 # ---------------------------------------------------------------------------
 
+def _schatten4_of_blocks(blocks, mult) -> float:
+    """(sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} = (sum sigma^4)^{1/4}.
+
+    The Schatten-4 norm of an operator that is unitarily block-diagonal,
+    with block B_m occurring mult_m times.
+    """
+    return sum(w * float(np.sum(np.abs(B.conj().T @ B) ** 2))
+               for B, w in zip(blocks, mult)) ** 0.25
+
+
 @dataclass
 class KtildeDiscretization:
-    """Quadrature discretisation of the two-center kernel on a node-pair grid.
+    """Quadrature discretisation of the two-center kernel in azimuthal blocks.
 
-    ``matrix`` holds sqrt(w_x) K(x, y) sqrt(w_y); its singular values
-    approximate those of the integral operator.  For overlapping supports
-    the integrable 1/|x-y| diagonal is tamed by capping distances at the
-    local quadrature-cell radius (cell averaging).
+    The kernel is discretised as sqrt(w_x) K(x, y) sqrt(w_y) on two ball
+    grids built with the pair on the polar axis, at (0, 0, 0) and
+    (0, 0, |R|).  The kernel depends only on distances, and the grids,
+    weights and cell-radius cap are invariant under a joint rotation about
+    that axis, so the matrix is block-circulant over the uniform phi nodes:
+    one FFT of its first phi column gives ``matrix[m]``, the block of
+    azimuthal Fourier mode m, and the singular values of all the blocks
+    are those of the whole matrix.  For overlapping supports the integrable
+    1/|x-y| diagonal is tamed by capping distances at the local
+    quadrature-cell radius (cell averaging).
     """
 
     scatterer_j: Scatterer
     scatterer_h: Scatterer
     z: ComplexEnergy
-    points_j: np.ndarray
-    weights_j: np.ndarray
-    points_h: np.ndarray
-    weights_h: np.ndarray
     matrix: np.ndarray = field(repr=False)
     n_radial: int = 0
     angular_order: int = 0
-    kernel_fn: object = None
 
     @classmethod
     def build(cls, sj: Scatterer, sh: Scatterer, z: ComplexEnergy,
-              n_radial: int = 14, angular_order: int = 10,
-              kernel_fn=None) -> "KtildeDiscretization":
-        pj, wj = _ball_grid(sj, n_radial, angular_order)
-        ph, wh = _ball_grid(sh, n_radial, angular_order)
-        if kernel_fn is None:
-            K = _ktilde_matrix(sj, sh, z, pj, wj, ph, wh)
-        else:
-            K = kernel_fn(pj, ph)
-        M = np.sqrt(wj)[:, None] * K * np.sqrt(wh)[None, :]
+              n_radial: int = 14, angular_order: int = 10) -> "KtildeDiscretization":
+        R_len = float(np.linalg.norm(sh.center_array - sj.center_array))
+        aj = Scatterer((0.0, 0.0, 0.0), sj.potential)
+        ah = Scatterer((0.0, 0.0, R_len), sh.potential)
+        pj, wj, n_phi = _ball_grid(aj, n_radial, angular_order)
+        ph, wh, _ = _ball_grid(ah, n_radial, angular_order)
+        # nodes run phi-fastest: the h nodes at phi index 0 are every n_phi-th
+        ph, wh = ph[::n_phi], wh[::n_phi]
+        col = (np.sqrt(wj)[:, None] * _ktilde_matrix(aj, ah, z, pj, wj, ph, wh)
+               * np.sqrt(wh)[None, :])
+        blocks = np.fft.fft(col.reshape(-1, n_phi, ph.shape[0]), axis=1)
         return cls(scatterer_j=sj, scatterer_h=sh, z=z,
-                   points_j=pj, weights_j=wj, points_h=ph, weights_h=wh,
-                   matrix=M, n_radial=n_radial, angular_order=angular_order,
-                   kernel_fn=kernel_fn)
+                   matrix=blocks.transpose(1, 0, 2),
+                   n_radial=n_radial, angular_order=angular_order)
 
     def refined(self, factor: float = 1.5) -> "KtildeDiscretization":
         return KtildeDiscretization.build(
             self.scatterer_j, self.scatterer_h, self.z,
             n_radial=int(math.ceil(self.n_radial * factor)),
-            angular_order=int(math.ceil(self.angular_order * factor)),
-            kernel_fn=self.kernel_fn)
+            angular_order=int(math.ceil(self.angular_order * factor)))
 
 
 def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
-    """Radial Gauss x angular product grid over the effective support ball."""
+    """Radial Gauss x angular product grid over the effective support ball.
+
+    Returns the points, the weights and the number of phi nodes per theta
+    ring; the nodes run phi-fastest.
+    """
     pot = s.potential
     r_eff = pot.effective_radius()
     edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
@@ -341,56 +310,33 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     pts = (s.center_array[None, None, :]
            + rs[:, None, None] * ang.nodes[None, :, :]).reshape(-1, 3)
     wts = (wr[:, None] * rs[:, None] ** 2 * ang.weights[None, :]).ravel()
-    return pts, wts
+    return pts, wts, ang.n_phi
 
 
-def _ktilde_matrix(sj, sh, z, pj, wj, ph, wh, chunk=2048):
+def _ktilde_matrix(sj, sh, z, pj, wj, ph, wh):
+    """Kernel K(x, y) at every pair of nodes, distances capped at the cell radius."""
     phi_j = sj.potential.phi(np.linalg.norm(pj - sj.center_array, axis=1))
     phi_h = sh.potential.phi(np.linalg.norm(ph - sh.center_array, axis=1))
     # cell radius used to regularise near-coincident nodes (overlap case)
     rho_j = (3.0 * wj / (4.0 * np.pi)) ** (1.0 / 3.0)
     rho_h = (3.0 * wh / (4.0 * np.pi)) ** (1.0 / 3.0)
-    sq = z.sqrt_z
-    out = np.empty((pj.shape[0], ph.shape[0]), dtype=complex)
-    for i0 in range(0, pj.shape[0], chunk):
-        i1 = min(i0 + chunk, pj.shape[0])
-        d = np.linalg.norm(pj[i0:i1, None, :] - ph[None, :, :], axis=2)
-        reg = np.maximum(rho_j[i0:i1, None], rho_h[None, :])
-        d = np.maximum(d, (2.0 / 3.0) * reg)
-        out[i0:i1] = (phi_j[i0:i1, None] * phi_h[None, :]
-                      * np.exp(1j * sq * d) / (4.0j * np.pi * d))
-    return out
+    d = np.linalg.norm(pj[:, None, :] - ph[None, :, :], axis=2)
+    d = np.maximum(d, (2.0 / 3.0) * np.maximum(rho_j[:, None], rho_h[None, :]))
+    return (phi_j[:, None] * phi_h[None, :]
+            * np.exp(1j * z.sqrt_z * d) / (4.0j * np.pi * d))
 
 
-def _schatten4_of_matrix(M: np.ndarray, chunk: int = 1024) -> float:
-    """(sum sigma^4)^{1/4} = ||M^H M||_F^{1/2}, computed in column blocks."""
-    total = 0.0
-    MH = M.conj().T
-    for j0 in range(0, M.shape[1], chunk):
-        B = MH @ M[:, j0:j0 + chunk]
-        total += float(np.sum(np.abs(B) ** 2))
-    return total ** 0.25
-
-
-def schatten4_norm(K: KtildeDiscretization, refine: bool = True,
-                   max_delta: float | None = None):
+def schatten4_norm(K: KtildeDiscretization):
     """Schatten-4 norm estimate of the discretised kernel.
 
-    Returns ``(value, refinement_delta)``; the delta compares against a
-    grid refined by 1.5x in both radial and angular resolution.  When
-    ``max_delta`` is given and exceeded, raises RefinementError carrying
-    both estimates.
+    Returns ``(value, refinement_delta)``: the value on a grid refined by
+    1.5x in both radial and angular resolution, and its relative change
+    from ``K``'s grid.  Every azimuthal block counts once.
     """
-    v1 = _schatten4_of_matrix(K.matrix)
-    if not refine:
-        return v1, float("nan")
-    v2 = _schatten4_of_matrix(K.refined().matrix)
-    delta = abs(v2 - v1) / max(abs(v2), 1e-300)
-    if max_delta is not None and delta > max_delta:
-        raise RefinementError(
-            f"Schatten-4 estimate not refinement-stable: {v1:.6g} -> {v2:.6g}",
-            coarse=v1, fine=v2)
-    return v2, delta
+    v1 = _schatten4_of_blocks(K.matrix, np.ones(len(K.matrix)))
+    fine = K.refined().matrix
+    v2 = _schatten4_of_blocks(fine, np.ones(len(fine)))
+    return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
 #: Radial Gauss nodes per support segment for the spectral nu_l moments; the
@@ -441,16 +387,12 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
     blocks = _zaxis_blocks(k, R_len, lmax + 8)
 
     def total(lm, n_rad):
-        nu_j = _nu_weights(pot_j, k, lm, n_rad)
-        nu_h = _nu_weights(pot_h, k, lm, n_rad)
-        s4 = 0.0
-        for m in range(lm + 1):
-            nl = lm - m + 1
-            C = (np.sqrt(nu_j[m:, None]) * blocks[m][:nl, :nl]
-                 * np.sqrt(nu_h[None, m:]))
-            sv = np.linalg.svd(C, compute_uv=False)
-            s4 += (1.0 if m == 0 else 2.0) * float(np.sum(sv ** 4))
-        return s4 ** 0.25
+        root_j = np.sqrt(_nu_weights(pot_j, k, lm, n_rad))
+        root_h = np.sqrt(_nu_weights(pot_h, k, lm, n_rad))
+        weighted = [root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1]
+                    * root_h[None, m:] for m in range(lm + 1)]
+        # the +m and -m blocks coincide
+        return _schatten4_of_blocks(weighted, [1.0] + [2.0] * lm)
 
     v1 = total(lmax, _SPECTRAL_RADIAL_NODES)
     v2 = total(lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)

@@ -164,17 +164,6 @@ def sph_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def ylm(l: int, m: int, direction) -> complex:
-    """Single spherical harmonic Y_lm evaluated at a 3-direction."""
-    l = _check_l(l)
-    if abs(m) > l:
-        raise ValueError(f"|m| <= l required, got l={l}, m={m}")
-    tab = ylm_table(l, direction)
-    if tab.ndim == 1:
-        return complex(tab[sph_index(l, m)])
-    return tab[sph_index(l, m)]
-
-
 # ---------------------------------------------------------------------------
 # angular quadrature
 # ---------------------------------------------------------------------------
@@ -210,6 +199,11 @@ class AngularGrid:
     @property
     def size(self) -> int:
         return self.weights.size
+
+    @property
+    def n_phi(self) -> int:
+        """Uniform phi nodes per theta ring; the nodes run phi-fastest."""
+        return self.degree + 1
 
 
 @lru_cache(maxsize=64)

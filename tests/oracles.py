@@ -4,8 +4,14 @@
 * ``gaunt`` - the integral of ``Y_{l1 m1} Y_{l2 m2} conj(Y_{l3 m3})`` over
   the sphere, one coefficient at a time; it vanishes identically unless
   ``m3 = m1 + m2``, the triangle rule holds and ``l1 + l2 + l3`` is even;
+* ``r0_kernel`` - the free-resolvent kernel -e^{i sqrt(z) r}/(4 pi r);
 * ``ktilde_kernel`` - the two-center kernel evaluated pointwise, with no
   regularisation of near-coincident points;
+* ``dense_grid_schatten4`` - the grid Schatten-4 norm from the dense
+  (n_nodes x n_nodes) kernel on the library's ball grids, in the lab frame;
+* ``ylm`` - a single spherical harmonic;
+* ``g_entry`` and ``expansion_value`` - one structure constant, and the
+  displaced-wave re-expansion of the resolvent summed at a point pair;
 * ``standing_companion`` - the principal-value transform of a pair profile,
   one grid node at a time.
 """
@@ -16,7 +22,31 @@ from functools import lru_cache
 
 import numpy as np
 
-from multiscat.specfun import _check_l, gauss_legendre, plm_norm_table, tri_index
+from multiscat.greens import _ball_grid
+from multiscat.specfun import (
+    _check_l,
+    bessel_j,
+    gauss_legendre,
+    plm_norm_table,
+    sph_index,
+    tri_index,
+    ylm_table,
+)
+
+
+class ConvergenceRegionError(ValueError):
+    """Evaluation point outside the re-expansion's region of validity."""
+
+
+def r0_kernel(z, x, y):
+    """Free-resolvent kernel <x|R0(z)|y> = -e^{i sqrt(z) r}/(4 pi r)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.linalg.norm(x - y, axis=-1)
+    if np.any(r == 0):
+        raise ValueError("r0_kernel is singular at x = y")
+    out = -np.exp(1j * z.sqrt_z * r) / (4.0 * np.pi * r)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def ktilde_kernel(j, h, z, x, y):
@@ -31,6 +61,78 @@ def ktilde_kernel(j, h, z, x, y):
     out = (j.potential.phi(rj) * h.potential.phi(rh)
            * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
     return complex(out) if np.ndim(out) == 0 else out
+
+
+def _capped_ktilde(j, h, z, x, wx, y, wy):
+    """Two-center kernel with |x-y| capped at 2/3 of the larger cell radius.
+
+    The cell radius of a node of weight w is (3 w/(4 pi))^{1/3}; the cap
+    tames the integrable 1/|x-y| diagonal of overlapping supports.
+    """
+    rho_x = (3.0 * wx / (4.0 * np.pi)) ** (1.0 / 3.0)
+    rho_y = (3.0 * wy / (4.0 * np.pi)) ** (1.0 / 3.0)
+    r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    r = np.maximum(r, (2.0 / 3.0) * np.maximum(rho_x[:, None], rho_y[None, :]))
+    rj = np.linalg.norm(x - j.center_array, axis=-1)
+    rh = np.linalg.norm(y - h.center_array, axis=-1)
+    return (j.potential.phi(rj)[:, None] * h.potential.phi(rh)[None, :]
+            * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
+
+
+def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):
+    """||M^H M||_F^{1/2} of the dense node-pair matrix M = sqrt(w_x) K sqrt(w_y).
+
+    The nodes are ``_ball_grid``'s around each scatterer's own centre, in
+    the lab frame.  ``kernel(X, Y)`` replaces the capped two-center kernel
+    when given.
+    """
+    pj, wj, _ = _ball_grid(j, n_radial, angular_order)
+    ph, wh, _ = _ball_grid(h, n_radial, angular_order)
+    K = _capped_ktilde(j, h, z, pj, wj, ph, wh) if kernel is None else kernel(pj, ph)
+    M = np.sqrt(wj)[:, None] * K * np.sqrt(wh)[None, :]
+    return float(np.linalg.norm(M.conj().T @ M)) ** 0.5
+
+
+def ylm(l: int, m: int, direction) -> complex:
+    """Single spherical harmonic Y_lm evaluated at a 3-direction."""
+    l = _check_l(l)
+    if abs(m) > l:
+        raise ValueError(f"|m| <= l required, got l={l}, m={m}")
+    tab = ylm_table(l, direction)
+    if tab.ndim == 1:
+        return complex(tab[sph_index(l, m)])
+    return tab[sph_index(l, m)]
+
+
+def g_entry(g, l: int, m: int, lp: int, mp: int) -> complex:
+    """The structure constant g_{lm;l'm'} of a ``StructureConstantMatrix``."""
+    return complex(g.matrix[sph_index(l, m), sph_index(lp, mp)])
+
+
+def expansion_value(g, x, y) -> complex:
+    """Evaluate the displaced-wave expansion of ``g`` at coordinates (x, y).
+
+    x is measured from the origin-center, y from the origin as well
+    (the second center sits at g.R).  Raises ConvergenceRegionError
+    outside |x| + |y - R| < |R|.
+    """
+    R = np.asarray(g.R, dtype=float)
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(y, dtype=float) - R
+    rx = float(np.linalg.norm(x))
+    rv = float(np.linalg.norm(v))
+    Rlen = float(np.linalg.norm(R))
+    if rx + rv >= Rlen:
+        raise ConvergenceRegionError(
+            f"|x| + |y-R| = {rx + rv:.4g} >= |R| = {Rlen:.4g}: "
+            "outside the expansion's convergence region")
+    xa = ylm_table(g.lmax, x if rx > 0 else np.array([0.0, 0.0, 1.0]))
+    ya = ylm_table(g.lmax, v if rv > 0 else np.array([0.0, 0.0, 1.0]))
+    jx = np.concatenate([[bessel_j(l, g.k0 * rx)] * (2 * l + 1)
+                         for l in range(g.lmax + 1)])
+    jy = np.concatenate([[bessel_j(l, g.k0 * rv)] * (2 * l + 1)
+                         for l in range(g.lmax + 1)])
+    return complex((jx * xa) @ g.matrix @ (jy * np.conj(ya)))
 
 
 def standing_companion(grid, S):

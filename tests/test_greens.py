@@ -6,21 +6,26 @@ from scipy.integrate import quad
 
 from multiscat.greens import (
     ComplexEnergy,
-    ConvergenceRegionError,
     KtildeDiscretization,
     _ball_grid,
     _gaunt_integrals,
-    _ktilde_matrix,
     _zaxis_blocks,
-    r0_kernel,
     schatten4_norm,
     schatten4_norm_spectral,
     structure_constants,
 )
-from multiscat.potentials import Scatterer, gaussian, square_well
+from multiscat.potentials import Scatterer, gaussian, square_well, truncated_coulomb
 from multiscat.specfun import sph_index
 
-from oracles import ktilde_kernel, wigner3j
+from oracles import (
+    ConvergenceRegionError,
+    dense_grid_schatten4,
+    expansion_value,
+    g_entry,
+    ktilde_kernel,
+    r0_kernel,
+    wigner3j,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +106,21 @@ def test_ktilde_distance_bound():
 
 def test_ktilde_matrix_matches_pointwise_oracle():
     # on disjoint supports every node pair is farther apart than the cell
-    # radius, so the regularised matrix is the plain kernel entrywise
+    # radius, so the first phi column behind the azimuthal blocks is the
+    # plain weighted kernel entrywise, on grids with the pair on the z axis
     sj = Scatterer((0, 0, 0), square_well(-1.0, 1.0))
     sh = Scatterer((0.4, 0.0, 2.9), square_well(-2.0, 0.8))
     z = ComplexEnergy(1.3, 0.0)
-    pj, wj = _ball_grid(sj, 6, 4)
-    ph, wh = _ball_grid(sh, 5, 3)
-    got = _ktilde_matrix(sj, sh, z, pj, wj, ph, wh)
-    want = ktilde_kernel(sj, sh, z, pj[:, None, :], ph[None, :, :])
-    assert got.shape == want.shape == (pj.shape[0], ph.shape[0])
+    K = KtildeDiscretization.build(sj, sh, z, 6, 4)
+    aj = Scatterer((0, 0, 0), sj.potential)
+    ah = Scatterer((0, 0, np.hypot(0.4, 2.9)), sh.potential)
+    pj, wj, n_phi = _ball_grid(aj, 6, 4)
+    ph, wh, _ = _ball_grid(ah, 6, 4)
+    ph, wh = ph[::n_phi], wh[::n_phi]
+    want = (np.sqrt(wj)[:, None] * ktilde_kernel(aj, ah, z, pj[:, None, :], ph[None, :, :])
+            * np.sqrt(wh)[None, :])
+    assert K.matrix.shape == (n_phi, pj.shape[0] // n_phi, ph.shape[0])
+    got = np.fft.ifft(K.matrix, axis=0).transpose(1, 0, 2).reshape(want.shape)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
@@ -120,8 +131,8 @@ def test_ktilde_matrix_matches_pointwise_oracle():
 def test_g00_closed_form():
     for Rlen in (2.0, 5.0):
         g = structure_constants(1.0, [0, 0, Rlen], 4)
-        assert g.entry(0, 0, 0, 0) == pytest.approx(-np.exp(1j * Rlen) / Rlen,
-                                                    rel=1e-12)
+        assert g_entry(g, 0, 0, 0, 0) == pytest.approx(-np.exp(1j * Rlen) / Rlen,
+                                                       rel=1e-12)
 
 
 def test_m_selection_rule_on_axis():
@@ -131,7 +142,7 @@ def test_m_selection_rule_on_axis():
             for lp in range(4):
                 for mp in range(-lp, lp + 1):
                     if m != mp:
-                        assert g.entry(l, m, lp, mp) == 0.0
+                        assert g_entry(g, l, m, lp, mp) == 0.0
 
 
 def test_defining_identity_pointwise():
@@ -148,13 +159,13 @@ def test_defining_identity_pointwise():
         y = R + v
         r = np.linalg.norm(x - y)
         exact = -np.exp(1j * k0 * r) / (4 * np.pi * r)
-        assert abs(g.expansion_value(x, y) - exact) / abs(exact) < 1e-5
+        assert abs(expansion_value(g, x, y) - exact) / abs(exact) < 1e-5
 
 
 def test_convergence_region_error():
     g = structure_constants(1.0, [0, 0, 3.0], 6)
     with pytest.raises(ConvergenceRegionError):
-        g.expansion_value([0, 0, 2.0], [0, 0, 4.5])
+        expansion_value(g, [0, 0, 2.0], [0, 0, 4.5])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -247,7 +258,7 @@ def test_schatten_zero_potential():
     sj = Scatterer((0, 0, 0), gaussian(0.0, 1.0))
     sh = Scatterer((0, 0, 3.0), gaussian(-1.0, 1.0))
     K = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 8, 6)
-    val, _ = schatten4_norm(K, refine=False)
+    val, _ = schatten4_norm(K)
     assert val == 0.0
 
 
@@ -261,13 +272,13 @@ def test_schatten_rank_one_oracle():
         v = np.exp(-0.5 * np.linalg.norm(Y - c, axis=1) ** 2)
         return u[:, None] * v[None, :]
 
-    K = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 16, 10,
-                                   kernel_fn=kfn)
-    val, delta = schatten4_norm(K)
+    z = ComplexEnergy(1.0, 0.0)
+    coarse = dense_grid_schatten4(sj, sh, z, 16, 10, kernel=kfn)
+    val = dense_grid_schatten4(sj, sh, z, 24, 15, kernel=kfn)
     nu = np.sqrt(quad(lambda r: 4 * np.pi * r * r * np.exp(-2 * r * r), 0, 6)[0])
     nv = np.sqrt(quad(lambda r: 4 * np.pi * r * r * np.exp(-r * r), 0, 6)[0])
     assert val == pytest.approx(nu * nv, rel=1e-6)
-    assert delta < 1e-6
+    assert abs(val - coarse) / val < 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,12 +291,9 @@ def test_schatten_scaling_exact(c):
         v = np.exp(-np.linalg.norm(Y - np.array([0, 0, 3.5]), axis=1) ** 2)
         return u[:, None] * v[None, :]
 
-    K1 = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 6, 4,
-                                    kernel_fn=kfn)
-    Kc = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 6, 4,
-                                    kernel_fn=lambda X, Y: c * kfn(X, Y))
-    v1, _ = schatten4_norm(K1, refine=False)
-    vc, _ = schatten4_norm(Kc, refine=False)
+    z = ComplexEnergy(1.0, 0.0)
+    v1 = dense_grid_schatten4(sj, sh, z, 6, 4, kernel=kfn)
+    vc = dense_grid_schatten4(sj, sh, z, 6, 4, kernel=lambda X, Y: c * kfn(X, Y))
     assert vc == pytest.approx(abs(c) * v1, rel=1e-12)
 
 
@@ -315,13 +323,36 @@ def test_schatten_spectral_requires_gap():
                                 1.0, 1.0)
 
 
-def test_schatten_refinement_error_carries_estimates():
-    from multiscat.greens import RefinementError
-    sj, sh = _gauss_pair(1.0)
-    K = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 4, 3)
-    with pytest.raises(RefinementError) as exc:
-        schatten4_norm(K, max_delta=1e-12)
-    assert exc.value.coarse is not None and exc.value.fine is not None
+@pytest.mark.parametrize("sj, sh", [
+    _gauss_pair(1.0),
+    (Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+     Scatterer((0, 0, 3.0), truncated_coulomb(-1.0, 0.04, 0.2))),
+], ids=["overlapping", "separated"])
+def test_schatten_blocks_match_dense_oracle(sj, sh):
+    # with R along z the oracle's lab-frame grids are the block route's own
+    # grids; the truncated Coulomb ball has two radial segments, so the
+    # separated pair's blocks are rectangular
+    z = ComplexEnergy(1.0, 0.0)
+    value, delta = schatten4_norm(KtildeDiscretization.build(sj, sh, z, 8, 6))
+    coarse = dense_grid_schatten4(sj, sh, z, 8, 6)
+    fine = dense_grid_schatten4(sj, sh, z, 12, 9)
+    assert value == pytest.approx(fine, rel=1e-12)
+    assert delta == pytest.approx(abs(fine - coarse) / fine, abs=1e-12)
+
+
+def test_schatten_grid_independent_of_pair_orientation():
+    # the grids are built with the pair on the polar axis: only |R| enters
+    z = ComplexEnergy(1.0, 0.0)
+    c = np.array([0.3, -0.2, 0.5])
+    got = []
+    for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), np.ones(3) / np.sqrt(3.0)):
+        sj = Scatterer(c, gaussian(-1.0, 1.0))
+        sh = Scatterer(c + d, gaussian(-1.0, 1.0))
+        got.append(schatten4_norm(KtildeDiscretization.build(sj, sh, z, 8, 6)))
+    (v0, d0) = got[0]
+    for v, d in got[1:]:
+        assert v == pytest.approx(v0, rel=1e-12)
+        assert d == pytest.approx(d0, rel=1e-12)
 
 
 def test_x0_cross_identity_momentum_vs_coordinate():

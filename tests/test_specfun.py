@@ -11,11 +11,10 @@ from multiscat.specfun import (
     bessel_y_prime,
     hankel_plus,
     sph_index,
-    ylm,
     ylm_table,
 )
 
-from oracles import gaunt, wigner3j
+from oracles import gaunt, wigner3j, ylm
 
 
 # ---------------------------------------------------------------------------
