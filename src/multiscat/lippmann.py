@@ -15,10 +15,21 @@ amplitude: t_l(k0, k0; k0^2 + i0) = (2/pi) * [-sin(eta_l) e^{i eta_l} / k0].
 That consistency (solved off-shell equation vs. radial phase shift) is
 enforced by the test-suite, which pins every convention in this module.
 
-For eps > 0 the resolvent denominator is smooth and the equation is solved
-by straight Nystrom collocation on a panelled Gauss grid; for eps = 0 the
-principal value is handled by on-shell subtraction (regularised integrand
-plus an analytic counter-term and the -i pi k0/2 half-residue).
+For eps > 0 the resolvent denominator is smooth and Nystrom collocation
+on a panelled Gauss grid q_i (weights w_i) gives, with S = diag(sqrt(w) q)
+and the real symmetric H = diag(q^2) + S V_gg S = Q diag(lambda) Q^T,
+
+    t_l(z) = V + U diag(1 / (z - lambda)) U^T,   U = V[:, grid] S Q,
+
+on the grid nodes plus the on-shell point.  H does not depend on z, so one
+``ls_spectrum`` (one ``eigh``) per (potential, l) serves every eps; the
+engine reads all its half-shell columns, on-shell elements and Born-3
+blocks from it.  ``solve_offshell_t`` is the direct route: one LU solve of
+the collocation system per z.  For eps = 0 it handles the principal value
+by on-shell subtraction (Haftel-Tabakin: regularised integrand plus an
+analytic counter-term and the -i pi k0/2 half-residue).  It serves as the
+independent reference: the tests, and the engine's one cross-check per
+distinct potential, compare the spectral columns against it.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from multiscat.specfun import gauss_legendre
 
 
 class PoleProximityError(RuntimeError):
-    """Linear system is near-singular: z sits close to a bound-state pole."""
+    """The LS solve or eigendecomposition is inaccurate: z may sit near a bound-state pole."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,71 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
     core = ws * rs * rs * pot.evaluate(rs)
     out = (2.0 / np.pi) * (J.T * core) @ J
     return 0.5 * (out + out.T)
+
+
+# ---------------------------------------------------------------------------
+# spectral form for eps > 0
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LSSpectrum:
+    """t_l(p, p'; z) = V + U diag(1/(z - lam)) U^T for every z with Im z > 0.
+
+    Rows and columns run over the grid nodes plus the on-shell point k0
+    (the last index).  ``residual`` is the eigen-residual of H.
+    """
+
+    lam: np.ndarray = field(repr=False)       # eigenvalues of H, ascending
+    U: np.ndarray = field(repr=False)         # (n + 1, n)
+    V: np.ndarray = field(repr=False)         # (n + 1, n + 1)
+    residual: float
+
+    def _resolvent(self, z: complex) -> np.ndarray:
+        if not z.imag > 0:
+            raise ValueError("the spectral form needs Im z > 0; "
+                             "use solve_offshell_t for eps = 0")
+        return 1.0 / (z - self.lam)
+
+    def half_shell(self, z: complex) -> np.ndarray:
+        """t_l(p_i, k0; z) for all momenta (the symmetric half-shell column)."""
+        return self.V[:, -1] + _times_real(self.U[-1] * self._resolvent(z), self.U.T)
+
+    def on_shell(self, z: complex) -> complex:
+        """t_l(k0, k0; z), the last entry of the half-shell column."""
+        return complex(self.half_shell(z)[-1])
+
+    def grid_sandwich(self, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
+        """sum_{m,i,k} a[m, i] t_l(q_i, q_k; z) b[m, k] over the grid nodes.
+
+        Evaluated from the spectrum, without forming the table.
+        """
+        U = self.U[:-1]
+        return complex(np.sum(_times_real(a, self.V[:-1, :-1]) * b)
+                       + np.sum(_times_real(a, U) * self._resolvent(z) * _times_real(b, U)))
+
+
+def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M for complex x and real M, without promoting M to complex."""
+    return x.real @ M + 1j * (x.imag @ M)
+
+
+def ls_spectrum(pot: Potential, l: int, grid: MomentumGrid) -> LSSpectrum:
+    """One symmetric eigendecomposition behind t_l(z) at every eps > 0.
+
+    Raises PoleProximityError when the eigen-residual
+    max|HQ - Q Lambda| / max|H| exceeds 1e-8.
+    """
+    q = grid.nodes
+    V = vl_matrix(pot, l, np.concatenate([q, [grid.k0]]))
+    s = np.sqrt(grid.weights) * q
+    H = s[:, None] * V[:-1, :-1] * s
+    H[np.diag_indices_from(H)] += q * q
+    lam, Q = np.linalg.eigh(H)
+    resid = np.max(np.abs(H @ Q - Q * lam)) / max(np.max(np.abs(H)), 1e-300)
+    if not resid <= 1e-8:
+        raise PoleProximityError(
+            f"LS eigendecomposition inaccurate for l={l} (residual {resid:.2e})")
+    return LSSpectrum(lam=lam, U=(V[:, :-1] * s) @ Q, V=V, residual=float(resid))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ with t_lm(k0) = -sin(eta_l) e^{i eta_l}/k0 from the radial solver.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -49,10 +50,16 @@ from multiscat.greens import (
     schatten4_norm_spectral,
     structure_constants,
 )
-from multiscat.lippmann import MomentumGrid, OffshellTable, solve_offshell_t
+from multiscat.lippmann import LSSpectrum, MomentumGrid, ls_spectrum, solve_offshell_t
 from multiscat.potentials import pair_gap, rollnik_check
 from multiscat.radial import onshell_t_lm, phase_shift
 from multiscat.specfun import AngularGrid, sph_index, ylm_table
+
+log = logging.getLogger("multiscat")
+
+# eps_min / (grid level spacing near k0^2) below which the LS health
+# numbers flag the run: eps no longer smooths over the discrete levels
+SPACING_FLAG_RATIO = 4.0
 
 
 class TailEstimateError(RuntimeError):
@@ -191,12 +198,15 @@ class ScenarioEngine:
 
     The constructor builds everything that depends only on the scenario:
     the momentum grid, the engine's one angular rule and the principal-value
-    operator on the grid.  The off-shell LS tables are memoised by
-    ``offshell(j, l, eps)``, the engine's only cache; every other quantity
-    (plane waves and amplitudes on the angular rule, pair profiles, phase
-    shifts, structure constants) is computed from those inputs where it is
-    used.  run_verification calls the operations in stages: tables, pair
-    profiles, the X lattice, eps extrapolation, gates.
+    operator on the grid.  The LS spectra (lambda, U, V) are memoised by
+    ``offshell(j, l)``, one per (potential, l) and the engine's only cache:
+    every off-shell t-matrix element at every eps is read from them (see
+    lippmann.ls_spectrum), and no (n x n) table is formed.  Every other
+    quantity (plane waves and amplitudes on the angular rule, pair profiles,
+    phase shifts, structure constants) is computed from those inputs where
+    it is used.  run_verification calls the operations in stages: spectra
+    and their health numbers, pair profiles, the X lattice, eps
+    extrapolation, gates.
     """
 
     def __init__(self, scenario: Scenario):
@@ -216,15 +226,66 @@ class ScenarioEngine:
         # degrees are margin
         self.ang = AngularGrid.for_degree(4 * num.lmax + 8)
         self.pv = _pv_operator(self.grid)
-        self._tables: dict = {}
+        self._spectra: dict = {}
 
-    def offshell(self, j: int, l: int, eps: float) -> OffshellTable:
+    def offshell(self, j: int, l: int) -> LSSpectrum:
+        """The LS spectrum of scatterer j in partial wave l (memoised per potential)."""
         pot = self.sc.scatterers[j].potential
-        key = (pot, l, float(eps))
-        if key not in self._tables:
-            self._tables[key] = solve_offshell_t(
-                pot, l, ComplexEnergy(self.sc.k0, eps), self.grid)
-        return self._tables[key]
+        key = (pot, l)
+        if key not in self._spectra:
+            self._spectra[key] = ls_spectrum(pot, l, self.grid)
+        return self._spectra[key]
+
+    def ls_health(self) -> dict:
+        """Health numbers of the LS spectra at the smallest eps.
+
+        Per distinct potential: the count of negative eigenvalues (grid
+        bound states) per l, and the relative difference between the
+        spectral half-shell column at l = 0 and one direct LU solve
+        (solve_offshell_t), which must stay below 1e-8.  Over all spectra:
+        the worst eigen-residual and the grid level spacing near k0^2 (the
+        median gap of the eigenvalues within k0^2 +- eps_min, always
+        including the two that bracket k0^2), with eps_min / spacing; a
+        ratio below SPACING_FLAG_RATIO sets ``spacing_flag`` and logs a
+        warning.
+        """
+        sc = self.sc
+        lmax = sc.numerics.lmax
+        eps = min(sc.eps_sequence())
+        k2 = sc.k0 ** 2
+        first = {}
+        for j, s in enumerate(sc.scatterers):
+            first.setdefault(s.potential, j)
+        potentials, spacing, resid = [], 0.0, 0.0
+        for pot, j in first.items():
+            spectra = [self.offshell(j, l) for l in range(lmax + 1)]
+            direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps),
+                                      self.grid).half_shell()
+            diff = float(np.max(np.abs(spectra[0].half_shell(complex(k2, eps)) - direct))
+                         / max(np.max(np.abs(direct)), 1e-300))
+            if not diff <= 1e-8:
+                raise RuntimeError(
+                    f"LS cross-check failed for scatterer {j}: the spectral half-shell "
+                    f"column differs from the direct solve by {diff:.2e} (relative)")
+            potentials.append({"scatterer": j, "kind": pot.kind, "cross_check": diff,
+                               "bound_states": [int(np.sum(sp.lam < 0)) for sp in spectra]})
+            for sp in spectra:
+                resid = max(resid, sp.residual)
+                lam = sp.lam
+                i = np.searchsorted(lam, k2)
+                lo = min(np.searchsorted(lam, k2 - eps), i - 1)
+                hi = max(np.searchsorted(lam, k2 + eps, side="right"), i + 1)
+                spacing = max(spacing, float(np.median(np.diff(lam[lo:hi]))))
+        ratio = eps / spacing
+        flag = bool(ratio < SPACING_FLAG_RATIO)
+        if flag:
+            log.warning("eps_min = %.3g is only %.2f times the LS grid level spacing "
+                        "near k0^2 (%.3g): refine the momentum grid or raise eps",
+                        eps, ratio, spacing)
+        return {"eig_residual": resid,
+                "cross_check": max(p["cross_check"] for p in potentials),
+                "level_spacing": spacing, "eps_over_spacing": ratio,
+                "spacing_flag": flag, "potentials": potentials}
 
     def _phase(self, j: int, h: int) -> complex:
         """e^{-i k1.x_j + i k2.x_h}, the phase of a term that starts on h and ends on j."""
@@ -255,9 +316,10 @@ class ScenarioEngine:
         T_s[a, i] = sum_l (2l+1)/(4 pi) P_l(k^_a.direction) t_l(q_i, k0; z).
         """
         lmax = self.sc.numerics.lmax
+        z = complex(self.sc.k0 ** 2, eps)
         c = self.ang.nodes @ np.asarray(direction)
         P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
-        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l, eps).half_shell()[:-1]
+        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l).half_shell(z)[:-1]
                       for l in range(lmax + 1)])
         return P.T @ t
 
@@ -288,8 +350,9 @@ class ScenarioEngine:
     def t_elem(self, j: int, eps: float) -> complex:
         """On-shell element <k1|t_j(z)|k2> of scatterer j."""
         cang = float(np.dot(self.sc.dir_out, self.sc.dir_in))
+        z = complex(self.sc.k0 ** 2, eps)
         total = sum((2 * l + 1) / (4.0 * np.pi) * eval_legendre(l, cang)
-                    * self.offshell(j, l, eps).on_shell
+                    * self.offshell(j, l).on_shell(z)
                     for l in range(self.sc.numerics.lmax + 1))
         return self._phase(j, j) * complex(total)
 
@@ -393,8 +456,9 @@ class ScenarioEngine:
         """Third-order term <k1|t_j R0 t_h R0 t_k|k2> at z = k0^2 + i eps.
 
         Both free propagations are projected onto partial waves (l, m) about
-        scatterer h (see _projection); the t_h table then couples them l by
-        l.  Each projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
+        scatterer h (see _projection); t_h then couples them l by l, read
+        from its spectrum without forming the table (grid_sandwich).  Each
+        projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
         over directions k^, as pair_profile integrates e^{i q k^.D}
         P_l(k^.k1^) P_l'(k^.k2^).  The Rayleigh expansion
         e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes both exact
@@ -417,9 +481,9 @@ class ScenarioEngine:
                              eps) * denom
         total = 0.0 + 0.0j
         for l in range(lmax + 1):
-            th = self.offshell(h, l, eps).values[:-1, :-1]
             block = slice(sph_index(l, -l), sph_index(l, l) + 1)
-            total += (4.0 * np.pi / (2 * l + 1)) * np.sum((A[block] @ th) * B[block])
+            total += (4.0 * np.pi / (2 * l + 1)) * self.offshell(h, l).grid_sandwich(
+                A[block], B[block], z)
         return self._phase(j, k) * complex(total)
 
     def _projection(self, Yw: np.ndarray, s: int, D: np.ndarray, direction,
@@ -534,6 +598,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         diagnostics["rollnik"].append({
             "kind": s.potential.kind, "l1_norm": rd.l1_norm,
             "l2_norm": rd.l2_norm, "admissible": rd.admissible})
+    # stage 1: one LS spectrum per (potential, l), and their health numbers
+    diagnostics["ls"] = engine.ls_health()
 
     comparisons = []
 
@@ -559,8 +625,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics["pair_gap"] = float(gap)
     overlapping = gap <= 0
 
-    # stage 1, the LS tables, is engine.offshell's memo, filled on first
-    # read; stages 2-3: one pair profile and one row of X_alpha per eps
+    # stages 2-3: one pair profile and one row of X_alpha per eps
     if not alphas:
         alphas = (0.0,)
     lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)

@@ -366,6 +366,7 @@ def test_x0_cross_identity_momentum_vs_coordinate():
     """
     from scipy.special import eval_legendre, spherical_jn
 
+    from multiscat.lippmann import solve_offshell_t
     from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine
     from multiscat.specfun import AngularGrid
 
@@ -389,7 +390,8 @@ def test_x0_cross_identity_momentum_vs_coordinate():
 
     def density(j, sign):
         # <k1| t_j^0 |x> for sign=-1 (bra side), <x| t_j^0 |k2> for sign=+1
-        tl = [eng.offshell(j, l, eps).half_shell()[:-1] for l in range(lmax + 1)]
+        pj = eng.sc.scatterers[j].potential
+        tl = [solve_offshell_t(pj, l, z, eng.grid).half_shell()[:-1] for l in range(lmax + 1)]
         f = np.stack([
             (wq * q * q * tl[l]) @ spherical_jn(l, np.outer(q, rs))
             for l in range(lmax + 1)])

@@ -5,6 +5,7 @@ from multiscat.greens import ComplexEnergy
 from multiscat.lippmann import (
     MomentumGrid,
     PoleProximityError,
+    ls_spectrum,
     solve_offshell_t,
     vl_matrix,
 )
@@ -153,3 +154,39 @@ def test_grid_energy_mismatch_rejected():
     grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
     with pytest.raises(ValueError):
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(2.0, 0.0), grid)
+
+
+@pytest.mark.parametrize("pot", ALL_KINDS, ids=lambda p: p.kind)
+def test_spectrum_matches_direct_solve(pot):
+    # t(z) = V + U diag(1/(z - lam)) U^T from one eigh against one LU solve per z
+    k0 = 1.0
+    grid = default_grid(k0)
+    for l in range(5):
+        sp = ls_spectrum(pot, l, grid)
+        for eps in (0.2, 0.1, 0.05, 0.025):
+            z = complex(k0 * k0, eps)
+            ref = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
+            scale = np.max(np.abs(ref.values))
+            table = sp.V + (sp.U / (z - sp.lam)) @ sp.U.T
+            assert np.max(np.abs(table - ref.values)) <= 1e-10 * scale, (l, eps)
+            col = ref.half_shell()
+            assert np.max(np.abs(sp.half_shell(z) - col)) <= 1e-10 * np.max(np.abs(col))
+            assert abs(sp.on_shell(z) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
+
+
+def test_spectrum_rejects_real_energy():
+    sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64))
+    with pytest.raises(ValueError):
+        sp.half_shell(complex(1.0, 0.0))
+
+
+def test_corrupted_eigh_raises_pole_proximity(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def corrupted(H):
+        lam, Q = eigh(H)
+        return lam * (1.0 + 1e-6), Q
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(PoleProximityError):
+        ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64))

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
+from multiscat.greens import ComplexEnergy
+from multiscat.lippmann import solve_offshell_t
 from multiscat.multiscatter import (
     ExtrapolationError,
     Numerics,
@@ -204,11 +206,17 @@ def _brute_force_rule(eng):
                                   + 2 * eng.sc.numerics.lmax + 30)
 
 
+def _direct_table(eng, s, l, eps):
+    """t_l of scatterer s by the direct LU solve, independent of the engine's spectra."""
+    return solve_offshell_t(eng.sc.scatterers[s].potential, l,
+                            ComplexEnergy(eng.sc.k0, eps), eng.grid)
+
+
 def _brute_force_factors(eng, ang, s, D, direction, eps):
     """e^{i q k^.D} T_s(k^, q) on (ang node, grid momentum), T_s the half-shell amplitude."""
     lmax = eng.sc.numerics.lmax
     cl = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-    t = np.stack([eng.offshell(s, l, eps).half_shell()[:-1] for l in range(lmax + 1)])
+    t = np.stack([_direct_table(eng, s, l, eps).half_shell()[:-1] for l in range(lmax + 1)])
     P = np.stack([eval_legendre(l, ang.nodes @ np.asarray(direction))
                   for l in range(lmax + 1)])
     wave = np.exp(1j * np.outer(ang.nodes @ D, eng.grid.nodes))
@@ -230,7 +238,7 @@ def _born3_brute_force(eng, j, h, k, eps):
     denom = w * q * q / (z - q * q)
     total = 0.0 + 0.0j
     for l in range(lmax + 1):
-        th = eng.offshell(h, l, eps).values[:-1, :-1]
+        th = _direct_table(eng, h, l, eps).values[:-1, :-1]
         for m in range(-l, l + 1):
             a = A[sph_index(l, m)] * denom
             b = B[sph_index(l, m)] * denom
@@ -321,3 +329,57 @@ def test_verify_report_json_roundtrip(overlap_engine):
     assert back["schatten"]["method"] == "grid"
     # complex values serialised as [re, im]
     assert isinstance(back["x0_direct"], list) and len(back["x0_direct"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# LS health numbers
+# ---------------------------------------------------------------------------
+
+def _small_wells(eps_list=()):
+    return ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+                    Scatterer((0, 0, 3.0), square_well(-2.8, 1.0))),
+        k0=1.0, numerics=Numerics(lmax=2, eps_list=eps_list, p_max=12.0,
+                                  n_inner=16, n_mid=16)))
+
+
+def test_ls_health_counts_bound_states_and_cross_checks():
+    health = _small_wells().ls_health()
+    shallow, deep = health["potentials"]
+    # depth 2.8 binds one s-wave level (sqrt(2.8) > pi/2), depth 1 binds none
+    assert shallow["bound_states"] == [0, 0, 0]
+    assert deep["bound_states"] == [1, 0, 0]
+    assert health["cross_check"] < 1e-10
+    assert health["eig_residual"] < 1e-12
+
+
+def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
+    import dataclasses
+
+    from multiscat import multiscatter
+
+    original = multiscatter.ls_spectrum
+
+    def corrupted(pot, l, grid):
+        sp = original(pot, l, grid)
+        return dataclasses.replace(sp, U=sp.U * (1.0 + 1e-6))
+
+    monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
+    with pytest.raises(RuntimeError, match="cross-check"):
+        _small_wells().ls_health()
+
+
+def test_spacing_flag(caplog):
+    from pathlib import Path
+
+    from multiscat.cli import validate_config
+
+    spacing = _small_wells().ls_health()["level_spacing"]
+    with caplog.at_level("WARNING", logger="multiscat"):
+        health = _small_wells((2 * spacing, 1.5 * spacing, spacing)).ls_health()
+    assert health["spacing_flag"] and health["eps_over_spacing"] <= 1.0
+    assert "level spacing" in caplog.text
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
+        scenario = validate_config((configs / name).read_text()).scenario
+        assert not ScenarioEngine(scenario).ls_health()["spacing_flag"], name
