@@ -57,6 +57,7 @@ from multiscat.specfun import (
     AngularGrid,
     bessel_j,
     gauss_legendre,
+    gauss_panels,
     hankel_plus,
     plm_norm_table,
     sph_index,
@@ -299,13 +300,7 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     pot = s.potential
     r_eff = pot.effective_radius()
     edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
-    rs, wr = [], []
-    xg, wg = gauss_legendre(max(4, n_radial))
-    for a, b in zip(edges[:-1], edges[1:]):
-        rs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        wr.append(0.5 * (b - a) * wg)
-    rs = np.concatenate(rs)
-    wr = np.concatenate(wr)
+    rs, wr = gauss_panels(edges, max(4, n_radial))
     ang = AngularGrid.for_degree(angular_order)
     pts = (s.center_array[None, None, :]
            + rs[:, None, None] * ang.nodes[None, :, :]).reshape(-1, 3)
@@ -352,13 +347,8 @@ def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarra
     """nu_l = integral of |V(r)| j_l(k r)^2 r^2 dr over the support."""
     r_eff = pot.effective_radius()
     edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
-    xg, wg = gauss_legendre(n_radial)
-    rs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wg)
-    rs = np.concatenate(rs)
-    ws = np.concatenate(ws) * rs ** 2 * np.abs(pot.evaluate(rs))
+    rs, ws = gauss_panels(edges, n_radial)
+    ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
     nu = np.empty(lmax + 1)
     for l in range(lmax + 1):
         jl = bessel_j(l, k * rs)

@@ -41,7 +41,7 @@ from scipy.special import spherical_jn
 
 from multiscat.greens import ComplexEnergy
 from multiscat.potentials import Potential
-from multiscat.specfun import gauss_legendre
+from multiscat.specfun import gauss_panels
 
 
 class PoleProximityError(RuntimeError):
@@ -79,14 +79,8 @@ class MomentumGrid:
         if n_outer is None:
             # resolve oscillations e^{i q * osc_scale} on the outer panel
             n_outer = max(96, int(0.75 * (p_max - 2 * k0) * max(osc_scale, 1.0)) + 32)
-        nodes, weights = [], []
-        for (a, b, n) in ((0.0, k0, n_inner), (k0, 2 * k0, n_mid),
-                          (2 * k0, p_max, n_outer)):
-            x, w = gauss_legendre(n)
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        return cls(nodes=np.concatenate(nodes), weights=np.concatenate(weights),
-                   k0=float(k0), p_max=float(p_max))
+        nodes, weights = gauss_panels((0.0, k0, 2 * k0, p_max), (n_inner, n_mid, n_outer))
+        return cls(nodes=nodes, weights=weights, k0=float(k0), p_max=float(p_max))
 
     @property
     def size(self) -> int:
@@ -123,19 +117,13 @@ def _radial_rule(pot: Potential, p_top: float, scale: int):
     # extend smooth tails in octaves so node budgets track the local scale
     full = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
-        seg = a if a > 0 else b / 8.0
         while a > 0 and b / a > 2.5:
             a *= 2.0
             full.append(min(a, b))
         full.append(b)
     full = sorted(set(full))
-    rs, ws = [], []
-    for a, b in zip(full[:-1], full[1:]):
-        n = scale * max(24, int(0.7 * (b - a) * p_top) + 16)
-        x, w = gauss_legendre(n)
-        rs.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    return np.concatenate(rs), np.concatenate(ws)
+    return gauss_panels(full, [scale * max(24, int(0.7 * (b - a) * p_top) + 16)
+                               for a, b in zip(full[:-1], full[1:])])
 
 
 def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:

@@ -512,18 +512,47 @@ def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> float:
     return float(last * r / (1.0 - r))
 
 
+def _spline_slopes(q: np.ndarray) -> np.ndarray:
+    """Matrix D with D @ f = the slopes at q of the not-a-knot cubic spline through f.
+
+    The slopes s solve the tridiagonal system of the spline's C2 conditions,
+    with h_i = q_{i+1} - q_i and divided differences d_i = (f_{i+1} - f_i)/h_i:
+    interior rows h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+    = 3 (h_i d_{i-1} + h_{i-1} d_i), and at each end the not-a-knot row
+    (the third derivative is continuous across the second and the
+    second-to-last node).  Every right-hand side is linear in f, so one
+    solve with the (n x n) matrix of divided differences gives D.
+    """
+    n = q.size
+    h = np.diff(q)
+    delta = (np.eye(n, k=1) - np.eye(n))[:-1] / h[:, None]   # d = delta @ f
+    A = np.zeros((n, n))
+    B = np.empty((n, n))
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = h[1:]
+    A[i, i] = 2.0 * (h[:-1] + h[1:])
+    A[i, i + 1] = h[:-1]
+    B[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    d = q[2] - q[0]
+    A[0, :2] = h[1], d
+    B[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
+    d = q[-1] - q[-3]
+    A[-1, -2:] = d, h[-2]
+    B[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d + h[-1]) * h[-2] * delta[-1]) / d
+    return np.linalg.solve(A, B)
+
+
 def _pv_operator(grid: MomentumGrid) -> np.ndarray:
     """Real matrix M with M @ S = (2/(pi q)) PV int dk k^2 S(k)/(q^2 - k^2).
 
     With f = k^2 S, the PV integral at node q_i is the subtracted grid sum
     sum_j w_j (f_j - f_i)/(q_i^2 - q_j^2), whose j = i term takes its limit
-    -w_i f'(q_i)/(2 q_i) from a cubic spline through f, plus the analytic
-    counter-term f_i ln((P + q_i)/(P - q_i))/(2 q_i) for the integral of
-    1/(q_i^2 - k^2) over [0, P].  Each step is linear in f, so the transform
-    is one matrix on the grid.
+    -w_i f'(q_i)/(2 q_i) from the slope of the not-a-knot cubic spline
+    through f (one linear solve on the grid, see _spline_slopes), plus the
+    analytic counter-term f_i ln((P + q_i)/(P - q_i))/(2 q_i) for the
+    integral of 1/(q_i^2 - k^2) over [0, P].  Each step is linear in f, so
+    the transform is one matrix on the grid.
     """
-    # imported here: scipy.interpolate is not otherwise needed at start-up
-    from scipy.interpolate import CubicSpline
     q = grid.nodes
     w = grid.weights
     P = grid.p_max
@@ -532,7 +561,7 @@ def _pv_operator(grid: MomentumGrid) -> np.ndarray:
     K = w / den
     np.fill_diagonal(K, 0.0)
     diag = np.log((P + q) / (P - q)) / (2.0 * q) - K.sum(axis=1)
-    K -= (w / (2.0 * q))[:, None] * CubicSpline(q, np.eye(q.size))(q, 1)
+    K -= (w / (2.0 * q))[:, None] * _spline_slopes(q)
     K[np.diag_indices_from(K)] += diag
     return (2.0 / (np.pi * q))[:, None] * K * (q * q)
 
@@ -597,7 +626,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         rd = rollnik_check(s.potential)
         diagnostics["rollnik"].append({
             "kind": s.potential.kind, "l1_norm": rd.l1_norm,
-            "l2_norm": rd.l2_norm, "admissible": rd.admissible})
+            "l2_norm": rd.l2_norm, "admissible": rd.admissible,
+            "l1_residual": rd.l1_residual, "l2_residual": rd.l2_residual})
     # stage 1: one LS spectrum per (potential, l), and their health numbers
     diagnostics["ls"] = engine.ls_health()
 
@@ -668,11 +698,16 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         trunc = abs(x0_sc - ([0j] + x0_sc_by_lmax)[-2]) / max(abs(x0_sc), 1e-300)
         onshell_rel = abs(x0_sc - x0) / abs(x0_sc)
 
-    born = [engine.born_term(1, min(eps_seq)), engine.born_term(2, min(eps_seq))]
-    if num.n_max >= 3:
-        born.append(engine.born_term(3, min(eps_seq)))
-    pair_sum = sum(engine.x_alpha(0.0, min(eps_seq), (j, h))
+    # the order-2 term at eps_min is the sum born_term(2) would form, over
+    # ordered pairs: (0, 1) is the lattice's alpha = 0 entry (the value
+    # x_alpha gives), every other pair is computed once
+    eps_min = min(eps_seq)
+    pair_sum = sum(complex(lattice[eps_min][lattice_alphas.index(0.0)])
+                   if (j, h) == (0, 1) else engine.x_alpha(0.0, eps_min, (j, h))
                    for j in range(n_scat) for h in range(n_scat) if j != h)
+    born = [engine.born_term(1, eps_min), complex(pair_sum)]
+    if num.n_max >= 3:
+        born.append(engine.born_term(3, eps_min))
     born2_rel = abs(born[1] - pair_sum) / max(abs(born[1]), 1e-300)
 
     if overlapping:

@@ -1,8 +1,8 @@
 """Special functions for partial-wave scattering work.
 
 Spherical Bessel/Neumann/Hankel functions, complex spherical harmonics,
-normalised associated Legendre tables, and Gauss-Legendre and product
-quadrature rules.
+normalised associated Legendre tables, and Gauss-Legendre (one interval or
+composite over panels) and product quadrature rules.
 
 Conventions (used consistently by every module that imports this one):
 
@@ -212,3 +212,18 @@ def gauss_legendre(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def gauss_panels(edges, n):
+    """Composite Gauss-Legendre rule over the panels between successive edges.
+
+    ``n`` is the node count of every panel, or a sequence with one count per
+    panel.  Returns the concatenated nodes and weights.
+    """
+    counts = [n] * (len(edges) - 1) if np.ndim(n) == 0 else n
+    nodes, weights = [], []
+    for a, b, m in zip(edges[:-1], edges[1:], counts):
+        x, w = gauss_legendre(m)
+        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)

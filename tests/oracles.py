@@ -13,7 +13,9 @@
 * ``g_entry`` and ``expansion_value`` - one structure constant, and the
   displaced-wave re-expansion of the resolvent summed at a point pair;
 * ``standing_companion`` - the principal-value transform of a pair profile,
-  one grid node at a time.
+  one grid node at a time;
+* ``rollnik_quad`` - the two Rollnik norms by adaptive quadrature
+  (``scipy.integrate.quad``).
 """
 
 import math
@@ -156,6 +158,23 @@ def standing_companion(grid, S):
         pv = terms.sum() + f[i] * np.log((P + qi) / (P - qi)) / (2.0 * qi)
         Sy[i] = (2.0 / (np.pi * qi)) * pv
     return Sy
+
+
+def rollnik_quad(p):
+    """(l1_norm, l2_norm) of V by adaptive quadrature on [0, r_max].
+
+    The same truncation radius and break points as potentials.rollnik_check.
+    """
+    from scipy.integrate import quad
+    r_max = max(p.effective_radius(), p.a)
+    pts = [x for x in sorted(set(p.breakpoints()) | {r_max / 2}) if x < r_max]
+
+    def integrate(f):
+        return quad(f, 0.0, r_max, points=pts, limit=400, epsabs=1e-13, epsrel=1e-11)
+
+    l1, _ = integrate(lambda r: 4.0 * np.pi * r * r * abs(p.evaluate(r)))
+    l2sq, _ = integrate(lambda r: 4.0 * np.pi * r * r * p.evaluate(r) ** 2)
+    return l1, math.sqrt(l2sq)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from multiscat.multiscatter import (
     Numerics,
     Scenario,
     ScenarioEngine,
+    _spline_slopes,
     eps_extrapolate,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
@@ -154,6 +155,27 @@ def test_pv_operator_matches_nodewise_oracle(wells_engine):
     S = (rng.standard_normal(q.size) + 1j * rng.standard_normal(q.size)) / (1 + q * q)
     ref = standing_companion(wells_engine.grid, S)
     assert np.max(np.abs(wells_engine.pv @ S - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nodes", ["engine_grid", "random"])
+def test_spline_slopes_match_not_a_knot_spline(wells_engine, nodes):
+    from scipy.interpolate import CubicSpline  # test-only oracle
+
+    if nodes == "engine_grid":
+        q = wells_engine.grid.nodes
+    else:
+        q = np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, 60))
+    D = _spline_slopes(q)
+    eye = np.eye(q.size)
+    ref = CubicSpline(q, eye)(q, 1)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(D - ref)) <= 1e-13 * scale
+    # natural end rows give slopes far outside that tolerance
+    natural = CubicSpline(q, eye, bc_type="natural")(q, 1)
+    assert np.max(np.abs(natural - ref)) > 1e-3 * scale
+    # a not-a-knot spline reproduces cubics
+    x = q / q[-1]
+    assert np.max(np.abs(D @ x ** 3 - 3 * x * x / q[-1])) <= 1e-10 * 3 / q[-1]
 
 
 def test_finite_eps_phase_identity(wells_engine):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from multiscat.potentials import (
     Potential,
+    QuadratureError,
     Scatterer,
     exponential,
     gaussian,
@@ -13,6 +14,8 @@ from multiscat.potentials import (
     square_well,
     truncated_coulomb,
 )
+
+from oracles import rollnik_quad
 
 ALL_KINDS = [
     square_well(-1.0, 1.0),
@@ -124,6 +127,33 @@ def test_rollnik_coulomb_core_admissible():
     d = rollnik_check(truncated_coulomb(-1.0, 1.0, 0.01))
     assert d.admissible
     assert np.isfinite(d.l1_norm) and np.isfinite(d.l2_norm)
+
+
+@pytest.mark.parametrize("p", ALL_KINDS + [exponential(-2.0, 0.7),
+                                       truncated_coulomb(-1.0, 1.0, 0.01)],
+                         ids=lambda p: f"{p.kind}-{p.a}-{p.rc}")
+def test_rollnik_panels_match_adaptive_quadrature(p):
+    d = rollnik_check(p)
+    l1, l2 = rollnik_quad(p)
+    assert d.l1_norm == pytest.approx(l1, rel=1e-12)
+    assert d.l2_norm == pytest.approx(l2, rel=1e-12)
+    # the two-level error estimates are gated and recorded
+    assert 0.0 <= d.l1_residual <= 1e-9 * d.l1_norm
+    assert 0.0 <= d.l2_residual <= 1e-9 * d.l2_norm ** 2
+
+
+@pytest.mark.parametrize("p", [square_well(-1.0, 1.0), truncated_coulomb(-1.0, 1.0, 0.1)],
+                         ids=lambda p: p.kind)
+def test_rollnik_gate_fails_on_a_panel_straddling_a_breakpoint(monkeypatch, p):
+    if p.kind == "square_well":
+        # at its own r_max = a the jump sits on the last panel's end; a
+        # wider support puts it inside a panel, which the breakpoint splits
+        monkeypatch.setattr(Potential, "effective_radius", lambda self, cutoff=0: 1.5 * self.a)
+        assert rollnik_check(p).l1_norm == pytest.approx(4 * np.pi / 3, rel=1e-12)
+    monkeypatch.setattr(Potential, "breakpoints", lambda self: [])
+    with pytest.raises(QuadratureError) as exc:
+        rollnik_check(p)
+    assert exc.value.residual > 1e-6
 
 
 def test_pair_gap():
