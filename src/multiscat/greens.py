@@ -55,10 +55,10 @@ import numpy as np
 from multiscat.potentials import Potential, Scatterer
 from multiscat.specfun import (
     AngularGrid,
-    bessel_j,
+    bessel_j_table,
+    bessel_y_table,
     gauss_legendre,
     gauss_panels,
-    hankel_plus,
     plm_norm_table,
     sph_index,
     tri_index,
@@ -174,7 +174,8 @@ def _outgoing_waves(k: float, R, Lmax: int) -> np.ndarray:
     """c[sph_index(L, M)] = i^{-L} (-1)^L h+_L(k|R|) conj(Y_LM(R^)), L <= Lmax."""
     Rv = np.asarray(R, dtype=float)
     Ls = np.arange(Lmax + 1)
-    hL = np.array([hankel_plus(L, k * float(np.linalg.norm(Rv))) for L in Ls])
+    x = k * float(np.linalg.norm(Rv))
+    hL = bessel_j_table(Lmax, x) + 1j * bessel_y_table(Lmax, x)
     # (-1)^L: the inner argument enters the one-center expansion through
     # its antipode
     coef = _ipow(-Ls) * (-1.0) ** Ls * hL
@@ -349,11 +350,8 @@ def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarra
     edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
     rs, ws = gauss_panels(edges, n_radial)
     ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
-    nu = np.empty(lmax + 1)
-    for l in range(lmax + 1):
-        jl = bessel_j(l, k * rs)
-        nu[l] = float(np.dot(ws, jl * jl))
-    return nu
+    J = bessel_j_table(lmax, k * rs)
+    return (J * J) @ ws
 
 
 def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,

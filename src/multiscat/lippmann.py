@@ -37,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from multiscat.greens import ComplexEnergy
 from multiscat.potentials import Potential
-from multiscat.specfun import gauss_panels
+from multiscat.specfun import bessel_j, gauss_panels
 
 
 class PoleProximityError(RuntimeError):
@@ -130,7 +129,8 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
     """V_l(p_i, p_j) = (2/pi) integral j_l(p_i r) V(r) j_l(p_j r) r^2 dr."""
     momenta = np.asarray(momenta, dtype=float)
     rs, ws = _radial_rule(pot, float(momenta.max()), scale)
-    J = spherical_jn(l, np.outer(rs, momenta))
+    # j_l alone: no (l + 1, n_r, n_q) table of the lower orders is formed
+    J = bessel_j(l, np.outer(rs, momenta))
     core = ws * rs * rs * pot.evaluate(rs)
     out = (2.0 / np.pi) * (J.T * core) @ J
     return 0.5 * (out + out.T)

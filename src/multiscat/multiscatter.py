@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn
 
 from multiscat.greens import (
     ComplexEnergy,
@@ -53,7 +52,13 @@ from multiscat.greens import (
 from multiscat.lippmann import LSSpectrum, MomentumGrid, ls_spectrum, solve_offshell_t
 from multiscat.potentials import pair_gap, rollnik_check
 from multiscat.radial import onshell_t_lm, phase_shift
-from multiscat.specfun import AngularGrid, sph_index, ylm_table
+from multiscat.specfun import (
+    AngularGrid,
+    bessel_j_table,
+    legendre_table,
+    sph_index,
+    ylm_table,
+)
 
 log = logging.getLogger("multiscat")
 
@@ -305,10 +310,10 @@ class ScenarioEngine:
         axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
         u = self.ang.nodes @ axis
         x = self.grid.nodes * D_len
-        Ls = range(2 * self.sc.numerics.lmax + 1)
-        PL = np.stack([eval_legendre(L, u) for L in Ls])
-        wave = np.stack([(1j) ** L * (2 * L + 1) * spherical_jn(L, x) for L in Ls])
-        return PL.T @ wave
+        Lmax = 2 * self.sc.numerics.lmax
+        coef = np.array([(1j) ** L * (2 * L + 1) for L in range(Lmax + 1)])
+        wave = coef[:, None] * bessel_j_table(Lmax, x)
+        return legendre_table(Lmax, u).T @ wave
 
     def _amplitude(self, s: int, eps: float, direction) -> np.ndarray:
         """Half-shell amplitude of scatterer s on the angular rule, (n_ang, n_q).
@@ -317,8 +322,7 @@ class ScenarioEngine:
         """
         lmax = self.sc.numerics.lmax
         z = complex(self.sc.k0 ** 2, eps)
-        c = self.ang.nodes @ np.asarray(direction)
-        P = np.stack([eval_legendre(l, c) for l in range(lmax + 1)])
+        P = legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
         t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l).half_shell(z)[:-1]
                       for l in range(lmax + 1)])
         return P.T @ t
@@ -349,11 +353,11 @@ class ScenarioEngine:
 
     def t_elem(self, j: int, eps: float) -> complex:
         """On-shell element <k1|t_j(z)|k2> of scatterer j."""
-        cang = float(np.dot(self.sc.dir_out, self.sc.dir_in))
+        lmax = self.sc.numerics.lmax
+        P = legendre_table(lmax, float(np.dot(self.sc.dir_out, self.sc.dir_in)))
         z = complex(self.sc.k0 ** 2, eps)
-        total = sum((2 * l + 1) / (4.0 * np.pi) * eval_legendre(l, cang)
-                    * self.offshell(j, l).on_shell(z)
-                    for l in range(self.sc.numerics.lmax + 1))
+        total = sum((2 * l + 1) / (4.0 * np.pi) * P[l] * self.offshell(j, l).on_shell(z)
+                    for l in range(lmax + 1))
         return self._phase(j, j) * complex(total)
 
     def x_lattice(self, alphas, eps: float,
@@ -520,26 +524,37 @@ def _spline_slopes(q: np.ndarray) -> np.ndarray:
     interior rows h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
     = 3 (h_i d_{i-1} + h_{i-1} d_i), and at each end the not-a-knot row
     (the third derivative is continuous across the second and the
-    second-to-last node).  Every right-hand side is linear in f, so one
-    solve with the (n x n) matrix of divided differences gives D.
+    second-to-last node), reduced to two entries.  Every right-hand side is
+    linear in f, so one forward elimination and back substitution over the
+    n right-hand sides of the (n x n) matrix of divided differences gives D
+    in O(n^2).
     """
     n = q.size
     h = np.diff(q)
     delta = (np.eye(n, k=1) - np.eye(n))[:-1] / h[:, None]   # d = delta @ f
-    A = np.zeros((n, n))
+    lower = np.zeros(n)              # lower[i] multiplies s_{i-1}
+    diag = np.empty(n)
+    upper = np.zeros(n)              # upper[i] multiplies s_{i+1}
     B = np.empty((n, n))
-    i = np.arange(1, n - 1)
-    A[i, i - 1] = h[1:]
-    A[i, i] = 2.0 * (h[:-1] + h[1:])
-    A[i, i + 1] = h[:-1]
+    lower[1:-1] = h[1:]
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    upper[1:-1] = h[:-1]
     B[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
     d = q[2] - q[0]
-    A[0, :2] = h[1], d
+    diag[0], upper[0] = h[1], d
     B[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
     d = q[-1] - q[-3]
-    A[-1, -2:] = d, h[-2]
+    lower[-1], diag[-1] = d, h[-2]
     B[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d + h[-1]) * h[-2] * delta[-1]) / d
-    return np.linalg.solve(A, B)
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        B[i] -= w * B[i - 1]
+    B[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        B[i] -= upper[i] * B[i + 1]
+        B[i] /= diag[i]
+    return B
 
 
 def _pv_operator(grid: MomentumGrid) -> np.ndarray:

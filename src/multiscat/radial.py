@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from multiscat.potentials import Potential
-from multiscat.specfun import bessel_j, bessel_j_prime, bessel_y, bessel_y_prime
+from multiscat.specfun import bessel_derivative, bessel_j_table, bessel_y_table
 
 #: WKB action retained when fast-forwarding through a deeply forbidden region.
 #: The discarded decaying admixture is suppressed by exp(-2 * action) ~ 1e-39.
@@ -269,8 +269,10 @@ def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = Non
 
     # log-derivative match against Riccati-Bessel combinations
     x = k * r_match
-    jl, jlp = bessel_j(l, x), bessel_j_prime(l, x)
-    yl, ylp = bessel_y(l, x), bessel_y_prime(l, x)
+    # orders 0..max(l, 1): the derivative of order 0 reads order 1
+    J, Y = bessel_j_table(max(l, 1), x), bessel_y_table(max(l, 1), x)
+    jl, jlp = J[l], bessel_derivative(J, x)[l]
+    yl, ylp = Y[l], bessel_derivative(Y, x)[l]
     rj, rjp = x * jl, jl + x * jlp      # (x j_l) and d/dx (x j_l)
     ry, ryp = x * yl, yl + x * ylp
     gamma = up / u

@@ -10,6 +10,9 @@
 * ``dense_grid_schatten4`` - the grid Schatten-4 norm from the dense
   (n_nodes x n_nodes) kernel on the library's ball grids, in the lab frame;
 * ``ylm`` - a single spherical harmonic;
+* ``plm_norm_table_loop`` and ``ylm_table_loop`` - the normalised Legendre
+  and spherical-harmonic tables by scalar double loops over (l, m), which
+  the library's row-vectorised tables must reproduce bit for bit;
 * ``g_entry`` and ``expansion_value`` - one structure constant, and the
   displaced-wave re-expansion of the resolvent summed at a point pair;
 * ``standing_companion`` - the principal-value transform of a pair profile,
@@ -27,7 +30,8 @@ import numpy as np
 from multiscat.greens import _ball_grid
 from multiscat.specfun import (
     _check_l,
-    bessel_j,
+    _dirs_to_angles,
+    bessel_j_table,
     gauss_legendre,
     plm_norm_table,
     sph_index,
@@ -95,6 +99,44 @@ def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):
     return float(np.linalg.norm(M.conj().T @ M)) ** 0.5
 
 
+def plm_norm_table_loop(lmax: int, ct, st=None) -> np.ndarray:
+    """``specfun.plm_norm_table`` one (l, m) entry at a time."""
+    lmax = _check_l(lmax)
+    ct = np.atleast_1d(np.asarray(ct, dtype=float))
+    if st is None:
+        st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+    plm = np.zeros((tri_index(lmax, lmax) + 1, ct.size))
+    plm[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, lmax + 1):
+        plm[tri_index(m, m)] = (-math.sqrt((2 * m + 1) / (2.0 * m)) * st
+                                * plm[tri_index(m - 1, m - 1)])
+    for m in range(0, lmax):
+        plm[tri_index(m + 1, m)] = math.sqrt(2 * m + 3) * ct * plm[tri_index(m, m)]
+    for m in range(0, lmax + 1):
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt(((l - 1) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1))
+            plm[tri_index(l, m)] = a * (ct * plm[tri_index(l - 1, m)]
+                                        - b * plm[tri_index(l - 2, m)])
+    return plm
+
+
+def ylm_table_loop(lmax: int, dirs) -> np.ndarray:
+    """``specfun.ylm_table`` one (l, m) row at a time, on ``plm_norm_table_loop``."""
+    lmax = _check_l(lmax)
+    ct, st, phi, scalar = _dirs_to_angles(dirs)
+    plm = plm_norm_table_loop(lmax, ct, st)
+    out = np.zeros(((lmax + 1) ** 2, ct.size), dtype=complex)
+    for l in range(lmax + 1):
+        out[sph_index(l, 0)] = plm[tri_index(l, 0)]
+        for m in range(1, l + 1):
+            e = np.exp(1j * m * phi)
+            ypos = plm[tri_index(l, m)] * e
+            out[sph_index(l, m)] = ypos
+            out[sph_index(l, -m)] = (-1) ** m * np.conj(ypos)
+    return out[:, 0] if scalar else out
+
+
 def ylm(l: int, m: int, direction) -> complex:
     """Single spherical harmonic Y_lm evaluated at a 3-direction."""
     l = _check_l(l)
@@ -130,10 +172,9 @@ def expansion_value(g, x, y) -> complex:
             "outside the expansion's convergence region")
     xa = ylm_table(g.lmax, x if rx > 0 else np.array([0.0, 0.0, 1.0]))
     ya = ylm_table(g.lmax, v if rv > 0 else np.array([0.0, 0.0, 1.0]))
-    jx = np.concatenate([[bessel_j(l, g.k0 * rx)] * (2 * l + 1)
-                         for l in range(g.lmax + 1)])
-    jy = np.concatenate([[bessel_j(l, g.k0 * rv)] * (2 * l + 1)
-                         for l in range(g.lmax + 1)])
+    reps = 2 * np.arange(g.lmax + 1) + 1
+    jx = np.repeat(bessel_j_table(g.lmax, g.k0 * rx), reps)
+    jy = np.repeat(bessel_j_table(g.lmax, g.k0 * rv), reps)
     return complex((jx * xa) @ g.matrix @ (jy * np.conj(ya)))
 
 
