@@ -88,10 +88,6 @@ class ComplexEnergy:
         # principal sqrt keeps Im >= 0 on the upper rim of the cut
         return complex(np.sqrt(complex(self.k0 * self.k0, self.eps)))
 
-    @property
-    def energy(self) -> float:
-        return self.k0 * self.k0
-
 
 # ---------------------------------------------------------------------------
 # structure constants
@@ -285,12 +281,6 @@ class KtildeDiscretization:
                    matrix=blocks.transpose(1, 0, 2),
                    n_radial=n_radial, angular_order=angular_order)
 
-    def refined(self, factor: float = 1.5) -> "KtildeDiscretization":
-        return KtildeDiscretization.build(
-            self.scatterer_j, self.scatterer_h, self.z,
-            n_radial=int(math.ceil(self.n_radial * factor)),
-            angular_order=int(math.ceil(self.angular_order * factor)))
-
 
 def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     """Radial Gauss x angular product grid over the effective support ball.
@@ -330,7 +320,10 @@ def schatten4_norm(K: KtildeDiscretization):
     from ``K``'s grid.  Every azimuthal block counts once.
     """
     v1 = _schatten4_of_blocks(K.matrix, np.ones(len(K.matrix)))
-    fine = K.refined().matrix
+    fine = KtildeDiscretization.build(
+        K.scatterer_j, K.scatterer_h, K.z,
+        n_radial=math.ceil(1.5 * K.n_radial),
+        angular_order=math.ceil(1.5 * K.angular_order)).matrix
     v2 = _schatten4_of_blocks(fine, np.ones(len(fine)))
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 

@@ -67,9 +67,7 @@ class Potential:
         elif self.kind == "exponential":
             out = self.v0 * np.exp(-r / self.a)
         else:  # truncated_coulomb; the 1/r core is capped at 1/rc
-            with np.errstate(divide="ignore"):
-                inv = np.where(r > self.rc, np.divide(1.0, np.where(r > 0, r, 1.0)),
-                               1.0 / self.rc)
+            inv = 1.0 / np.maximum(r, self.rc)
             out = self.v0 * inv * np.exp(-r / self.a)
         return out if out.ndim else float(out)
 
@@ -80,21 +78,21 @@ class Potential:
                        1j * np.sqrt(np.clip(-v, 0, None)))
         return out if out.ndim else complex(out)
 
-    def effective_radius(self, cutoff: float = SUPPORT_CUTOFF) -> float:
-        """Radius beyond which |V| < cutoff (exact support for the well)."""
+    def effective_radius(self) -> float:
+        """Radius beyond which |V| < SUPPORT_CUTOFF (exact support for the well)."""
         if self.v0 == 0:
             return 0.0
         av0 = abs(self.v0)
         if self.kind == "square_well":
             return self.a
         if self.kind == "gaussian":
-            return self.a * np.sqrt(max(np.log(av0 / cutoff), 0.0))
+            return self.a * np.sqrt(max(np.log(av0 / SUPPORT_CUTOFF), 0.0))
         if self.kind == "exponential":
-            return self.a * max(np.log(av0 / cutoff), 0.0)
-        # capped coulomb tail: solve v0 e^{-r/a}/r = cutoff by fixed point
-        r = self.a * max(np.log(av0 / cutoff), 1.0)
+            return self.a * max(np.log(av0 / SUPPORT_CUTOFF), 0.0)
+        # capped coulomb tail: solve v0 e^{-r/a}/r = SUPPORT_CUTOFF by fixed point
+        r = self.a * max(np.log(av0 / SUPPORT_CUTOFF), 1.0)
         for _ in range(60):
-            r_new = self.a * np.log(av0 / (cutoff * max(r, self.rc)))
+            r_new = self.a * np.log(av0 / (SUPPORT_CUTOFF * max(r, self.rc)))
             if abs(r_new - r) < 1e-12 * max(r, 1.0):
                 break
             r = max(r_new, self.rc)
@@ -155,9 +153,11 @@ class RollnikDiagnostics:
 #: Gauss-Legendre nodes per panel of the Rollnik rule, and of the coarser
 #: rule whose difference from it is the error estimate.
 _ROLLNIK_NODES = (96, 64)
+#: Largest error estimate accepted, relative to the value.
+_ROLLNIK_REL_TOL = 1e-9
 
 
-def rollnik_check(p: Potential, rel_tol: float = 1e-9) -> RollnikDiagnostics:
+def rollnik_check(p: Potential) -> RollnikDiagnostics:
     """Integrability diagnostics: absolute and square integrability of V.
 
     Both norms are radial integrals over [0, r_max], r_max the effective
@@ -167,9 +167,10 @@ def rollnik_check(p: Potential, rel_tol: float = 1e-9) -> RollnikDiagnostics:
     rule per panel; its error estimate (``l1_residual``, ``l2_residual``,
     the latter for the integral of |V|^2) is the difference from the
     64-node rule, and QuadratureError is raised when it exceeds
-    max(rel_tol * |value|, 1e-10).  A potential is admissible when both
-    norms are finite; the capped-Coulomb core keeps |V|^2 ~ r^{-2}, which
-    is locally integrable in 3D, so all four built-in kinds qualify.
+    max(_ROLLNIK_REL_TOL * |value|, 1e-10).  A potential is admissible
+    when both norms are finite; the capped-Coulomb core keeps |V|^2 ~
+    r^{-2}, which is locally integrable in 3D, so all four built-in kinds
+    qualify.
     """
     r_max = max(p.effective_radius(), p.a)
     inner = sorted(x for x in set(p.breakpoints()) | {r_max / 2} if 0 < x < r_max)
@@ -183,7 +184,7 @@ def rollnik_check(p: Potential, rel_tol: float = 1e-9) -> RollnikDiagnostics:
     (l1, l2sq), (l1_lo, l2sq_lo) = sums
     e1, e2 = abs(l1 - l1_lo), abs(l2sq - l2sq_lo)
     for val, err in ((l1, e1), (l2sq, e2)):
-        if err > max(rel_tol * abs(val), 1e-10):
+        if err > max(_ROLLNIK_REL_TOL * abs(val), 1e-10):
             raise QuadratureError(
                 f"Rollnik quadrature did not converge (residual {err:.2e})",
                 residual=err)
@@ -195,7 +196,7 @@ def rollnik_check(p: Potential, rel_tol: float = 1e-9) -> RollnikDiagnostics:
         l1_residual=float(e1), l2_residual=float(e2))
 
 
-def pair_gap(s1: Scatterer, s2: Scatterer, cutoff: float = SUPPORT_CUTOFF) -> float:
+def pair_gap(s1: Scatterer, s2: Scatterer) -> float:
     """Minimal distance between the two effective supports (negative = overlap)."""
     d = float(np.linalg.norm(s1.center_array - s2.center_array))
-    return d - s1.potential.effective_radius(cutoff) - s2.potential.effective_radius(cutoff)
+    return d - s1.potential.effective_radius() - s2.potential.effective_radius()

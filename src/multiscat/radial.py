@@ -1,13 +1,30 @@
 """Radial Schroedinger solver: scattering phase shifts and on-shell amplitudes.
 
-Integrates u'' = [l(l+1)/r^2 + V(r) - k^2] u outward (units hbar^2/2m = 1)
-with the Numerov scheme on piecewise-uniform grids that are split at the
-potential's breakpoints, then matches the log-derivative at r_match to
+Integrates u'' = w(r) u, w = l(l+1)/r^2 + V(r) - k^2 (units hbar^2/2m = 1),
+outward from r0 ~ 1e-5 to r_match, then matches the log-derivative there to
 
     u(r) -> k r [cos(eta) j_l(kr) - sin(eta) y_l(kr)],
 
 which defines the phase shift eta_l(k).  Returned phase shifts live on the
 branch (-pi/2, pi/2].
+
+One integration plan serves every step size:
+
+* segment bounds sit on the potential's breakpoints, and every stretch
+  with b/a > 2.5 is split in octaves, so each segment sees w vary by a
+  bounded factor;
+* a contiguous classically forbidden run carrying more WKB action than
+  ``_ACTION_KEEP`` is skipped up to its tail, where integration restarts
+  from a WKB initial condition; otherwise it starts from the series
+  u ~ r^{l+1} at r0;
+* each segment is sized from w on 33 probes, with at least 8 steps;
+* within a segment the first lattice value comes from RK4 in 8 substeps,
+  the rest from the Numerov recurrence, and u' at the segment's end from
+  the one-sided 5-point stencil.
+
+The plan is integrated at step scales 1 and 1/2, and the Richardson
+combination of the two removes the h^4 Numerov error, which matters when
+eta itself is tiny (high l, low k).
 
 The on-shell partial-wave amplitude is
 
@@ -41,11 +58,33 @@ def onshell_t_lm(eta: float, k0: float) -> complex:
     return -np.sin(eta) * np.exp(1j * eta) / k0
 
 
-def _numerov_segment(w, r_lo, r_hi, u, up, n):
-    """Numerov integration of u'' = w(r) u over [r_lo, r_hi] with n steps.
+def _branch(eta):
+    """eta reduced to (-pi/2, pi/2]."""
+    if eta > np.pi / 2:
+        eta -= np.pi
+    elif eta <= -np.pi / 2:
+        eta += np.pi
+    return float(eta)
 
-    Starts from (u, u') at r_lo (two lattice values bootstrapped with
-    sub-stepped RK4) and returns (u, u') at r_hi, the derivative from a
+
+def _w(pot: Potential, l: int, k: float, a: float, b: float):
+    """w(r) on [a, b], read a hair inside the ends so that a node on a
+    breakpoint sees the one-sided limit of a discontinuous V."""
+    eps = 1e-13 * max(1.0, b)
+    lo, hi = a + eps, b - eps
+
+    def w(r):
+        r = np.clip(np.asarray(r, dtype=float), lo, hi)
+        return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
+
+    return w
+
+
+def _numerov_segment(w, r_lo, r_hi, u, up, n):
+    """Numerov integration of u'' = w(r) u over [r_lo, r_hi] with n >= 8 steps.
+
+    Starts from (u, u') at r_lo, takes the first lattice value from RK4 in
+    8 substeps and returns (u, u') at r_hi, the derivative from the
     one-sided 5-point stencil.  The solution is renormalised whenever it
     grows large; only the log-derivative survives, which is all matching
     needs.
@@ -54,23 +93,20 @@ def _numerov_segment(w, r_lo, r_hi, u, up, n):
     r = r_lo + h * np.arange(n + 1)
     wv = w(r)
 
-    # RK4 bootstrap for the first two lattice points; w is evaluated once,
-    # on the substep starts (accumulated as x += hh) and their midpoints
-    vals = np.empty(n + 1)
-    vals[0] = u
+    # RK4 over the first step; w is evaluated once, on the substep starts
+    # (accumulated as x += hh) and their midpoints
     sub = 8
     hh = h / sub
-    steps = min(n, 2) * sub
-    xs = np.empty(steps + 1)
+    xs = np.empty(sub + 1)
     xs[0] = r_lo
-    for s in range(steps):
+    for s in range(sub):
         xs[s + 1] = xs[s] + hh
-    ab = np.empty(2 * steps + 1)
+    ab = np.empty(2 * sub + 1)
     ab[0::2] = xs
     ab[1::2] = xs[:-1] + 0.5 * hh
     wb = w(ab)
     y0, y1 = u, up
-    for s in range(steps):
+    for s in range(sub):
         w0, wm, w1 = wb[2 * s], wb[2 * s + 1], wb[2 * s + 2]
         k1a, k1b = y1, w0 * y0
         k2a, k2b = y1 + 0.5 * hh * k1b, wm * (y0 + 0.5 * hh * k1a)
@@ -78,78 +114,59 @@ def _numerov_segment(w, r_lo, r_hi, u, up, n):
         k4a, k4b = y1 + hh * k3b, w1 * (y0 + hh * k3a)
         y0 = y0 + (hh / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
         y1 = y1 + (hh / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        if (s + 1) % sub == 0:
-            vals[(s + 1) // sub] = y0
-    if n == 1:
-        return vals[1], y1
 
+    vals = np.empty(n + 1)
+    vals[0], vals[1] = u, y0
     c = 1.0 - (h * h / 12.0) * wv
     g = 2.0 * (1.0 + 5.0 * h * h / 12.0 * wv)
-    scale = 0.0
     for i in range(1, n):
         nxt = (g[i] * vals[i] - c[i - 1] * vals[i - 1]) / c[i + 1]
         vals[i + 1] = nxt
         if abs(nxt) > 1e120:
             vals[: i + 2] /= abs(nxt)
-            scale += np.log(abs(nxt))
     if not np.isfinite(vals[n]):
         raise StepControlError("Numerov segment produced non-finite values",
                                residual=vals[n])
 
-    m = min(n, 4)
-    stencils = {
-        1: ([-1.0, 1.0], 1.0),
-        2: ([1.0, -4.0, 3.0], 2.0),
-        3: ([-2.0, 9.0, -18.0, 11.0], 6.0),
-        4: ([3.0, -16.0, 36.0, -48.0, 25.0], 12.0),
-    }
-    coef, den = stencils[m]
-    up_end = sum(cij * vals[n - m + j] for j, cij in enumerate(coef)) / (den * h)
+    up_end = (3.0 * vals[n - 4] - 16.0 * vals[n - 3] + 36.0 * vals[n - 2]
+              - 48.0 * vals[n - 1] + 25.0 * vals[n]) / (12.0 * h)
     return vals[n], up_end
 
 
-def _segments(pot: Potential, l: int, k: float, r_match: float, step_scale: float):
-    """Piecewise-uniform integration plan.
+def _segments(pot: Potential, l: int, k: float, r_match: float):
+    """Integration plan shared by every step size.
 
-    Returns ``(segments, r0, wkb_start)`` where segments are (r_lo, r_hi, n)
-    triples.  Segment boundaries sit on the potential's breakpoints, with
-    dyadic refinement towards the origin for the centrifugal term.  A
-    contiguous classically-forbidden stretch carrying more WKB action than
-    _ACTION_KEEP is skipped up to its tail: the regular solution forgets
-    its start across such a stretch (the admixture of the decaying branch
-    is suppressed by exp(-2 action)), so integration restarts there from a
-    WKB initial condition.
+    Returns ``(bounds, r0, wkb_start)``: the (r_lo, r_hi) pairs to
+    integrate, the series start radius, and whether the first pair starts
+    from a WKB initial condition.  Pair ends sit on the potential's
+    breakpoints above r0, with every stretch split in octaves while
+    b/a > 2.5.  A contiguous classically-forbidden stretch carrying more
+    WKB action than _ACTION_KEEP is skipped up to its tail: the regular
+    solution forgets its start across such a stretch (the admixture of the
+    decaying branch is suppressed by exp(-2 action)), so integration
+    restarts there.
     """
-    bps = sorted({b for b in pot.breakpoints() if b < r_match})
-    edges = [0.0] + bps + [r_match]
     r0 = min(1e-5 * max(pot.a, 1.0 / k), 1e-4)
+    bps = sorted({b for b in pot.breakpoints() if r0 < b < r_match})
 
-    def w(r):
-        r = np.clip(np.asarray(r, dtype=float), r0, None)
-        return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
-
-    # geometry first: dyadic split of the innermost stretch, then breakpoints
     bounds = []
-    first_end = edges[1]
-    lo = r0
-    while first_end / lo > 2.5:
-        bounds.append((lo, lo * 2.0))
-        lo *= 2.0
-    bounds.append((lo, first_end))
-    for a, b in zip(edges[1:-1], edges[2:]):
-        if b > a:
-            bounds.append((a, b))
+    for a, b in zip([r0] + bps, bps + [r_match]):
+        while b / a > 2.5:
+            bounds.append((a, a * 2.0))
+            a *= 2.0
+        bounds.append((a, b))
 
     # WKB action bookkeeping over contiguous fully-forbidden runs
     probes = []
     for a, b in bounds:
         xs = np.linspace(a, b, 129)
-        wv = w(np.clip(xs, a + 1e-13 * max(1.0, b), b - 1e-13 * max(1.0, b)))
+        wv = _w(pot, l, k, a, b)(xs)
         forbidden = bool(wv.min() > 0)
-        action = float(np.trapezoid(np.sqrt(np.clip(wv, 0.0, None)), xs)) if forbidden else 0.0
-        probes.append((forbidden, action, xs, np.sqrt(np.clip(wv, 0.0, None))))
+        sq = np.sqrt(np.clip(wv, 0.0, None))
+        action = float(np.trapezoid(sq, xs)) if forbidden else 0.0
+        probes.append((forbidden, action, xs, sq))
 
-    start_idx, start_r, wkb_start = 0, None, False
+    start_idx, start_r = 0, None
     i = 0
     while i < len(bounds):
         if not probes[i][0]:
@@ -175,60 +192,44 @@ def _segments(pot: Potential, l: int, k: float, r_match: float, step_scale: floa
                     frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
                     start_idx = kk
                     start_r = float(xs[idx - 1] + frac * (xs[idx] - xs[idx - 1]))
-                    wkb_start = True
                     break
                 remaining -= probes[kk][1]
         i = j
 
-    def plan(a, b):
-        rr = np.linspace(a, b, 33)
-        wv = w(np.clip(rr, a + 1e-13 * max(1.0, b), b - 1e-13 * max(1.0, b)))
-        s_osc = np.sqrt(max(-wv.min(), 0.0))
-        s_grow = np.sqrt(max(wv.max(), 0.0))
-        h = (b - a) / 16.0
-        if s_osc > 0:
-            h = min(h, 0.012 * step_scale / s_osc)
-        if s_grow > 0:
-            h = min(h, 0.04 * step_scale / s_grow)
-        n = int(np.ceil((b - a) / h))
-        if n > 400_000:
-            raise StepControlError(
-                f"step control wants {n} nodes on [{a:.3g},{b:.3g}]; "
-                "refusing (adjust step_scale or the scenario)")
-        return max(n, 8)
-
-    segs = []
-    for idx in range(start_idx, len(bounds)):
-        a, b = bounds[idx]
-        if idx == start_idx and start_r is not None:
-            a = start_r
-        if b > a:
-            segs.append((a, b, plan(a, b)))
-    return segs, r0, wkb_start
+    if start_r is not None:
+        bounds[start_idx] = (start_r, bounds[start_idx][1])
+    return [(a, b) for a, b in bounds[start_idx:] if b > a], r0, start_r is not None
 
 
-def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = None,
-                step_scale: float = 1.0, richardson: bool = True) -> float:
+def _steps(w, a: float, b: float, scale: float) -> int:
+    """Numerov steps on [a, b], at least 8.
+
+    The step h is at most (b - a) / 16, 0.012 scale / sqrt(-w) where w < 0
+    and 0.04 scale / sqrt(w) where w > 0, over w on 33 probes.
+    """
+    wv = w(np.linspace(a, b, 33))
+    s_osc = np.sqrt(max(-wv.min(), 0.0))
+    s_grow = np.sqrt(max(wv.max(), 0.0))
+    h = (b - a) / 16.0
+    if s_osc > 0:
+        h = min(h, 0.012 * scale / s_osc)
+    if s_grow > 0:
+        h = min(h, 0.04 * scale / s_grow)
+    n = int(np.ceil((b - a) / h))
+    if n > 400_000:
+        raise StepControlError(
+            f"step control wants {n} nodes on [{a:.3g},{b:.3g}]; refusing")
+    return max(n, 8)
+
+
+def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = None) -> float:
     """Scattering phase shift eta_l(k), reduced to (-pi/2, pi/2].
 
     r_match defaults to slightly beyond the effective support.  Passing an
-    r_match inside the support is a configuration error.  By default the
-    h^4 Numerov error is removed by a step-halving Richardson combination,
-    which matters when eta itself is tiny (high l, low k).
+    r_match inside the support is a configuration error.  The value is the
+    Richardson combination of one integration plan run at step scales 1
+    and 1/2.
     """
-    if richardson:
-        full = phase_shift(pot, l, k, r_match=r_match, step_scale=step_scale,
-                           richardson=False)
-        half = phase_shift(pot, l, k, r_match=r_match, step_scale=0.5 * step_scale,
-                           richardson=False)
-        d = half - full
-        d = (d + np.pi / 2) % np.pi - np.pi / 2
-        eta = half + d / 15.0
-        if eta > np.pi / 2:
-            eta -= np.pi
-        elif eta <= -np.pi / 2:
-            eta += np.pi
-        return float(eta)
     if k <= 0:
         raise ValueError("k must be positive")
     if l < 0:
@@ -240,32 +241,17 @@ def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = Non
         raise ValueError(f"r_match={r_match} lies inside the effective support "
                          f"(radius {r_eff:.4g})")
 
-    segs, r0, wkb_start = _segments(pot, l, k, r_match, step_scale)
-
-    def w_oneside(lo, hi):
-        # clip evaluation points a hair inside the segment so boundary nodes
-        # see the one-sided limit of a discontinuous V
-        eps = 1e-13 * max(1.0, hi)
-
-        def w(r):
-            r = np.clip(np.asarray(r, dtype=float), max(lo + eps, r0), hi - eps)
-            return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
-
-        return w
+    bounds, r0, wkb_start = _segments(pot, l, k, r_match)
+    ws = [_w(pot, l, k, a, b) for a, b in bounds]
+    plans = [[_steps(w, a, b, s) for w, (a, b) in zip(ws, bounds)] for s in (1.0, 0.5)]
 
     if wkb_start:
-        r_s = segs[0][0]
-        u, up = 1.0, float(np.sqrt(w_oneside(r_s, segs[0][1])(r_s)))
+        u0, up0 = 1.0, float(np.sqrt(ws[0](bounds[0][0])))
     else:
         # series start u ~ r^{l+1} (1 + c2 r^2), normalised to u(r0) = 1
         c2 = (pot.evaluate(r0) - k * k) / (2.0 * (2 * l + 3))
-        u = 1.0
-        up = (l + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
-
-    for (a, b, n) in segs:
-        u, up = _numerov_segment(w_oneside(a, b), a, b, u, up, n)
-        if abs(u) > 1e100 or abs(up) > 1e100:
-            u, up = u / abs(u), up / abs(u)
+        u0 = 1.0
+        up0 = (l + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
 
     # log-derivative match against Riccati-Bessel combinations
     x = k * r_match
@@ -275,12 +261,17 @@ def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = Non
     yl, ylp = Y[l], bessel_derivative(Y, x)[l]
     rj, rjp = x * jl, jl + x * jlp      # (x j_l) and d/dx (x j_l)
     ry, ryp = x * yl, yl + x * ylp
-    gamma = up / u
-    num = k * rjp - gamma * rj
-    den = k * ryp - gamma * ry
-    eta = np.arctan2(num, den)
-    if eta > np.pi / 2:
-        eta -= np.pi
-    elif eta <= -np.pi / 2:
-        eta += np.pi
-    return float(eta)
+
+    def integrate(steps):
+        u, up = u0, up0
+        for w, (a, b), n in zip(ws, bounds, steps):
+            u, up = _numerov_segment(w, a, b, u, up, n)
+            if abs(u) > 1e100 or abs(up) > 1e100:
+                u, up = u / abs(u), up / abs(u)
+        gamma = up / u
+        return _branch(np.arctan2(k * rjp - gamma * rj, k * ryp - gamma * ry))
+
+    full, half = (integrate(steps) for steps in plans)
+    d = half - full
+    d = (d + np.pi / 2) % np.pi - np.pi / 2
+    return _branch(half + d / 15.0)

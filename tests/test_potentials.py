@@ -43,6 +43,11 @@ def test_truncated_coulomb_cap():
     assert p.evaluate(0.0) == pytest.approx(-10.0)
     assert p.evaluate(0.05) == pytest.approx(-10.0 * np.exp(-0.05))
     assert p.evaluate(0.5) == pytest.approx(-2.0 * np.exp(-0.5))
+    # 1/r is never formed below rc: r = 0 and a subnormal r neither divide
+    # by zero nor overflow
+    with np.errstate(all="raise"):
+        assert np.all(p.evaluate(np.array([0.0, 5e-324])) == -1.0 * (1.0 / 0.1))
+        assert p.evaluate(5e-324) == -1.0 * (1.0 / 0.1)
 
 
 def test_invalid_construction():
@@ -148,7 +153,7 @@ def test_rollnik_gate_fails_on_a_panel_straddling_a_breakpoint(monkeypatch, p):
     if p.kind == "square_well":
         # at its own r_max = a the jump sits on the last panel's end; a
         # wider support puts it inside a panel, which the breakpoint splits
-        monkeypatch.setattr(Potential, "effective_radius", lambda self, cutoff=0: 1.5 * self.a)
+        monkeypatch.setattr(Potential, "effective_radius", lambda self: 1.5 * self.a)
         assert rollnik_check(p).l1_norm == pytest.approx(4 * np.pi / 3, rel=1e-12)
     monkeypatch.setattr(Potential, "breakpoints", lambda self: [])
     with pytest.raises(QuadratureError) as exc:

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn
 
 from multiscat.potentials import gaussian, square_well, truncated_coulomb
-from multiscat.radial import onshell_t_lm, phase_shift
+from multiscat.radial import _numerov_segment, onshell_t_lm, phase_shift
 
 
 def square_well_eta0_oracle(v0, a, k):
@@ -55,11 +55,41 @@ def test_hard_sphere_limit(l):
 
 
 def test_matching_radius_independence():
-    for pot in (gaussian(-1.0, 1.0), truncated_coulomb(-1.0, 1.0, 0.1)):
+    # the rc = 0.01 core puts three decades between rc and r_match at high
+    # l, which only a plan split in octaves integrates under the step cap
+    small_core = truncated_coulomb(-1.0, 1.0, 0.01)
+    for pot, l in ((gaussian(-1.0, 1.0), 1), (truncated_coulomb(-1.0, 1.0, 0.1), 1),
+                   (small_core, 3), (small_core, 8)):
         r_eff = pot.effective_radius()
-        e1 = phase_shift(pot, 1, 1.0)
-        e2 = phase_shift(pot, 1, 1.0, r_match=1.5 * r_eff)
+        e1 = phase_shift(pot, l, 1.0)
+        e2 = phase_shift(pot, l, 1.0, r_match=1.5 * r_eff)
         assert abs(e1 - e2) < 1e-8
+
+
+def test_core_inside_series_start():
+    # integration starts at r0 = 1e-5 here; the two cores differ only
+    # inside r < 2e-5, which moves eta_0 by O(k (2e-5)^2) ~ 1e-10
+    inner = phase_shift(truncated_coulomb(-1.0, 1.0, 1e-6), 0, 1.0)
+    outer = phase_shift(truncated_coulomb(-1.0, 1.0, 2e-5), 0, 1.0)
+    assert abs(inner - outer) < 1e-8
+
+
+def test_numerov_segment_free_wave_is_fourth_order():
+    # u'' = -k^2 u from (sin k r, k cos k r): the RK4 first step and the
+    # 5-point end slope both keep u and u' at r_hi fourth order in h
+    k, lo, hi = 1.3, 0.4, 2.9
+
+    def w(r):
+        return np.full(np.shape(r), -k * k)
+
+    errs = []
+    for n in (64, 128):
+        u, up = _numerov_segment(w, lo, hi, np.sin(k * lo), k * np.cos(k * lo), n)
+        errs.append((abs(u - np.sin(k * hi)), abs(up - k * np.cos(k * hi))))
+    (u64, up64), (u128, up128) = errs
+    assert u128 < 3e-9 and up128 < 1.2e-7
+    assert 14 < u64 / u128 < 18
+    assert 14 < up64 / up128 < 18
 
 
 def test_r_match_inside_support_is_config_error():
