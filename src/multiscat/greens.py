@@ -28,17 +28,19 @@ single matrix product on a Gauss-Legendre rule, and ``_g_block`` contracts
 it over L.  ``structure_constants`` calls it for each (m, m') whose
 Y_LM(R^) column is nonzero (only m = m' when R lies on the z axis); the
 spectral Schatten norm calls it once per m with R along z and never builds
-the dense matrix.  The triangle and parity zeros of the Gaunt table are
+the dense matrix.  The Gaunt table does not depend on k, so the spectral
+norm builds each m's table once for all its k and slices it for the
+smaller truncations.  The triangle and parity zeros of the Gaunt table are
 imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
 entry would be amplified past every allowed one.
 
-Both Schatten-4 norms go through one helper, ``_schatten4_of_blocks``,
-which sums (sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} over per-m blocks.  The
-spectral norm (disjoint supports) passes the |V|-weighted blocks g_m with R
-along z, counting the +/-m pair twice.  The grid norm (overlapping
-supports) passes the azimuthal Fourier blocks of the quadrature-discretised
-kernel, each once; they come from the kernel's first phi column on ball
+Both Schatten-4 norms are (sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} over
+per-m blocks, each term from one helper, ``_sigma4``.  The spectral norm
+(disjoint supports) sums the |V|-weighted blocks g_m with R along z,
+counting the +/-m pair twice.  The grid norm (overlapping supports) sums
+the azimuthal Fourier blocks of the quadrature-discretised kernel, each
+once; they come from the kernel's first phi column on ball
 grids built with R on the polar axis, so the value does not depend on the
 pair's orientation and no (n_nodes x n_nodes) matrix is formed.
 """
@@ -178,18 +180,19 @@ def _outgoing_waves(k: float, R, Lmax: int) -> np.ndarray:
     return np.repeat(coef, 2 * Ls + 1) * np.conj(ylm_table(Lmax, Rv))
 
 
-def _g_block(k: float, c: np.ndarray, m: int, mp: int, lmax: int) -> np.ndarray:
+def _g_block(k: float, c: np.ndarray, G: np.ndarray, m: int, mp: int,
+             lmax: int) -> np.ndarray:
     """Structure constants g_{lm;l'm'} of one azimuthal pair (m, m').
 
     Rows run over l = |m|..lmax and columns over l' = |m'|..lmax; ``c`` is
-    ``_outgoing_waves(k, R, 2 lmax)``.  The phase i^{l+l'-L} factorises, so
-    the L-sum is one contraction of the Gaunt table with c.
+    ``_outgoing_waves(k, R, 2 lmax)`` and ``G`` is ``_gaunt_integrals(m, m',
+    lmax)``.  The phase i^{l+l'-L} factorises, so the L-sum is one
+    contraction of the Gaunt table with c.
     """
     M = m - mp
     ls = np.arange(abs(m), lmax + 1)
     lps = np.arange(abs(mp), lmax + 1)
     cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]
-    G = _gaunt_integrals(m, mp, lmax)
     # two real products: G is never copied to complex
     contracted = G @ cM.real + 1j * (G @ cM.imag)
     # (-1)^l: the origin-side argument enters the translation formula
@@ -223,7 +226,8 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
             if not np.any(c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]):
                 continue
             cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
-            g[np.ix_(rows, cols)] = _g_block(k0, c, m, mp, lmax)
+            g[np.ix_(rows, cols)] = _g_block(k0, c, _gaunt_integrals(m, mp, lmax),
+                                             m, mp, lmax)
     return StructureConstantMatrix(k0=k0, R=R, lmax=lmax, matrix=g)
 
 
@@ -231,14 +235,13 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
 # discretised two-center kernel and Schatten-4 norms
 # ---------------------------------------------------------------------------
 
-def _schatten4_of_blocks(blocks, mult) -> float:
-    """(sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} = (sum sigma^4)^{1/4}.
+def _sigma4(B: np.ndarray) -> float:
+    """||B^H B||_F^2, the sum of the fourth powers of B's singular values.
 
-    The Schatten-4 norm of an operator that is unitarily block-diagonal,
-    with block B_m occurring mult_m times.
+    A Schatten-4 norm of an operator that is unitarily block-diagonal is
+    (sum over its blocks of _sigma4)^{1/4}.
     """
-    return sum(w * float(np.sum(np.abs(B.conj().T @ B) ** 2))
-               for B, w in zip(blocks, mult)) ** 0.25
+    return float(np.sum(np.abs(B.conj().T @ B) ** 2))
 
 
 @dataclass
@@ -319,12 +322,12 @@ def schatten4_norm(K: KtildeDiscretization):
     1.5x in both radial and angular resolution, and its relative change
     from ``K``'s grid.  Every azimuthal block counts once.
     """
-    v1 = _schatten4_of_blocks(K.matrix, np.ones(len(K.matrix)))
+    v1 = sum(_sigma4(B) for B in K.matrix) ** 0.25
     fine = KtildeDiscretization.build(
         K.scatterer_j, K.scatterer_h, K.z,
         n_radial=math.ceil(1.5 * K.n_radial),
         angular_order=math.ceil(1.5 * K.angular_order)).matrix
-    v2 = _schatten4_of_blocks(fine, np.ones(len(fine)))
+    v2 = sum(_sigma4(B) for B in fine) ** 0.25
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
@@ -347,47 +350,55 @@ def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarra
     return (J * J) @ ws
 
 
-def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, k: float,
-                            R_len: float):
-    """Schatten-4 norm for non-overlapping spherical scatterers, any k.
+def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
+                            R_len: float) -> list:
+    """Schatten-4 norms for non-overlapping spherical scatterers at every k in ``ks``.
 
     Uses the displaced spherical-wave factorisation: in a frame with R
     along z the kernel block-diagonalises in the azimuthal index m, and
     its singular values are those of diag(sqrt(nu_l)) g_m diag(sqrt(nu_l'))
     per block, where nu_l are |V|-weighted Bessel moments.  Exact up to the
-    l-truncation, which the returned delta monitors.
+    l-truncation, which the returned delta monitors: one ``(value, delta)``
+    per k, the value at lmax + 8 and the delta its relative change from
+    lmax.  The Gaunt tables do not depend on k, so each m's table is built
+    once, at the largest truncation any k needs, sliced for the others and
+    contracted against every k's outgoing waves before the next m.
     """
     if pot_j.effective_radius() + pot_h.effective_radius() >= R_len:
         raise ValueError("spectral Schatten norm requires non-overlapping supports")
-    ka = k * max(pot_j.effective_radius(), pot_h.effective_radius())
+    ks = [float(k) for k in ks]
     # past l ~ ka the coupled entries decay geometrically with ratio
     # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
     ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
     pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
-    lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad, _SPECTRAL_LMAX_CAP)
-    blocks = _zaxis_blocks(k, R_len, lmax + 8)
-
-    def total(lm, n_rad):
-        root_j = np.sqrt(_nu_weights(pot_j, k, lm, n_rad))
-        root_h = np.sqrt(_nu_weights(pot_h, k, lm, n_rad))
-        weighted = [root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1]
-                    * root_h[None, m:] for m in range(lm + 1)]
-        # the +m and -m blocks coincide
-        return _schatten4_of_blocks(weighted, [1.0] + [2.0] * lm)
-
-    v1 = total(lmax, _SPECTRAL_RADIAL_NODES)
-    v2 = total(lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)
-    return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
-
-
-def _zaxis_blocks(k: float, R_len: float, lmax: int):
-    """m-diagonal structure-constant blocks in the frame with R along z.
-
-    Returns a list over m = 0..lmax of arrays g[l - m, l' - m]; the +/-m
-    blocks coincide.
-    """
-    c = _outgoing_waves(k, (0.0, 0.0, R_len), 2 * lmax)
-    return [_g_block(k, c, m, m, lmax) for m in range(lmax + 1)]
+    r_max = max(pot_j.effective_radius(), pot_h.effective_radius())
+    lmaxes = [min(int(k * r_max + 4.0 * (k * r_max + 1.0) ** (1.0 / 3.0)) + pad,
+                  _SPECTRAL_LMAX_CAP) for k in ks]
+    # per k, (truncation, sqrt nu_j, sqrt nu_h) of the coarse estimate and of
+    # the refined one (8 more l's, 3/2 the radial nodes)
+    levels = [[(lm, np.sqrt(_nu_weights(pot_j, k, lm, n_rad)),
+                np.sqrt(_nu_weights(pot_h, k, lm, n_rad)))
+               for lm, n_rad in ((lmax, _SPECTRAL_RADIAL_NODES),
+                                 (lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2))]
+              for k, lmax in zip(ks, lmaxes)]
+    waves = [_outgoing_waves(k, (0.0, 0.0, R_len), 2 * (lmax + 8))
+             for k, lmax in zip(ks, lmaxes)]
+    top = max(lmaxes) + 8
+    sums = np.zeros((len(ks), 2))
+    for m in range(top + 1):
+        G = _gaunt_integrals(m, m, top)
+        for i, (k, lmax, c) in enumerate(zip(ks, lmaxes, waves)):
+            L = lmax + 8
+            if m > L:
+                continue
+            g = _g_block(k, c, G[:L - m + 1, :L - m + 1, :2 * L + 1], m, m, L)
+            for level, (lm, root_j, root_h) in enumerate(levels[i]):
+                if m <= lm:
+                    # the +m and -m blocks coincide
+                    sums[i, level] += (1.0 if m == 0 else 2.0) * _sigma4(
+                        root_j[m:, None] * g[:lm - m + 1, :lm - m + 1] * root_h[None, m:])
+    v1, v2 = sums.T ** 0.25
+    return [(float(b), float(abs(b - a) / max(abs(b), 1e-300))) for a, b in zip(v1, v2)]
 
 
 def schatten4_decay_diagnostic(k_values, norms) -> dict:

@@ -15,21 +15,33 @@ amplitude: t_l(k0, k0; k0^2 + i0) = (2/pi) * [-sin(eta_l) e^{i eta_l} / k0].
 That consistency (solved off-shell equation vs. radial phase shift) is
 enforced by the test-suite, which pins every convention in this module.
 
-For eps > 0 the resolvent denominator is smooth and Nystrom collocation
-on a panelled Gauss grid q_i (weights w_i) gives, with S = diag(sqrt(w) q)
-and the real symmetric H = diag(q^2) + S V_gg S = Q diag(lambda) Q^T,
+V_l is assembled once, on a panelled Gauss radial rule r (weights w_r):
+``vl_factors`` returns J[r, i] = j_l(p_i r) and c = (2/pi) w_r r^2 V(r), and
+``vl_matrix`` is J^T diag(c) J, so V_l has rank at most n_r.  For eps > 0
+Nystrom collocation on a panelled Gauss momentum grid q_i (weights w_i),
+plus the on-shell point k0, is then a separable-expansion problem (Ernst,
+Shakin and Thaler, Phys. Rev. C 8 (1973) 46) that is exact for this
+discretised operator: with V = B^T C B,
 
-    t_l(z) = V + U diag(1 / (z - lambda)) U^T,   U = V[:, grid] S Q,
+    t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,
+    A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T,
 
-on the grid nodes plus the on-shell point.  H does not depend on z, so one
-``ls_spectrum`` (one ``eigh``) per (potential, l) serves every eps; the
-engine reads all its half-shell columns, on-shell elements and Born-3
-blocks from it.  ``solve_offshell_t`` is the direct route: one LU solve of
-the collocation system per z.  For eps = 0 it handles the principal value
-by on-shell subtraction (Haftel-Tabakin: regularised integrand plus an
-analytic counter-term and the -i pi k0/2 half-residue).  It serves as the
-independent reference: the tests, and the engine's one cross-check per
-distinct potential, compare the spectral columns against it.
+B_g the grid columns of B.  ``ls_spectrum`` takes (B, C) = (J, diag(c))
+when n_r <= n + 1, else (I, V) (the exponential and truncated-Coulomb
+rules are longer than the grid), so every solve runs in the smaller rank.
+It solves every eps of a run in one batched ``np.linalg.solve`` and gates
+each: max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.
+One ``eigvalsh`` of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q)) gives
+the grid spectrum behind the engine's health numbers: bound-state counts
+and the level spacing near k0^2.  The engine reads all its half-shell
+columns, on-shell elements and Born-3 blocks from these solves, and no
+(n x n) table is formed.  ``solve_offshell_t`` is the direct route: one LU
+solve of the full collocation system per z.  For eps = 0 it handles the
+principal value by on-shell subtraction (Haftel-Tabakin: regularised
+integrand plus an analytic counter-term and the -i pi k0/2 half-residue).
+It serves as the independent reference: the tests, and the engine's one
+cross-check per distinct potential, compare the factorised columns
+against it.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from multiscat.specfun import bessel_j, gauss_panels
 
 
 class PoleProximityError(RuntimeError):
-    """The LS solve or eigendecomposition is inaccurate: z may sit near a bound-state pole."""
+    """The LS solve is inaccurate: z may sit near a bound-state pole."""
 
 
 @dataclass(frozen=True)
@@ -125,56 +137,75 @@ def _radial_rule(pot: Potential, p_top: float, scale: int):
                                for a, b in zip(full[:-1], full[1:])])
 
 
-def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
-    """V_l(p_i, p_j) = (2/pi) integral j_l(p_i r) V(r) j_l(p_j r) r^2 dr."""
+def vl_factors(pot: Potential, l: int, momenta, scale: int = 1):
+    """(J, c) with V_l(p_i, p_j) = sum_r J[r, i] c[r] J[r, j] on the radial rule.
+
+    J[r, i] = j_l(p_i r) and c = (2/pi) w r^2 V(r) on the panelled Gauss
+    nodes r of ``_radial_rule``, so V_l has rank at most the node count.
+    """
     momenta = np.asarray(momenta, dtype=float)
     rs, ws = _radial_rule(pot, float(momenta.max()), scale)
     # j_l alone: no (l + 1, n_r, n_q) table of the lower orders is formed
     J = bessel_j(l, np.outer(rs, momenta))
-    core = ws * rs * rs * pot.evaluate(rs)
-    out = (2.0 / np.pi) * (J.T * core) @ J
+    return J, (2.0 / np.pi) * ws * rs * rs * pot.evaluate(rs)
+
+
+def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
+    """V_l(p_i, p_j) = (2/pi) integral j_l(p_i r) V(r) j_l(p_j r) r^2 dr, as J^T C J."""
+    return _jcj(*vl_factors(pot, l, momenta, scale))
+
+
+def _jcj(J: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The symmetric J^T diag(c) J."""
+    out = (J.T * c) @ J
     return 0.5 * (out + out.T)
 
 
 # ---------------------------------------------------------------------------
-# spectral form for eps > 0
+# factorised solves for eps > 0
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LSSpectrum:
-    """t_l(p, p'; z) = V + U diag(1/(z - lam)) U^T for every z with Im z > 0.
+    """t_l(p, p'; k0^2 + i eps) = B^T X(eps) B from solves in the rank of V_l.
 
-    Rows and columns run over the grid nodes plus the on-shell point k0
-    (the last index).  ``residual`` is the eigen-residual of H.
+    Rows and columns of t run over the grid nodes plus the on-shell point k0
+    (the last column of B).  ``X`` holds the solves at the eps values
+    ``eps``; any other eps > 0 is solved when asked for and not kept.
+    ``lam`` are the eigenvalues of H = diag(q^2) + S V S (the grid
+    spectrum, for the health numbers) and ``residual`` the worst solve
+    residual.
     """
 
+    B: np.ndarray = field(repr=False)         # (r, n + 1) real
+    C: np.ndarray = field(repr=False)         # (r, r) real symmetric
+    grid: MomentumGrid = field(repr=False)
+    eps: tuple
+    X: np.ndarray = field(repr=False)         # (len(eps), r, r) complex
     lam: np.ndarray = field(repr=False)       # eigenvalues of H, ascending
-    U: np.ndarray = field(repr=False)         # (n + 1, n)
-    V: np.ndarray = field(repr=False)         # (n + 1, n + 1)
     residual: float
 
-    def _resolvent(self, z: complex) -> np.ndarray:
-        if not z.imag > 0:
-            raise ValueError("the spectral form needs Im z > 0; "
-                             "use solve_offshell_t for eps = 0")
-        return 1.0 / (z - self.lam)
+    def _x(self, eps: float) -> np.ndarray:
+        if eps in self.eps:
+            return self.X[self.eps.index(eps)]
+        return _solve(self.B, self.C, self.grid, (eps,))[0][0]
 
-    def half_shell(self, z: complex) -> np.ndarray:
-        """t_l(p_i, k0; z) for all momenta (the symmetric half-shell column)."""
-        return self.V[:, -1] + _times_real(self.U[-1] * self._resolvent(z), self.U.T)
+    def half_shell(self, eps: float) -> np.ndarray:
+        """t_l(p_i, k0; k0^2 + i eps) for all momenta (the symmetric half-shell column)."""
+        return _times_real(self._x(eps) @ self.B[:, -1], self.B)
 
-    def on_shell(self, z: complex) -> complex:
-        """t_l(k0, k0; z), the last entry of the half-shell column."""
-        return complex(self.half_shell(z)[-1])
+    def on_shell(self, eps: float) -> complex:
+        """t_l(k0, k0; k0^2 + i eps)."""
+        b = self.B[:, -1]
+        return complex(b @ self._x(eps) @ b)
 
-    def grid_sandwich(self, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
-        """sum_{m,i,k} a[m, i] t_l(q_i, q_k; z) b[m, k] over the grid nodes.
+    def grid_sandwich(self, a: np.ndarray, b: np.ndarray, eps: float) -> complex:
+        """sum_{m,i,k} a[m, i] t_l(q_i, q_k; k0^2 + i eps) b[m, k] over the grid nodes.
 
-        Evaluated from the spectrum, without forming the table.
+        Evaluated in the rank of the factors, without forming the table.
         """
-        U = self.U[:-1]
-        return complex(np.sum(_times_real(a, self.V[:-1, :-1]) * b)
-                       + np.sum(_times_real(a, U) * self._resolvent(z) * _times_real(b, U)))
+        Bg = self.B[:, :-1].T
+        return complex(np.sum((_times_real(a, Bg) @ self._x(eps)) * _times_real(b, Bg)))
 
 
 def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -182,23 +213,60 @@ def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return x.real @ M + 1j * (x.imag @ M)
 
 
-def ls_spectrum(pot: Potential, l: int, grid: MomentumGrid) -> LSSpectrum:
-    """One symmetric eigendecomposition behind t_l(z) at every eps > 0.
+def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps) -> tuple:
+    """X(z) solving (I - C A(z)) X = C at every z = k0^2 + i eps, in one batched solve.
 
-    Raises PoleProximityError when the eigen-residual
-    max|HQ - Q Lambda| / max|H| exceeds 1e-8.
+    A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T, B_g the grid columns of B.
+    Returns (X, worst residual); raises PoleProximityError when
+    max|(I - C A) X - C| / max|C| exceeds 1e-8 at any z.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(eps > 0):
+        raise ValueError("the factorised solve needs eps > 0; "
+                         "use solve_offshell_t for eps = 0")
+    q = grid.nodes
+    Bg = B[:, :-1]
+    d = grid.weights * q * q / ((grid.k0 ** 2 + 1j * eps)[:, None] - q * q)
+    CB = C @ Bg
+    # C A(z) from two real products per z
+    L = np.eye(C.shape[0]) - ((CB * d.real[:, None, :]) @ Bg.T
+                              + 1j * ((CB * d.imag[:, None, :]) @ Bg.T))
+    try:
+        X = np.linalg.solve(L, np.broadcast_to(C, L.shape))
+    except np.linalg.LinAlgError as exc:
+        raise PoleProximityError(f"LS system singular: {exc}") from exc
+    scale = max(np.max(np.abs(C)), 1e-300)
+    resid = np.max(np.abs(L @ X - C), axis=(1, 2)) / scale
+    if not np.all(resid <= 1e-8):
+        worst = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
+        raise PoleProximityError(
+            f"LS solve inaccurate at eps={eps[worst]:.3g} (residual {resid[worst]:.2e}); "
+            "z may sit near a bound-state pole")
+    return X, float(np.max(resid))
+
+
+def ls_spectrum(pot: Potential, l: int, grid: MomentumGrid, eps) -> LSSpectrum:
+    """t_l at every eps in ``eps`` from one batched solve in the rank of V_l.
+
+    V_l = J^T C J on the radial rule (``vl_factors``).  With n_r radial
+    nodes and n grid nodes, the factors are (B, C) = (J, diag(c)) when
+    n_r <= n + 1, else (I, V_l): the solves run in the smaller of the two
+    ranks.  One eigvalsh of H gives the grid spectrum behind the health
+    numbers.  Raises PoleProximityError when a solve residual exceeds 1e-8.
     """
     q = grid.nodes
-    V = vl_matrix(pot, l, np.concatenate([q, [grid.k0]]))
-    s = np.sqrt(grid.weights) * q
-    H = s[:, None] * V[:-1, :-1] * s
+    J, c = vl_factors(pot, l, np.concatenate([q, [grid.k0]]))
+    if J.shape[0] <= J.shape[1]:
+        B, C = J, np.diag(c)
+    else:
+        B, C = np.eye(q.size + 1), _jcj(J, c)
+    eps = tuple(eps)
+    X, resid = _solve(B, C, grid, eps)
+    G = B[:, :-1] * (np.sqrt(grid.weights) * q)
+    H = G.T @ C @ G
     H[np.diag_indices_from(H)] += q * q
-    lam, Q = np.linalg.eigh(H)
-    resid = np.max(np.abs(H @ Q - Q * lam)) / max(np.max(np.abs(H)), 1e-300)
-    if not resid <= 1e-8:
-        raise PoleProximityError(
-            f"LS eigendecomposition inaccurate for l={l} (residual {resid:.2e})")
-    return LSSpectrum(lam=lam, U=(V[:, :-1] * s) @ Q, V=V, residual=float(resid))
+    return LSSpectrum(B=B, C=C, grid=grid, eps=eps, X=X, lam=np.linalg.eigvalsh(H),
+                      residual=resid)
 
 
 # ---------------------------------------------------------------------------

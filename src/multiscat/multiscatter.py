@@ -203,14 +203,16 @@ class ScenarioEngine:
 
     The constructor builds everything that depends only on the scenario:
     the momentum grid, the engine's one angular rule and the principal-value
-    operator on the grid.  The LS spectra (lambda, U, V) are memoised by
-    ``offshell(j, l)``, one per (potential, l) and the engine's only cache:
-    every off-shell t-matrix element at every eps is read from them (see
-    lippmann.ls_spectrum), and no (n x n) table is formed.  Every other
+    operator on the grid.  The LS solves are memoised by ``offshell(j, l)``,
+    one per (potential, l) and the engine's only cache: each holds the
+    factors of V_l and the solves at every eps of the run (see
+    lippmann.ls_spectrum), every off-shell t-matrix element is read from
+    them, and where V_l's radial rule is shorter than the grid no (n x n)
+    table is formed.  Every other
     quantity (plane waves and amplitudes on the angular rule, pair profiles,
     phase shifts, structure constants) is computed from those inputs where
-    it is used.  run_verification calls the operations in stages: spectra
-    and their health numbers, pair profiles, the X lattice, eps
+    it is used.  run_verification calls the operations in stages: LS
+    solves and their health numbers, pair profiles, the X lattice, eps
     extrapolation, gates.
     """
 
@@ -234,21 +236,24 @@ class ScenarioEngine:
         self._spectra: dict = {}
 
     def offshell(self, j: int, l: int) -> LSSpectrum:
-        """The LS spectrum of scatterer j in partial wave l (memoised per potential)."""
+        """The LS solves of scatterer j in partial wave l at every eps of the run.
+
+        Memoised per (potential, l).
+        """
         pot = self.sc.scatterers[j].potential
         key = (pot, l)
         if key not in self._spectra:
-            self._spectra[key] = ls_spectrum(pot, l, self.grid)
+            self._spectra[key] = ls_spectrum(pot, l, self.grid, self.sc.eps_sequence())
         return self._spectra[key]
 
     def ls_health(self) -> dict:
-        """Health numbers of the LS spectra at the smallest eps.
+        """Health numbers of the LS solves at the smallest eps.
 
-        Per distinct potential: the count of negative eigenvalues (grid
-        bound states) per l, and the relative difference between the
-        spectral half-shell column at l = 0 and one direct LU solve
-        (solve_offshell_t), which must stay below 1e-8.  Over all spectra:
-        the worst eigen-residual and the grid level spacing near k0^2 (the
+        Per distinct potential: the count of negative eigenvalues of H
+        (grid bound states) per l, and the relative difference between the
+        factorised half-shell column at l = 0 and one direct LU solve
+        (solve_offshell_t), which must stay below 1e-8.  Over all (potential,
+        l): the worst solve residual and the grid level spacing near k0^2 (the
         median gap of the eigenvalues within k0^2 +- eps_min, always
         including the two that bracket k0^2), with eps_min / spacing; a
         ratio below SPACING_FLAG_RATIO sets ``spacing_flag`` and logs a
@@ -266,11 +271,11 @@ class ScenarioEngine:
             spectra = [self.offshell(j, l) for l in range(lmax + 1)]
             direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps),
                                       self.grid).half_shell()
-            diff = float(np.max(np.abs(spectra[0].half_shell(complex(k2, eps)) - direct))
+            diff = float(np.max(np.abs(spectra[0].half_shell(eps) - direct))
                          / max(np.max(np.abs(direct)), 1e-300))
             if not diff <= 1e-8:
                 raise RuntimeError(
-                    f"LS cross-check failed for scatterer {j}: the spectral half-shell "
+                    f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
             potentials.append({"scatterer": j, "kind": pot.kind, "cross_check": diff,
                                "bound_states": [int(np.sum(sp.lam < 0)) for sp in spectra]})
@@ -287,7 +292,7 @@ class ScenarioEngine:
             log.warning("eps_min = %.3g is only %.2f times the LS grid level spacing "
                         "near k0^2 (%.3g): refine the momentum grid or raise eps",
                         eps, ratio, spacing)
-        return {"eig_residual": resid,
+        return {"solve_residual": resid,
                 "cross_check": max(p["cross_check"] for p in potentials),
                 "level_spacing": spacing, "eps_over_spacing": ratio,
                 "spacing_flag": flag, "potentials": potentials}
@@ -321,9 +326,8 @@ class ScenarioEngine:
         T_s[a, i] = sum_l (2l+1)/(4 pi) P_l(k^_a.direction) t_l(q_i, k0; z).
         """
         lmax = self.sc.numerics.lmax
-        z = complex(self.sc.k0 ** 2, eps)
         P = legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
-        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l).half_shell(z)[:-1]
+        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l).half_shell(eps)[:-1]
                       for l in range(lmax + 1)])
         return P.T @ t
 
@@ -355,8 +359,7 @@ class ScenarioEngine:
         """On-shell element <k1|t_j(z)|k2> of scatterer j."""
         lmax = self.sc.numerics.lmax
         P = legendre_table(lmax, float(np.dot(self.sc.dir_out, self.sc.dir_in)))
-        z = complex(self.sc.k0 ** 2, eps)
-        total = sum((2 * l + 1) / (4.0 * np.pi) * P[l] * self.offshell(j, l).on_shell(z)
+        total = sum((2 * l + 1) / (4.0 * np.pi) * P[l] * self.offshell(j, l).on_shell(eps)
                     for l in range(lmax + 1))
         return self._phase(j, j) * complex(total)
 
@@ -368,7 +371,8 @@ class ScenarioEngine:
         through one pair profile; the alpha insertion carries the
         branch-continued phase, under which X_alpha = e^{i alpha sqrt(z)} X_0
         up to quadrature error.  Every entry passes the momentum-tail check
-        or raises TailEstimateError.
+        or raises TailEstimateError.  Returns the terms and the worst
+        momentum-tail estimate relative to |X_alpha| over the row.
         """
         if eps <= 0:
             raise ValueError("x_alpha needs eps > 0; use eps_extrapolate for the limit")
@@ -388,6 +392,7 @@ class ScenarioEngine:
         contrib = radial * weighted
         totals = self._phase(j, h) * np.sum(contrib, axis=1)
         tol = sc.numerics.tail_tol
+        worst = 0.0
         for row, total in zip(contrib, totals):
             est = _tail_estimate(q, row)
             if est > tol * max(abs(total), 1e-300):
@@ -395,7 +400,8 @@ class ScenarioEngine:
                     f"momentum-tail estimate {est:.3e} exceeds "
                     f"{tol:.1e} * |X| = {tol * abs(total):.3e}; increase p_max",
                     estimate=est)
-        return totals
+            worst = max(worst, est / max(abs(total), 1e-300))
+        return totals, worst
 
     def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
         """Pair term X_alpha(z) by intermediate-momentum quadrature.
@@ -403,7 +409,7 @@ class ScenarioEngine:
         x_lattice with the single alpha; alpha = 0 is the plain pair term of
         the multiple-scattering series.
         """
-        return complex(self.x_lattice([alpha], eps, pair)[0])
+        return complex(self.x_lattice([alpha], eps, pair)[0][0])
 
     def x0_structconst(self, pair: tuple[int, int] = (0, 1)) -> list:
         """On-shell-only evaluation of X_0(k0^2 + i0) for two muffin tins.
@@ -461,7 +467,7 @@ class ScenarioEngine:
 
         Both free propagations are projected onto partial waves (l, m) about
         scatterer h (see _projection); t_h then couples them l by l, read
-        from its spectrum without forming the table (grid_sandwich).  Each
+        from its solves without forming the table (grid_sandwich).  Each
         projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
         over directions k^, as pair_profile integrates e^{i q k^.D}
         P_l(k^.k1^) P_l'(k^.k2^).  The Rayleigh expansion
@@ -487,7 +493,7 @@ class ScenarioEngine:
         for l in range(lmax + 1):
             block = slice(sph_index(l, -l), sph_index(l, l) + 1)
             total += (4.0 * np.pi / (2 * l + 1)) * self.offshell(h, l).grid_sandwich(
-                A[block], B[block], z)
+                A[block], B[block], eps)
         return self._phase(j, k) * complex(total)
 
     def _projection(self, Yw: np.ndarray, s: int, D: np.ndarray, direction,
@@ -643,7 +649,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
             "kind": s.potential.kind, "l1_norm": rd.l1_norm,
             "l2_norm": rd.l2_norm, "admissible": rd.admissible,
             "l1_residual": rd.l1_residual, "l2_residual": rd.l2_residual})
-    # stage 1: one LS spectrum per (potential, l), and their health numbers
+    # stage 1: the LS solves per (potential, l), and their health numbers
     diagnostics["ls"] = engine.ls_health()
 
     comparisons = []
@@ -674,7 +680,10 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     if not alphas:
         alphas = (0.0,)
     lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)
-    lattice = {e: engine.x_lattice(lattice_alphas, e) for e in eps_seq}
+    lattice, tail = {}, {}
+    for e in eps_seq:
+        lattice[e], tail[e] = engine.x_lattice(lattice_alphas, e)
+    diagnostics["tail_ratio"] = tail
 
     # stage 4: extrapolation to eps = 0, per alpha
     x_by_eps, x_extrap, x_err = {}, {}, {}
@@ -684,6 +693,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
             x_by_eps[a] = samples
         x_extrap[a], x_err[a] = eps_extrapolate(samples)
     x0 = x_extrap[0.0]
+    diagnostics["richardson_error"] = x_err
 
     y_samples = {a: complex(np.exp(-1j * a * sc.k0) * x_extrap[a]) for a in alphas}
     flat = max((abs(y_samples[a] - x0) for a in alphas), default=0.0) / abs(x0)
@@ -735,11 +745,10 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     else:
         R_len = float(np.linalg.norm(sc.scatterers[1].center_array
                                      - sc.scatterers[0].center_array))
-        # one spectral norm per k of the decay diagnostic; the value is k0's
+        # the spectral norm at every k of the decay diagnostic; the value is k0's
         ks = [0.5 * sc.k0, sc.k0, 2.0 * sc.k0, 3.0 * sc.k0]
-        norms = [schatten4_norm_spectral(sc.scatterers[0].potential,
-                                         sc.scatterers[1].potential, k, R_len)
-                 for k in ks]
+        norms = schatten4_norm_spectral(sc.scatterers[0].potential,
+                                        sc.scatterers[1].potential, ks, R_len)
         s_val, s_delta = norms[1]
         schatten = {"method": "spectral", "value": float(s_val),
                     "refinement_delta": float(s_delta)}

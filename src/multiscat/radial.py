@@ -46,9 +46,7 @@ _ACTION_KEEP = 45.0
 
 
 class StepControlError(RuntimeError):
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
+    """The Numerov integration cannot be carried out at a safe step size."""
 
 
 def onshell_t_lm(eta: float, k0: float) -> complex:
@@ -125,8 +123,7 @@ def _numerov_segment(w, r_lo, r_hi, u, up, n):
         if abs(nxt) > 1e120:
             vals[: i + 2] /= abs(nxt)
     if not np.isfinite(vals[n]):
-        raise StepControlError("Numerov segment produced non-finite values",
-                               residual=vals[n])
+        raise StepControlError("Numerov segment produced non-finite values")
 
     up_end = (3.0 * vals[n - 4] - 16.0 * vals[n - 3] + 36.0 * vals[n - 2]
               - 48.0 * vals[n - 1] + 25.0 * vals[n]) / (12.0 * h)

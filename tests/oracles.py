@@ -18,7 +18,10 @@
 * ``standing_companion`` - the principal-value transform of a pair profile,
   one grid node at a time;
 * ``rollnik_quad`` - the two Rollnik norms by adaptive quadrature
-  (``scipy.integrate.quad``).
+  (``scipy.integrate.quad``);
+* ``zaxis_blocks`` and ``spectral_schatten4_per_k`` - the m-diagonal
+  structure-constant blocks with R along z, and the spectral Schatten-4 norm
+  at one k from them, each Gaunt table built at that k's own truncation.
 """
 
 import math
@@ -27,7 +30,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from multiscat.greens import _ball_grid
+from multiscat.greens import (
+    _SPECTRAL_LMAX_CAP,
+    _SPECTRAL_RADIAL_NODES,
+    _ball_grid,
+    _g_block,
+    _gaunt_integrals,
+    _nu_weights,
+    _outgoing_waves,
+    _sigma4,
+)
 from multiscat.specfun import (
     _check_l,
     _dirs_to_angles,
@@ -97,6 +109,38 @@ def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):
     K = _capped_ktilde(j, h, z, pj, wj, ph, wh) if kernel is None else kernel(pj, ph)
     M = np.sqrt(wj)[:, None] * K * np.sqrt(wh)[None, :]
     return float(np.linalg.norm(M.conj().T @ M)) ** 0.5
+
+
+def zaxis_blocks(k: float, R_len: float, lmax: int):
+    """m-diagonal structure-constant blocks g[l - m, l' - m], m = 0..lmax, R along z."""
+    c = _outgoing_waves(k, (0.0, 0.0, R_len), 2 * lmax)
+    return [_g_block(k, c, _gaunt_integrals(m, m, lmax), m, m, lmax)
+            for m in range(lmax + 1)]
+
+
+def spectral_schatten4_per_k(pot_j, pot_h, k: float, R_len: float):
+    """(value, delta) of the spectral Schatten-4 norm at one k, from zaxis_blocks.
+
+    The same truncations and radial rules as the library's batched
+    ``schatten4_norm_spectral``, with every Gaunt table built for this k
+    alone.
+    """
+    ka = k * max(pot_j.effective_radius(), pot_h.effective_radius())
+    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
+    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
+    lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad, _SPECTRAL_LMAX_CAP)
+    blocks = zaxis_blocks(k, R_len, lmax + 8)
+
+    def total(lm, n_rad):
+        root_j = np.sqrt(_nu_weights(pot_j, k, lm, n_rad))
+        root_h = np.sqrt(_nu_weights(pot_h, k, lm, n_rad))
+        return sum((1.0 if m == 0 else 2.0) * _sigma4(
+            root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1] * root_h[None, m:])
+            for m in range(lm + 1)) ** 0.25
+
+    v1 = total(lmax, _SPECTRAL_RADIAL_NODES)
+    v2 = total(lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)
+    return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
 def plm_norm_table_loop(lmax: int, ct, st=None) -> np.ndarray:

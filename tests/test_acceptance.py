@@ -139,8 +139,7 @@ def test_criterion_7_radial_oracles():
 
 def test_criterion_8_schatten_decay():
     pot = square_well(-1.0, 1.0)
-    v5, d5 = schatten4_norm_spectral(pot, pot, 5.0, 3.0)
-    v50, d50 = schatten4_norm_spectral(pot, pot, 50.0, 3.0)
+    (v5, d5), (v50, d50) = schatten4_norm_spectral(pot, pot, [5.0, 50.0], 3.0)
     print(f"    ||K(25+i0)||_4 = {v5:.6f} (delta {d5:.1e}), "
           f"||K(2500+i0)||_4 = {v50:.6f} (delta {d50:.1e})")
     _criterion("8a Schatten refinement stability", max(d5, d50), 0.05)

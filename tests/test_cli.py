@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multiscat.cli import ConfigError, RunConfig, main, run, validate_config
@@ -255,6 +256,22 @@ def test_run_imports_no_scipy(tmp_path, name):
     assert rc == 0
     assert (tmp_path / "out" / "report.json").exists()
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("name", ["nonoverlap_wells", "overlap_gaussians"])
+def test_run_needs_no_eigendecomposition(tmp_path, monkeypatch, name):
+    # the LS t-matrices come from solves in the rank of V_l; only the
+    # eigenvalues of the grid Hamiltonian are computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    text = (CONFIG_DIR / f"{name}.yaml").read_text().replace(
+        f"dir: out/{name}", f"dir: {tmp_path / 'out'}")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
 
 
 def test_run_tail_failure_gives_partial_artifacts(tmp_path):

@@ -9,7 +9,6 @@ from multiscat.greens import (
     KtildeDiscretization,
     _ball_grid,
     _gaunt_integrals,
-    _zaxis_blocks,
     schatten4_norm,
     schatten4_norm_spectral,
     structure_constants,
@@ -24,7 +23,9 @@ from oracles import (
     g_entry,
     ktilde_kernel,
     r0_kernel,
+    spectral_schatten4_per_k,
     wigner3j,
+    zaxis_blocks,
 )
 
 
@@ -216,7 +217,7 @@ def test_zaxis_blocks_match_structure_constants():
     for lmax in (0, 3, 7, 12):
         for k, R in ((1.0, 5.0), (2.5, 3.0)):
             g = structure_constants(k, (0.0, 0.0, R), lmax).matrix
-            blocks = _zaxis_blocks(k, R, lmax)
+            blocks = zaxis_blocks(k, R, lmax)
             scale = np.max(np.abs(g))
             assert len(blocks) == lmax + 1
             for m in range(lmax + 1):
@@ -302,7 +303,7 @@ def test_schatten_grid_vs_spectral_nonoverlap():
     pj = square_well(-1.0, 1.0)
     sj = Scatterer((0, 0, 0), pj)
     sh = Scatterer((0, 0, 3.0), pj)
-    vs, _ = schatten4_norm_spectral(pj, pj, 2.0, 3.0)
+    [(vs, _)] = schatten4_norm_spectral(pj, pj, [2.0], 3.0)
     K = KtildeDiscretization.build(sj, sh, ComplexEnergy(2.0, 0.0), 12, 10)
     vg, _ = schatten4_norm(K)
     assert vg == pytest.approx(vs, rel=1e-3)
@@ -320,7 +321,7 @@ def test_schatten_overlap_refinement_stable():
 def test_schatten_spectral_requires_gap():
     with pytest.raises(ValueError):
         schatten4_norm_spectral(gaussian(-1.0, 1.0), gaussian(-1.0, 1.0),
-                                1.0, 1.0)
+                                [1.0], 1.0)
 
 
 @pytest.mark.parametrize("sj, sh", [
@@ -420,8 +421,7 @@ def test_x0_cross_identity_momentum_vs_coordinate():
 
 def test_schatten_decay_direction():
     pj = square_well(-1.0, 1.0)
-    v5, d5 = schatten4_norm_spectral(pj, pj, 5.0, 3.0)
-    v12, d12 = schatten4_norm_spectral(pj, pj, 12.0, 3.0)
+    (v5, d5), (v12, d12) = schatten4_norm_spectral(pj, pj, [5.0, 12.0], 3.0)
     assert v12 < v5
     assert d5 < 0.05 and d12 < 0.05
 
@@ -435,5 +435,23 @@ def test_schatten_spectral_pinned_values(k, R_len, expected):
     # values of the earlier per-(l, l') loop implementation, square well
     # v0 = -1, a = 1
     pot = square_well(-1.0, 1.0)
-    value, _ = schatten4_norm_spectral(pot, pot, k, R_len)
+    [(value, _)] = schatten4_norm_spectral(pot, pot, [k], R_len)
     assert value == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("pots,R_len", [
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 5.0),
+    ((square_well(-1.0, 1.0), square_well(-0.7, 1.3)), 4.0),
+], ids=["wells", "mixed"])
+def test_batched_spectral_norms_match_per_k(pots, R_len):
+    # one Gaunt table per m at the largest truncation, sliced for the smaller
+    # ones, against tables built per k at each k's own truncation; the k
+    # values are those of the wells decay diagnostic, in both orders
+    for ks in ([0.5, 1.0, 2.0, 3.0], [3.0, 0.5, 2.0, 1.0]):
+        batched = schatten4_norm_spectral(*pots, ks, R_len)
+        assert len(batched) == len(ks)
+        for k, (value, delta) in zip(ks, batched):
+            ref_value, ref_delta = spectral_schatten4_per_k(*pots, k, R_len)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            # delta differences close numbers: it carries their 1e-12 absolutely
+            assert abs(delta - ref_delta) <= 1e-12

@@ -156,37 +156,68 @@ def test_grid_energy_mismatch_rejected():
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(2.0, 0.0), grid)
 
 
-@pytest.mark.parametrize("pot", ALL_KINDS, ids=lambda p: p.kind)
+# the rank the solves run in: the radial rule's length on the grid of
+# default_grid(1.0), else the grid plus k0 (see ls_spectrum)
+FACTOR_BRANCH = {"square_well": "radial", "gaussian": "radial",
+                 "exponential": "grid", "truncated_coulomb": "grid"}
+EPS = (0.2, 0.1, 0.05, 0.025)
+
+
+@pytest.mark.parametrize("pot", ALL_KINDS + [
+    pytest.param(square_well(-2.8, 1.0), id="square_well_bound_state")],
+    ids=lambda p: p.kind)
 def test_spectrum_matches_direct_solve(pot):
-    # t(z) = V + U diag(1/(z - lam)) U^T from one eigh against one LU solve per z
+    # t(z) = B^T X(z) B from one batched solve per l against one LU solve per z
     k0 = 1.0
     grid = default_grid(k0)
-    for l in range(5):
-        sp = ls_spectrum(pot, l, grid)
-        for eps in (0.2, 0.1, 0.05, 0.025):
-            z = complex(k0 * k0, eps)
+    for l in range(9):
+        sp = ls_spectrum(pot, l, grid, EPS)
+        identity = (sp.B.shape == (grid.size + 1,) * 2
+                    and np.array_equal(sp.B, np.eye(grid.size + 1)))
+        assert identity == (FACTOR_BRANCH[pot.kind] == "grid"), l
+        if l == 0 and pot.v0 == -2.8:
+            # sqrt(2.8) > pi/2: one s-wave bound state, one negative eigenvalue
+            assert np.sum(sp.lam < 0) == 1
+        for eps in EPS:
             ref = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
             scale = np.max(np.abs(ref.values))
-            table = sp.V + (sp.U / (z - sp.lam)) @ sp.U.T
+            X = sp.X[EPS.index(eps)]
+            table = X if identity else sp.B.T @ X @ sp.B
             assert np.max(np.abs(table - ref.values)) <= 1e-10 * scale, (l, eps)
             col = ref.half_shell()
-            assert np.max(np.abs(sp.half_shell(z) - col)) <= 1e-10 * np.max(np.abs(col))
-            assert abs(sp.on_shell(z) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
+            assert np.max(np.abs(sp.half_shell(eps) - col)) <= 1e-10 * np.max(np.abs(col))
+            assert abs(sp.on_shell(eps) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
+
+
+def test_spectrum_solves_other_eps_and_grid_sandwich():
+    # an eps outside the solved set is solved on request; grid_sandwich is
+    # the table's bilinear form on the grid
+    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    pot = square_well(-1.0, 1.0)
+    sp = ls_spectrum(pot, 1, grid, (0.2, 0.1))
+    ref = solve_offshell_t(pot, 1, ComplexEnergy(1.0, 0.07), grid).values
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 3, grid.size)) + 1j * rng.normal(size=(2, 3, grid.size))
+    want = np.sum((a @ ref[:-1, :-1]) * b)
+    assert abs(sp.grid_sandwich(a, b, 0.07) - want) <= 1e-10 * abs(want)
+    assert np.max(np.abs(sp.half_shell(0.07) - ref[:, -1])) <= 1e-10 * np.max(np.abs(ref))
+    assert sp.X.shape[0] == 2
 
 
 def test_spectrum_rejects_real_energy():
-    sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64))
+    sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
+                     (0.1,))
     with pytest.raises(ValueError):
-        sp.half_shell(complex(1.0, 0.0))
+        sp.half_shell(0.0)
 
 
-def test_corrupted_eigh_raises_pole_proximity(monkeypatch):
-    eigh = np.linalg.eigh
+def test_corrupted_solve_raises_pole_proximity(monkeypatch):
+    solve = np.linalg.solve
 
-    def corrupted(H):
-        lam, Q = eigh(H)
-        return lam * (1.0 + 1e-6), Q
+    def corrupted(a, b):
+        return solve(a, b) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
     with pytest.raises(PoleProximityError):
-        ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64))
+        ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
+                    (0.1, 0.05))

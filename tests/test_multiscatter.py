@@ -137,8 +137,9 @@ def test_x_alpha_zero_potential():
 
 def test_x_lattice_rows_are_x_alpha(wells_engine):
     alphas = [0.0, 0.5, 1.5]
-    lattice = wells_engine.x_lattice(alphas, 0.1)
+    lattice, tail = wells_engine.x_lattice(alphas, 0.1)
     assert [complex(v) for v in lattice] == [wells_engine.x_alpha(a, 0.1) for a in alphas]
+    assert 0.0 < tail < wells_engine.sc.numerics.tail_tol
 
 
 def test_pv_operator_closed_form(wells_engine):
@@ -341,6 +342,23 @@ def test_single_scatterer_report_degenerates():
     assert report.comparisons == []
 
 
+def test_report_records_richardson_error_and_tail_ratio(overlap_engine):
+    # the health numbers behind extrapolation and the tail check, per alpha
+    # and per eps
+    report = overlap_engine.verify()
+    sc = overlap_engine.sc
+    diag = report.diagnostics
+    errors = diag["richardson_error"]
+    assert set(errors) == set(sc.numerics.alpha_list)
+    assert errors[0.0] == report.x0_direct_error
+    for a, samples in report.x_alpha_by_eps.items():
+        assert errors[a] == eps_extrapolate(samples)[1]
+    assert set(diag["tail_ratio"]) == set(sc.eps_sequence())
+    for eps, ratio in diag["tail_ratio"].items():
+        assert ratio == overlap_engine.x_lattice(sc.numerics.alpha_list, eps)[1]
+        assert 0.0 < ratio < sc.numerics.tail_tol
+
+
 def test_verify_report_json_roundtrip(overlap_engine):
     import json
     report = overlap_engine.verify()
@@ -372,7 +390,7 @@ def test_ls_health_counts_bound_states_and_cross_checks():
     assert shallow["bound_states"] == [0, 0, 0]
     assert deep["bound_states"] == [1, 0, 0]
     assert health["cross_check"] < 1e-10
-    assert health["eig_residual"] < 1e-12
+    assert health["solve_residual"] < 1e-12
 
 
 def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
@@ -382,9 +400,9 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
 
     original = multiscatter.ls_spectrum
 
-    def corrupted(pot, l, grid):
-        sp = original(pot, l, grid)
-        return dataclasses.replace(sp, U=sp.U * (1.0 + 1e-6))
+    def corrupted(pot, l, grid, eps):
+        sp = original(pot, l, grid, eps)
+        return dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
 
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
