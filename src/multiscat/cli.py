@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,18 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
 
+def _is_number(v) -> bool:
+    """An int or a finite float; YAML's true/false load as bool, a subclass of int."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_integer(v) -> bool:
+    """A number with an integral value (8 or 8.0, not 8.5 or true)."""
+    return _is_number(v) and (isinstance(v, int) or v.is_integer())
+
+
 def _get(d, path, default=None):
     cur = d
     for part in path.split("."):
@@ -82,14 +95,14 @@ def validate_config(text: str) -> RunConfig:
         raise ConfigError([("<file>", "top level must be a mapping")])
 
     k0 = _get(raw, "scenario.k0")
-    if not isinstance(k0, (int, float)) or k0 <= 0:
+    if not _is_number(k0) or k0 <= 0:
         errors.append(("scenario.k0", f"must be a positive number, got {k0!r}"))
 
     def direction(name, default):
         v = _get(raw, f"scenario.{name}", default)
         arr = None
         if (not isinstance(v, (list, tuple)) or len(v) != 3
-                or not all(isinstance(x, (int, float)) for x in v)):
+                or not all(_is_number(x) for x in v)):
             errors.append((f"scenario.{name}", f"must be a 3-vector, got {v!r}"))
         else:
             arr = np.asarray(v, dtype=float)
@@ -109,7 +122,7 @@ def validate_config(text: str) -> RunConfig:
     for name in ("eps_list", "alpha_list"):
         v = _get(raw, f"scenario.{name}")
         if v is not None and (not isinstance(v, list)
-                              or not all(isinstance(x, (int, float)) for x in v)):
+                              or not all(_is_number(x) for x in v)):
             errors.append((f"scenario.{name}", "must be a list of numbers"))
         elif name == "eps_list" and v and (problem := eps_list_problem(v)):
             errors.append(("scenario.eps_list", problem))
@@ -123,7 +136,7 @@ def validate_config(text: str) -> RunConfig:
         base = f"scatterers[{i}]"
         center = s.get("center") if isinstance(s, dict) else None
         if (not isinstance(center, (list, tuple)) or len(center) != 3
-                or not all(isinstance(x, (int, float)) for x in center)):
+                or not all(_is_number(x) for x in center)):
             errors.append((f"{base}.center", f"must be a 3-vector, got {center!r}"))
             center = (0.0, 0.0, 0.0)
         pot = s.get("potential") if isinstance(s, dict) else None
@@ -138,13 +151,13 @@ def validate_config(text: str) -> RunConfig:
         v0 = pot.get("v0")
         a = pot.get("a")
         rc = pot.get("rc")
-        if not isinstance(v0, (int, float)):
+        if not _is_number(v0):
             errors.append((f"{base}.potential.v0", "must be a number"))
             continue
-        if not isinstance(a, (int, float)) or a <= 0:
+        if not _is_number(a) or a <= 0:
             errors.append((f"{base}.potential.a", "must be a positive number"))
             continue
-        if kind == "truncated_coulomb" and (not isinstance(rc, (int, float)) or rc <= 0):
+        if kind == "truncated_coulomb" and (not _is_number(rc) or rc <= 0):
             errors.append((f"{base}.potential.rc",
                            "truncated_coulomb needs a positive rc"))
             continue
@@ -184,13 +197,16 @@ def validate_config(text: str) -> RunConfig:
         if v is None:
             continue
         caster, check = num_schema[key]
-        if not isinstance(v, (int, float)) or not check(caster(v)):
-            errors.append((f"numerics.{key}", f"out of range or wrong type: {v!r}"))
+        if not (_is_integer(v) if caster is int else _is_number(v)):
+            errors.append((f"numerics.{key}",
+                           f"must be {'an integer' if caster is int else 'a number'}, got {v!r}"))
+        elif not check(caster(v)):
+            errors.append((f"numerics.{key}", f"out of range: {v!r}"))
         else:
             num_kwargs[key] = caster(v)
 
     p_max = num_kwargs.get("p_max")
-    if p_max is not None and isinstance(k0, (int, float)) and k0 > 0 and p_max <= 2 * k0:
+    if p_max is not None and _is_number(k0) and k0 > 0 and p_max <= 2 * k0:
         errors.append(("numerics.p_max", f"must exceed 2*k0 = {2 * k0:g}, got {p_max:g}"))
 
     tolerances = dict(Numerics().tolerances)
@@ -204,7 +220,7 @@ def validate_config(text: str) -> RunConfig:
             if k not in tolerances:
                 errors.append((f"tolerances.{k}",
                                f"unknown tolerance; known: {sorted(tolerances)}"))
-            elif not isinstance(v, (int, float)) or v <= 0:
+            elif not _is_number(v) or v <= 0:
                 errors.append((f"tolerances.{k}", "must be a positive number"))
             else:
                 tolerances[k] = float(v)

@@ -209,11 +209,11 @@ class ScenarioEngine:
     lippmann.ls_spectrum), every off-shell t-matrix element is read from
     them, and where V_l's radial rule is shorter than the grid no (n x n)
     table is formed.  Every other
-    quantity (plane waves and amplitudes on the angular rule, pair profiles,
-    phase shifts, structure constants) is computed from those inputs where
-    it is used.  run_verification calls the operations in stages: LS
-    solves and their health numbers, pair profiles, the X lattice, eps
-    extrapolation, gates.
+    quantity (pair kernels and Born-3 projections on the angular rule, pair
+    profiles, phase shifts, structure constants) is computed from those
+    inputs where it is used.  run_verification calls the operations in
+    stages: LS solves and their health numbers, pair profiles, the X
+    lattice, eps extrapolation, gates.
     """
 
     def __init__(self, scenario: Scenario):
@@ -303,55 +303,89 @@ class ScenarioEngine:
         return complex(np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
                               + 1j * np.dot(sc.k2, sc.scatterers[h].center_array)))
 
-    def _plane_wave(self, D: np.ndarray) -> np.ndarray:
-        """e^{i q_i k^_a.D} on the angular rule and the momentum grid, (n_ang, n_q).
+    def _rayleigh(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of e^{i q_i k^_a.D}: P_L(k^_a.D^) (n_ang, L + 1) and
+        i^L (2L+1) j_L(q_i |D|) (L + 1, n_q), L <= 2*lmax.
 
-        The Rayleigh expansion sum_L i^L (2L+1) j_L(q|D|) P_L(k^_a.D^),
-        truncated at L = 2*lmax: exact against any spherical polynomial of
-        degree <= 2*lmax (see _born3).  For |D| = 0 only L = 0 survives
-        (j_L(0) = delta_L0), so any axis is valid and the z axis is used.
+        The Rayleigh expansion truncated at L = 2*lmax is exact against any
+        spherical polynomial of degree <= 2*lmax (see _born3).  For |D| = 0
+        only L = 0 survives (j_L(0) = delta_L0), so any axis is valid and
+        the z axis is used.
         """
         D_len = float(np.linalg.norm(D))
         axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
-        u = self.ang.nodes @ axis
-        x = self.grid.nodes * D_len
         Lmax = 2 * self.sc.numerics.lmax
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(Lmax + 1)])
-        wave = coef[:, None] * bessel_j_table(Lmax, x)
-        return legendre_table(Lmax, u).T @ wave
+        wave = coef[:, None] * bessel_j_table(Lmax, self.grid.nodes * D_len)
+        return legendre_table(Lmax, self.ang.nodes @ axis).T, wave
 
-    def _amplitude(self, s: int, eps: float, direction) -> np.ndarray:
-        """Half-shell amplitude of scatterer s on the angular rule, (n_ang, n_q).
+    def _nodal_sum(self, rows: np.ndarray, direction,
+                   D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_a rows[x, a] c_l P_l(k^_a.direction) e^{i q k^_a.D} in two factors.
 
-        T_s[a, i] = sum_l (2l+1)/(4 pi) P_l(k^_a.direction) t_l(q_i, k0; z).
+        c_l = (2l+1)/(4 pi), and ``rows`` (n_x, n_ang) weighs the nodes of
+        the angular rule.  Returns (K, wave) with K[x, (l, L)] =
+        sum_a rows[x, a] c_l P_l(k^_a.direction) P_L(k^_a.D^), shape
+        (n_x, (lmax + 1)(2 lmax + 1)), and wave[L, q] the Bessel factor of
+        _rayleigh: the sum is sum_L K[x, (l, L)] wave[L, q].  The nodes are
+        summed once, in one product with the real table c_l P_l P_L
+        (n_ang, (lmax + 1)(2 lmax + 1)); the (n_ang, n_q) plane wave is
+        never formed.
         """
         lmax = self.sc.numerics.lmax
-        P = legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
-        t = np.stack([(2 * l + 1) / (4.0 * np.pi) * self.offshell(s, l).half_shell(eps)[:-1]
-                      for l in range(lmax + 1)])
-        return P.T @ t
+        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+        P = c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
+        PL, wave = self._rayleigh(D)
+        G = (P.T[:, :, None] * PL[:, None, :]).reshape(self.ang.size, -1)
+        if np.iscomplexobj(rows):
+            # two real products, rather than promoting G to complex
+            return rows.real @ G + 1j * (rows.imag @ G), wave
+        return rows @ G, wave
 
-    def pair_profile(self, pair: tuple[int, int], eps: float):
-        """Angular-reduced pair integrand S(q) and its standing-wave companion.
+    def _pair_kernel(self, pair: tuple[int, int]) -> np.ndarray:
+        """Kernel M[l, l', q] of the pair profile, (lmax + 1, lmax + 1, n_q).
+
+        M_{ll'}(q) = sum_a w_a c_l P_l(k^_a.k1^) c_l' P_l'(k^_a.k2^) E_a(q),
+        c_l = (2l+1)/(4 pi), with E the plane wave e^{i q k^_a.(x_j - x_h)}
+        on the angular rule (see _nodal_sum).  It does not depend on eps.
+        """
+        j, h = pair
+        sc = self.sc
+        lmax = sc.numerics.lmax
+        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+        rows = (c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(sc.dir_out))
+                * self.ang.weights)
+        K, wave = self._nodal_sum(rows, sc.dir_in, sc.scatterers[j].center_array
+                                  - sc.scatterers[h].center_array)
+        return (K.reshape(-1, wave.shape[0]) @ wave).reshape(lmax + 1, lmax + 1, -1)
+
+    def pair_profile(self, pair: tuple[int, int], eps_seq):
+        """Angular-reduced pair integrand S(q) and its standing-wave companion,
+        one row per eps of ``eps_seq``.
 
         S(q) is the angular average of <k1|t_j(z)|k><k|t_h(z)|k2> (phases
         stripped) over directions of the intermediate momentum, i.e. the
         sandwich of the two half-shell amplitudes through the regular
-        radial wave j_0(q|x-y|): one nodal sum of T_j e^{i q k^.(x_j - x_h)}
-        T_h on the angular rule.  Sy(q) is the same sandwich through the
-        irregular wave y_0(q|x-y|), obtained from S by the principal-value
-        identity y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
+        radial wave j_0(q|x-y|).  Over the partial waves it is the bilinear
+        form S(q) = sum_{l,l'} t_j,l(q) M_{ll'}(q) t_h,l'(q) with the
+        eps-independent kernel of _pair_kernel, built once for all eps.
+        Sy(q) is the same sandwich through the irregular wave y_0(q|x-y|),
+        obtained from S by the principal-value identity
+        y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
         a Hilbert-type transform on the momentum grid (see _pv_operator),
-        valid for any geometry including overlapping supports.
+        valid for any geometry including overlapping supports.  Each eps
+        is contracted on its own, so a row does not depend on the other
+        eps of the call.
         """
         j, h = pair
-        sc = self.sc
-        # T_j * E * T_h in place, so at most two (n_ang, n_q) arrays are alive
-        TE = self._amplitude(j, eps, sc.dir_out)
-        TE *= self._plane_wave(sc.scatterers[j].center_array - sc.scatterers[h].center_array)
-        TE *= self._amplitude(h, eps, sc.dir_in)
-        S = self.ang.weights @ TE
-        return S, self.pv @ S
+        M = self._pair_kernel(pair)
+        lmax = self.sc.numerics.lmax
+        S = []
+        for eps in eps_seq:
+            tj, th = (np.array([self.offshell(s, l).half_shell(eps)[:-1]
+                                for l in range(lmax + 1)]) for s in (j, h))
+            S.append(np.einsum("lq,lq->q", tj, np.einsum("lmq,mq->lq", M, th)))
+        return np.array(S), np.array([self.pv @ row for row in S])
 
     # -- operations ---------------------------------------------------------
 
@@ -363,53 +397,56 @@ class ScenarioEngine:
                     for l in range(lmax + 1))
         return self._phase(j, j) * complex(total)
 
-    def x_lattice(self, alphas, eps: float,
-                  pair: tuple[int, int] = (0, 1)) -> np.ndarray:
-        """Pair terms X_alpha(z) for every alpha in ``alphas`` at one eps.
+    def x_lattice(self, alphas, eps_seq,
+                  pair: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
+        """Pair terms X_alpha(z) for every alpha in ``alphas`` at every eps of ``eps_seq``.
 
         The integrand uses genuinely off-shell half-shell t-matrix columns
-        through one pair profile; the alpha insertion carries the
-        branch-continued phase, under which X_alpha = e^{i alpha sqrt(z)} X_0
-        up to quadrature error.  Every entry passes the momentum-tail check
-        or raises TailEstimateError.  Returns the terms and the worst
+        through one pair profile per eps, all from one pair kernel; the
+        alpha insertion carries the branch-continued phase, under which
+        X_alpha = e^{i alpha sqrt(z)} X_0 up to quadrature error.  Every
+        entry passes the momentum-tail check or raises TailEstimateError.
+        Returns the terms (n_eps, n_alpha) and, per eps, the worst
         momentum-tail estimate relative to |X_alpha| over the row.
         """
-        if eps <= 0:
+        if any(eps <= 0 for eps in eps_seq):
             raise ValueError("x_alpha needs eps > 0; use eps_extrapolate for the limit")
         j, h = pair
         if j == h:
             raise ValueError("pair term needs two distinct scatterers")
         sc = self.sc
-        z = complex(sc.k0 ** 2, eps)
         q = self.grid.nodes
         w = self.grid.weights
-        S, Sy = self.pair_profile(pair, eps)
+        tol = sc.numerics.tail_tol
         # branch-continued alpha phase: e^{i alpha q} on the outgoing and
         # e^{-i alpha q} on the incoming half of the free propagation
         aq = np.outer(alphas, q)
-        weighted = S * np.cos(aq) - Sy * np.sin(aq)
-        radial = w * q * q / (z - q * q)
-        contrib = radial * weighted
-        totals = self._phase(j, h) * np.sum(contrib, axis=1)
-        tol = sc.numerics.tail_tol
-        worst = 0.0
-        for row, total in zip(contrib, totals):
-            est = _tail_estimate(q, row)
-            if est > tol * max(abs(total), 1e-300):
-                raise TailEstimateError(
-                    f"momentum-tail estimate {est:.3e} exceeds "
-                    f"{tol:.1e} * |X| = {tol * abs(total):.3e}; increase p_max",
-                    estimate=est)
-            worst = max(worst, est / max(abs(total), 1e-300))
-        return totals, worst
+        cos_aq, sin_aq = np.cos(aq), np.sin(aq)
+        lattice, tails = [], []
+        for eps, S, Sy in zip(eps_seq, *self.pair_profile(pair, eps_seq)):
+            z = complex(sc.k0 ** 2, eps)
+            contrib = (w * q * q / (z - q * q)) * (S * cos_aq - Sy * sin_aq)
+            totals = self._phase(j, h) * np.sum(contrib, axis=1)
+            worst = 0.0
+            for row, total in zip(contrib, totals):
+                est = _tail_estimate(q, row)
+                if est > tol * max(abs(total), 1e-300):
+                    raise TailEstimateError(
+                        f"momentum-tail estimate {est:.3e} exceeds "
+                        f"{tol:.1e} * |X| = {tol * abs(total):.3e}; increase p_max",
+                        estimate=est)
+                worst = max(worst, est / max(abs(total), 1e-300))
+            lattice.append(totals)
+            tails.append(worst)
+        return np.array(lattice), np.array(tails)
 
     def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
         """Pair term X_alpha(z) by intermediate-momentum quadrature.
 
-        x_lattice with the single alpha; alpha = 0 is the plain pair term of
-        the multiple-scattering series.
+        x_lattice with the single alpha and eps; alpha = 0 is the plain
+        pair term of the multiple-scattering series.
         """
-        return complex(self.x_lattice([alpha], eps, pair)[0][0])
+        return complex(self.x_lattice([alpha], [eps], pair)[0][0, 0])
 
     def x0_structconst(self, pair: tuple[int, int] = (0, 1)) -> list:
         """On-shell-only evaluation of X_0(k0^2 + i0) for two muffin tins.
@@ -417,9 +454,9 @@ class ScenarioEngine:
         Returns X_0 summed over l, l' <= L for every truncation L = 0..lmax;
         the last entry is the full value.  The structure constants are built
         once at lmax (g_{lm;l'm'} does not depend on the truncation) and the
-        phase shifts once per distinct potential.  Hard precondition: the
-        two effective supports must not overlap (the re-expansion behind
-        the formula has no meaning otherwise).
+        phase shifts of every l in one sweep per distinct potential.  Hard
+        precondition: the two effective supports must not overlap (the
+        re-expansion behind the formula has no meaning otherwise).
         """
         sc = self.sc
         j, h = pair
@@ -433,8 +470,7 @@ class ScenarioEngine:
         y1 = ylm_table(lmax, np.asarray(sc.dir_out))
         y2c = np.conj(ylm_table(lmax, np.asarray(sc.dir_in)))
         ls = np.concatenate([[l] * (2 * l + 1) for l in range(lmax + 1)]).astype(int)
-        t = {pot: np.array([onshell_t_lm(phase_shift(pot, l, sc.k0), sc.k0)
-                            for l in range(lmax + 1)])
+        t = {pot: onshell_t_lm(phase_shift(pot, range(lmax + 1), sc.k0), sc.k0)
              for pot in {sj.potential, sh.potential}}
         left = (1j) ** (-ls) * y1 * t[sj.potential][ls]
         right = (1j) ** ls * y2c * t[sh.potential][ls]
@@ -457,33 +493,37 @@ class ScenarioEngine:
             return complex(sum(self.x_alpha(0.0, eps, (j, h))
                                for j in range(n) for h in range(n) if j != h))
         if order == 3:
-            return complex(sum(self._born3(j, h, k, eps)
+            # one harmonic table for all terms
+            Yw = ylm_table(sc.numerics.lmax, self.ang.nodes) * self.ang.weights
+            return complex(sum(self._born3(j, h, k, eps, Yw)
                                for j in range(n) for h in range(n) for k in range(n)
                                if j != h and h != k))
         raise ValueError("orders above 3 are not implemented")
 
-    def _born3(self, j: int, h: int, k: int, eps: float) -> complex:
+    def _born3(self, j: int, h: int, k: int, eps: float, Yw=None) -> complex:
         """Third-order term <k1|t_j R0 t_h R0 t_k|k2> at z = k0^2 + i eps.
 
         Both free propagations are projected onto partial waves (l, m) about
         scatterer h (see _projection); t_h then couples them l by l, read
         from its solves without forming the table (grid_sandwich).  Each
         projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
-        over directions k^, as pair_profile integrates e^{i q k^.D}
+        over directions k^, as _pair_kernel integrates e^{i q k^.D}
         P_l(k^.k1^) P_l'(k^.k2^).  The Rayleigh expansion
         e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes both exact
         at L <= 2*lmax: the other factor is a spherical polynomial of degree
         at most 2*lmax, to which every P_L with L > 2*lmax is orthogonal.
         What is left has degree at most 4*lmax, which the engine's angular
         rule ``ang`` integrates exactly, with no dependence on q*|D|.
+        ``Yw``, the weighted Y_lm table on ``ang``, may be shared between
+        the terms of one order; by default it is built here.
         """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
         lmax = sc.numerics.lmax
         q = self.grid.nodes
         w = self.grid.weights
-        ang = self.ang
-        Yw = ylm_table(lmax, ang.nodes) * ang.weights
+        if Yw is None:
+            Yw = ylm_table(lmax, self.ang.nodes) * self.ang.weights
         centers = [s.center_array for s in sc.scatterers]
         denom = w * q * q / (z - q * q)
         A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, eps) * denom
@@ -500,12 +540,15 @@ class ScenarioEngine:
                     eps: float) -> np.ndarray:
         """(nlm, nq) array sum_a Yw[:, a] e^{i q k^_a.D} T_s(k^_a, q).
 
-        T_s is the half-shell amplitude of scatterer s (see _amplitude); the
-        plane wave is truncated at L = 2*lmax (exact, see _born3).
+        T_s(k^, q) = sum_l c_l P_l(k^.direction) t_l(q, k0; z) is the
+        half-shell amplitude of scatterer s.  With the factors (K, wave) of
+        _nodal_sum the projection is K @ [t_l(q) wave_L(q)], one product
+        over (l, L).
         """
-        TE = self._amplitude(s, eps, direction)
-        TE *= self._plane_wave(D)
-        return Yw @ TE
+        lmax = self.sc.numerics.lmax
+        t = np.array([self.offshell(s, l).half_shell(eps)[:-1] for l in range(lmax + 1)])
+        K, wave = self._nodal_sum(Yw, direction, D)
+        return K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
 
     # -- the full experiment -------------------------------------------------
 
@@ -676,14 +719,13 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics["pair_gap"] = float(gap)
     overlapping = gap <= 0
 
-    # stages 2-3: one pair profile and one row of X_alpha per eps
+    # stages 2-3: one pair kernel, then a pair profile and a row of X_alpha per eps
     if not alphas:
         alphas = (0.0,)
     lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)
-    lattice, tail = {}, {}
-    for e in eps_seq:
-        lattice[e], tail[e] = engine.x_lattice(lattice_alphas, e)
-    diagnostics["tail_ratio"] = tail
+    rows, tails = engine.x_lattice(lattice_alphas, eps_seq)
+    lattice = dict(zip(eps_seq, rows))
+    diagnostics["tail_ratio"] = {e: float(t) for e, t in zip(eps_seq, tails)}
 
     # stage 4: extrapolation to eps = 0, per alpha
     x_by_eps, x_extrap, x_err = {}, {}, {}

@@ -8,23 +8,37 @@ outward from r0 ~ 1e-5 to r_match, then matches the log-derivative there to
 which defines the phase shift eta_l(k).  Returned phase shifts live on the
 branch (-pi/2, pi/2].
 
-One integration plan serves every step size:
+Each l has one integration plan, run at step scales 1 and 1/2:
 
 * segment bounds sit on the potential's breakpoints, and every stretch
-  with b/a > 2.5 is split in octaves, so each segment sees w vary by a
-  bounded factor;
+  with b/a > 2.5 is split in octaves (the same bounds for every l), so
+  each segment sees w vary by a bounded factor;
 * a contiguous classically forbidden run carrying more WKB action than
   ``_ACTION_KEEP`` is skipped up to its tail, where integration restarts
   from a WKB initial condition; otherwise it starts from the series
   u ~ r^{l+1} at r0;
 * each segment is sized from w on 33 probes, with at least 8 steps;
 * within a segment the first lattice value comes from RK4 in 8 substeps,
-  the rest from the Numerov recurrence, and u' at the segment's end from
+  the rest from the Numerov recurrence (in its summed form, on the
+  differences of neighbouring values), and u' at the segment's end from
   the one-sided 5-point stencil.
 
-The plan is integrated at step scales 1 and 1/2, and the Richardson
-combination of the two removes the h^4 Numerov error, which matters when
-eta itself is tiny (high l, low k).
+Every step of that is linear in the segment's starting (u, u'), so a
+segment is a 2x2 map, and one sweep integrates every segment of every l
+and both step scales at once (``_segment_maps``): w is read on all
+lattices in one call of ``Potential.evaluate``, the lattices are cut into
+chunks of ``_CHUNK`` Numerov steps that run side by side from the two
+basis starts, and each segment's chunk maps are multiplied pairwise in
+log2 rounds.  The Python loops thus run over a chunk's steps and a plan's
+segments, never over a segment's length.  The plans (probes of w, WKB
+starts, step counts) are set for every l at once too, each probe set in
+one evaluation.  Each plan then applies its segment maps in order,
+renormalising (u, u') above 1e100; only the log-derivative survives,
+which is all matching needs.  A non-finite w, or a step count above
+400,000 on one segment, is a StepControlError.
+
+The Richardson combination of the two step scales removes the h^4 Numerov
+error, which matters when eta itself is tiny (high l, low k).
 
 The on-shell partial-wave amplitude is
 
@@ -44,13 +58,23 @@ from multiscat.specfun import bessel_derivative, bessel_j_table, bessel_y_table
 #: The discarded decaying admixture is suppressed by exp(-2 * action) ~ 1e-39.
 _ACTION_KEEP = 45.0
 
+#: Numerov steps per chunk of the sweep: the length of its one loop over steps.
+_CHUNK = 32
+
+#: Lattice nodes per sweep call; longer plans are swept in several calls,
+#: which bounds the sweep's working arrays.
+_SWEEP_NODES = 1 << 18
+
+#: Step scales of the Richardson pair.
+_SCALES = (1.0, 0.5)
+
 
 class StepControlError(RuntimeError):
     """The Numerov integration cannot be carried out at a safe step size."""
 
 
-def onshell_t_lm(eta: float, k0: float) -> complex:
-    """On-shell amplitude -sin(eta) e^{i eta} / k0."""
+def onshell_t_lm(eta, k0: float):
+    """On-shell amplitude -sin(eta) e^{i eta} / k0 (elementwise for an array of eta)."""
     if k0 <= 0:
         raise ValueError("k0 must be positive")
     return -np.sin(eta) * np.exp(1j * eta) / k0
@@ -58,90 +82,32 @@ def onshell_t_lm(eta: float, k0: float) -> complex:
 
 def _branch(eta):
     """eta reduced to (-pi/2, pi/2]."""
-    if eta > np.pi / 2:
-        eta -= np.pi
-    elif eta <= -np.pi / 2:
-        eta += np.pi
-    return float(eta)
+    return np.where(eta > np.pi / 2, eta - np.pi,
+                    np.where(eta <= -np.pi / 2, eta + np.pi, eta))
 
 
-def _w(pot: Potential, l: int, k: float, a: float, b: float):
-    """w(r) on [a, b], read a hair inside the ends so that a node on a
-    breakpoint sees the one-sided limit of a discontinuous V."""
-    eps = 1e-13 * max(1.0, b)
-    lo, hi = a + eps, b - eps
+def _w(pot: Potential, l, k: float, r, a, b):
+    """w(r) for partial waves l, with r read a hair inside [a, b] so that a
+    node on a breakpoint sees the one-sided limit of a discontinuous V.
 
-    def w(r):
-        r = np.clip(np.asarray(r, dtype=float), lo, hi)
-        return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
-
-    return w
-
-
-def _numerov_segment(w, r_lo, r_hi, u, up, n):
-    """Numerov integration of u'' = w(r) u over [r_lo, r_hi] with n >= 8 steps.
-
-    Starts from (u, u') at r_lo, takes the first lattice value from RK4 in
-    8 substeps and returns (u, u') at r_hi, the derivative from the
-    one-sided 5-point stencil.  The solution is renormalised whenever it
-    grows large; only the log-derivative survives, which is all matching
-    needs.
+    l, r, a and b broadcast; V is evaluated once, on r.
     """
-    h = (r_hi - r_lo) / n
-    r = r_lo + h * np.arange(n + 1)
-    wv = w(r)
-
-    # RK4 over the first step; w is evaluated once, on the substep starts
-    # (accumulated as x += hh) and their midpoints
-    sub = 8
-    hh = h / sub
-    xs = np.empty(sub + 1)
-    xs[0] = r_lo
-    for s in range(sub):
-        xs[s + 1] = xs[s] + hh
-    ab = np.empty(2 * sub + 1)
-    ab[0::2] = xs
-    ab[1::2] = xs[:-1] + 0.5 * hh
-    wb = w(ab)
-    y0, y1 = u, up
-    for s in range(sub):
-        w0, wm, w1 = wb[2 * s], wb[2 * s + 1], wb[2 * s + 2]
-        k1a, k1b = y1, w0 * y0
-        k2a, k2b = y1 + 0.5 * hh * k1b, wm * (y0 + 0.5 * hh * k1a)
-        k3a, k3b = y1 + 0.5 * hh * k2b, wm * (y0 + 0.5 * hh * k2a)
-        k4a, k4b = y1 + hh * k3b, w1 * (y0 + hh * k3a)
-        y0 = y0 + (hh / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        y1 = y1 + (hh / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-
-    vals = np.empty(n + 1)
-    vals[0], vals[1] = u, y0
-    c = 1.0 - (h * h / 12.0) * wv
-    g = 2.0 * (1.0 + 5.0 * h * h / 12.0 * wv)
-    for i in range(1, n):
-        nxt = (g[i] * vals[i] - c[i - 1] * vals[i - 1]) / c[i + 1]
-        vals[i + 1] = nxt
-        if abs(nxt) > 1e120:
-            vals[: i + 2] /= abs(nxt)
-    if not np.isfinite(vals[n]):
-        raise StepControlError("Numerov segment produced non-finite values")
-
-    up_end = (3.0 * vals[n - 4] - 16.0 * vals[n - 3] + 36.0 * vals[n - 2]
-              - 48.0 * vals[n - 1] + 25.0 * vals[n]) / (12.0 * h)
-    return vals[n], up_end
+    eps = 1e-13 * np.maximum(1.0, b)
+    r = np.clip(r, a + eps, b - eps)
+    return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
 
 
-def _segments(pot: Potential, l: int, k: float, r_match: float):
-    """Integration plan shared by every step size.
+def _segments(pot: Potential, ls: np.ndarray, k: float, r_match: float):
+    """Integration plan of each l, shared by every step size.
 
-    Returns ``(bounds, r0, wkb_start)``: the (r_lo, r_hi) pairs to
-    integrate, the series start radius, and whether the first pair starts
-    from a WKB initial condition.  Pair ends sit on the potential's
-    breakpoints above r0, with every stretch split in octaves while
-    b/a > 2.5.  A contiguous classically-forbidden stretch carrying more
-    WKB action than _ACTION_KEEP is skipped up to its tail: the regular
-    solution forgets its start across such a stretch (the admixture of the
-    decaying branch is suppressed by exp(-2 action)), so integration
-    restarts there.
+    Returns ``(plans, r0)``: per l, the (r_lo, r_hi) pairs to integrate
+    and whether the first pair starts from a WKB initial condition; r0 is
+    the series start radius.  Pair ends sit on the potential's breakpoints
+    above r0, with every stretch split in octaves while b/a > 2.5.  A
+    contiguous classically-forbidden stretch carrying more WKB action than
+    _ACTION_KEEP is skipped up to its tail: the regular solution forgets
+    its start across such a stretch (the admixture of the decaying branch
+    is suppressed by exp(-2 action)), so integration restarts there.
     """
     r0 = min(1e-5 * max(pot.a, 1.0 / k), 1e-4)
     bps = sorted({b for b in pot.breakpoints() if r0 < b < r_match})
@@ -153,84 +119,247 @@ def _segments(pot: Potential, l: int, k: float, r_match: float):
             a *= 2.0
         bounds.append((a, b))
 
-    # WKB action bookkeeping over contiguous fully-forbidden runs
-    probes = []
-    for a, b in bounds:
-        xs = np.linspace(a, b, 129)
-        wv = _w(pot, l, k, a, b)(xs)
-        forbidden = bool(wv.min() > 0)
-        sq = np.sqrt(np.clip(wv, 0.0, None))
-        action = float(np.trapezoid(sq, xs)) if forbidden else 0.0
-        probes.append((forbidden, action, xs, sq))
+    # WKB action bookkeeping over contiguous fully-forbidden runs, from w
+    # of every l on 129 probes per pair
+    lo, hi = np.array(bounds).T
+    xs = np.linspace(lo, hi, 129, axis=-1)
+    wv = _w(pot, ls[:, None, None], k, xs, lo[:, None], hi[:, None])
+    forbidden = wv.min(axis=-1) > 0
+    sq = np.sqrt(np.clip(wv, 0.0, None))
+    action = np.where(forbidden, np.trapezoid(sq, xs, axis=-1), 0.0)
 
-    start_idx, start_r = 0, None
-    i = 0
-    while i < len(bounds):
-        if not probes[i][0]:
-            i += 1
-            continue
-        j = i
-        run_action = 0.0
-        while j < len(bounds) and probes[j][0]:
-            run_action += probes[j][1]
-            j += 1
-        if run_action > _ACTION_KEEP + 5.0:
-            # keep only the run's tail carrying _ACTION_KEEP of action
-            remaining = _ACTION_KEEP
-            for kk in range(j - 1, i - 1, -1):
-                if probes[kk][1] >= remaining:
-                    xs, sq = probes[kk][2], probes[kk][3]
-                    cum = np.concatenate([[0.0], np.cumsum((sq[1:] + sq[:-1]) * 0.5 * np.diff(xs))])
-                    target = cum[-1] - remaining
-                    idx = int(np.clip(np.searchsorted(cum, target), 1, len(xs) - 1))
-                    # interpolate inside the probe cell; the lattice is far
-                    # coarser than 1/sqrt(w) when the action is huge
-                    c0, c1 = cum[idx - 1], cum[idx]
-                    frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
-                    start_idx = kk
-                    start_r = float(xs[idx - 1] + frac * (xs[idx] - xs[idx - 1]))
-                    break
-                remaining -= probes[kk][1]
-        i = j
+    plans = []
+    for fb, act, sql in zip(forbidden, action, sq):
+        start_idx, start_r = 0, None
+        i = 0
+        while i < len(bounds):
+            if not fb[i]:
+                i += 1
+                continue
+            j = i
+            run_action = 0.0
+            while j < len(bounds) and fb[j]:
+                run_action += act[j]
+                j += 1
+            if run_action > _ACTION_KEEP + 5.0:
+                # keep only the run's tail carrying _ACTION_KEEP of action
+                remaining = _ACTION_KEEP
+                for kk in range(j - 1, i - 1, -1):
+                    if act[kk] >= remaining:
+                        x, s = xs[kk], sql[kk]
+                        cum = np.concatenate(
+                            [[0.0], np.cumsum((s[1:] + s[:-1]) * 0.5 * np.diff(x))])
+                        target = cum[-1] - remaining
+                        idx = int(np.clip(np.searchsorted(cum, target), 1, len(x) - 1))
+                        # interpolate inside the probe cell; the lattice is far
+                        # coarser than 1/sqrt(w) when the action is huge
+                        c0, c1 = cum[idx - 1], cum[idx]
+                        frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
+                        start_idx = kk
+                        start_r = float(x[idx - 1] + frac * (x[idx] - x[idx - 1]))
+                        break
+                    remaining -= act[kk]
+            i = j
+        own = list(bounds[start_idx:])
+        if start_r is not None:
+            own[0] = (start_r, own[0][1])
+        plans.append(([(a, b) for a, b in own if b > a], start_r is not None))
+    return plans, r0
 
-    if start_r is not None:
-        bounds[start_idx] = (start_r, bounds[start_idx][1])
-    return [(a, b) for a, b in bounds[start_idx:] if b > a], r0, start_r is not None
 
+def _steps(pot: Potential, l: np.ndarray, k: float, a: np.ndarray,
+           b: np.ndarray) -> np.ndarray:
+    """Numerov steps on each [a, b] for partial wave l, at least 8, per step scale.
 
-def _steps(w, a: float, b: float, scale: float) -> int:
-    """Numerov steps on [a, b], at least 8.
-
-    The step h is at most (b - a) / 16, 0.012 scale / sqrt(-w) where w < 0
-    and 0.04 scale / sqrt(w) where w > 0, over w on 33 probes.
+    Returns (len(_SCALES), n_seg).  The step h is at most (b - a) / 16,
+    0.012 scale / sqrt(-w) where w < 0 and 0.04 scale / sqrt(w) where
+    w > 0, over w on 33 probes.
     """
-    wv = w(np.linspace(a, b, 33))
-    s_osc = np.sqrt(max(-wv.min(), 0.0))
-    s_grow = np.sqrt(max(wv.max(), 0.0))
-    h = (b - a) / 16.0
-    if s_osc > 0:
-        h = min(h, 0.012 * scale / s_osc)
-    if s_grow > 0:
-        h = min(h, 0.04 * scale / s_grow)
-    n = int(np.ceil((b - a) / h))
-    if n > 400_000:
-        raise StepControlError(
-            f"step control wants {n} nodes on [{a:.3g},{b:.3g}]; refusing")
-    return max(n, 8)
+    wv = _w(pot, l[:, None], k, np.linspace(a, b, 33, axis=-1), a[:, None], b[:, None])
+    bad = ~np.isfinite(wv).all(axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StepControlError(f"w(r) is not finite on [{a[i]:.3g},{b[i]:.3g}]")
+    s_osc = np.sqrt(np.maximum(-wv.min(axis=-1), 0.0))
+    s_grow = np.sqrt(np.maximum(wv.max(axis=-1), 0.0))
+    out = []
+    for scale in _SCALES:
+        h = (b - a) / 16.0
+        for s, c in ((s_osc, 0.012), (s_grow, 0.04)):
+            h = np.minimum(h, np.divide(c * scale, s, out=np.full_like(s, np.inf), where=s > 0))
+        n = np.ceil((b - a) / h)
+        if (n > 400_000).any():
+            i = int(np.argmax(n > 400_000))
+            raise StepControlError(
+                f"step control wants {n[i]:.0f} nodes on [{a[i]:.3g},{b[i]:.3g}]; refusing")
+        out.append(np.maximum(n, 8).astype(int))
+    return np.array(out)
 
 
-def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = None) -> float:
+def _mul(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """B @ A for stacks of 2x2 maps laid out (2, 2, n), entry by entry."""
+    return np.array([[B[0, 0] * A[0, 0] + B[0, 1] * A[1, 0],
+                      B[0, 0] * A[0, 1] + B[0, 1] * A[1, 1]],
+                     [B[1, 0] * A[0, 0] + B[1, 1] * A[1, 0],
+                      B[1, 0] * A[0, 1] + B[1, 1] * A[1, 1]]])
+
+
+def _chain_chunks(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each segment's product of its consecutive chunk maps, later @ earlier.
+
+    M stacks the chunk maps (2, 2, n_chunks), every segment's chunks
+    contiguous and in order; counts[s] is segment s's chunk count.
+    Neighbouring pairs are multiplied in ceil(log2(max count)) rounds.
+    Every map is divided by its largest entry, the chunk maps first and
+    then each product: a positive factor on a map leaves the
+    log-derivative it delivers unchanged, and a map that is already
+    normalised is left bit for bit as it is.
+    """
+    M = M / np.abs(M).max(axis=(0, 1))
+    while counts.max() > 1:
+        seg = np.repeat(np.arange(counts.size), counts)
+        pos = np.arange(seg.size) - (np.cumsum(counts) - counts)[seg]
+        left = np.flatnonzero(pos % 2 == 0)
+        paired = pos[left] + 1 < counts[seg[left]]
+        A = M[..., left]
+        M = np.where(paired, _mul(M[..., np.where(paired, left + 1, left)], A), A)
+        M = M / np.abs(M).max(axis=(0, 1))
+        counts = (counts + 1) // 2
+    return M
+
+
+def _segment_maps(pot: Potential, k: float, l: np.ndarray, a: np.ndarray,
+                  b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Numerov map of each segment [a, b] in n >= 8 steps for partial wave l.
+
+    Returns (2, 2, n_seg): the map taking (u, u') at a to (u, u') at b, up
+    to a positive factor per segment.  The first lattice value comes from
+    RK4 in 8 substeps, the rest from the Numerov recurrence, and u' at b
+    from the one-sided 5-point stencil, each run on the two basis starts
+    (u, u') = (1, 0) and (0, 1).
+
+    The recurrence c_{i+1} v_{i+1} = g_i v_i - c_{i-1} v_{i-1} runs in its
+    summed form on the state (v_i, d_{i-1}), d_i = v_{i+1} - v_i:
+
+        d_i = (q_i v_i + c_{i-1} d_{i-1}) / c_{i+1},   v_{i+1} = v_i + d_i,
+        q_i = g_i - c_{i-1} - c_{i+1} = (h^2/12) (w_{i-1} + 10 w_i + w_{i+1}),
+
+    whose maps over many steps stay well conditioned where adjacent v are
+    nearly equal (a map on (v_{i-1}, v_i) there loses ~1/(k h) in
+    cancellation at every product).  Steps 1..n-4 run in chunks of _CHUNK
+    side by side from the basis states (v, d) = (1, 0) and (0, 1); each
+    segment's first chunk is padded at its start with idle slots and
+    reset to the basis where its first step begins.  The chunk maps are
+    multiplied per segment (_chain_chunks), and the last three steps and
+    the stencil, written on the d's, run on the product.
+    """
+    nseg = n.size
+    h = (b - a) / n
+    hh = h / 8
+    size = n + 1
+    start = np.cumsum(size) - size            # flat index of each segment's v[0]
+    r = np.repeat(a, size) + np.repeat(h, size) * (np.arange(start[-1] + size[-1])
+                                                   - np.repeat(start, size))
+    # RK4 nodes of the first step: substep starts accumulated as x += hh,
+    # and their midpoints
+    xs = np.cumsum(np.column_stack([a] + [hh] * 8), axis=1)
+    ab = np.empty((nseg, 17))
+    ab[:, 0::2] = xs
+    ab[:, 1::2] = xs[:, :-1] + 0.5 * hh[:, None]
+    # w on every lattice and RK4 node in one evaluation
+    per = np.concatenate([size, np.full(nseg, 17)])
+    lw, aw, bw = (np.repeat(np.tile(x, 2), per) for x in (l, a, b))
+    w = _w(pot, lw, k, np.concatenate([r, ab.ravel()]), aw, bw)
+    wv, wb = w[:r.size], w[r.size:].reshape(nseg, 17)
+
+    # RK4 over the first step, per basis start (rows); d0 sums the
+    # increments of u, so v1 - v0 is not formed by cancellation
+    y0 = np.array([np.ones(nseg), np.zeros(nseg)])
+    y1 = y0[::-1].copy()
+    d0 = np.zeros_like(y0)
+    for s in range(8):
+        w0, wm, w1 = wb[:, 2 * s], wb[:, 2 * s + 1], wb[:, 2 * s + 2]
+        k1a, k1b = y1, w0 * y0
+        k2a, k2b = y1 + 0.5 * hh * k1b, wm * (y0 + 0.5 * hh * k1a)
+        k3a, k3b = y1 + 0.5 * hh * k2b, wm * (y0 + 0.5 * hh * k2a)
+        k4a, k4b = y1 + hh * k3b, w1 * (y0 + hh * k3a)
+        inc = (hh / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        y0 = y0 + inc
+        d0 = d0 + inc
+        y1 = y1 + (hh / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+
+    hs = np.repeat(h * h / 12.0, size)
+    c = 1.0 - hs * wv
+    q = np.zeros_like(wv)
+    q[1:-1] = hs[1:-1] * (wv[:-2] + 10.0 * wv[1:-1] + wv[2:])
+
+    # steps i = 1..n-4 in chunks laid out (_CHUNK, n_chunks); a segment's
+    # slot j holds step j - pad + 1, and its first pad slots are idle
+    steps = n - 4
+    chunks = -(-steps // _CHUNK)
+    slots = chunks * _CHUNK
+    pad = slots - steps
+    node = np.arange(slots.sum()) + np.repeat(start - (np.cumsum(slots) - slots) - pad + 1, slots)
+    idle = node <= np.repeat(start, slots)
+    node = np.where(idle, 0, node).reshape(-1, _CHUNK).T
+    Q, CP, CN = q[node], c[node - 1], c[node + 1]
+    idle = idle.reshape(-1, _CHUNK).T
+    # idle slots step (v, d) -> (v + d, d), harmlessly: the state of a
+    # padded chunk is reset to the basis where its first step begins
+    Q[idle], CP[idle], CN[idle] = 0.0, 1.0, 1.0
+    first = np.cumsum(chunks) - chunks       # each segment's padded chunk
+    v = np.zeros((2, Q.shape[1]))
+    v[0] = 1.0
+    d = v[::-1].copy()
+    for t in range(_CHUNK):
+        reset = first[pad == t]
+        if t and reset.size:
+            v[:, reset] = [[1.0], [0.0]]
+            d[:, reset] = [[0.0], [1.0]]
+        d = (Q[t] * v + CP[t] * d) / CN[t]
+        v = v + d
+    K = _chain_chunks(np.array([v, d]), chunks)
+
+    # (v[n-3], d[n-4]) as coefficients of the segment's starting (u, u'),
+    # from (v[1], d[0]) = (y0, d0); then steps n-3..n-1
+    v = K[0, 0] * y0 + K[0, 1] * d0
+    ds = [K[1, 0] * y0 + K[1, 1] * d0]
+    for e in (start + n - 3, start + n - 2, start + n - 1):
+        ds.append((q[e] * v + c[e - 1] * ds[-1]) / c[e + 1])
+        v = v + ds[-1]
+    # the 5-point stencil (3, -16, 36, -48, 25) v / (12 h) on the d's
+    up_end = (-3.0 * ds[0] + 13.0 * ds[1] - 23.0 * ds[2] + 25.0 * ds[3]) / (12.0 * h)
+    F = np.array([v, up_end])
+    if not np.isfinite(F).all():
+        raise StepControlError("Numerov segment produced non-finite values")
+    return F
+
+
+def _riccati(l: int, x: float):
+    """(x j_l, d/dx (x j_l), x y_l, d/dx (x y_l)) at x."""
+    J, Y = bessel_j_table(max(l, 1), x), bessel_y_table(max(l, 1), x)
+    jl, jlp = J[l], bessel_derivative(J, x)[l]
+    yl, ylp = Y[l], bessel_derivative(Y, x)[l]
+    return x * jl, jl + x * jlp, x * yl, yl + x * ylp
+
+
+def phase_shift(pot: Potential, l, k: float, *, r_match: float | None = None):
     """Scattering phase shift eta_l(k), reduced to (-pi/2, pi/2].
 
-    r_match defaults to slightly beyond the effective support.  Passing an
-    r_match inside the support is a configuration error.  The value is the
-    Richardson combination of one integration plan run at step scales 1
-    and 1/2.
+    ``l`` is one partial wave (returns a float) or a sequence of them
+    (returns an array, one sweep for all).  r_match defaults to slightly
+    beyond the effective support.  Passing an r_match inside the support
+    is a configuration error.  Each value is the Richardson combination of
+    its l's integration plan run at step scales 1 and 1/2.
     """
+    scalar = isinstance(l, (int, np.integer))
+    ls = np.array([l] if scalar else list(l), dtype=int)
     if k <= 0:
         raise ValueError("k must be positive")
-    if l < 0:
+    if np.any(ls < 0):
         raise ValueError("l must be nonnegative")
+    if ls.size == 0:
+        return np.empty(0)
     r_eff = pot.effective_radius()
     if r_match is None:
         r_match = max(1.05 * r_eff, r_eff + 0.5 / k, 1.0 / k)
@@ -238,37 +367,50 @@ def phase_shift(pot: Potential, l: int, k: float, *, r_match: float | None = Non
         raise ValueError(f"r_match={r_match} lies inside the effective support "
                          f"(radius {r_eff:.4g})")
 
-    bounds, r0, wkb_start = _segments(pot, l, k, r_match)
-    ws = [_w(pot, l, k, a, b) for a, b in bounds]
-    plans = [[_steps(w, a, b, s) for w, (a, b) in zip(ws, bounds)] for s in (1.0, 0.5)]
+    plans, r0 = _segments(pot, ls, k, r_match)
+    wkb = np.array([p[1] for p in plans])
+    seg_l = np.concatenate([[l_] * len(p[0]) for l_, p in zip(ls, plans)])
+    a, b = np.array([ab for p in plans for ab in p[0]]).T
+    counts = np.array([len(p[0]) for p in plans] * len(_SCALES))
+    seg_l2, a2, b2 = (np.tile(x, len(_SCALES)) for x in (seg_l, a, b))
+    n = _steps(pot, seg_l, k, a, b).ravel()
 
-    if wkb_start:
-        u0, up0 = 1.0, float(np.sqrt(ws[0](bounds[0][0])))
-    else:
-        # series start u ~ r^{l+1} (1 + c2 r^2), normalised to u(r0) = 1
-        c2 = (pot.evaluate(r0) - k * k) / (2.0 * (2 * l + 3))
-        u0 = 1.0
-        up0 = (l + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
+    # the sweep, in calls of about _SWEEP_NODES lattice nodes
+    cuts, total = [0], 0
+    for i, size in enumerate(n + 1):
+        if total and total + size > _SWEEP_NODES:
+            cuts.append(i)
+            total = 0
+        total += size
+    cuts.append(n.size)
+    F = np.concatenate([_segment_maps(pot, k, seg_l2[p:q], a2[p:q], b2[p:q], n[p:q])
+                        for p, q in zip(cuts[:-1], cuts[1:])], axis=-1)
 
-    # log-derivative match against Riccati-Bessel combinations
+    # starts: WKB (u, u') = (1, sqrt(w)) at the first pair's start, else the
+    # series u ~ r^{l+1} (1 + c2 r^2), normalised to u(r0) = 1
+    first = np.cumsum(counts) - counts
+    a0, b0 = a[first[:ls.size]], b[first[:ls.size]]
+    w_start = _w(pot, ls, k, a0, a0, b0)
+    c2 = (pot.evaluate(r0) - k * k) / (2.0 * (2 * ls + 3))
+    series = (ls + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
+    up = np.tile(np.where(wkb, np.sqrt(np.maximum(w_start, 0.0)), series), len(_SCALES))
+    u = np.ones_like(up)
+    for s in range(counts.max()):
+        f = F[..., first + np.minimum(s, counts - 1)]
+        on = s < counts
+        u, up = (np.where(on, f[0, 0] * u + f[0, 1] * up, u),
+                 np.where(on, f[1, 0] * u + f[1, 1] * up, up))
+        norm = np.where((np.abs(u) > 1e100) | (np.abs(up) > 1e100), np.abs(u), 1.0)
+        u, up = u / norm, up / norm
+    gamma = (up / u).reshape(len(_SCALES), ls.size)
+
+    # log-derivative match against Riccati-Bessel combinations, each l from
+    # tables of orders 0..max(l, 1) (the derivative of order 0 reads order
+    # 1), so that an l's value does not depend on the others swept with it
     x = k * r_match
-    # orders 0..max(l, 1): the derivative of order 0 reads order 1
-    J, Y = bessel_j_table(max(l, 1), x), bessel_y_table(max(l, 1), x)
-    jl, jlp = J[l], bessel_derivative(J, x)[l]
-    yl, ylp = Y[l], bessel_derivative(Y, x)[l]
-    rj, rjp = x * jl, jl + x * jlp      # (x j_l) and d/dx (x j_l)
-    ry, ryp = x * yl, yl + x * ylp
-
-    def integrate(steps):
-        u, up = u0, up0
-        for w, (a, b), n in zip(ws, bounds, steps):
-            u, up = _numerov_segment(w, a, b, u, up, n)
-            if abs(u) > 1e100 or abs(up) > 1e100:
-                u, up = u / abs(u), up / abs(u)
-        gamma = up / u
-        return _branch(np.arctan2(k * rjp - gamma * rj, k * ryp - gamma * ry))
-
-    full, half = (integrate(steps) for steps in plans)
+    rj, rjp, ry, ryp = np.array([_riccati(int(l_), x) for l_ in ls]).T
+    full, half = _branch(np.arctan2(k * rjp - gamma * rj, k * ryp - gamma * ry))
     d = half - full
     d = (d + np.pi / 2) % np.pi - np.pi / 2
-    return _branch(half + d / 15.0)
+    eta = _branch(half + d / 15.0)
+    return float(eta[0]) if scalar else eta

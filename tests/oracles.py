@@ -21,7 +21,11 @@
   (``scipy.integrate.quad``);
 * ``zaxis_blocks`` and ``spectral_schatten4_per_k`` - the m-diagonal
   structure-constant blocks with R along z, and the spectral Schatten-4 norm
-  at one k from them, each Gaunt table built at that k's own truncation.
+  at one k from them, each Gaunt table built at that k's own truncation;
+* ``numerov_segment`` and ``phase_shift_scalar`` - one l's phase shift on
+  the library's integration plan, built probe by probe and integrated one
+  lattice value at a time, with the classical three-term Numerov
+  recurrence or its summed form.
 """
 
 import math
@@ -40,10 +44,13 @@ from multiscat.greens import (
     _outgoing_waves,
     _sigma4,
 )
+from multiscat.radial import _ACTION_KEEP
 from multiscat.specfun import (
     _check_l,
     _dirs_to_angles,
+    bessel_derivative,
     bessel_j_table,
+    bessel_y_table,
     gauss_legendre,
     plm_norm_table,
     sph_index,
@@ -350,3 +357,191 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     if (l2, m2) < (l1, m1):
         l1, m1, l2, m2 = l2, m2, l1, m1
     return _gaunt_cached(l1, m1, l2, m2, l3, m3)
+
+
+# -- scalar Numerov phase shifts ---------------------------------------------
+
+def _scalar_w(pot, l: int, k: float, a: float, b: float):
+    """w(r) on [a, b], read a hair inside the ends."""
+    eps = 1e-13 * max(1.0, b)
+    lo, hi = a + eps, b - eps
+
+    def w(r):
+        r = np.clip(np.asarray(r, dtype=float), lo, hi)
+        return l * (l + 1) / r ** 2 + pot.evaluate(r) - k * k
+
+    return w
+
+
+def numerov_segment(w, r_lo, r_hi, u, up, n, summed=False):
+    """Numerov integration of u'' = w(r) u over [r_lo, r_hi] with n >= 8 steps.
+
+    Starts from (u, u') at r_lo, takes the first lattice value from RK4 in
+    8 substeps and returns (u, u') at r_hi, the derivative from the
+    one-sided 5-point stencil; one lattice value at a time, renormalised
+    whenever it grows past 1e120.  The recurrence is the classical
+    c_{i+1} v_{i+1} = g_i v_i - c_{i-1} v_{i-1}, or with ``summed`` its
+    summed form on the differences d_i = v_{i+1} - v_i (the library's),
+    d_i = (q_i v_i + c_{i-1} d_{i-1}) / c_{i+1}, q_i = g_i - c_{i-1} - c_{i+1},
+    with the stencil written on the d's.
+    """
+    h = (r_hi - r_lo) / n
+    r = r_lo + h * np.arange(n + 1)
+    wv = w(r)
+    sub = 8
+    hh = h / sub
+    xs = np.empty(sub + 1)
+    xs[0] = r_lo
+    for s in range(sub):
+        xs[s + 1] = xs[s] + hh
+    ab = np.empty(2 * sub + 1)
+    ab[0::2] = xs
+    ab[1::2] = xs[:-1] + 0.5 * hh
+    wb = w(ab)
+    y0, y1, d0 = u, up, 0.0
+    for s in range(sub):
+        w0, wm, w1 = wb[2 * s], wb[2 * s + 1], wb[2 * s + 2]
+        k1a, k1b = y1, w0 * y0
+        k2a, k2b = y1 + 0.5 * hh * k1b, wm * (y0 + 0.5 * hh * k1a)
+        k3a, k3b = y1 + 0.5 * hh * k2b, wm * (y0 + 0.5 * hh * k2a)
+        k4a, k4b = y1 + hh * k3b, w1 * (y0 + hh * k3a)
+        inc = (hh / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        y0 = y0 + inc
+        d0 = d0 + inc
+        y1 = y1 + (hh / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+
+    if summed:
+        c = 1.0 - (h * h / 12.0) * wv
+        q = (h * h / 12.0) * (wv[:-2] + 10.0 * wv[1:-1] + wv[2:])   # q[i - 1] is q_i
+        v = y0
+        ds = np.empty(n)
+        ds[0] = d0
+        for i in range(1, n):
+            ds[i] = (q[i - 1] * v + c[i - 1] * ds[i - 1]) / c[i + 1]
+            v = v + ds[i]
+            if abs(v) > 1e120:
+                ds[: i + 1] /= abs(v)
+                v /= abs(v)
+        return v, (-3.0 * ds[n - 4] + 13.0 * ds[n - 3] - 23.0 * ds[n - 2]
+                   + 25.0 * ds[n - 1]) / (12.0 * h)
+
+    vals = np.empty(n + 1)
+    vals[0], vals[1] = u, y0
+    c = 1.0 - (h * h / 12.0) * wv
+    g = 2.0 * (1.0 + 5.0 * h * h / 12.0 * wv)
+    for i in range(1, n):
+        nxt = (g[i] * vals[i] - c[i - 1] * vals[i - 1]) / c[i + 1]
+        vals[i + 1] = nxt
+        if abs(nxt) > 1e120:
+            vals[: i + 2] /= abs(nxt)
+    up_end = (3.0 * vals[n - 4] - 16.0 * vals[n - 3] + 36.0 * vals[n - 2]
+              - 48.0 * vals[n - 1] + 25.0 * vals[n]) / (12.0 * h)
+    return vals[n], up_end
+
+
+def _scalar_plan(pot, l: int, k: float, r_match: float):
+    """(bounds, r0, wkb_start) of one l, probe by probe."""
+    r0 = min(1e-5 * max(pot.a, 1.0 / k), 1e-4)
+    bps = sorted({b for b in pot.breakpoints() if r0 < b < r_match})
+    bounds = []
+    for a, b in zip([r0] + bps, bps + [r_match]):
+        while b / a > 2.5:
+            bounds.append((a, a * 2.0))
+            a *= 2.0
+        bounds.append((a, b))
+    probes = []
+    for a, b in bounds:
+        xs = np.linspace(a, b, 129)
+        wv = _scalar_w(pot, l, k, a, b)(xs)
+        forbidden = bool(wv.min() > 0)
+        sq = np.sqrt(np.clip(wv, 0.0, None))
+        action = float(np.trapezoid(sq, xs)) if forbidden else 0.0
+        probes.append((forbidden, action, xs, sq))
+    start_idx, start_r = 0, None
+    i = 0
+    while i < len(bounds):
+        if not probes[i][0]:
+            i += 1
+            continue
+        j = i
+        run_action = 0.0
+        while j < len(bounds) and probes[j][0]:
+            run_action += probes[j][1]
+            j += 1
+        if run_action > _ACTION_KEEP + 5.0:
+            remaining = _ACTION_KEEP
+            for kk in range(j - 1, i - 1, -1):
+                if probes[kk][1] >= remaining:
+                    xs, sq = probes[kk][2], probes[kk][3]
+                    cum = np.concatenate([[0.0], np.cumsum((sq[1:] + sq[:-1]) * 0.5 * np.diff(xs))])
+                    target = cum[-1] - remaining
+                    idx = int(np.clip(np.searchsorted(cum, target), 1, len(xs) - 1))
+                    c0, c1 = cum[idx - 1], cum[idx]
+                    frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
+                    start_idx = kk
+                    start_r = float(xs[idx - 1] + frac * (xs[idx] - xs[idx - 1]))
+                    break
+                remaining -= probes[kk][1]
+        i = j
+    if start_r is not None:
+        bounds[start_idx] = (start_r, bounds[start_idx][1])
+    return [(a, b) for a, b in bounds[start_idx:] if b > a], r0, start_r is not None
+
+
+def _scalar_steps(w, a: float, b: float, scale: float) -> int:
+    wv = w(np.linspace(a, b, 33))
+    s_osc = np.sqrt(max(-wv.min(), 0.0))
+    s_grow = np.sqrt(max(wv.max(), 0.0))
+    h = (b - a) / 16.0
+    if s_osc > 0:
+        h = min(h, 0.012 * scale / s_osc)
+    if s_grow > 0:
+        h = min(h, 0.04 * scale / s_grow)
+    return max(int(np.ceil((b - a) / h)), 8)
+
+
+def phase_shift_scalar(pot, l: int, k: float, r_match: float | None = None,
+                       summed: bool = False) -> float:
+    """eta_l(k) on the library's integration plan, built probe by probe,
+    integrated segment by segment and lattice value by lattice value
+    (``numerov_segment``, classical or ``summed``), at step scales 1 and
+    1/2 with the same Richardson combination."""
+    r_eff = pot.effective_radius()
+    if r_match is None:
+        r_match = max(1.05 * r_eff, r_eff + 0.5 / k, 1.0 / k)
+    bounds, r0, wkb_start = _scalar_plan(pot, l, k, r_match)
+    ws = [_scalar_w(pot, l, k, a, b) for a, b in bounds]
+    plans = [[_scalar_steps(w, a, b, s) for w, (a, b) in zip(ws, bounds)] for s in (1.0, 0.5)]
+    if wkb_start:
+        u0, up0 = 1.0, float(np.sqrt(ws[0](bounds[0][0])))
+    else:
+        c2 = (pot.evaluate(r0) - k * k) / (2.0 * (2 * l + 3))
+        u0 = 1.0
+        up0 = (l + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
+    x = k * r_match
+    J, Y = bessel_j_table(max(l, 1), x), bessel_y_table(max(l, 1), x)
+    jl, jlp = J[l], bessel_derivative(J, x)[l]
+    yl, ylp = Y[l], bessel_derivative(Y, x)[l]
+    rj, rjp = x * jl, jl + x * jlp
+    ry, ryp = x * yl, yl + x * ylp
+
+    def branch(eta):
+        if eta > np.pi / 2:
+            eta -= np.pi
+        elif eta <= -np.pi / 2:
+            eta += np.pi
+        return float(eta)
+
+    def integrate(steps):
+        u, up = u0, up0
+        for w, (a, b), n in zip(ws, bounds, steps):
+            u, up = numerov_segment(w, a, b, u, up, n, summed)
+            if abs(u) > 1e100 or abs(up) > 1e100:
+                u, up = u / abs(u), up / abs(u)
+        gamma = up / u
+        return branch(np.arctan2(k * rjp - gamma * rj, k * ryp - gamma * ry))
+
+    full, half = (integrate(steps) for steps in plans)
+    d = half - full
+    d = (d + np.pi / 2) % np.pi - np.pi / 2
+    return branch(half + d / 15.0)

@@ -74,6 +74,49 @@ def test_unknown_numerics_keys_rejected():
     assert validate_config(MINIMAL + "numerics:\n").scenario.numerics.lmax == 8
 
 
+SECOND = "potential: {kind: square_well, v0: -1.0, a: 1.0}\noutput"
+
+
+@pytest.mark.parametrize("old,new,path", [
+    # scenario numbers
+    ("k0: 1.0", "k0: true", "scenario.k0"),
+    ("k0: 1.0", "k0: .inf", "scenario.k0"),
+    # vector components
+    ("k0: 1.0", "k0: 1.0\n  dir_in: [0.0, false, 1.0]", "scenario.dir_in"),
+    ("[0.0, 0.0, 5.0]", "[0.0, 0.0, true]", "scatterers[1].center"),
+    # list entries
+    ("k0: 1.0", "k0: 1.0\n  eps_list: [0.2, true, 0.05]", "scenario.eps_list"),
+    ("k0: 1.0", "k0: 1.0\n  alpha_list: [0.0, true]", "scenario.alpha_list"),
+    # potential parameters
+    (SECOND, "potential: {kind: square_well, v0: true, a: 1.0}\noutput",
+     "scatterers[1].potential.v0"),
+    (SECOND, "potential: {kind: square_well, v0: -1.0, a: true}\noutput",
+     "scatterers[1].potential.a"),
+    (SECOND, "potential: {kind: truncated_coulomb, v0: -1.0, a: 1.0, rc: true}\noutput",
+     "scatterers[1].potential.rc"),
+    # integer numerics keys
+    ("output:", "numerics:\n  lmax: 8.5\noutput:", "numerics.lmax"),
+    ("output:", "numerics:\n  lmax: true\noutput:", "numerics.lmax"),
+    ("output:", "numerics:\n  n_max: 2.5\noutput:", "numerics.n_max"),
+    # float numerics keys
+    ("output:", "numerics:\n  p_max: true\noutput:", "numerics.p_max"),
+    ("output:", "numerics:\n  tail_tol: true\noutput:", "numerics.tail_tol"),
+    # tolerances
+    ("output:", "tolerances:\n  phase_law: true\noutput:", "tolerances.phase_law"),
+])
+def test_booleans_and_non_integral_values_rejected(old, new, path):
+    text = MINIMAL.replace(old, new, 1)
+    assert text != MINIMAL
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == [path]
+
+
+def test_integral_float_is_an_integer():
+    cfg = validate_config(MINIMAL.replace("output:", "numerics:\n  lmax: 6.0\noutput:"))
+    assert cfg.scenario.numerics.lmax == 6 and isinstance(cfg.scenario.numerics.lmax, int)
+
+
 @pytest.mark.parametrize("eps", ["[0.2, 0.1]", "[0.2, 0.19, 0.1]", "[0.2, 0.1, 0.0]",
                                  "[0.2, 0.1, 0.1]"])
 def test_eps_list_that_cannot_extrapolate_rejected(tmp_path, eps):
@@ -234,16 +277,22 @@ def test_run_determinism_byte_identical(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("name", ["nonoverlap_wells", "overlap_gaussians"])
+@pytest.mark.parametrize("name", ["nonoverlap_wells", "overlap_gaussians", "structconst"])
 def test_run_imports_no_scipy(tmp_path, name):
     # a fresh interpreter: the test session itself has loaded scipy oracles
-    text = (CONFIG_DIR / f"{name}.yaml").read_text().replace(
-        f"dir: out/{name}", f"dir: {tmp_path / 'out'}")
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text(text)
+    if name == "structconst":
+        out = tmp_path / "g.csv"
+        argv = ["structconst", "--k0", "1", "--r", "3", "--lmax", "8", "--out", str(out)]
+    else:
+        out = tmp_path / "out" / "report.json"
+        text = (CONFIG_DIR / f"{name}.yaml").read_text().replace(
+            f"dir: out/{name}", f"dir: {tmp_path / 'out'}")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        argv = ["run", str(cfg)]
     code = ("import json, sys\n"
             "from multiscat.cli import main\n"
-            f"rc = main(['run', {str(cfg)!r}])\n"
+            f"rc = main({argv!r})\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules\n"
             "                             if m == 'scipy' or m.startswith('scipy.'))]))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -254,7 +303,7 @@ def test_run_imports_no_scipy(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     rc, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0
-    assert (tmp_path / "out" / "report.json").exists()
+    assert out.exists()
     assert scipy_modules == []
 
 

@@ -136,10 +136,14 @@ def test_x_alpha_zero_potential():
 
 
 def test_x_lattice_rows_are_x_alpha(wells_engine):
-    alphas = [0.0, 0.5, 1.5]
-    lattice, tail = wells_engine.x_lattice(alphas, 0.1)
-    assert [complex(v) for v in lattice] == [wells_engine.x_alpha(a, 0.1) for a in alphas]
-    assert 0.0 < tail < wells_engine.sc.numerics.tail_tol
+    # one call over several eps; each row is what x_alpha gives alone, bit
+    # for bit
+    alphas, eps_seq = [0.0, 0.5, 1.5], [0.1, 0.05]
+    lattice, tails = wells_engine.x_lattice(alphas, eps_seq)
+    assert lattice.shape == (2, 3) and tails.shape == (2,)
+    for eps, row, tail in zip(eps_seq, lattice, tails):
+        assert [complex(v) for v in row] == [wells_engine.x_alpha(a, eps) for a in alphas]
+        assert 0.0 < tail < wells_engine.sc.numerics.tail_tol
 
 
 def test_pv_operator_closed_form(wells_engine):
@@ -283,7 +287,8 @@ def three_engine():
 
 
 def test_pair_profile_matches_brute_force_quadrature(three_engine):
-    eng, eps = three_engine, 0.05
+    # one call over several eps, the run's own and one it does not hold
+    eng, eps_seq = three_engine, (0.05, three_engine.sc.eps_sequence()[1])
     sc = eng.sc
     ang = _brute_force_rule(eng)
     for j in range(3):
@@ -291,10 +296,13 @@ def test_pair_profile_matches_brute_force_quadrature(three_engine):
             if j == h:
                 continue
             D = sc.scatterers[j].center_array - sc.scatterers[h].center_array
-            T_h = _brute_force_factors(eng, ang, h, np.zeros(3), sc.dir_in, eps)
-            ref = ang.weights @ (_brute_force_factors(eng, ang, j, D, sc.dir_out, eps) * T_h)
-            S, _ = eng.pair_profile((j, h), eps)
-            assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, h)
+            S, Sy = eng.pair_profile((j, h), eps_seq)
+            assert S.shape == Sy.shape == (2, eng.grid.size)
+            for eps, row in zip(eps_seq, S):
+                T_h = _brute_force_factors(eng, ang, h, np.zeros(3), sc.dir_in, eps)
+                ref = ang.weights @ (_brute_force_factors(eng, ang, j, D, sc.dir_out, eps)
+                                     * T_h)
+                assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, h, eps)
 
 
 def test_born3_matches_brute_force_quadrature(three_engine):
@@ -355,7 +363,7 @@ def test_report_records_richardson_error_and_tail_ratio(overlap_engine):
         assert errors[a] == eps_extrapolate(samples)[1]
     assert set(diag["tail_ratio"]) == set(sc.eps_sequence())
     for eps, ratio in diag["tail_ratio"].items():
-        assert ratio == overlap_engine.x_lattice(sc.numerics.alpha_list, eps)[1]
+        assert ratio == overlap_engine.x_lattice(sc.numerics.alpha_list, [eps])[1][0]
         assert 0.0 < ratio < sc.numerics.tail_tol
 
 

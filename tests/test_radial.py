@@ -5,8 +5,22 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn
 
-from multiscat.potentials import gaussian, square_well, truncated_coulomb
-from multiscat.radial import _numerov_segment, onshell_t_lm, phase_shift
+from multiscat.potentials import (
+    Potential,
+    exponential,
+    gaussian,
+    square_well,
+    truncated_coulomb,
+)
+from multiscat.radial import (
+    StepControlError,
+    _segment_maps,
+    _segments,
+    onshell_t_lm,
+    phase_shift,
+)
+
+from oracles import phase_shift_scalar
 
 
 def square_well_eta0_oracle(v0, a, k):
@@ -75,21 +89,93 @@ def test_core_inside_series_start():
 
 
 def test_numerov_segment_free_wave_is_fourth_order():
-    # u'' = -k^2 u from (sin k r, k cos k r): the RK4 first step and the
-    # 5-point end slope both keep u and u' at r_hi fourth order in h
+    # u'' = -k^2 u from (sin k r, k cos k r): the RK4 first step, the
+    # summed Numerov recurrence and the 5-point end slope keep the phase of
+    # (u, u'/k) at r_hi fourth order in h (the map carries a positive
+    # factor, which the phase ignores)
     k, lo, hi = 1.3, 0.4, 2.9
-
-    def w(r):
-        return np.full(np.shape(r), -k * k)
-
     errs = []
     for n in (64, 128):
-        u, up = _numerov_segment(w, lo, hi, np.sin(k * lo), k * np.cos(k * lo), n)
-        errs.append((abs(u - np.sin(k * hi)), abs(up - k * np.cos(k * hi))))
-    (u64, up64), (u128, up128) = errs
-    assert u128 < 3e-9 and up128 < 1.2e-7
-    assert 14 < u64 / u128 < 18
-    assert 14 < up64 / up128 < 18
+        F = _segment_maps(gaussian(0.0, 1.0), k, np.array([0]), np.array([lo]),
+                          np.array([hi]), np.array([n]))[..., 0]
+        u, up = F @ [np.sin(k * lo), k * np.cos(k * lo)]
+        errs.append(abs(np.arctan2(u, up / k) - np.arctan2(np.sin(k * hi), np.cos(k * hi))))
+    assert errs[1] < 1e-7
+    assert 14 < errs[0] / errs[1] < 18
+
+
+# one potential per kind; the Coulomb core puts three decades between rc
+# and r_match
+SWEEP_POTENTIALS = [square_well(-1.0, 1.0), gaussian(-1.0, 1.0), exponential(-2.0, 0.7),
+                    truncated_coulomb(-1.0, 1.0, 0.01)]
+
+
+def _r_match(pot, k):
+    r_eff = pot.effective_radius()
+    return max(1.05 * r_eff, r_eff + 0.5 / k, 1.0 / k)
+
+
+@pytest.mark.parametrize("pot", SWEEP_POTENTIALS, ids=lambda p: p.kind)
+def test_sweep_matches_scalar_integration(pot):
+    # the sweep against the same plan integrated one lattice value at a
+    # time; l >= 4 at k = 1 starts from the WKB tail of the barrier.  At
+    # k = 40 the two long-range kinds (r_match ~ 21 and 26) take l = 0, 6
+    # and 12 only: their scalar reference costs ~0.3 s per l there
+    plans, _ = _segments(pot, np.arange(13), 1.0, _r_match(pot, 1.0))
+    assert not plans[0][1] and all(wkb for _, wkb in plans[4:])
+    long_range = pot.kind in ("exponential", "truncated_coulomb")
+    for k, ls in [(0.1, range(13)), (0.5, range(13)), (1.0, range(13)), (2.0, range(13)),
+                  (5.0, range(13)), (40.0, (0, 6, 12) if long_range else range(13))]:
+        etas = phase_shift(pot, ls, k)
+        ref = [phase_shift_scalar(pot, l, k, summed=True) for l in ls]
+        assert np.max(np.abs(etas - ref)) <= 1e-10, k
+
+
+@pytest.mark.parametrize("pot", SWEEP_POTENTIALS, ids=lambda p: p.kind)
+def test_sweep_matches_classical_recurrence(pot):
+    # the classical three-term recurrence rounds worse where adjacent
+    # lattice values nearly agree (at k = 40 it drifts by up to 7e-10 from
+    # an extended-precision run); at k = 1 the two forms agree
+    etas = phase_shift(pot, range(13), 1.0)
+    ref = [phase_shift_scalar(pot, l, 1.0) for l in range(13)]
+    assert np.max(np.abs(etas - ref)) <= 1e-10
+
+
+def test_phase_shift_of_a_sequence_is_per_l_calls(monkeypatch):
+    from multiscat import radial
+
+    for pot, k in ((square_well(-1.0, 1.0), 1.0), (truncated_coulomb(-1.0, 1.0, 0.01), 5.0),
+                   (gaussian(0.0, 1.0), 0.1)):
+        ls = [5, 0, 12, 3, 3, 1]
+        etas = phase_shift(pot, ls, k)
+        assert isinstance(etas, np.ndarray) and etas.shape == (len(ls),)
+        single = [phase_shift(pot, l, k) for l in ls]
+        assert all(isinstance(e, float) for e in single)
+        assert etas.tolist() == single
+        # a lattice swept in several calls gives the same values
+        with monkeypatch.context() as m:
+            m.setattr(radial, "_SWEEP_NODES", 3000)
+            assert phase_shift(pot, ls, k).tolist() == single
+    assert phase_shift(square_well(-1.0, 1.0), [], 1.0).shape == (0,)
+    with pytest.raises(ValueError):
+        phase_shift(square_well(-1.0, 1.0), [0, -1], 1.0)
+
+
+def test_non_finite_potential_is_a_step_control_error(monkeypatch):
+    pot = square_well(-1.0, 1.0)
+    monkeypatch.setattr(Potential, "evaluate", lambda self, r: np.full(np.shape(r), np.nan))
+    with pytest.raises(StepControlError):
+        phase_shift(pot, 0, 1.0)
+    # past the step-size probes, the sweep's own check
+    with pytest.raises(StepControlError):
+        _segment_maps(pot, 1.0, np.array([0]), np.array([0.5]), np.array([1.0]),
+                      np.array([40]))
+
+
+def test_step_control_refuses_huge_lattices():
+    # |w| ~ 1e12: h ~ 1e-8 on the well's outer octave
+    with pytest.raises(StepControlError, match="refusing"):
+        phase_shift(square_well(-1e12, 1.0), 0, 1.0)
 
 
 def test_r_match_inside_support_is_config_error():
