@@ -6,8 +6,8 @@ for the statement that only on-shell single-scatterer T-matrices contribute
 to the on-shell total T-matrix.
 """
 
-from multiscat.greens import ComplexEnergy, structure_constants
-from multiscat.lippmann import MomentumGrid, solve_offshell_t
+from multiscat.greens import structure_constants
+from multiscat.lippmann import ComplexEnergy, MomentumGrid, solve_offshell_t
 from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine
 from multiscat.potentials import (
     Potential,

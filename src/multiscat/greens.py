@@ -68,29 +68,6 @@ from multiscat.specfun import (
 )
 
 
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """z = k0^2 + i*eps with k0 > 0, eps >= 0."""
-
-    k0: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.k0 <= 0:
-            raise ValueError("k0 must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.k0 * self.k0, self.eps)
-
-    @property
-    def sqrt_z(self) -> complex:
-        # principal sqrt keeps Im >= 0 on the upper rim of the cut
-        return complex(np.sqrt(complex(self.k0 * self.k0, self.eps)))
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -248,9 +225,9 @@ def _sigma4(B: np.ndarray) -> float:
 class KtildeDiscretization:
     """Quadrature discretisation of the two-center kernel in azimuthal blocks.
 
-    The kernel is discretised as sqrt(w_x) K(x, y) sqrt(w_y) on two ball
-    grids built with the pair on the polar axis, at (0, 0, 0) and
-    (0, 0, |R|).  The kernel depends only on distances, and the grids,
+    The kernel at z = k0^2 + i0 is discretised as sqrt(w_x) K(x, y)
+    sqrt(w_y) on two ball grids built with the pair on the polar axis, at
+    (0, 0, 0) and (0, 0, |R|).  The kernel depends only on distances, and the grids,
     weights and cell-radius cap are invariant under a joint rotation about
     that axis, so the matrix is block-circulant over the uniform phi nodes:
     one FFT of its first phi column gives ``matrix[m]``, the block of
@@ -262,13 +239,13 @@ class KtildeDiscretization:
 
     scatterer_j: Scatterer
     scatterer_h: Scatterer
-    z: ComplexEnergy
+    k0: float
     matrix: np.ndarray = field(repr=False)
     n_radial: int = 0
     angular_order: int = 0
 
     @classmethod
-    def build(cls, sj: Scatterer, sh: Scatterer, z: ComplexEnergy,
+    def build(cls, sj: Scatterer, sh: Scatterer, k0: float,
               n_radial: int = 14, angular_order: int = 10) -> "KtildeDiscretization":
         R_len = float(np.linalg.norm(sh.center_array - sj.center_array))
         aj = Scatterer((0.0, 0.0, 0.0), sj.potential)
@@ -277,10 +254,10 @@ class KtildeDiscretization:
         ph, wh, _ = _ball_grid(ah, n_radial, angular_order)
         # nodes run phi-fastest: the h nodes at phi index 0 are every n_phi-th
         ph, wh = ph[::n_phi], wh[::n_phi]
-        col = (np.sqrt(wj)[:, None] * _ktilde_matrix(aj, ah, z, pj, wj, ph, wh)
+        col = (np.sqrt(wj)[:, None] * _ktilde_matrix(aj, ah, k0, pj, wj, ph, wh)
                * np.sqrt(wh)[None, :])
         blocks = np.fft.fft(col.reshape(-1, n_phi, ph.shape[0]), axis=1)
-        return cls(scatterer_j=sj, scatterer_h=sh, z=z,
+        return cls(scatterer_j=sj, scatterer_h=sh, k0=k0,
                    matrix=blocks.transpose(1, 0, 2),
                    n_radial=n_radial, angular_order=angular_order)
 
@@ -291,10 +268,7 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     Returns the points, the weights and the number of phi nodes per theta
     ring; the nodes run phi-fastest.
     """
-    pot = s.potential
-    r_eff = pot.effective_radius()
-    edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
-    rs, wr = gauss_panels(edges, max(4, n_radial))
+    rs, wr = gauss_panels(s.potential.support_edges(), max(4, n_radial))
     ang = AngularGrid.for_degree(angular_order)
     pts = (s.center_array[None, None, :]
            + rs[:, None, None] * ang.nodes[None, :, :]).reshape(-1, 3)
@@ -302,7 +276,7 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     return pts, wts, ang.n_phi
 
 
-def _ktilde_matrix(sj, sh, z, pj, wj, ph, wh):
+def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh):
     """Kernel K(x, y) at every pair of nodes, distances capped at the cell radius."""
     phi_j = sj.potential.phi(np.linalg.norm(pj - sj.center_array, axis=1))
     phi_h = sh.potential.phi(np.linalg.norm(ph - sh.center_array, axis=1))
@@ -312,7 +286,7 @@ def _ktilde_matrix(sj, sh, z, pj, wj, ph, wh):
     d = np.linalg.norm(pj[:, None, :] - ph[None, :, :], axis=2)
     d = np.maximum(d, (2.0 / 3.0) * np.maximum(rho_j[:, None], rho_h[None, :]))
     return (phi_j[:, None] * phi_h[None, :]
-            * np.exp(1j * z.sqrt_z * d) / (4.0j * np.pi * d))
+            * np.exp(1j * k0 * d) / (4.0j * np.pi * d))
 
 
 def schatten4_norm(K: KtildeDiscretization):
@@ -324,7 +298,7 @@ def schatten4_norm(K: KtildeDiscretization):
     """
     v1 = sum(_sigma4(B) for B in K.matrix) ** 0.25
     fine = KtildeDiscretization.build(
-        K.scatterer_j, K.scatterer_h, K.z,
+        K.scatterer_j, K.scatterer_h, K.k0,
         n_radial=math.ceil(1.5 * K.n_radial),
         angular_order=math.ceil(1.5 * K.angular_order)).matrix
     v2 = sum(_sigma4(B) for B in fine) ** 0.25
@@ -342,9 +316,7 @@ _DECAY_EXPONENT = 4.5
 
 def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarray:
     """nu_l = integral of |V(r)| j_l(k r)^2 r^2 dr over the support."""
-    r_eff = pot.effective_radius()
-    edges = [0.0] + [b for b in pot.breakpoints() if b < r_eff] + [r_eff]
-    rs, ws = gauss_panels(edges, n_radial)
+    rs, ws = gauss_panels(pot.support_edges(), n_radial)
     ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
     J = bessel_j_table(lmax, k * rs)
     return (J * J) @ ws

@@ -15,33 +15,37 @@ amplitude: t_l(k0, k0; k0^2 + i0) = (2/pi) * [-sin(eta_l) e^{i eta_l} / k0].
 That consistency (solved off-shell equation vs. radial phase shift) is
 enforced by the test-suite, which pins every convention in this module.
 
-V_l is assembled once, on a panelled Gauss radial rule r (weights w_r):
-``vl_factors`` returns J[r, i] = j_l(p_i r) and c = (2/pi) w_r r^2 V(r), and
-``vl_matrix`` is J^T diag(c) J, so V_l has rank at most n_r.  For eps > 0
-Nystrom collocation on a panelled Gauss momentum grid q_i (weights w_i),
-plus the on-shell point k0, is then a separable-expansion problem (Ernst,
-Shakin and Thaler, Phys. Rev. C 8 (1973) 46) that is exact for this
-discretised operator: with V = B^T C B,
+One LS stage per potential: ``ls_spectrum(pot, lmax, grid, eps)`` builds
+the panelled Gauss radial rule r (weights w_r) once, with
+c = (2/pi) w_r r^2 V(r), and one Bessel table J[l, r, i] = j_l(p_i r) for
+every l <= lmax, so V_l = J_l^T diag(c) J_l has rank at most n_r for
+every l.  For eps > 0 Nystrom collocation on a panelled Gauss momentum
+grid q_i (weights w_i), plus the on-shell point k0, is then a
+separable-expansion problem (Ernst, Shakin and Thaler, Phys. Rev. C 8
+(1973) 46) that is exact for this discretised operator: with
+V = B^T C B,
 
     t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,
     A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T,
 
-B_g the grid columns of B.  ``ls_spectrum`` takes (B, C) = (J, diag(c))
-when n_r <= n + 1, else (I, V) (the exponential and truncated-Coulomb
-rules are longer than the grid), so every solve runs in the smaller rank.
-It solves every eps of a run in one batched ``np.linalg.solve`` and gates
-each: max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.
-One ``eigvalsh`` of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q)) gives
-the grid spectrum behind the engine's health numbers: bound-state counts
-and the level spacing near k0^2.  The engine reads all its half-shell
-columns, on-shell elements and Born-3 blocks from these solves, and no
-(n x n) table is formed.  ``solve_offshell_t`` is the direct route: one LU
-solve of the full collocation system per z.  For eps = 0 it handles the
-principal value by on-shell subtraction (Haftel-Tabakin: regularised
-integrand plus an analytic counter-term and the -i pi k0/2 half-residue).
-It serves as the independent reference: the tests, and the engine's one
-cross-check per distinct potential, compare the factorised columns
-against it.
+B_g the grid columns of B.  The factors are (B, C) = (J_l, diag(c)) when
+n_r <= n + 1, else (I, V_l) (the exponential and truncated-Coulomb rules
+are longer than the grid); n_r does not depend on l, so one choice holds
+for every l, and every solve runs in the smaller rank.  Each l is solved
+in turn, every eps of the run in one batched ``np.linalg.solve``, and
+each solve is gated: max|(I - C A) X - C| / max|C| above 1e-8 raises
+PoleProximityError.  One ``eigvalsh`` per l of H = diag(q^2) + S V_gg S
+(S = diag(sqrt(w) q)) gives the grid spectrum behind the engine's health
+numbers: bound-state counts and the level spacing near k0^2.  The engine reads all its half-shell columns, on-shell
+elements and Born-3 blocks from these solves, at the run's eps values
+only, and no (n x n) table is formed on the radial branch.
+``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
+alone, and one LU solve of the full collocation system per z follows.
+For eps = 0 it handles the principal value by on-shell subtraction
+(Haftel-Tabakin: regularised integrand plus an analytic counter-term and
+the -i pi k0/2 half-residue).  It serves as the independent reference:
+the tests, and the engine's one cross-check per distinct potential,
+compare the factorised columns against it.
 """
 
 from __future__ import annotations
@@ -50,13 +54,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from multiscat.greens import ComplexEnergy
 from multiscat.potentials import Potential
-from multiscat.specfun import bessel_j, gauss_panels
+from multiscat.specfun import bessel_j_table, gauss_panels
 
 
 class PoleProximityError(RuntimeError):
     """The LS solve is inaccurate: z may sit near a bound-state pole."""
+
+
+@dataclass(frozen=True)
+class ComplexEnergy:
+    """z = k0^2 + i*eps with k0 > 0, eps >= 0."""
+
+    k0: float
+    eps: float = 0.0
+
+    def __post_init__(self):
+        if self.k0 <= 0:
+            raise ValueError("k0 must be positive")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
+
+    @property
+    def z(self) -> complex:
+        return complex(self.k0 * self.k0, self.eps)
 
 
 @dataclass(frozen=True)
@@ -122,9 +143,9 @@ class OffshellTable:
 # ---------------------------------------------------------------------------
 
 def _radial_rule(pot: Potential, p_top: float, scale: int):
-    """Panelled Gauss nodes resolving j_l(p_top * r) over the support."""
-    r_eff = pot.effective_radius() or pot.a   # V = 0: any panel integrates 0
-    edges = sorted({0.0, *[b for b in pot.breakpoints() if b < r_eff], r_eff})
+    """Panelled Gauss nodes r resolving j_l(p_top * r) over the support, and
+    c = (2/pi) w r^2 V(r) on them."""
+    edges = pot.support_edges()
     # extend smooth tails in octaves so node budgets track the local scale
     full = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
@@ -133,26 +154,20 @@ def _radial_rule(pot: Potential, p_top: float, scale: int):
             full.append(min(a, b))
         full.append(b)
     full = sorted(set(full))
-    return gauss_panels(full, [scale * max(24, int(0.7 * (b - a) * p_top) + 16)
-                               for a, b in zip(full[:-1], full[1:])])
-
-
-def vl_factors(pot: Potential, l: int, momenta, scale: int = 1):
-    """(J, c) with V_l(p_i, p_j) = sum_r J[r, i] c[r] J[r, j] on the radial rule.
-
-    J[r, i] = j_l(p_i r) and c = (2/pi) w r^2 V(r) on the panelled Gauss
-    nodes r of ``_radial_rule``, so V_l has rank at most the node count.
-    """
-    momenta = np.asarray(momenta, dtype=float)
-    rs, ws = _radial_rule(pot, float(momenta.max()), scale)
-    # j_l alone: no (l + 1, n_r, n_q) table of the lower orders is formed
-    J = bessel_j(l, np.outer(rs, momenta))
-    return J, (2.0 / np.pi) * ws * rs * rs * pot.evaluate(rs)
+    rs, ws = gauss_panels(full, [scale * max(24, int(0.7 * (b - a) * p_top) + 16)
+                                 for a, b in zip(full[:-1], full[1:])])
+    return rs, (2.0 / np.pi) * ws * rs * rs * pot.evaluate(rs)
 
 
 def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
-    """V_l(p_i, p_j) = (2/pi) integral j_l(p_i r) V(r) j_l(p_j r) r^2 dr, as J^T C J."""
-    return _jcj(*vl_factors(pot, l, momenta, scale))
+    """V_l(p_i, p_j) = (2/pi) integral j_l(p_i r) V(r) j_l(p_j r) r^2 dr, as J^T diag(c) J.
+
+    J[r, i] = j_l(p_i r) on the nodes r of ``_radial_rule``, read from the
+    order-l Bessel table.
+    """
+    momenta = np.asarray(momenta, dtype=float)
+    rs, c = _radial_rule(pot, float(momenta.max()), scale)
+    return _jcj(bessel_j_table(l, np.outer(rs, momenta))[l], c)
 
 
 def _jcj(J: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -171,24 +186,22 @@ class LSSpectrum:
 
     Rows and columns of t run over the grid nodes plus the on-shell point k0
     (the last column of B).  ``X`` holds the solves at the eps values
-    ``eps``; any other eps > 0 is solved when asked for and not kept.
-    ``lam`` are the eigenvalues of H = diag(q^2) + S V S (the grid
-    spectrum, for the health numbers) and ``residual`` the worst solve
+    ``eps``, the only ones it answers for: any other eps raises
+    ValueError.  ``lam`` are the eigenvalues of H = diag(q^2) + S V S (the
+    grid spectrum, for the health numbers) and ``residual`` the worst solve
     residual.
     """
 
     B: np.ndarray = field(repr=False)         # (r, n + 1) real
-    C: np.ndarray = field(repr=False)         # (r, r) real symmetric
-    grid: MomentumGrid = field(repr=False)
     eps: tuple
     X: np.ndarray = field(repr=False)         # (len(eps), r, r) complex
     lam: np.ndarray = field(repr=False)       # eigenvalues of H, ascending
     residual: float
 
     def _x(self, eps: float) -> np.ndarray:
-        if eps in self.eps:
-            return self.X[self.eps.index(eps)]
-        return _solve(self.B, self.C, self.grid, (eps,))[0][0]
+        if eps not in self.eps:
+            raise ValueError(f"t_l was solved at eps in {self.eps}, not at {eps}")
+        return self.X[self.eps.index(eps)]
 
     def half_shell(self, eps: float) -> np.ndarray:
         """t_l(p_i, k0; k0^2 + i eps) for all momenta (the symmetric half-shell column)."""
@@ -213,7 +226,7 @@ def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return x.real @ M + 1j * (x.imag @ M)
 
 
-def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps) -> tuple:
+def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tuple:
     """X(z) solving (I - C A(z)) X = C at every z = k0^2 + i eps, in one batched solve.
 
     A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T, B_g the grid columns of B.
@@ -245,28 +258,40 @@ def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps) -> tuple:
     return X, float(np.max(resid))
 
 
-def ls_spectrum(pot: Potential, l: int, grid: MomentumGrid, eps) -> LSSpectrum:
-    """t_l at every eps in ``eps`` from one batched solve in the rank of V_l.
+def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
+    """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
 
-    V_l = J^T C J on the radial rule (``vl_factors``).  With n_r radial
-    nodes and n grid nodes, the factors are (B, C) = (J, diag(c)) when
-    n_r <= n + 1, else (I, V_l): the solves run in the smaller of the two
-    ranks.  One eigvalsh of H gives the grid spectrum behind the health
-    numbers.  Raises PoleProximityError when a solve residual exceeds 1e-8.
+    Returns one LSSpectrum per l.  The radial rule, c = (2/pi) w r^2 V(r)
+    and the Bessel table J[l, r, i] = j_l(p_i r) of every l are built once
+    (``_radial_rule``), so V_l = J_l^T diag(c) J_l.  With n_r radial nodes
+    and n grid nodes, the factors are (B, C) = (J_l, diag(c)) when
+    n_r <= n + 1, else (I, V_l), the same branch for every l since n_r
+    does not depend on l; on the (I, V_l) branch the table is released
+    before the solves.  Each l is then solved in turn, every eps in one
+    batched solve, and one eigvalsh of H gives its grid spectrum.  Raises
+    PoleProximityError when a solve residual exceeds 1e-8.
     """
     q = grid.nodes
-    J, c = vl_factors(pot, l, np.concatenate([q, [grid.k0]]))
-    if J.shape[0] <= J.shape[1]:
-        B, C = J, np.diag(c)
+    momenta = np.concatenate([q, [grid.k0]])
+    rs, c = _radial_rule(pot, float(momenta.max()), 1)
+    J = bessel_j_table(lmax, np.outer(rs, momenta))
+    if rs.size <= momenta.size:
+        C = np.diag(c)
+        factors = [(Jl, C) for Jl in J]
     else:
-        B, C = np.eye(q.size + 1), _jcj(J, c)
+        B = np.eye(momenta.size)
+        factors = [(B, _jcj(Jl, c)) for Jl in J]
+    del J
     eps = tuple(eps)
-    X, resid = _solve(B, C, grid, eps)
-    G = B[:, :-1] * (np.sqrt(grid.weights) * q)
-    H = G.T @ C @ G
-    H[np.diag_indices_from(H)] += q * q
-    return LSSpectrum(B=B, C=C, grid=grid, eps=eps, X=X, lam=np.linalg.eigvalsh(H),
-                      residual=resid)
+    spectra = []
+    for B, C in factors:
+        X, resid = _solve(B, C, grid, eps)
+        G = B[:, :-1] * (np.sqrt(grid.weights) * q)
+        H = G.T @ C @ G
+        H[np.diag_indices_from(H)] += q * q
+        spectra.append(LSSpectrum(B=B, eps=eps, X=X, lam=np.linalg.eigvalsh(H),
+                                  residual=resid))
+    return tuple(spectra)
 
 
 # ---------------------------------------------------------------------------

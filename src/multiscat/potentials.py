@@ -106,6 +106,16 @@ class Potential:
             return [self.rc]
         return []
 
+    def support_edges(self) -> list[float]:
+        """Panel edges of a radial rule over the support: 0, the breakpoints inside, r_eff.
+
+        No panel between successive edges straddles a jump of V or of its
+        derivative.  For V = 0 the support is taken as [0, a], over which
+        any rule integrates 0.
+        """
+        r_eff = self.effective_radius() or self.a
+        return [0.0, *[b for b in self.breakpoints() if b < r_eff], r_eff]
+
 
 # -- constructors ------------------------------------------------------------
 

@@ -4,7 +4,11 @@ Spherical Bessel and Neumann tables, Legendre polynomial tables, complex
 spherical harmonics, normalised associated Legendre tables, and
 Gauss-Legendre (one interval or composite over panels) and product
 quadrature rules.  Everything is numpy: each table covers every order
-0..L at once, one three-term recurrence step per order.
+0..L at once, one three-term recurrence step per order, and there is no
+single-order routine.  The LS stage reads every V_l of a potential from
+one ``bessel_j_table(lmax, r x q)``; a table of a lower order L agrees
+with the first L + 1 rows of a higher one to rounding (its Miller start
+order is lower).
 
 Conventions (used consistently by every module that imports this one):
 
@@ -74,75 +78,55 @@ def _miller_start(L: int, x_max: float) -> int:
     return L + 16 + int(10.0 * x_max ** (1.0 / 3.0))
 
 
-def _j_upward(L: int, x: np.ndarray, table: bool) -> np.ndarray:
-    """j_0..j_L (or j_L alone) by the upward recurrence, x >= max(L, 1) or L = 0."""
-    j0 = np.sin(x) / x
-    if L == 0:
-        return j0[None] if table else j0
-    rows = np.empty((L + 1, x.size)) if table else None
-    prev, cur = j0, (j0 - np.cos(x)) / x
-    if table:
-        rows[0], rows[1] = prev, cur
+def _j_upward(L: int, x: np.ndarray) -> np.ndarray:
+    """j_0..j_L by the upward recurrence, x >= max(L, 1) or L = 0."""
+    rows = np.empty((L + 1, x.size))
+    rows[0] = np.sin(x) / x
+    if L:
+        rows[1] = (rows[0] - np.cos(x)) / x
     for l in range(1, L):
-        prev, cur = cur, (2 * l + 1) / x * cur - prev
-        if table:
-            rows[l + 1] = cur
-    return rows if table else cur
+        rows[l + 1] = (2 * l + 1) / x * rows[l] - rows[l - 1]
+    return rows
 
 
-def _j_miller(L: int, x: np.ndarray, table: bool) -> np.ndarray:
-    """j_0..j_L (or j_L alone) by Miller's downward recurrence, 0 < x < L."""
+def _j_miller(L: int, x: np.ndarray) -> np.ndarray:
+    """j_0..j_L by Miller's downward recurrence, 0 < x < L."""
     s = np.minimum(x, 1.0)
     c1, c2 = s / x, s * s
     N = _miller_start(L, float(x.max()))
     # max(|g_l|, |g_{l+1}|) grows at most by 2N + 2 a step: checking every
     # `every` steps keeps every value below _RESCALE * 1e100
     every = max(1, int(100.0 / math.log10(2 * N + 2)))
-    rows = np.empty((L + 1, x.size)) if table else None
-    top = None
+    rows = np.empty((L + 1, x.size))
     g_next, g = np.zeros(x.size), np.ones(x.size)      # g_{N+1}, g_N
     for l in range(N, 0, -1):
         if l <= L:
-            if table:
-                rows[l] = g
-            elif l == L:
-                top = g
+            rows[l] = g
         g_next, g = g, (2 * l + 1) * c1 * g - c2 * g_next
         if (N - l) % every == 0:
             factor = np.where(np.abs(g) > _RESCALE, 1.0 / _RESCALE, 1.0)
             g = g * factor
             g_next = g_next * factor
-            if table:
-                rows[l:] *= factor
-            elif top is not None:
-                top = top * factor
+            rows[l:] *= factor
     # g = g_0 and g_next = g_1: normalise on the larger of j_0, j_1 = s g_1 C
     j0 = np.sin(x) / x
     j1 = (j0 - np.cos(x)) / x
     norm = np.where(np.abs(j0) >= np.abs(j1), j0 / g, j1 / (s * g_next))
-    if not table:
-        return top * norm * s ** L
     rows[0] = g
     rows *= norm
     rows *= s ** np.arange(L + 1)[:, None]
     return rows
 
 
-def _bessel_j(L: int, x: np.ndarray, table: bool) -> np.ndarray:
-    """j_0..j_L as an (L+1, n) table, or j_L alone, at the flat array x >= 0."""
-    out = np.zeros((L + 1, x.size) if table else x.size)
+def _bessel_j(L: int, x: np.ndarray) -> np.ndarray:
+    """j_0..j_L as an (L+1, n) table at the flat array x >= 0."""
+    out = np.zeros((L + 1, x.size))
     zero = x == 0
-    if table:
-        out[0, zero] = 1.0
-    elif L == 0:
-        out[zero] = 1.0
+    out[0, zero] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for cols, branch in (((x >= L) & ~zero, _j_upward), ((x < L) & ~zero, _j_miller)):
             if np.any(cols):
-                if table:
-                    out[:, cols] = branch(L, x[cols], True)
-                else:
-                    out[cols] = branch(L, x[cols], False)
+                out[:, cols] = branch(L, x[cols])
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"spherical Bessel j overflow/invalid for L={L}")
     return out
@@ -160,15 +144,7 @@ def bessel_j_table(L: int, x) -> np.ndarray:
     """j_0(x)..j_L(x) for x >= 0: shape ``(L+1,) + shape(x)``."""
     L = _check_l(L)
     x = _as_argument(x, False, "bessel_j_table")
-    return _bessel_j(L, x.ravel(), True).reshape((L + 1,) + x.shape)
-
-
-def bessel_j(l: int, x):
-    """j_l(x) alone for x >= 0 (scalar or array), without the lower rows."""
-    l = _check_l(l)
-    x = _as_argument(x, False, "bessel_j")
-    out = _bessel_j(l, x.ravel(), False).reshape(x.shape)
-    return out if out.ndim else float(out)
+    return _bessel_j(L, x.ravel()).reshape((L + 1,) + x.shape)
 
 
 def bessel_y_table(L: int, x) -> np.ndarray:

@@ -70,7 +70,7 @@ def r0_kernel(z, x, y):
     r = np.linalg.norm(x - y, axis=-1)
     if np.any(r == 0):
         raise ValueError("r0_kernel is singular at x = y")
-    out = -np.exp(1j * z.sqrt_z * r) / (4.0 * np.pi * r)
+    out = -np.exp(1j * np.sqrt(z.z) * r) / (4.0 * np.pi * r)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -84,7 +84,7 @@ def ktilde_kernel(j, h, z, x, y):
     if np.any(r == 0):
         raise ValueError("ktilde_kernel is singular at x = y")
     out = (j.potential.phi(rj) * h.potential.phi(rh)
-           * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
+           * np.exp(1j * np.sqrt(z.z) * r) / (4.0j * np.pi * r))
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -101,7 +101,7 @@ def _capped_ktilde(j, h, z, x, wx, y, wy):
     rj = np.linalg.norm(x - j.center_array, axis=-1)
     rh = np.linalg.norm(y - h.center_array, axis=-1)
     return (j.potential.phi(rj)[:, None] * h.potential.phi(rh)[None, :]
-            * np.exp(1j * z.sqrt_z * r) / (4.0j * np.pi * r))
+            * np.exp(1j * np.sqrt(z.z) * r) / (4.0j * np.pi * r))
 
 
 def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):

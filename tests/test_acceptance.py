@@ -12,8 +12,8 @@ import pytest
 import yaml
 
 from multiscat.cli import main as cli_main
-from multiscat.greens import ComplexEnergy, schatten4_norm_spectral, structure_constants
-from multiscat.lippmann import MomentumGrid, solve_offshell_t
+from multiscat.greens import schatten4_norm_spectral, structure_constants
+from multiscat.lippmann import ComplexEnergy, MomentumGrid, solve_offshell_t
 from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine, eps_extrapolate
 from multiscat.potentials import (
     Scatterer,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from multiscat.greens import (
-    ComplexEnergy,
     KtildeDiscretization,
     _ball_grid,
     _gaunt_integrals,
@@ -13,6 +12,7 @@ from multiscat.greens import (
     schatten4_norm_spectral,
     structure_constants,
 )
+from multiscat.lippmann import ComplexEnergy
 from multiscat.potentials import Scatterer, gaussian, square_well, truncated_coulomb
 from multiscat.specfun import sph_index
 
@@ -36,8 +36,9 @@ from oracles import (
 def test_complex_energy_invariants():
     z = ComplexEnergy(2.0, 0.5)
     assert z.z == 4.0 + 0.5j
-    assert z.sqrt_z.imag > 0
-    assert ComplexEnergy(2.0, 0.0).sqrt_z == pytest.approx(2.0)
+    # the principal root keeps Im >= 0 on the upper rim of the cut
+    assert np.sqrt(z.z).imag > 0
+    assert np.sqrt(ComplexEnergy(2.0, 0.0).z) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         ComplexEnergy(-1.0, 0.0)
     with pytest.raises(ValueError):
@@ -56,7 +57,7 @@ def test_r0_kernel_closed_forms():
 
 def test_r0_kernel_decay_bound():
     z = ComplexEnergy(1.0, 1.0)
-    kappa = z.sqrt_z.imag
+    kappa = np.sqrt(z.z).imag
     for r in (2.0, 10.0, 40.0):
         v = r0_kernel(z, [0, 0, 0], [0, 0, r])
         assert abs(v) <= np.exp(-kappa * r) / (4 * np.pi * r) * (1 + 1e-12)
@@ -112,7 +113,7 @@ def test_ktilde_matrix_matches_pointwise_oracle():
     sj = Scatterer((0, 0, 0), square_well(-1.0, 1.0))
     sh = Scatterer((0.4, 0.0, 2.9), square_well(-2.0, 0.8))
     z = ComplexEnergy(1.3, 0.0)
-    K = KtildeDiscretization.build(sj, sh, z, 6, 4)
+    K = KtildeDiscretization.build(sj, sh, z.k0, 6, 4)
     aj = Scatterer((0, 0, 0), sj.potential)
     ah = Scatterer((0, 0, np.hypot(0.4, 2.9)), sh.potential)
     pj, wj, n_phi = _ball_grid(aj, 6, 4)
@@ -258,7 +259,7 @@ def _gauss_pair(sep):
 def test_schatten_zero_potential():
     sj = Scatterer((0, 0, 0), gaussian(0.0, 1.0))
     sh = Scatterer((0, 0, 3.0), gaussian(-1.0, 1.0))
-    K = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 8, 6)
+    K = KtildeDiscretization.build(sj, sh, 1.0, 8, 6)
     val, _ = schatten4_norm(K)
     assert val == 0.0
 
@@ -304,7 +305,7 @@ def test_schatten_grid_vs_spectral_nonoverlap():
     sj = Scatterer((0, 0, 0), pj)
     sh = Scatterer((0, 0, 3.0), pj)
     [(vs, _)] = schatten4_norm_spectral(pj, pj, [2.0], 3.0)
-    K = KtildeDiscretization.build(sj, sh, ComplexEnergy(2.0, 0.0), 12, 10)
+    K = KtildeDiscretization.build(sj, sh, 2.0, 12, 10)
     vg, _ = schatten4_norm(K)
     assert vg == pytest.approx(vs, rel=1e-3)
 
@@ -312,7 +313,7 @@ def test_schatten_grid_vs_spectral_nonoverlap():
 def test_schatten_overlap_refinement_stable():
     # overlapping Gaussians: finite value, stable under grid refinement
     sj, sh = _gauss_pair(1.0)
-    K = KtildeDiscretization.build(sj, sh, ComplexEnergy(1.0, 0.0), 12, 9)
+    K = KtildeDiscretization.build(sj, sh, 1.0, 12, 9)
     val, delta = schatten4_norm(K)
     assert np.isfinite(val) and val > 0
     assert delta < 0.05
@@ -334,7 +335,7 @@ def test_schatten_blocks_match_dense_oracle(sj, sh):
     # grids; the truncated Coulomb ball has two radial segments, so the
     # separated pair's blocks are rectangular
     z = ComplexEnergy(1.0, 0.0)
-    value, delta = schatten4_norm(KtildeDiscretization.build(sj, sh, z, 8, 6))
+    value, delta = schatten4_norm(KtildeDiscretization.build(sj, sh, z.k0, 8, 6))
     coarse = dense_grid_schatten4(sj, sh, z, 8, 6)
     fine = dense_grid_schatten4(sj, sh, z, 12, 9)
     assert value == pytest.approx(fine, rel=1e-12)
@@ -343,13 +344,12 @@ def test_schatten_blocks_match_dense_oracle(sj, sh):
 
 def test_schatten_grid_independent_of_pair_orientation():
     # the grids are built with the pair on the polar axis: only |R| enters
-    z = ComplexEnergy(1.0, 0.0)
     c = np.array([0.3, -0.2, 0.5])
     got = []
     for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), np.ones(3) / np.sqrt(3.0)):
         sj = Scatterer(c, gaussian(-1.0, 1.0))
         sh = Scatterer(c + d, gaussian(-1.0, 1.0))
-        got.append(schatten4_norm(KtildeDiscretization.build(sj, sh, z, 8, 6)))
+        got.append(schatten4_norm(KtildeDiscretization.build(sj, sh, 1.0, 8, 6)))
     (v0, d0) = got[0]
     for v, d in got[1:]:
         assert v == pytest.approx(v0, rel=1e-12)

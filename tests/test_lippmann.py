@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from multiscat.greens import ComplexEnergy
 from multiscat.lippmann import (
+    ComplexEnergy,
     MomentumGrid,
     PoleProximityError,
     ls_spectrum,
@@ -167,11 +167,13 @@ EPS = (0.2, 0.1, 0.05, 0.025)
     pytest.param(square_well(-2.8, 1.0), id="square_well_bound_state")],
     ids=lambda p: p.kind)
 def test_spectrum_matches_direct_solve(pot):
-    # t(z) = B^T X(z) B from one batched solve per l against one LU solve per z
+    # t(z) = B^T X(z) B from one per-potential call for l = 0..8 against
+    # one LU solve per (l, z)
     k0 = 1.0
     grid = default_grid(k0)
-    for l in range(9):
-        sp = ls_spectrum(pot, l, grid, EPS)
+    spectra = ls_spectrum(pot, 8, grid, EPS)
+    assert len(spectra) == 9
+    for l, sp in enumerate(spectra):
         identity = (sp.B.shape == (grid.size + 1,) * 2
                     and np.array_equal(sp.B, np.eye(grid.size + 1)))
         assert identity == (FACTOR_BRANCH[pot.kind] == "grid"), l
@@ -189,12 +191,11 @@ def test_spectrum_matches_direct_solve(pot):
             assert abs(sp.on_shell(eps) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
 
 
-def test_spectrum_solves_other_eps_and_grid_sandwich():
-    # an eps outside the solved set is solved on request; grid_sandwich is
-    # the table's bilinear form on the grid
+def test_spectrum_grid_sandwich():
+    # grid_sandwich is the table's bilinear form on the grid
     grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
     pot = square_well(-1.0, 1.0)
-    sp = ls_spectrum(pot, 1, grid, (0.2, 0.1))
+    sp = ls_spectrum(pot, 1, grid, (0.2, 0.07))[1]
     ref = solve_offshell_t(pot, 1, ComplexEnergy(1.0, 0.07), grid).values
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 3, grid.size)) + 1j * rng.normal(size=(2, 3, grid.size))
@@ -206,9 +207,22 @@ def test_spectrum_solves_other_eps_and_grid_sandwich():
 
 def test_spectrum_rejects_real_energy():
     sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
-                     (0.1,))
+                     (0.1,))[0]
     with pytest.raises(ValueError):
         sp.half_shell(0.0)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1000001])
+def test_spectrum_answers_only_its_eps(eps):
+    # an eps outside the solved set raises: nothing is solved on request
+    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    for sp in ls_spectrum(square_well(-1.0, 1.0), 2, grid, (0.2, 0.1)):
+        with pytest.raises(ValueError, match="solved at eps"):
+            sp.half_shell(eps)
+        with pytest.raises(ValueError, match="solved at eps"):
+            sp.on_shell(eps)
+        with pytest.raises(ValueError, match="solved at eps"):
+            sp.grid_sandwich(np.ones((1, grid.size)), np.ones((1, grid.size)), eps)
 
 
 def test_corrupted_solve_raises_pole_proximity(monkeypatch):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
-from multiscat.greens import ComplexEnergy
-from multiscat.lippmann import solve_offshell_t
+from multiscat.lippmann import ComplexEnergy, solve_offshell_t
 from multiscat.multiscatter import (
     ExtrapolationError,
     Numerics,
@@ -287,8 +286,9 @@ def three_engine():
 
 
 def test_pair_profile_matches_brute_force_quadrature(three_engine):
-    # one call over several eps, the run's own and one it does not hold
-    eng, eps_seq = three_engine, (0.05, three_engine.sc.eps_sequence()[1])
+    # one call over two of the run's eps, out of order
+    eng = three_engine
+    eps_seq = (eng.sc.eps_sequence()[2], eng.sc.eps_sequence()[1])
     sc = eng.sc
     ang = _brute_force_rule(eng)
     for j in range(3):
@@ -310,9 +310,10 @@ def test_born3_matches_brute_force_quadrature(three_engine):
     terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
              if j != h and h != k]
     assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
+    eps = eng.sc.eps_sequence()[2]
     for j, h, k in terms:
-        ref = _born3_brute_force(eng, j, h, k, 0.05)
-        assert abs(eng._born3(j, h, k, 0.05) - ref) <= 1e-12 * abs(ref), (j, h, k)
+        ref = _born3_brute_force(eng, j, h, k, eps)
+        assert abs(eng._born3(j, h, k, eps) - ref) <= 1e-12 * abs(ref), (j, h, k)
 
 
 def test_concentric_scatterers_give_finite_terms():
@@ -408,9 +409,9 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
 
     original = multiscatter.ls_spectrum
 
-    def corrupted(pot, l, grid, eps):
-        sp = original(pot, l, grid, eps)
-        return dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
+    def corrupted(pot, lmax, grid, eps):
+        return tuple(dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
+                     for sp in original(pot, lmax, grid, eps))
 
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
@@ -431,3 +432,74 @@ def test_spacing_flag(caplog):
     for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
         scenario = validate_config((configs / name).read_text()).scenario
         assert not ScenarioEngine(scenario).ls_health()["spacing_flag"], name
+
+
+@pytest.mark.parametrize("depths, stages", [((-1.0, -2.8), 2), ((-1.0, -1.0), 1)],
+                         ids=["distinct", "shared"])
+def test_ls_stage_builds_one_rule_and_one_table_per_potential(monkeypatch, depths, stages):
+    # every l of a potential is read from one radial rule and one Bessel
+    # table, built inside offshell on first use, never in the constructor
+    from multiscat import lippmann, multiscatter
+
+    counts = {"stage": 0, "rule": 0, "table": 0}
+    inside = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += bool(inside)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    stage = multiscatter.ls_spectrum
+
+    def counted_stage(*args, **kwargs):
+        counts["stage"] += 1
+        inside.append(True)
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(multiscatter, "ls_spectrum", counted_stage)
+    monkeypatch.setattr(lippmann, "_radial_rule", counting("rule", lippmann._radial_rule))
+    monkeypatch.setattr(lippmann, "bessel_j_table",
+                        counting("table", lippmann.bessel_j_table))
+    eng = ScenarioEngine(Scenario(
+        scatterers=tuple(Scatterer((0, 0, z), square_well(v0, 1.0))
+                         for z, v0 in zip((0.0, 3.0), depths)),
+        k0=1.0, numerics=Numerics(lmax=2, p_max=12.0, n_inner=16, n_mid=16)))
+    assert counts["stage"] == 0
+    eng.verify()
+    assert counts == {"stage": stages, "rule": stages, "table": stages}
+    assert [len(eng.offshell(j)) for j in range(2)] == [3, 3]
+
+
+def test_born2_identity_gate_fails_on_a_perturbed_lattice_entry(monkeypatch):
+    eng = _small_wells()
+    gate = {c["name"]: c for c in eng.verify().comparisons}["born2_identity"]
+    assert gate["value"] == 0.0 and gate["passed"]
+
+    original = ScenarioEngine.x_lattice
+
+    def perturbed(self, alphas, eps_seq, pair=(0, 1)):
+        rows, tails = original(self, alphas, eps_seq, pair)
+        if len(alphas) > 1:       # the run's lattice, not x_alpha's one entry
+            rows = rows.copy()
+            rows[list(eps_seq).index(min(eps_seq)), list(alphas).index(0.0)] *= 1.0 + 1e-4
+        return rows, tails
+
+    monkeypatch.setattr(ScenarioEngine, "x_lattice", perturbed)
+    report = eng.verify()
+    gate = {c["name"]: c for c in report.comparisons}["born2_identity"]
+    assert gate["value"] > gate["tolerance"] and not gate["passed"]
+    assert not report.passed
+
+
+def test_n_max_one_has_no_order_two_term():
+    eng = ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+                    Scatterer((0, 0, 3.0), square_well(-1.0, 1.0))),
+        k0=1.0, numerics=Numerics(lmax=2, n_max=1, p_max=12.0, n_inner=16, n_mid=16)))
+    report = eng.verify()
+    assert len(report.born_terms) == 1 and report.born2_identity_rel is None
+    assert "born2_identity" not in {c["name"] for c in report.comparisons}

@@ -7,7 +7,6 @@ from scipy.special import eval_legendre, spherical_jn, spherical_yn
 from multiscat.specfun import (
     AngularGrid,
     bessel_derivative,
-    bessel_j,
     bessel_j_table,
     bessel_y_table,
     legendre_table,
@@ -30,8 +29,8 @@ def _hankel_plus(L, x):
 
 def test_bessel_j_at_zero():
     assert np.array_equal(bessel_j_table(3, 0.0), [1.0, 0.0, 0.0, 0.0])
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(3, 0.0) == 0.0
+    assert bessel_j_table(0, 0.0)[0] == 1.0
+    assert bessel_j_table(3, 0.0)[3] == 0.0
     tab = bessel_j_table(5, np.array([0.0, 0.5, 0.0]))
     assert np.array_equal(tab[:, 0], np.eye(6)[0]) and np.array_equal(tab[:, 2], tab[:, 0])
 
@@ -75,7 +74,7 @@ def test_singular_argument_errors():
     with pytest.raises(ValueError):
         bessel_j_table(1, -0.5)
     with pytest.raises(ValueError):
-        bessel_j(1, -0.5)
+        bessel_j_table(4, np.array([[0.5, 1.0], [-0.5, 2.0]]))
     with pytest.raises(ValueError):
         bessel_derivative(bessel_j_table(2, 1.0), 0.0)
     with pytest.raises(ValueError):
@@ -160,8 +159,9 @@ def test_bessel_tables_match_scipy_high_orders(L):
     xs = _XS_216
     J = bessel_j_table(L, xs)
     _assert_table_close(J, _j_reference(L, xs), xs)
-    # the single-order routine reads the same recurrence
-    assert np.array_equal(bessel_j(L, xs), J[L])
+    # a lower-order table starts its recurrence lower and agrees to rounding
+    for low in (0, L // 2, L - 1):
+        _assert_table_close(bessel_j_table(low, xs), J[:low + 1], xs)
     ref_y = spherical_yn(np.arange(L + 1)[:, None], xs[None, :])
     finite = np.all(np.isfinite(ref_y), axis=0)
     _assert_table_close(bessel_y_table(L, xs[finite]), ref_y[:, finite], xs[finite])
@@ -170,12 +170,13 @@ def test_bessel_tables_match_scipy_high_orders(L):
             bessel_y_table(L, xs[~finite][-1:])
 
 
-def test_bessel_j_single_order_shapes():
-    assert isinstance(bessel_j(4, 2.5), float)
+def test_bessel_j_table_shapes():
+    assert bessel_j_table(4, 2.5).shape == (5,)
     grid = np.outer(np.linspace(0.0, 3.0, 7), np.linspace(0.1, 40.0, 11))
-    got = bessel_j(6, grid)
-    assert got.shape == grid.shape
-    assert np.array_equal(got, bessel_j_table(6, grid)[6])
+    got = bessel_j_table(6, grid)
+    assert got.shape == (7,) + grid.shape
+    # each argument's column does not depend on the array it sits in
+    _assert_table_close(got[:, 2], bessel_j_table(6, grid[2]), grid[2])
 
 
 def test_legendre_table_matches_scipy():
