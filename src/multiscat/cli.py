@@ -28,7 +28,13 @@ import numpy as np
 import yaml
 
 from multiscat.greens import structure_constants
-from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine, eps_list_problem
+from multiscat.multiscatter import (
+    Numerics,
+    Scenario,
+    ScenarioEngine,
+    alpha_list_problem,
+    eps_list_problem,
+)
 from multiscat.potentials import KINDS, Potential, Scatterer
 
 log = logging.getLogger("multiscat")
@@ -124,8 +130,9 @@ def validate_config(text: str) -> RunConfig:
         if v is not None and (not isinstance(v, list)
                               or not all(_is_number(x) for x in v)):
             errors.append((f"scenario.{name}", "must be a list of numbers"))
-        elif name == "eps_list" and v and (problem := eps_list_problem(v)):
-            errors.append(("scenario.eps_list", problem))
+        elif v and (problem := (eps_list_problem if name == "eps_list"
+                                else alpha_list_problem)(v)):
+            errors.append((f"scenario.{name}", problem))
 
     scatterers = []
     raw_scat = raw.get("scatterers")
@@ -151,8 +158,8 @@ def validate_config(text: str) -> RunConfig:
         v0 = pot.get("v0")
         a = pot.get("a")
         rc = pot.get("rc")
-        if not _is_number(v0):
-            errors.append((f"{base}.potential.v0", "must be a number"))
+        if not _is_number(v0) or v0 == 0:
+            errors.append((f"{base}.potential.v0", "must be a nonzero number"))
             continue
         if not _is_number(a) or a <= 0:
             errors.append((f"{base}.potential.a", "must be a positive number"))

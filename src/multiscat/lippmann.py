@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multiscat.potentials import Potential
-from multiscat.specfun import bessel_j_table, gauss_panels
+from multiscat.specfun import bessel_j_table, gauss_panels, octave_edges
 
 
 class PoleProximityError(RuntimeError):
@@ -145,15 +145,7 @@ class OffshellTable:
 def _radial_rule(pot: Potential, p_top: float, scale: int):
     """Panelled Gauss nodes r resolving j_l(p_top * r) over the support, and
     c = (2/pi) w r^2 V(r) on them."""
-    edges = pot.support_edges()
-    # extend smooth tails in octaves so node budgets track the local scale
-    full = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        while a > 0 and b / a > 2.5:
-            a *= 2.0
-            full.append(min(a, b))
-        full.append(b)
-    full = sorted(set(full))
+    full = octave_edges(pot.support_edges())
     rs, ws = gauss_panels(full, [scale * max(24, int(0.7 * (b - a) * p_top) + 16)
                                  for a, b in zip(full[:-1], full[1:])])
     return rs, (2.0 / np.pi) * ws * rs * rs * pot.evaluate(rs)

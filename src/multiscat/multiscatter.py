@@ -94,6 +94,18 @@ def eps_list_problem(eps) -> str | None:
     return None
 
 
+def alpha_list_problem(alphas) -> str | None:
+    """Why an alpha list cannot test the phase law, or None if it can.
+
+    The alpha gates compare Y_alpha across alphas and the phase law needs
+    an alpha != 0, so the list needs at least 2 distinct values (then one
+    of them is nonzero).
+    """
+    if len(set(alphas)) < 2:
+        return "need at least 2 distinct alpha values, one of them nonzero"
+    return None
+
+
 def eps_extrapolate(samples: dict) -> tuple[complex, float]:
     """Richardson/Neville extrapolation of eps -> complex samples to eps = 0.
 
@@ -207,12 +219,13 @@ class ScenarioEngine:
     table give the factors of V_l for every l, and the solves at every eps
     of the run (see lippmann.ls_spectrum).  Every off-shell t-matrix
     element is read from it, and where V_l's radial rule is shorter than
-    the grid no (n x n) table is formed.  Every other quantity (pair
-    kernels and Born-3 projections on the angular rule, pair profiles,
-    phase shifts, structure constants) is computed from those inputs where
-    it is used.  run_verification calls the operations in stages: the LS
-    stage and its health numbers, pair profiles, the X lattice, eps
-    extrapolation, gates.
+    the grid no (n x n) table is formed.  Every other quantity is computed
+    from those inputs where it is used: phase shifts, structure constants,
+    and one angular projection of a half-shell amplitude per series term
+    and pair of centres (_projection), which gives both the pair profiles
+    of order 2 and the Born-3 term.  run_verification calls the operations
+    in stages: the LS stage and its health numbers, pair profiles, the X
+    lattice, eps extrapolation, gates.
     """
 
     def __init__(self, scenario: Scenario):
@@ -228,7 +241,7 @@ class ScenarioEngine:
                                        osc_scale=osc)
         # exact to degree 4*lmax + 8: every angular integral of the engine
         # has, once its plane waves are truncated at L = 2*lmax, a polynomial
-        # integrand of degree at most 4*lmax (see _born3); the 8 extra
+        # integrand of degree at most 4*lmax (see _projection); the 8 extra
         # degrees are margin
         self.ang = AngularGrid.for_degree(4 * num.lmax + 8)
         self.pv = _pv_operator(self.grid)
@@ -307,62 +320,6 @@ class ScenarioEngine:
         return complex(np.exp(-1j * np.dot(sc.k1, sc.scatterers[j].center_array)
                               + 1j * np.dot(sc.k2, sc.scatterers[h].center_array)))
 
-    def _rayleigh(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The factors of e^{i q_i k^_a.D}: P_L(k^_a.D^) (n_ang, L + 1) and
-        i^L (2L+1) j_L(q_i |D|) (L + 1, n_q), L <= 2*lmax.
-
-        The Rayleigh expansion truncated at L = 2*lmax is exact against any
-        spherical polynomial of degree <= 2*lmax (see _born3).  For |D| = 0
-        only L = 0 survives (j_L(0) = delta_L0), so any axis is valid and
-        the z axis is used.
-        """
-        D_len = float(np.linalg.norm(D))
-        axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
-        Lmax = 2 * self.sc.numerics.lmax
-        coef = np.array([(1j) ** L * (2 * L + 1) for L in range(Lmax + 1)])
-        wave = coef[:, None] * bessel_j_table(Lmax, self.grid.nodes * D_len)
-        return legendre_table(Lmax, self.ang.nodes @ axis).T, wave
-
-    def _nodal_sum(self, rows: np.ndarray, direction,
-                   D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_a rows[x, a] c_l P_l(k^_a.direction) e^{i q k^_a.D} in two factors.
-
-        c_l = (2l+1)/(4 pi), and ``rows`` (n_x, n_ang) weighs the nodes of
-        the angular rule.  Returns (K, wave) with K[x, (l, L)] =
-        sum_a rows[x, a] c_l P_l(k^_a.direction) P_L(k^_a.D^), shape
-        (n_x, (lmax + 1)(2 lmax + 1)), and wave[L, q] the Bessel factor of
-        _rayleigh: the sum is sum_L K[x, (l, L)] wave[L, q].  The nodes are
-        summed once, in one product with the real table c_l P_l P_L
-        (n_ang, (lmax + 1)(2 lmax + 1)); the (n_ang, n_q) plane wave is
-        never formed.
-        """
-        lmax = self.sc.numerics.lmax
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        P = c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
-        PL, wave = self._rayleigh(D)
-        G = (P.T[:, :, None] * PL[:, None, :]).reshape(self.ang.size, -1)
-        if np.iscomplexobj(rows):
-            # two real products, rather than promoting G to complex
-            return rows.real @ G + 1j * (rows.imag @ G), wave
-        return rows @ G, wave
-
-    def _pair_kernel(self, pair: tuple[int, int]) -> np.ndarray:
-        """Kernel M[l, l', q] of the pair profile, (lmax + 1, lmax + 1, n_q).
-
-        M_{ll'}(q) = sum_a w_a c_l P_l(k^_a.k1^) c_l' P_l'(k^_a.k2^) E_a(q),
-        c_l = (2l+1)/(4 pi), with E the plane wave e^{i q k^_a.(x_j - x_h)}
-        on the angular rule (see _nodal_sum).  It does not depend on eps.
-        """
-        j, h = pair
-        sc = self.sc
-        lmax = sc.numerics.lmax
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        rows = (c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(sc.dir_out))
-                * self.ang.weights)
-        K, wave = self._nodal_sum(rows, sc.dir_in, sc.scatterers[j].center_array
-                                  - sc.scatterers[h].center_array)
-        return (K.reshape(-1, wave.shape[0]) @ wave).reshape(lmax + 1, lmax + 1, -1)
-
     def pair_profile(self, pair: tuple[int, int], eps_seq):
         """Angular-reduced pair integrand S(q) and its standing-wave companion,
         one row per eps of ``eps_seq``.
@@ -370,9 +327,10 @@ class ScenarioEngine:
         S(q) is the angular average of <k1|t_j(z)|k><k|t_h(z)|k2> (phases
         stripped) over directions of the intermediate momentum, i.e. the
         sandwich of the two half-shell amplitudes through the regular
-        radial wave j_0(q|x-y|).  Over the partial waves it is the bilinear
-        form S(q) = sum_{l,l'} t_j,l(q) M_{ll'}(q) t_h,l'(q) with the
-        eps-independent kernel of _pair_kernel, built once for all eps.
+        radial wave j_0(q|x-y|).  It is the projection (_projection, as in
+        _born3) of T_j, carried by e^{i q k^.(x_j - x_h)}, onto the rows
+        c_l' P_l'(k^_a.k2^) w_a; by the addition theorem
+        S(q) = sum_l' t_h,l'(q) proj[l', q].
         Sy(q) is the same sandwich through the irregular wave y_0(q|x-y|),
         obtained from S by the principal-value identity
         y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
@@ -382,12 +340,16 @@ class ScenarioEngine:
         eps of the call.
         """
         j, h = pair
-        M = self._pair_kernel(pair)
-        S = []
-        for eps in eps_seq:
-            tj, th = self._half_shells(j, eps), self._half_shells(h, eps)
-            S.append(np.einsum("lq,lq->q", tj, np.einsum("lmq,mq->lq", M, th)))
-        return np.array(S), np.array([self.pv @ row for row in S])
+        sc = self.sc
+        lmax = sc.numerics.lmax
+        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+        rows = (c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(sc.dir_in))
+                * self.ang.weights)
+        proj = self._projection(rows, j, sc.scatterers[j].center_array
+                                - sc.scatterers[h].center_array, sc.dir_out, eps_seq)
+        S = np.array([(self._half_shells(h, eps) * p).sum(axis=0)
+                      for eps, p in zip(eps_seq, proj)])
+        return S, np.array([self.pv @ row for row in S])
 
     # -- operations ---------------------------------------------------------
 
@@ -404,8 +366,8 @@ class ScenarioEngine:
         """Pair terms X_alpha(z) for every alpha in ``alphas`` at every eps of ``eps_seq``.
 
         The integrand uses genuinely off-shell half-shell t-matrix columns
-        through one pair profile per eps, all from one pair kernel; the
-        alpha insertion carries the branch-continued phase, under which
+        through one pair profile per eps, all from one angular projection;
+        the alpha insertion carries the branch-continued phase, under which
         X_alpha = e^{i alpha sqrt(z)} X_0 up to quadrature error.  Every
         entry passes the momentum-tail check or raises TailEstimateError.
         Returns the terms (n_eps, n_alpha) and, per eps, the worst
@@ -506,18 +468,11 @@ class ScenarioEngine:
         """Third-order term <k1|t_j R0 t_h R0 t_k|k2> at z = k0^2 + i eps.
 
         Both free propagations are projected onto partial waves (l, m) about
-        scatterer h (see _projection); t_h then couples them l by l, read
-        from its solves without forming the table (grid_sandwich).  Each
-        projection integrates e^{i q k^.D} Y_lm(k^) P_l'(k^.k^_ext)
-        over directions k^, as _pair_kernel integrates e^{i q k^.D}
-        P_l(k^.k1^) P_l'(k^.k2^).  The Rayleigh expansion
-        e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) makes both exact
-        at L <= 2*lmax: the other factor is a spherical polynomial of degree
-        at most 2*lmax, to which every P_L with L > 2*lmax is orthogonal.
-        What is left has degree at most 4*lmax, which the engine's angular
-        rule ``ang`` integrates exactly, with no dependence on q*|D|.
-        ``Yw``, the weighted Y_lm table on ``ang``, may be shared between
-        the terms of one order; by default it is built here.
+        scatterer h by _projection, with Y_lm rows where pair_profile has
+        Legendre rows; t_h then couples them l by l, read from its solves
+        without forming the table (grid_sandwich).  ``Yw``, the weighted
+        Y_lm table on ``ang``, may be shared between the terms of one
+        order; by default it is built here.
         """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
@@ -528,27 +483,48 @@ class ScenarioEngine:
             Yw = ylm_table(lmax, self.ang.nodes) * self.ang.weights
         centers = [s.center_array for s in sc.scatterers]
         denom = w * q * q / (z - q * q)
-        A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, eps) * denom
+        A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, [eps])[0] * denom
         B = self._projection(np.conj(Yw), k, centers[h] - centers[k], sc.dir_in,
-                             eps) * denom
+                             [eps])[0] * denom
         total = 0.0 + 0.0j
         for l, sp in enumerate(self.offshell(h)):
             block = slice(sph_index(l, -l), sph_index(l, l) + 1)
             total += (4.0 * np.pi / (2 * l + 1)) * sp.grid_sandwich(A[block], B[block], eps)
         return self._phase(j, k) * complex(total)
 
-    def _projection(self, Yw: np.ndarray, s: int, D: np.ndarray, direction,
-                    eps: float) -> np.ndarray:
-        """(nlm, nq) array sum_a Yw[:, a] e^{i q k^_a.D} T_s(k^_a, q).
+    def _projection(self, rows: np.ndarray, s: int, D: np.ndarray, direction,
+                    eps_seq) -> np.ndarray:
+        """sum_a rows[x, a] e^{i q k^_a.D} T_s(k^_a, q) at each eps, (n_eps, n_x, n_q).
 
-        T_s(k^, q) = sum_l c_l P_l(k^.direction) t_l(q, k0; z) is the
-        half-shell amplitude of scatterer s.  With the factors (K, wave) of
-        _nodal_sum the projection is K @ [t_l(q) wave_L(q)], one product
-        over (l, L).
+        T_s(k^, q) = sum_l c_l P_l(k^.direction) t_l(q, k0; z), c_l =
+        (2l+1)/(4 pi), is the half-shell amplitude of scatterer s, and
+        ``rows`` (n_x, n_ang) weighs the nodes of the angular rule by
+        spherical polynomials of degree <= lmax.  The Rayleigh expansion
+        e^{i q k^.D} = sum_L i^L (2L+1) j_L(q|D|) P_L(k^.D^) is then exact at
+        L <= 2*lmax: every higher P_L is orthogonal to rows * P_l, and what
+        is left has degree <= 4*lmax, which ``ang`` integrates exactly for
+        any q*|D|.  At |D| = 0 only L = 0 survives (j_L(0) = delta_L0) and
+        the z axis serves.  The nodes are summed once, into K[x, (l, L)] =
+        sum_a rows[x, a] c_l P_l(k^_a.direction) P_L(k^_a.D^); each eps is
+        then one product K @ [t_l(q) wave_L(q)], so a row does not depend on
+        the other eps of the call.
         """
-        t = self._half_shells(s, eps)
-        K, wave = self._nodal_sum(Yw, direction, D)
-        return K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
+        lmax = self.sc.numerics.lmax
+        D_len = float(np.linalg.norm(D))
+        axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
+        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
+        P = c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
+        PL = legendre_table(2 * lmax, self.ang.nodes @ axis)
+        G = (P.T[:, :, None] * PL.T[:, None, :]).reshape(self.ang.size, -1)
+        if np.iscomplexobj(rows):
+            # two real products, rather than promoting G to complex
+            K = rows.real @ G + 1j * (rows.imag @ G)
+        else:
+            K = rows @ G
+        coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
+        wave = coef[:, None] * bessel_j_table(2 * lmax, self.grid.nodes * D_len)
+        return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
+                         for t in (self._half_shells(s, eps) for eps in eps_seq)])
 
     # -- the full experiment -------------------------------------------------
 
@@ -679,6 +655,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     eps_seq = sc.eps_sequence()
     alphas = tuple(num.alpha_list)
     n_scat = len(sc.scatterers)
+    if n_scat > 1 and (problem := alpha_list_problem(alphas)):
+        raise ValueError(f"alpha_list {list(alphas)}: {problem}")
 
     diagnostics = {
         "momentum_nodes": int(engine.grid.size),
@@ -719,9 +697,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics["pair_gap"] = float(gap)
     overlapping = gap <= 0
 
-    # stages 2-3: one pair kernel, then a pair profile and a row of X_alpha per eps
-    if not alphas:
-        alphas = (0.0,)
+    # stages 2-3: one angular projection, then a pair profile and X_alpha row per eps
     lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)
     rows, tails = engine.x_lattice(lattice_alphas, eps_seq)
     lattice = dict(zip(eps_seq, rows))
@@ -736,9 +712,12 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         x_extrap[a], x_err[a] = eps_extrapolate(samples)
     x0 = x_extrap[0.0]
     diagnostics["richardson_error"] = x_err
+    if x0 == 0:
+        raise ValueError("the extrapolated pair term X_0 vanishes (a zero potential?): "
+                         "the alpha gates are relative to |X_0|")
 
     y_samples = {a: complex(np.exp(-1j * a * sc.k0) * x_extrap[a]) for a in alphas}
-    flat = max((abs(y_samples[a] - x0) for a in alphas), default=0.0) / abs(x0)
+    flat = max(abs(y_samples[a] - x0) for a in alphas) / abs(x0)
 
     phase_res = {}
     for a in alphas:
@@ -750,11 +729,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
 
     # trapezoid alpha-average of Y over [alpha_min, alpha_max]
     a_arr = np.array(sorted(y_samples))
-    if a_arr.size >= 2:
-        y_arr = np.array([y_samples[a] for a in a_arr])
-        y_avg = complex(np.trapezoid(y_arr, a_arr) / (a_arr[-1] - a_arr[0]))
-    else:
-        y_avg = x0
+    y_arr = np.array([y_samples[a] for a in a_arr])
+    y_avg = complex(np.trapezoid(y_arr, a_arr) / (a_arr[-1] - a_arr[0]))
     y_avg_rel = abs(y_avg - x0) / abs(x0)
 
     x0_sc, x0_sc_by_lmax, trunc, onshell_rel = None, None, None, None
@@ -792,8 +768,10 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         norms = schatten4_norm_spectral(sc.scatterers[0].potential,
                                         sc.scatterers[1].potential, ks, R_len)
         s_val, s_delta = norms[1]
+        # every k's refinement delta, in the order of decay_diagnostic's k_values
         schatten = {"method": "spectral", "value": float(s_val),
-                    "refinement_delta": float(s_delta)}
+                    "refinement_delta": float(s_delta),
+                    "refinement_deltas": [float(d) for _, d in norms]}
         # truncated-integral decay diagnostic (report-only; the tail beyond
         # the sampled k-range is not computable at desk scale)
         schatten["decay_diagnostic"] = schatten4_decay_diagnostic(

@@ -52,7 +52,12 @@ from __future__ import annotations
 import numpy as np
 
 from multiscat.potentials import Potential
-from multiscat.specfun import bessel_derivative, bessel_j_table, bessel_y_table
+from multiscat.specfun import (
+    bessel_derivative,
+    bessel_j_table,
+    bessel_y_table,
+    octave_edges,
+)
 
 #: WKB action retained when fast-forwarding through a deeply forbidden region.
 #: The discarded decaying admixture is suppressed by exp(-2 * action) ~ 1e-39.
@@ -112,12 +117,8 @@ def _segments(pot: Potential, ls: np.ndarray, k: float, r_match: float):
     r0 = min(1e-5 * max(pot.a, 1.0 / k), 1e-4)
     bps = sorted({b for b in pot.breakpoints() if r0 < b < r_match})
 
-    bounds = []
-    for a, b in zip([r0] + bps, bps + [r_match]):
-        while b / a > 2.5:
-            bounds.append((a, a * 2.0))
-            a *= 2.0
-        bounds.append((a, b))
+    edges = octave_edges([r0] + bps + [r_match])
+    bounds = list(zip(edges[:-1], edges[1:]))
 
     # WKB action bookkeeping over contiguous fully-forbidden runs, from w
     # of every l on 129 probes per pair

@@ -320,6 +320,21 @@ def gauss_legendre(n: int):
     return x, w
 
 
+def octave_edges(edges) -> list:
+    """``edges`` with every panel [a, b], a > 0, split at 2a, 4a, ... while b/a > 2.5.
+
+    The node budget of each panel then tracks a local scale that grows
+    with r.
+    """
+    out = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        while a > 0 and b / a > 2.5:
+            a *= 2.0
+            out.append(a)
+        out.append(b)
+    return out
+
+
 def gauss_panels(edges, n):
     """Composite Gauss-Legendre rule over the panels between successive edges.
 

@@ -112,6 +112,31 @@ def test_booleans_and_non_integral_values_rejected(old, new, path):
     assert [p for p, _ in exc.value.errors] == [path]
 
 
+@pytest.mark.parametrize("old,new,path", [
+    # one alpha: alpha_flatness and y_average read 0 and phase_law is dropped
+    ("k0: 1.0", "k0: 1.0\n  alpha_list: [0.0]", "scenario.alpha_list"),
+    ("k0: 1.0", "k0: 1.0\n  alpha_list: [1.0]", "scenario.alpha_list"),
+    ("k0: 1.0", "k0: 1.0\n  alpha_list: [0.5, 0.5]", "scenario.alpha_list"),
+    # a zero potential makes X_0 vanish, and every alpha gate divides by it
+    (SECOND, "potential: {kind: square_well, v0: 0.0, a: 1.0}\noutput",
+     "scatterers[1].potential.v0"),
+    (SECOND, "potential: {kind: gaussian, v0: 0, a: 1.0}\noutput",
+     "scatterers[1].potential.v0"),
+])
+def test_gates_that_cannot_fail_rejected(tmp_path, old, new, path):
+    text = MINIMAL.replace(old, new, 1)
+    assert text != MINIMAL
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == [path]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    # two alphas, one of them nonzero, are enough
+    ok = MINIMAL.replace("k0: 1.0", "k0: 1.0\n  alpha_list: [0.0, 0.5]")
+    assert validate_config(ok).scenario.numerics.alpha_list == (0.0, 0.5)
+
+
 def test_integral_float_is_an_integer():
     cfg = validate_config(MINIMAL.replace("output:", "numerics:\n  lmax: 6.0\noutput:"))
     assert cfg.scenario.numerics.lmax == 6 and isinstance(cfg.scenario.numerics.lmax, int)

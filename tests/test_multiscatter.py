@@ -11,6 +11,7 @@ from multiscat.multiscatter import (
     Scenario,
     ScenarioEngine,
     _spline_slopes,
+    alpha_list_problem,
     eps_extrapolate,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
@@ -276,11 +277,13 @@ def _born3_brute_force(eng, j, h, k, eps):
 
 @pytest.fixture(scope="module")
 def three_engine():
-    """Two wells and a Gaussian off axis, lmax 3."""
+    """Two wells and a Gaussian off axis, lmax 3, and a second Gaussian at
+    the first well's centre: pairs (0, 3) and (3, 0) have D = 0."""
     return ScenarioEngine(Scenario(
         scatterers=(Scatterer((0.3, -0.2, 0.1), square_well(-1.0, 1.0)),
                     Scatterer((2.0, 1.0, 2.5), gaussian(-0.8, 0.9)),
-                    Scatterer((-1.5, 1.8, -1.2), square_well(-0.7, 1.2))),
+                    Scatterer((-1.5, 1.8, -1.2), square_well(-0.7, 1.2)),
+                    Scatterer((0.3, -0.2, 0.1), gaussian(-0.5, 0.6))),
         k0=1.1, dir_in=(0.2, 0.3, 0.9), dir_out=(0.7, -0.5, 0.3),
         numerics=Numerics(lmax=3, n_max=3, p_max=8.0, n_inner=16, n_mid=16)))
 
@@ -291,8 +294,9 @@ def test_pair_profile_matches_brute_force_quadrature(three_engine):
     eps_seq = (eng.sc.eps_sequence()[2], eng.sc.eps_sequence()[1])
     sc = eng.sc
     ang = _brute_force_rule(eng)
-    for j in range(3):
-        for h in range(3):
+    n = len(sc.scatterers)
+    for j in range(n):
+        for h in range(n):
             if j == h:
                 continue
             D = sc.scatterers[j].center_array - sc.scatterers[h].center_array
@@ -307,13 +311,33 @@ def test_pair_profile_matches_brute_force_quadrature(three_engine):
 
 def test_born3_matches_brute_force_quadrature(three_engine):
     eng = three_engine
-    terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
-             if j != h and h != k]
+    n = len(eng.sc.scatterers)
+    # every term over the three distinct centres, and every term with a D = 0 hop
+    terms = [(j, h, k) for j in range(n) for h in range(n) for k in range(n)
+             if j != h and h != k and (3 not in (j, h, k) or {0, 3} in ({j, h}, {h, k}))]
     assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
+    assert (0, 3, 1) in terms and (1, 0, 3) in terms
     eps = eng.sc.eps_sequence()[2]
     for j, h, k in terms:
         ref = _born3_brute_force(eng, j, h, k, eps)
         assert abs(eng._born3(j, h, k, eps) - ref) <= 1e-12 * abs(ref), (j, h, k)
+
+
+def test_projection_rows_do_not_depend_on_the_other_eps(three_engine):
+    # one call over every eps of the run equals one call per eps, bit for bit
+    eng = three_engine
+    sc = eng.sc
+    eps_seq = sc.eps_sequence()
+    Yw = ylm_table(sc.numerics.lmax, eng.ang.nodes) * eng.ang.weights
+    D = sc.scatterers[1].center_array - sc.scatterers[2].center_array
+    together = eng._projection(Yw, 1, D, sc.dir_out, eps_seq)
+    assert together.shape == (len(eps_seq), Yw.shape[0], eng.grid.size)
+    for eps, block in zip(eps_seq, together):
+        assert np.array_equal(block, eng._projection(Yw, 1, D, sc.dir_out, [eps])[0])
+    S, Sy = eng.pair_profile((2, 1), eps_seq)
+    for eps, row, row_y in zip(eps_seq, S, Sy):
+        one, one_y = eng.pair_profile((2, 1), [eps])
+        assert np.array_equal(row, one[0]) and np.array_equal(row_y, one_y[0])
 
 
 def test_concentric_scatterers_give_finite_terms():
@@ -503,3 +527,40 @@ def test_n_max_one_has_no_order_two_term():
     report = eng.verify()
     assert len(report.born_terms) == 1 and report.born2_identity_rel is None
     assert "born2_identity" not in {c["name"] for c in report.comparisons}
+
+
+@pytest.mark.parametrize("alphas", [(0.0,), (1.0,), (0.5, 0.5), ()])
+def test_pair_run_rejects_alphas_that_cannot_fail(alphas):
+    # one alpha makes alpha_flatness and y_average read 0 and drops phase_law
+    eng = ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+                    Scatterer((0, 0, 3.0), square_well(-1.0, 1.0))),
+        k0=1.0, numerics=Numerics(lmax=2, alpha_list=alphas, p_max=12.0,
+                                  n_inner=16, n_mid=16)))
+    with pytest.raises(ValueError, match="alpha"):
+        eng.verify()
+    assert alpha_list_problem(alphas) is not None
+    assert alpha_list_problem((0.0, 0.5)) is None and alpha_list_problem((0.5, 1.0)) is None
+
+
+def test_pair_run_with_a_zero_potential_names_the_vanishing_x0():
+    eng = ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+                    Scatterer((0, 0, 3.0), square_well(0.0, 1.0))),
+        k0=1.0, numerics=Numerics(lmax=2, p_max=12.0, n_inner=16, n_mid=16)))
+    with pytest.raises(ValueError, match="X_0 vanishes"):
+        eng.verify()
+
+
+def test_report_records_every_spectral_refinement_delta():
+    from multiscat.greens import schatten4_norm_spectral
+
+    eng = _small_wells()
+    schatten = eng.verify().schatten
+    ks = schatten["decay_diagnostic"]["k_values"]
+    assert schatten["method"] == "spectral" and len(ks) == 4
+    assert schatten["refinement_deltas"][ks.index(eng.sc.k0)] == schatten["refinement_delta"]
+    sc = eng.sc
+    norms = schatten4_norm_spectral(sc.scatterers[0].potential, sc.scatterers[1].potential,
+                                    ks, 3.0)
+    assert schatten["refinement_deltas"] == [d for _, d in norms]
