@@ -28,17 +28,18 @@ V = B^T C B,
     t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,
     A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T,
 
-B_g the grid columns of B.  The factors are (B, C) = (J_l, diag(c)) when
-n_r <= n + 1, else (I, V_l) (the exponential and truncated-Coulomb rules
-are longer than the grid); n_r does not depend on l, so one choice holds
-for every l, and every solve runs in the smaller rank.  Each l is solved
-in turn, every eps of the run in one batched ``np.linalg.solve``, and
-each solve is gated: max|(I - C A) X - C| / max|C| above 1e-8 raises
-PoleProximityError.  One ``eigvalsh`` per l of H = diag(q^2) + S V_gg S
-(S = diag(sqrt(w) q)) gives the grid spectrum behind the engine's health
-numbers: bound-state counts and the level spacing near k0^2.  The engine reads all its half-shell columns, on-shell
-elements and Born-3 blocks from these solves, at the run's eps values
-only, and no (n x n) table is formed on the radial branch.
+B_g the grid columns of B.  The factors come from one SVD per l of
+diag(sqrt|c|) J_l cut at numpy's ``matrix_rank`` tolerance, so every
+potential kind solves in the numerical rank k <= min(n_r, n + 1) of V_l
+(k = 0 for a zero potential).  Each l is solved in turn, every eps of
+the run in one batched ``np.linalg.solve``, and each solve is gated:
+max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  One
+``eigvalsh`` per l of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q))
+gives the grid spectrum behind the engine's health numbers: bound-state
+counts and the level spacing near k0^2.  The engine reads all its
+half-shell columns, on-shell elements and Born-3 blocks from these
+solves, at the run's eps values only, and no (n x n) t-matrix table is
+formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system per z follows.
 For eps = 0 it handles the principal value by on-shell subtraction
@@ -159,11 +160,7 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
     """
     momenta = np.asarray(momenta, dtype=float)
     rs, c = _radial_rule(pot, float(momenta.max()), scale)
-    return _jcj(bessel_j_table(l, np.outer(rs, momenta))[l], c)
-
-
-def _jcj(J: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The symmetric J^T diag(c) J."""
+    J = bessel_j_table(l, np.outer(rs, momenta))[l]
     out = (J.T * c) @ J
     return 0.5 * (out + out.T)
 
@@ -174,7 +171,7 @@ def _jcj(J: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LSSpectrum:
-    """t_l(p, p'; k0^2 + i eps) = B^T X(eps) B from solves in the rank of V_l.
+    """t_l(p, p'; k0^2 + i eps) = B^T X(eps) B from solves in the numerical rank k of V_l.
 
     Rows and columns of t run over the grid nodes plus the on-shell point k0
     (the last column of B).  ``X`` holds the solves at the eps values
@@ -184,9 +181,9 @@ class LSSpectrum:
     residual.
     """
 
-    B: np.ndarray = field(repr=False)         # (r, n + 1) real
+    B: np.ndarray = field(repr=False)         # (k, n + 1) real
     eps: tuple
-    X: np.ndarray = field(repr=False)         # (len(eps), r, r) complex
+    X: np.ndarray = field(repr=False)         # (len(eps), k, k) complex
     lam: np.ndarray = field(repr=False)       # eigenvalues of H, ascending
     residual: float
 
@@ -240,8 +237,8 @@ def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tupl
         X = np.linalg.solve(L, np.broadcast_to(C, L.shape))
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular: {exc}") from exc
-    scale = max(np.max(np.abs(C)), 1e-300)
-    resid = np.max(np.abs(L @ X - C), axis=(1, 2)) / scale
+    scale = max(np.max(np.abs(C), initial=0.0), 1e-300)
+    resid = np.max(np.abs(L @ X - C), axis=(1, 2), initial=0.0) / scale
     if not np.all(resid <= 1e-8):
         worst = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
         raise PoleProximityError(
@@ -255,28 +252,25 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
 
     Returns one LSSpectrum per l.  The radial rule, c = (2/pi) w r^2 V(r)
     and the Bessel table J[l, r, i] = j_l(p_i r) of every l are built once
-    (``_radial_rule``), so V_l = J_l^T diag(c) J_l.  With n_r radial nodes
-    and n grid nodes, the factors are (B, C) = (J_l, diag(c)) when
-    n_r <= n + 1, else (I, V_l), the same branch for every l since n_r
-    does not depend on l; on the (I, V_l) branch the table is released
-    before the solves.  Each l is then solved in turn, every eps in one
+    (``_radial_rule``), so V_l = M_l^T diag(sign c) M_l with
+    M_l = diag(sqrt|c|) J_l.  Per l, one SVD M_l = U S W^T cut at numpy's
+    ``matrix_rank`` tolerance to its k leading singular values gives the
+    factors B = S_k W_k^T and C = U_k^T diag(sign c) U_k, for every
+    potential kind.  Each l is then solved in rank k, every eps in one
     batched solve, and one eigvalsh of H gives its grid spectrum.  Raises
     PoleProximityError when a solve residual exceeds 1e-8.
     """
     q = grid.nodes
     momenta = np.concatenate([q, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
-    J = bessel_j_table(lmax, np.outer(rs, momenta))
-    if rs.size <= momenta.size:
-        C = np.diag(c)
-        factors = [(Jl, C) for Jl in J]
-    else:
-        B = np.eye(momenta.size)
-        factors = [(B, _jcj(Jl, c)) for Jl in J]
-    del J
+    root, sign = np.sqrt(np.abs(c)), np.sign(c)
     eps = tuple(eps)
     spectra = []
-    for B, C in factors:
+    for Jl in bessel_j_table(lmax, np.outer(rs, momenta)):
+        U, s, Wt = np.linalg.svd(root[:, None] * Jl, full_matrices=False)
+        k = int(np.sum(s > s[0] * max(Jl.shape) * np.finfo(float).eps))
+        B, U = s[:k, None] * Wt[:k], U[:, :k]
+        C = (U.T * sign) @ U
         X, resid = _solve(B, C, grid, eps)
         G = B[:, :-1] * (np.sqrt(grid.weights) * q)
         H = G.T @ C @ G

@@ -99,8 +99,11 @@ def alpha_list_problem(alphas) -> str | None:
 
     The alpha gates compare Y_alpha across alphas and the phase law needs
     an alpha != 0, so the list needs at least 2 distinct values (then one
-    of them is nonzero).
+    of them is nonzero).  Every alpha must be >= 0, so that
+    |e^{i alpha sqrt z}| <= 1 for Im sqrt z >= 0.
     """
+    if any(a < 0 for a in alphas):
+        return "alpha values must be nonnegative"
     if len(set(alphas)) < 2:
         return "need at least 2 distinct alpha values, one of them nonzero"
     return None
@@ -217,9 +220,9 @@ class ScenarioEngine:
     operator on the grid.  The LS stage is built by ``offshell(j)`` on
     first use, once per distinct potential: one radial rule and one Bessel
     table give the factors of V_l for every l, and the solves at every eps
-    of the run (see lippmann.ls_spectrum).  Every off-shell t-matrix
-    element is read from it, and where V_l's radial rule is shorter than
-    the grid no (n x n) table is formed.  Every other quantity is computed
+    of the run in the numerical rank of V_l (see lippmann.ls_spectrum).
+    Every off-shell t-matrix element is read from it, and no (n x n)
+    t-matrix table is formed.  Every other quantity is computed
     from those inputs where it is used: phase shifts, structure constants,
     and one angular projection of a half-shell amplitude per series term
     and pair of centres (_projection), which gives both the pair profiles
@@ -267,15 +270,15 @@ class ScenarioEngine:
         """Health numbers of the LS stage at the smallest eps.
 
         Per distinct potential, read from its one LS stage (``offshell``):
-        the count of negative eigenvalues of H (grid bound states) per l,
-        and the relative difference between the factorised half-shell
-        column at l = 0 and one direct LU solve (solve_offshell_t), which
-        must stay below 1e-8.  Over every l of every potential: the worst
-        solve residual and the grid level spacing near k0^2 (the
-        median gap of the eigenvalues within k0^2 +- eps_min, always
-        including the two that bracket k0^2), with eps_min / spacing; a
-        ratio below SPACING_FLAG_RATIO sets ``spacing_flag`` and logs a
-        warning.
+        the count of negative eigenvalues of H (grid bound states) and the
+        rank of the solves per l, and the relative difference between the
+        factorised half-shell column at l = 0 and one direct LU solve
+        (solve_offshell_t), which must stay below 1e-8.  Over every l of
+        every potential: the worst solve residual and the grid level
+        spacing near k0^2 (the median gap of the eigenvalues within
+        k0^2 +- eps_min, always including the two that bracket k0^2), with
+        eps_min / spacing; a ratio below SPACING_FLAG_RATIO sets
+        ``spacing_flag`` and logs a warning.
         """
         sc = self.sc
         eps = min(sc.eps_sequence())
@@ -295,7 +298,8 @@ class ScenarioEngine:
                     f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
             potentials.append({"scatterer": j, "kind": pot.kind, "cross_check": diff,
-                               "bound_states": [int(np.sum(sp.lam < 0)) for sp in spectra]})
+                               "bound_states": [int(np.sum(sp.lam < 0)) for sp in spectra],
+                               "rank": [int(sp.B.shape[0]) for sp in spectra]})
             for sp in spectra:
                 resid = max(resid, sp.residual)
                 lam = sp.lam

@@ -117,6 +117,8 @@ def test_booleans_and_non_integral_values_rejected(old, new, path):
     ("k0: 1.0", "k0: 1.0\n  alpha_list: [0.0]", "scenario.alpha_list"),
     ("k0: 1.0", "k0: 1.0\n  alpha_list: [1.0]", "scenario.alpha_list"),
     ("k0: 1.0", "k0: 1.0\n  alpha_list: [0.5, 0.5]", "scenario.alpha_list"),
+    # e^{i alpha sqrt z} continues to the real axis only for alpha >= 0
+    ("k0: 1.0", "k0: 1.0\n  alpha_list: [0, -2, -4, -6]", "scenario.alpha_list"),
     # a zero potential makes X_0 vanish, and every alpha gate divides by it
     (SECOND, "potential: {kind: square_well, v0: 0.0, a: 1.0}\noutput",
      "scatterers[1].potential.v0"),

@@ -5,6 +5,7 @@ from multiscat.lippmann import (
     ComplexEnergy,
     MomentumGrid,
     PoleProximityError,
+    _radial_rule,
     ls_spectrum,
     solve_offshell_t,
     vl_matrix,
@@ -156,10 +157,6 @@ def test_grid_energy_mismatch_rejected():
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(2.0, 0.0), grid)
 
 
-# the rank the solves run in: the radial rule's length on the grid of
-# default_grid(1.0), else the grid plus k0 (see ls_spectrum)
-FACTOR_BRANCH = {"square_well": "radial", "gaussian": "radial",
-                 "exponential": "grid", "truncated_coulomb": "grid"}
 EPS = (0.2, 0.1, 0.05, 0.025)
 
 
@@ -173,22 +170,36 @@ def test_spectrum_matches_direct_solve(pot):
     grid = default_grid(k0)
     spectra = ls_spectrum(pot, 8, grid, EPS)
     assert len(spectra) == 9
+    n_r = _radial_rule(pot, float(grid.nodes.max()), 1)[0].size
     for l, sp in enumerate(spectra):
-        identity = (sp.B.shape == (grid.size + 1,) * 2
-                    and np.array_equal(sp.B, np.eye(grid.size + 1)))
-        assert identity == (FACTOR_BRANCH[pot.kind] == "grid"), l
+        # the solves run in the numerical rank of V_l, never above the
+        # radial rule's length or the grid plus k0
+        rank = sp.B.shape[0]
+        assert rank <= min(n_r, grid.size + 1), l
+        assert sp.B.shape == (rank, grid.size + 1) and sp.X.shape == (len(EPS), rank, rank)
+        if pot.kind in ("exponential", "truncated_coulomb"):
+            # radial rules longer than the grid: still no (n + 1)^2 table
+            assert rank < grid.size + 1, l
         if l == 0 and pot.v0 == -2.8:
             # sqrt(2.8) > pi/2: one s-wave bound state, one negative eigenvalue
             assert np.sum(sp.lam < 0) == 1
         for eps in EPS:
             ref = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
             scale = np.max(np.abs(ref.values))
-            X = sp.X[EPS.index(eps)]
-            table = X if identity else sp.B.T @ X @ sp.B
+            table = sp.B.T @ sp.X[EPS.index(eps)] @ sp.B
             assert np.max(np.abs(table - ref.values)) <= 1e-10 * scale, (l, eps)
             col = ref.half_shell()
             assert np.max(np.abs(sp.half_shell(eps) - col)) <= 1e-10 * np.max(np.abs(col))
             assert abs(sp.on_shell(eps) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
+
+
+def test_spectrum_zero_potential_has_rank_zero():
+    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    for sp in ls_spectrum(gaussian(0.0, 1.0), 2, grid, (0.2, 0.1)):
+        assert sp.B.shape == (0, grid.size + 1)
+        assert np.all(sp.half_shell(0.1) == 0.0) and sp.half_shell(0.1).shape == (grid.size + 1,)
+        assert sp.on_shell(0.2) == 0.0 and sp.residual == 0.0
+        assert np.array_equal(sp.lam, np.sort(grid.nodes ** 2))
 
 
 def test_spectrum_grid_sandwich():

@@ -417,11 +417,16 @@ def _small_wells(eps_list=()):
 
 
 def test_ls_health_counts_bound_states_and_cross_checks():
-    health = _small_wells().ls_health()
+    eng = _small_wells()
+    health = eng.ls_health()
     shallow, deep = health["potentials"]
     # depth 2.8 binds one s-wave level (sqrt(2.8) > pi/2), depth 1 binds none
     assert shallow["bound_states"] == [0, 0, 0]
     assert deep["bound_states"] == [1, 0, 0]
+    # the rank each l's solves ran in, as the LS stage holds it
+    for p in health["potentials"]:
+        ranks = [sp.B.shape[0] for sp in eng.offshell(p["scatterer"])]
+        assert p["rank"] == ranks and all(0 < k <= eng.grid.size + 1 for k in ranks)
     assert health["cross_check"] < 1e-10
     assert health["solve_residual"] < 1e-12
 
@@ -529,9 +534,10 @@ def test_n_max_one_has_no_order_two_term():
     assert "born2_identity" not in {c["name"] for c in report.comparisons}
 
 
-@pytest.mark.parametrize("alphas", [(0.0,), (1.0,), (0.5, 0.5), ()])
+@pytest.mark.parametrize("alphas", [(0.0,), (1.0,), (0.5, 0.5), (), (0.0, -2.0, -4.0, -6.0)])
 def test_pair_run_rejects_alphas_that_cannot_fail(alphas):
-    # one alpha makes alpha_flatness and y_average read 0 and drops phase_law
+    # one alpha makes alpha_flatness and y_average read 0 and drops phase_law;
+    # the phase law holds for alpha >= 0 only (|e^{i alpha sqrt z}| <= 1)
     eng = ScenarioEngine(Scenario(
         scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
                     Scatterer((0, 0, 3.0), square_well(-1.0, 1.0))),
