@@ -1,10 +1,14 @@
 """Configuration ingestion, scenario execution, and artifact emission.
 
 A run is driven by a single YAML file (see configs/ for commented
-examples).  ``multiscat run config.yaml`` writes
+examples).  ``validate_config`` reports every problem at once, each at its
+field path, and every mapping of the config rejects a key that the run does
+not read.  ``multiscat run config.yaml`` writes
 
 * ``report.json``    - the full verification report (complex numbers as
-  [re, im] pairs, every numerics parameter echoed),
+  [re, im] pairs; ``scenario`` echoes every Numerics field, with the
+  values the run derives for eps_list and p_max, and the momentum-node
+  count),
 * ``summary.csv``    - one fixed-schema row (schema_version column),
 * ``plotdata/*.csv`` - Y_alpha vs alpha, X_0 vs eps with the extrapolated
   value, and the structure-constant truncation sweep,
@@ -64,7 +68,6 @@ class ConfigError(ValueError):
 class RunConfig:
     scenario: Scenario
     output_dir: Path
-    formats: tuple = ("json", "csv", "plotdata")
     warnings: list = field(default_factory=list)
 
 
@@ -80,13 +83,13 @@ def _is_integer(v) -> bool:
     return _is_number(v) and (isinstance(v, int) or v.is_integer())
 
 
-def _get(d, path, default=None):
-    cur = d
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return default
-        cur = cur[part]
-    return cur
+def _unknown_keys(block, path: str, known) -> list:
+    """(field path, message) for every key of mapping ``block`` the run does not read."""
+    if not isinstance(block, dict):
+        return []
+    prefix = f"{path}." if path else ""
+    return [(f"{prefix}{key}", f"unknown key; known: {sorted(known)}")
+            for key in block if key not in known]
 
 
 def validate_config(text: str) -> RunConfig:
@@ -100,12 +103,24 @@ def validate_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([("<file>", "top level must be a mapping")])
 
-    k0 = _get(raw, "scenario.k0")
+    errors += _unknown_keys(raw, "", ("scenario", "scatterers", "numerics",
+                                      "tolerances", "output"))
+
+    def block(name, known) -> dict:
+        """The keys in ``known`` of top-level mapping ``name``; {} when absent or null."""
+        v = raw.get(name)
+        if v is not None and not isinstance(v, dict):
+            errors.append((name, "must be a mapping"))
+        errors.extend(_unknown_keys(v, name, known))
+        return {k: x for k, x in v.items() if k in known} if isinstance(v, dict) else {}
+
+    scen = block("scenario", ("k0", "dir_in", "dir_out", "eps_list", "alpha_list"))
+    k0 = scen.get("k0")
     if not _is_number(k0) or k0 <= 0:
         errors.append(("scenario.k0", f"must be a positive number, got {k0!r}"))
 
     def direction(name, default):
-        v = _get(raw, f"scenario.{name}", default)
+        v = scen.get(name, default)
         arr = None
         if (not isinstance(v, (list, tuple)) or len(v) != 3
                 or not all(_is_number(x) for x in v)):
@@ -126,7 +141,7 @@ def validate_config(text: str) -> RunConfig:
     dir_out = direction("dir_out", [0.0, 0.0, 1.0])
 
     for name in ("eps_list", "alpha_list"):
-        v = _get(raw, f"scenario.{name}")
+        v = scen.get(name)
         if v is not None and (not isinstance(v, list)
                               or not all(_is_number(x) for x in v)):
             errors.append((f"scenario.{name}", "must be a list of numbers"))
@@ -141,6 +156,7 @@ def validate_config(text: str) -> RunConfig:
         raw_scat = []
     for i, s in enumerate(raw_scat):
         base = f"scatterers[{i}]"
+        errors += _unknown_keys(s, base, ("center", "potential"))
         center = s.get("center") if isinstance(s, dict) else None
         if (not isinstance(center, (list, tuple)) or len(center) != 3
                 or not all(_is_number(x) for x in center)):
@@ -155,6 +171,9 @@ def validate_config(text: str) -> RunConfig:
             errors.append((f"{base}.potential.kind",
                            f"must be one of {KINDS}, got {kind!r}"))
             continue
+        # only a truncated Coulomb potential reads rc
+        errors += _unknown_keys(pot, f"{base}.potential", ("kind", "v0", "a")
+                                + (("rc",) if kind == "truncated_coulomb" else ()))
         v0 = pot.get("v0")
         a = pot.get("a")
         rc = pot.get("rc")
@@ -184,23 +203,12 @@ def validate_config(text: str) -> RunConfig:
         "p_max": (float, lambda v: v > 0),
         "n_inner": (int, lambda v: 8 <= v <= 512),
         "n_mid": (int, lambda v: 8 <= v <= 512),
-        "n_outer": (int, lambda v: 16 <= v <= 4096),
         "n_max": (int, lambda v: 1 <= v <= 3),
         "tail_tol": (float, lambda v: v > 0),
         "schatten_radial": (int, lambda v: 4 <= v <= 64),
         "schatten_order": (int, lambda v: 2 <= v <= 40),
     }
-    raw_num = raw.get("numerics")
-    if raw_num is None:
-        raw_num = {}
-    elif not isinstance(raw_num, dict):
-        errors.append(("numerics", "must be a mapping"))
-        raw_num = {}
-    for key, v in raw_num.items():
-        if key not in num_schema:
-            errors.append((f"numerics.{key}",
-                           f"unknown numerics key; known: {sorted(num_schema)}"))
-            continue
+    for key, v in block("numerics", num_schema).items():
         if v is None:
             continue
         caster, check = num_schema[key]
@@ -217,46 +225,29 @@ def validate_config(text: str) -> RunConfig:
         errors.append(("numerics.p_max", f"must exceed 2*k0 = {2 * k0:g}, got {p_max:g}"))
 
     tolerances = dict(Numerics().tolerances)
-    raw_tol = raw.get("tolerances")
-    if raw_tol is None:
-        raw_tol = {}
-    elif not isinstance(raw_tol, dict):
-        errors.append(("tolerances", "must be a mapping"))
-    else:
-        for k, v in raw_tol.items():
-            if k not in tolerances:
-                errors.append((f"tolerances.{k}",
-                               f"unknown tolerance; known: {sorted(tolerances)}"))
-            elif not _is_number(v) or v <= 0:
-                errors.append((f"tolerances.{k}", "must be a positive number"))
-            else:
-                tolerances[k] = float(v)
+    for k, v in block("tolerances", tolerances).items():
+        if not _is_number(v) or v <= 0:
+            errors.append((f"tolerances.{k}", "must be a positive number"))
+        else:
+            tolerances[k] = float(v)
 
-    out_dir = _get(raw, "output.dir", "out")
+    out_dir = block("output", ("dir",)).get("dir", "out")
     if not isinstance(out_dir, str):
         errors.append(("output.dir", "must be a path string"))
         out_dir = "out"
-    formats = _get(raw, "output.formats", ["json", "csv", "plotdata"])
-    if (not isinstance(formats, list)
-            or not set(formats) <= {"json", "csv", "plotdata"}):
-        errors.append(("output.formats",
-                       "must be a subset of [json, csv, plotdata]"))
-        formats = ["json", "csv", "plotdata"]
 
     if errors:
         raise ConfigError(errors)
 
     numerics = Numerics(
-        eps_list=tuple(_get(raw, "scenario.eps_list") or ()),
-        alpha_list=tuple(_get(raw, "scenario.alpha_list")
-                         or Numerics().alpha_list),
+        eps_list=tuple(scen.get("eps_list") or ()),
+        alpha_list=tuple(scen.get("alpha_list") or Numerics().alpha_list),
         tolerances=tolerances,
         **num_kwargs)
     scenario = Scenario(scatterers=tuple(scatterers), k0=float(k0),
                         dir_in=tuple(dir_in), dir_out=tuple(dir_out),
                         numerics=numerics)
-    return RunConfig(scenario=scenario, output_dir=Path(out_dir),
-                     formats=tuple(formats), warnings=warnings)
+    return RunConfig(scenario=scenario, output_dir=Path(out_dir), warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +345,11 @@ def run(config: RunConfig) -> int:
                                                        sort_keys=True) + "\n")
         return 1
 
-    if "json" in config.formats:
-        payload = report.to_json_dict()
-        payload["config_warnings"] = config.warnings
-        (outdir / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if "csv" in config.formats:
-        _write_summary(outdir / "summary.csv", report)
-    if "plotdata" in config.formats:
-        _write_plotdata(outdir, report)
+    payload = report.to_json_dict()
+    payload["config_warnings"] = config.warnings
+    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_summary(outdir / "summary.csv", report)
+    _write_plotdata(outdir, report)
     for c in report.comparisons:
         log.info("%-22s %.3e (tol %.1e) %s", c["name"], c["value"],
                  c["tolerance"], "PASS" if c["passed"] else "FAIL")

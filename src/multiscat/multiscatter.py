@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -144,7 +144,6 @@ class Numerics:
     p_max: float | None = None
     n_inner: int = 64
     n_mid: int = 48
-    n_outer: int | None = None
     n_max: int = 2
     tail_tol: float = 0.05
     schatten_radial: int = 14
@@ -240,8 +239,7 @@ class ScenarioEngine:
                            default=0.0)
         osc = self.max_sep + (max(num.alpha_list) if num.alpha_list else 0.0) + 2.0
         self.grid = MomentumGrid.build(scenario.k0, self.p_max, n_inner=num.n_inner,
-                                       n_mid=num.n_mid, n_outer=num.n_outer,
-                                       osc_scale=osc)
+                                       n_mid=num.n_mid, osc_scale=osc)
         # exact to degree 4*lmax + 8: every angular integral of the engine
         # has, once its plane waves are truncated at L = 2*lmax, a polynomial
         # integrand of degree at most 4*lmax (see _projection); the 8 extra
@@ -446,8 +444,18 @@ class ScenarioEngine:
         return [complex(pref * (left[:n] @ g[:n, :n] @ right[:n]))
                 for n in ((L + 1) ** 2 for L in range(lmax + 1))]
 
-    def born_term(self, order: int, eps: float) -> complex:
-        """Order-n term of the multiple-scattering series at z = k0^2 + i eps."""
+    def pair_terms(self, eps: float) -> dict:
+        """X_0(z) of every ordered pair (j, h), j != h, at z = k0^2 + i eps, by x_alpha."""
+        n = len(self.sc.scatterers)
+        return {(j, h): self.x_alpha(0.0, eps, (j, h))
+                for j in range(n) for h in range(n) if j != h}
+
+    def born_term(self, order: int, eps: float, pairs: dict | None = None) -> complex:
+        """Order-n term of the multiple-scattering series at z = k0^2 + i eps.
+
+        Order 2 sums ``pairs``, the result of pair_terms(eps), computed here
+        when not given.
+        """
         sc = self.sc
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -458,8 +466,7 @@ class ScenarioEngine:
         if order == 1:
             return complex(sum(self.t_elem(j, eps) for j in range(n)))
         if order == 2:
-            return complex(sum(self.x_alpha(0.0, eps, (j, h))
-                               for j in range(n) for h in range(n) if j != h))
+            return complex(sum((pairs or self.pair_terms(eps)).values()))
         if order == 3:
             # one harmonic table for all terms
             Yw = ylm_table(sc.numerics.lmax, self.ang.nodes) * self.ang.weights
@@ -745,16 +752,16 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         trunc = abs(x0_sc - ([0j] + x0_sc_by_lmax)[-2]) / max(abs(x0_sc), 1e-300)
         onshell_rel = abs(x0_sc - x0) / abs(x0_sc)
 
-    # born2_identity: born_term(2) sums x_alpha over the ordered pairs; the
+    # born2_identity: born_term(2) sums one set of pair terms at eps_min; the
     # same sum with pair (0, 1) read from the lattice's alpha = 0 entry at
     # eps_min must agree with it
     eps_min = min(eps_seq)
-    born = [engine.born_term(n, eps_min) for n in range(1, num.n_max + 1)]
+    pairs = engine.pair_terms(eps_min) if num.n_max >= 2 else None
+    born = [engine.born_term(n, eps_min, pairs) for n in range(1, num.n_max + 1)]
     born2_rel = None
-    if num.n_max >= 2:
-        pair_sum = sum(complex(lattice[eps_min][lattice_alphas.index(0.0)])
-                       if (j, h) == (0, 1) else engine.x_alpha(0.0, eps_min, (j, h))
-                       for j in range(n_scat) for h in range(n_scat) if j != h)
+    if pairs is not None:
+        x01 = complex(lattice[eps_min][lattice_alphas.index(0.0)])
+        pair_sum = sum(x01 if pair == (0, 1) else x for pair, x in pairs.items())
         born2_rel = abs(born[1] - pair_sum) / max(abs(born[1]), 1e-300)
 
     if overlapping:
@@ -817,21 +824,17 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
 
 
 def _scenario_echo(engine: ScenarioEngine) -> dict:
+    """Every Numerics field, with the values the run derives in place of the
+    configured ones, plus the kinematics and the scatterers."""
     sc = engine.sc
     return {
+        **asdict(sc.numerics),
+        "eps_list": list(sc.eps_sequence()),
+        "p_max": float(engine.p_max),
+        "momentum_nodes": int(engine.grid.size),
         "k0": sc.k0,
         "dir_in": list(sc.dir_in),
         "dir_out": list(sc.dir_out),
-        "eps_list": list(sc.eps_sequence()),
-        "alpha_list": list(sc.numerics.alpha_list),
-        "lmax": sc.numerics.lmax,
-        "p_max": float(engine.p_max),
-        "n_max": sc.numerics.n_max,
-        "momentum_nodes": int(engine.grid.size),
-        "tail_tol": sc.numerics.tail_tol,
-        "schatten_radial": sc.numerics.schatten_radial,
-        "schatten_order": sc.numerics.schatten_order,
-        "tolerances": dict(sc.numerics.tolerances),
         "scatterers": [
             {"center": list(s.center), "kind": s.potential.kind,
              "v0": s.potential.v0, "a": s.potential.a, "rc": s.potential.rc}

@@ -25,9 +25,14 @@
 * ``numerov_segment`` and ``phase_shift_scalar`` - one l's phase shift on
   the library's integration plan, built probe by probe and integrated one
   lattice value at a time, with the classical three-term Numerov
-  recurrence or its summed form.
+  recurrence or its summed form;
+* ``onshell_chain`` and ``onshell_series_term`` - the eps -> 0 limit of a
+  series term for non-overlapping muffin tins from on-shell data alone
+  (phase shifts and structure constants), one path of centres at a time
+  (Korringa 1947; Kohn and Rostoker 1954).
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -43,8 +48,9 @@ from multiscat.greens import (
     _nu_weights,
     _outgoing_waves,
     _sigma4,
+    structure_constants,
 )
-from multiscat.radial import _ACTION_KEEP
+from multiscat.radial import _ACTION_KEEP, onshell_t_lm, phase_shift
 from multiscat.specfun import (
     _check_l,
     _dirs_to_angles,
@@ -545,3 +551,33 @@ def phase_shift_scalar(pot, l: int, k: float, r_match: float | None = None,
     d = half - full
     d = (d + np.pi / 2) % np.pi - np.pi / 2
     return branch(half + d / 15.0)
+
+
+def onshell_chain(sc, path) -> complex:
+    """On-shell KKR term of the scattering series along a path of centres.
+
+    (2/pi) e^{-i k1.x_first + i k2.x_last} sum i^{-l} Y_lm(k1^) t_first
+    [g(x_next - x_prev) t_next]... i^{l'} conj(Y_l'm'(k2^)) for the
+    scatterer indices ``path`` of Scenario ``sc``, with
+    g = structure_constants(k0, R, lmax).matrix and t = onshell_t_lm of each
+    centre's phase shifts.  For non-overlapping muffin tins it is the
+    eps -> 0 limit of <k1| t_first R0 ... R0 t_last |k2>.
+    """
+    lmax = sc.numerics.lmax
+    ls = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+    x = [sc.scatterers[s].center_array for s in path]
+    t = [onshell_t_lm(phase_shift(sc.scatterers[s].potential, range(lmax + 1), sc.k0),
+                      sc.k0)[ls] for s in path]
+    row = (1j) ** (-ls) * ylm_table(lmax, np.asarray(sc.dir_out)) * t[0]
+    for prev, nxt, t_next in zip(x, x[1:], t[1:]):
+        row = (row @ structure_constants(sc.k0, nxt - prev, lmax).matrix) * t_next
+    col = (1j) ** ls * np.conj(ylm_table(lmax, np.asarray(sc.dir_in)))
+    phase = np.exp(-1j * np.dot(sc.k1, x[0]) + 1j * np.dot(sc.k2, x[-1]))
+    return complex((2.0 / np.pi) * phase * (row @ col))
+
+
+def onshell_series_term(sc, order: int) -> complex:
+    """onshell_chain summed over every path of ``order`` centres with no repeated neighbour."""
+    n = len(sc.scatterers)
+    return sum(onshell_chain(sc, path) for path in itertools.product(range(n), repeat=order)
+               if all(a != b for a, b in zip(path, path[1:])))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,32 @@ def test_booleans_and_non_integral_values_rejected(old, new, path):
     with pytest.raises(ConfigError) as exc:
         validate_config(text)
     assert [p for p, _ in exc.value.errors] == [path]
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("output:", "numeric:\n  lmax: 2\noutput:", "numeric"),
+    ("k0: 1.0", "k0: 1.0\n  dirout: [1.0, 0.0, 0.0]", "scenario.dirout"),
+    ("[0.0, 0.0, 5.0]", "[0.0, 0.0, 5.0]\n    radius: 1.0", "scatterers[1].radius"),
+    (SECOND, "potential: {kind: square_well, v0: -1.0, a: 1.0, depth: 2.0}\noutput",
+     "scatterers[1].potential.depth"),
+    # only a truncated Coulomb potential reads rc
+    (SECOND, "potential: {kind: square_well, v0: -1.0, a: 1.0, rc: 3}\noutput",
+     "scatterers[1].potential.rc"),
+    # knobs that are gone
+    ("dir: out/minimal", "dir: out/minimal\n  formats: [json, csv, plotdata]",
+     "output.formats"),
+    ("output:", "numerics:\n  n_outer: 128\noutput:", "numerics.n_outer"),
+])
+def test_unknown_keys_rejected_at_their_path(tmp_path, capsys, old, new, path):
+    text = MINIMAL.replace(old, new, 1)
+    assert text != MINIMAL
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == [path]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert f"  {path}: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old,new,path", [
@@ -293,6 +320,17 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert (outdir / "summary.csv").exists()
     assert (outdir / "plotdata" / "y_alpha.csv").exists()
     assert (outdir / "plotdata" / "x0_vs_eps.csv").exists()
+
+
+def test_report_echoes_every_numerics_field(tmp_path):
+    # one scatterer: the cheapest run that writes report.json
+    one = MINIMAL.split("  - center: [0.0, 0.0, 5.0]")[0]
+    p = tmp_path / "c.yaml"
+    p.write_text(f"{one}numerics:\n  lmax: 2\noutput:\n  dir: {tmp_path}\n")
+    assert main(["run", str(p)]) == 0
+    echo = json.loads((tmp_path / "report.json").read_text())["scenario"]
+    assert {f.name for f in fields(Numerics)} <= set(echo)
+    assert echo["n_inner"] == Numerics().n_inner and echo["lmax"] == 2
 
 
 def test_run_determinism_byte_identical(tmp_path):
