@@ -6,7 +6,8 @@
 # MULTISCAT is the multiscat executable under test and PYTHON an interpreter
 # that can read its reports.  The script validates and runs the bundled
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs the two
-# long-range kinds with one scatterer each, and checks that a misspelled
+# long-range kinds and one bound-state well with one scatterer each, checks
+# that no run raises the LS extrapolation flag, and checks that a misspelled
 # config key fails validation with exit status 2.  Runs write under out/.
 set -euo pipefail
 multiscat=$1
@@ -15,11 +16,19 @@ cd "$(dirname "$0")/../.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# the eps extrapolation of the on-shell t_l agrees with the eps = 0 solve
+# within its Richardson error
+no_flag() {
+  "$python" -c "import json, sys; ls = json.load(open(sys.argv[1]))['diagnostics']['ls']; assert ls['extrapolation_flag'] is False, ls" "$1"
+}
+
 echo "== the bundled configs"
 "$multiscat" validate configs/nonoverlap_wells.yaml
 "$multiscat" validate configs/overlap_gaussians.yaml
 "$multiscat" run configs/nonoverlap_wells.yaml
 "$multiscat" run configs/overlap_gaussians.yaml
+no_flag out/nonoverlap_wells/report.json
+no_flag out/overlap_gaussians/report.json
 
 echo "== the wells config at n_max 3 (the Born-3 term)"
 sed -e 's/^  n_max: 2 /  n_max: 3 /' -e 's|dir: out/nonoverlap_wells|dir: out/wells_born3|' \
@@ -45,7 +54,23 @@ output:
 YAML
   "$multiscat" run "$tmp/$kind.yaml"
   "$python" -c "import json, sys; c = json.load(open(sys.argv[1]))['diagnostics']['ls']['cross_check']; assert c < 1e-8, c" "out/$kind/report.json"
+  no_flag "out/$kind/report.json"
 done
+
+echo "== one s-wave bound state (one scatterer)"
+cat > "$tmp/bound_well.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: square_well, v0: -2.8, a: 1.0}
+numerics:
+  lmax: 8
+output:
+  dir: out/bound_well
+YAML
+"$multiscat" run "$tmp/bound_well.yaml"
+"$python" -c "import json, sys; b = json.load(open(sys.argv[1]))['diagnostics']['ls']['potentials'][0]['bound_states']; assert b == [1, 0, 0, 0, 0, 0, 0, 0, 0], b" out/bound_well/report.json
 
 echo "== a misspelled key is a configuration error"
 sed 's/^  dir_out:/  dirout:/' configs/nonoverlap_wells.yaml > "$tmp/dirout.yaml"

@@ -19,34 +19,30 @@ One LS stage per potential: ``ls_spectrum(pot, lmax, grid, eps)`` builds
 the panelled Gauss radial rule r (weights w_r) once, with
 c = (2/pi) w_r r^2 V(r), and one Bessel table J[l, r, i] = j_l(p_i r) for
 every l <= lmax, so V_l = J_l^T diag(c) J_l has rank at most n_r for
-every l.  For eps > 0 Nystrom collocation on a panelled Gauss momentum
-grid q_i (weights w_i), plus the on-shell point k0, is then a
-separable-expansion problem (Ernst, Shakin and Thaler, Phys. Rev. C 8
-(1973) 46) that is exact for this discretised operator: with
-V = B^T C B,
+every l.  Collocation on a panelled Gauss momentum grid q_i (weights
+w_i), plus the on-shell point k0, is then a separable-expansion problem
+(Ernst, Shakin and Thaler, Phys. Rev. C 8 (1973) 46) that is exact for
+this discretised operator: with V = B^T C B,
 
-    t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,
-    A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T,
+    t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,   A(z) = B diag(d) B^T,
 
-B_g the grid columns of B.  The factors come from one SVD per l of
+with the weights d of ``_weights`` over the grid plus k0: Nystrom for
+eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
+Phys. A158 (1970) 1).  The factors come from one SVD per l of
 diag(sqrt|c|) J_l cut at numpy's ``matrix_rank`` tolerance, so every
 potential kind solves in the numerical rank k <= min(n_r, n + 1) of V_l
-(k = 0 for a zero potential).  Each l is solved in turn, every eps of
-the run in one batched ``np.linalg.solve``, and each solve is gated:
-max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  One
-``eigvalsh`` per l of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q))
-gives the grid spectrum behind the engine's health numbers: bound-state
-counts and the level spacing near k0^2.  The engine reads all its
-half-shell columns, on-shell elements and Born-3 blocks from these
-solves, at the run's eps values only, and no (n x n) t-matrix table is
-formed.
+(k = 0 for a zero potential).  Each l is solved in turn, every eps asked
+for in one batched ``np.linalg.solve``, and each solve is gated:
+max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  The
+bound states of the grid Hamiltonian are counted in rank k too
+(``_bound_states``).  The engine reads all its half-shell columns,
+on-shell elements and Born-3 blocks from these solves, and no (n x n)
+t-matrix table is formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
-alone, and one LU solve of the full collocation system per z follows.
-For eps = 0 it handles the principal value by on-shell subtraction
-(Haftel-Tabakin: regularised integrand plus an analytic counter-term and
-the -i pi k0/2 half-residue).  It serves as the independent reference:
-the tests, and the engine's one cross-check per distinct potential,
-compare the factorised columns against it.
+alone, and one LU solve of the full collocation system gives the
+half-shell column at one z, with the same weights.  The engine's one
+cross-check per distinct potential compares the factorised column
+against it.
 """
 
 from __future__ import annotations
@@ -120,25 +116,6 @@ class MomentumGrid:
         return self.nodes.size
 
 
-@dataclass
-class OffshellTable:
-    """t_l(p, p'; z) collocated on the grid nodes plus the on-shell point."""
-
-    l: int
-    z: ComplexEnergy
-    momenta: np.ndarray              # grid nodes + [k0]
-    values: np.ndarray = field(repr=False)
-    on_shell_index: int = -1
-
-    @property
-    def on_shell(self) -> complex:
-        return complex(self.values[self.on_shell_index, self.on_shell_index])
-
-    def half_shell(self) -> np.ndarray:
-        """t_l(q_i, k0; z) for all grid momenta (symmetric half-shell column)."""
-        return self.values[:, self.on_shell_index]
-
-
 # ---------------------------------------------------------------------------
 # partial-wave potential matrix elements
 # ---------------------------------------------------------------------------
@@ -166,8 +143,29 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# factorised solves for eps > 0
+# LS weights and the factorised solves
 # ---------------------------------------------------------------------------
+
+def _weights(grid: MomentumGrid, eps) -> np.ndarray:
+    """Weights d of the LS kernel over the grid nodes plus k0, one row per eps.
+
+    eps > 0 (Nystrom): d_i = w_i q_i^2 / (z - q_i^2) and 0 on the k0 column.
+    eps = 0 (Haftel-Tabakin): d_i = w_i q_i^2 / (k0^2 - q_i^2), and on the
+    k0 column the analytic principal-value counter-term
+    k0^2 (log((p_max + k0)/(p_max - k0)) / (2 k0) - sum_i w_i / (k0^2 - q_i^2))
+    plus the -i pi k0 / 2 half-residue.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps < 0):
+        raise ValueError("eps must be nonnegative")
+    q, w, k0 = grid.nodes, grid.weights, grid.k0
+    d = np.zeros((eps.size, q.size + 1), dtype=complex)
+    d[:, :-1] = w * q * q / ((k0 ** 2 + 1j * eps)[:, None] - q * q)
+    log_term = np.log((grid.p_max + k0) / (grid.p_max - k0)) / (2.0 * k0)
+    d[eps == 0, -1] = (k0 * k0 * (log_term - np.sum(w / (k0 * k0 - q * q)))
+                       - 0.5j * np.pi * k0)
+    return d
+
 
 @dataclass(frozen=True)
 class LSSpectrum:
@@ -175,16 +173,17 @@ class LSSpectrum:
 
     Rows and columns of t run over the grid nodes plus the on-shell point k0
     (the last column of B).  ``X`` holds the solves at the eps values
-    ``eps``, the only ones it answers for: any other eps raises
-    ValueError.  ``lam`` are the eigenvalues of H = diag(q^2) + S V S (the
-    grid spectrum, for the health numbers) and ``residual`` the worst solve
-    residual.
+    ``eps`` (eps = 0 included when asked for), the only ones it answers
+    for: any other eps raises ValueError.  ``bound_states`` counts the
+    negative eigenvalues of the grid Hamiltonian H = diag(q^2) + S V S
+    (S = diag(sqrt(w) q)), taken in rank k (``_bound_states``), and
+    ``residual`` is the worst solve residual.
     """
 
     B: np.ndarray = field(repr=False)         # (k, n + 1) real
     eps: tuple
     X: np.ndarray = field(repr=False)         # (len(eps), k, k) complex
-    lam: np.ndarray = field(repr=False)       # eigenvalues of H, ascending
+    bound_states: int
     residual: float
 
     def _x(self, eps: float) -> np.ndarray:
@@ -216,23 +215,18 @@ def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tuple:
-    """X(z) solving (I - C A(z)) X = C at every z = k0^2 + i eps, in one batched solve.
+    """X(z) solving (I - C A(z)) X = C at every eps, in one batched solve.
 
-    A(z) = B_g diag(w q^2 / (z - q^2)) B_g^T, B_g the grid columns of B.
-    Returns (X, worst residual); raises PoleProximityError when
-    max|(I - C A) X - C| / max|C| exceeds 1e-8 at any z.
+    A(z) = B diag(d) B^T with the weights d of ``_weights``: Nystrom for
+    eps > 0, Haftel-Tabakin for eps = 0.  Returns (X, worst residual);
+    raises PoleProximityError when max|(I - C A) X - C| / max|C| exceeds
+    1e-8 at any eps.
     """
-    eps = np.asarray(eps, dtype=float)
-    if not np.all(eps > 0):
-        raise ValueError("the factorised solve needs eps > 0; "
-                         "use solve_offshell_t for eps = 0")
-    q = grid.nodes
-    Bg = B[:, :-1]
-    d = grid.weights * q * q / ((grid.k0 ** 2 + 1j * eps)[:, None] - q * q)
-    CB = C @ Bg
+    d = _weights(grid, eps)
+    CB = C @ B
     # C A(z) from two real products per z
-    L = np.eye(C.shape[0]) - ((CB * d.real[:, None, :]) @ Bg.T
-                              + 1j * ((CB * d.imag[:, None, :]) @ Bg.T))
+    L = np.eye(C.shape[0]) - ((CB * d.real[:, None, :]) @ B.T
+                              + 1j * ((CB * d.imag[:, None, :]) @ B.T))
     try:
         X = np.linalg.solve(L, np.broadcast_to(C, L.shape))
     except np.linalg.LinAlgError as exc:
@@ -247,6 +241,24 @@ def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tupl
     return X, float(np.max(resid))
 
 
+def _bound_states(B: np.ndarray, C: np.ndarray, grid: MomentumGrid) -> int:
+    """Negative eigenvalues of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q)), in rank k.
+
+    With D = diag(q^2) and M = B_g diag(sqrt(w)), H = D^{1/2} (I + M^T C M)
+    D^{1/2}, so by Sylvester's law of inertia the count is that of the
+    eigenvalues of M^T C M below -1, which it shares with the (k x k)
+    Birman-Schwinger matrix R^T C R, R R^T = M M^T (Birman 1961; Schwinger
+    1961).  Where B_g is rank-deficient (k = n + 1) it counts M^T C M.
+    """
+    M = B[:, :-1] * np.sqrt(grid.weights)
+    if M.shape[0] <= M.shape[1]:
+        try:
+            M = np.linalg.cholesky(M @ M.T)       # R
+        except np.linalg.LinAlgError:             # B_g rank-deficient after all
+            pass
+    return int(np.sum(np.linalg.eigvalsh(M.T @ C @ M) < -1.0))
+
+
 def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
     """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
 
@@ -256,9 +268,10 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
     M_l = diag(sqrt|c|) J_l.  Per l, one SVD M_l = U S W^T cut at numpy's
     ``matrix_rank`` tolerance to its k leading singular values gives the
     factors B = S_k W_k^T and C = U_k^T diag(sign c) U_k, for every
-    potential kind.  Each l is then solved in rank k, every eps in one
-    batched solve, and one eigvalsh of H gives its grid spectrum.  Raises
-    PoleProximityError when a solve residual exceeds 1e-8.
+    potential kind.  Each l is then solved in rank k, every eps (eps = 0
+    by the Haftel-Tabakin weights) in one batched solve, and its bound
+    states are counted in rank k.  Raises PoleProximityError when a solve
+    residual exceeds 1e-8.
     """
     q = grid.nodes
     momenta = np.concatenate([q, [grid.k0]])
@@ -272,52 +285,36 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
         B, U = s[:k, None] * Wt[:k], U[:, :k]
         C = (U.T * sign) @ U
         X, resid = _solve(B, C, grid, eps)
-        G = B[:, :-1] * (np.sqrt(grid.weights) * q)
-        H = G.T @ C @ G
-        H[np.diag_indices_from(H)] += q * q
-        spectra.append(LSSpectrum(B=B, eps=eps, X=X, lam=np.linalg.eigvalsh(H),
+        spectra.append(LSSpectrum(B=B, eps=eps, X=X, bound_states=_bound_states(B, C, grid),
                                   residual=resid))
     return tuple(spectra)
 
 
 # ---------------------------------------------------------------------------
-# Nystrom / principal-value solver
+# the direct route
 # ---------------------------------------------------------------------------
 
 def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
-                     grid: MomentumGrid) -> OffshellTable:
-    """Solve the partial-wave LS equation on the grid (plus on-shell point).
+                     grid: MomentumGrid) -> np.ndarray:
+    """t_l(p_i, k0; z) over the grid nodes plus k0 (the half-shell column), solved directly.
 
-    eps > 0: straight Nystrom collocation.  eps = 0: Haftel-Tabakin
-    on-shell subtraction with the analytic principal-value counter-term
-    and the -i pi k0 / 2 half-residue.
+    ``vl_matrix`` assembles V_l on the grid plus k0 and one LU solve of the
+    full collocation system (I - V diag(d)) t = V e_k0, with the weights d
+    of ``_weights``, gives the column alone.  Raises PoleProximityError when
+    its residual max|(I - V diag(d)) t - V e_k0| / max|V e_k0| exceeds 1e-8.
     """
     if abs(grid.k0 - z.k0) > 1e-12:
         raise ValueError("grid and energy disagree about k0")
-    q = grid.nodes
-    w = grid.weights
-    k0 = z.k0
-    momenta = np.concatenate([q, [k0]])
-    V = vl_matrix(pot, l, momenta)
-    n = momenta.size
-
-    coeff = np.zeros(n, dtype=complex)
-    if z.eps > 0:
-        coeff[:-1] = w * q * q / (z.z - q * q)
-    else:
-        coeff[:-1] = w * q * q / (k0 * k0 - q * q)
-        log_term = np.log((grid.p_max + k0) / (grid.p_max - k0)) / (2.0 * k0)
-        coeff[-1] = (k0 * k0 * (log_term - np.sum(w / (k0 * k0 - q * q)))
-                     - 0.5j * np.pi * k0)
-
-    A = np.eye(n, dtype=complex) - V * coeff[None, :]
+    V = vl_matrix(pot, l, np.concatenate([grid.nodes, [z.k0]]))
+    A = np.eye(V.shape[0]) - V * _weights(grid, [z.eps])
+    v = V[:, -1]
     try:
-        T = np.linalg.solve(A, V.astype(complex))
+        t = np.linalg.solve(A, v.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
-    resid = np.max(np.abs(A @ T - V)) / max(np.max(np.abs(V)), 1e-300)
+    resid = np.max(np.abs(A @ t - v)) / max(np.max(np.abs(v)), 1e-300)
     if resid > 1e-8:
         raise PoleProximityError(
             f"LS solve ill-conditioned at z={z.z} (residual {resid:.2e}); "
             "z may sit near a bound-state pole")
-    return OffshellTable(l=l, z=z, momenta=momenta, values=T)
+    return t

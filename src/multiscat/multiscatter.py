@@ -61,10 +61,6 @@ from multiscat.specfun import (
 
 log = logging.getLogger("multiscat")
 
-# eps_min / (grid level spacing near k0^2) below which the LS health
-# numbers flag the run: eps no longer smooths over the discrete levels
-SPACING_FLAG_RATIO = 4.0
-
 
 class TailEstimateError(RuntimeError):
     def __init__(self, msg, estimate=None):
@@ -251,13 +247,13 @@ class ScenarioEngine:
     def offshell(self, j: int) -> tuple:
         """The LS stage of scatterer j's potential: one LSSpectrum per l <= lmax.
 
-        Each holds the solves at every eps of the run.  Built on first use,
-        once per distinct potential.
+        Each holds the solves at every eps of the run and at eps = 0.  Built
+        on first use, once per distinct potential.
         """
         pot = self.sc.scatterers[j].potential
         if pot not in self._spectra:
             self._spectra[pot] = ls_spectrum(pot, self.sc.numerics.lmax, self.grid,
-                                             self.sc.eps_sequence())
+                                             self.sc.eps_sequence() + (0.0,))
         return self._spectra[pot]
 
     def _half_shells(self, j: int, eps: float) -> np.ndarray:
@@ -265,56 +261,55 @@ class ScenarioEngine:
         return np.array([sp.half_shell(eps)[:-1] for sp in self.offshell(j)])
 
     def ls_health(self) -> dict:
-        """Health numbers of the LS stage at the smallest eps.
+        """Health numbers of the LS stage.
 
-        Per distinct potential, read from its one LS stage (``offshell``):
-        the count of negative eigenvalues of H (grid bound states) and the
-        rank of the solves per l, and the relative difference between the
-        factorised half-shell column at l = 0 and one direct LU solve
-        (solve_offshell_t), which must stay below 1e-8.  Over every l of
-        every potential: the worst solve residual and the grid level
-        spacing near k0^2 (the median gap of the eigenvalues within
-        k0^2 +- eps_min, always including the two that bracket k0^2), with
-        eps_min / spacing; a ratio below SPACING_FLAG_RATIO sets
-        ``spacing_flag`` and logs a warning.
+        Per distinct potential (``offshell``): the grid bound states and
+        the solve rank per l; the relative difference of the l = 0
+        half-shell column at eps_min from one direct LU solve of it
+        (solve_offshell_t), which must stay below 1e-8; and per l the gap
+        of the on-shell t_l extrapolated over the run's eps from the
+        eps = 0 solve, and the extrapolation's Richardson error, both
+        relative to max_l |t_l(0)|.  Over all of them: the worst solve
+        residual, the largest gap and the largest error; a gap above the
+        error sets ``extrapolation_flag`` and logs a warning.
         """
         sc = self.sc
-        eps = min(sc.eps_sequence())
-        k2 = sc.k0 ** 2
+        eps_seq = sc.eps_sequence()
+        eps = min(eps_seq)
         first = {}
         for j, s in enumerate(sc.scatterers):
             first.setdefault(s.potential, j)
-        potentials, spacing, resid = [], 0.0, 0.0
+        potentials, resid = [], 0.0
         for pot, j in first.items():
             spectra = self.offshell(j)
-            direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps),
-                                      self.grid).half_shell()
+            resid = max([resid] + [sp.residual for sp in spectra])
+            direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps), self.grid)
             diff = float(np.max(np.abs(spectra[0].half_shell(eps) - direct))
                          / max(np.max(np.abs(direct)), 1e-300))
             if not diff <= 1e-8:
                 raise RuntimeError(
                     f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
+            t0 = [sp.on_shell(0.0) for sp in spectra]
+            scale = max(max(abs(t) for t in t0), 1e-300)
+            fits = [eps_extrapolate({e: sp.on_shell(e) for e in eps_seq}) for sp in spectra]
             potentials.append({"scatterer": j, "kind": pot.kind, "cross_check": diff,
-                               "bound_states": [int(np.sum(sp.lam < 0)) for sp in spectra],
-                               "rank": [int(sp.B.shape[0]) for sp in spectra]})
-            for sp in spectra:
-                resid = max(resid, sp.residual)
-                lam = sp.lam
-                i = np.searchsorted(lam, k2)
-                lo = min(np.searchsorted(lam, k2 - eps), i - 1)
-                hi = max(np.searchsorted(lam, k2 + eps, side="right"), i + 1)
-                spacing = max(spacing, float(np.median(np.diff(lam[lo:hi]))))
-        ratio = eps / spacing
-        flag = bool(ratio < SPACING_FLAG_RATIO)
+                               "bound_states": [sp.bound_states for sp in spectra],
+                               "rank": [int(sp.B.shape[0]) for sp in spectra],
+                               "extrapolation_gap": [abs(lim - t) / scale
+                                                     for (lim, _), t in zip(fits, t0)],
+                               "extrapolation_error": [err / scale for _, err in fits]})
+        gap = max(g for p in potentials for g in p["extrapolation_gap"])
+        err = max(e for p in potentials for e in p["extrapolation_error"])
+        flag = bool(gap > err)
         if flag:
-            log.warning("eps_min = %.3g is only %.2f times the LS grid level spacing "
-                        "near k0^2 (%.3g): refine the momentum grid or raise eps",
-                        eps, ratio, spacing)
+            log.warning("the on-shell t_l extrapolated to eps = 0 differs from the eps = 0 "
+                        "solve by %.2e, more than its Richardson error %.2e (relative to "
+                        "max_l |t_l|): refine the momentum grid or lower eps", gap, err)
         return {"solve_residual": resid,
                 "cross_check": max(p["cross_check"] for p in potentials),
-                "level_spacing": spacing, "eps_over_spacing": ratio,
-                "spacing_flag": flag, "potentials": potentials}
+                "extrapolation_gap": gap, "extrapolation_error": err,
+                "extrapolation_flag": flag, "potentials": potentials}
 
     def _phase(self, j: int, h: int) -> complex:
         """e^{-i k1.x_j + i k2.x_h}, the phase of a term that starts on h and ends on j."""

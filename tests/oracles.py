@@ -29,11 +29,19 @@
 * ``onshell_chain`` and ``onshell_series_term`` - the eps -> 0 limit of a
   series term for non-overlapping muffin tins from on-shell data alone
   (phase shifts and structure constants), one path of centres at a time
-  (Korringa 1947; Kohn and Rostoker 1954).
+  (Korringa 1947; Kohn and Rostoker 1954);
+* ``offshell_table`` - the whole partial-wave t-matrix table on the grid
+  plus k0 (``OffshellTable``) by one LU solve of the full collocation
+  system, with its own Nystrom (eps > 0) and Haftel-Tabakin (eps = 0)
+  weights;
+* ``grid_bound_states`` - the negative eigenvalues of the (n x n) grid
+  Hamiltonian diag(q^2) + S V_l S, S = diag(sqrt(w) q), with V_l from
+  ``vl_matrix``.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,6 +58,7 @@ from multiscat.greens import (
     _sigma4,
     structure_constants,
 )
+from multiscat.lippmann import ComplexEnergy, PoleProximityError, vl_matrix
 from multiscat.radial import _ACTION_KEEP, onshell_t_lm, phase_shift
 from multiscat.specfun import (
     _check_l,
@@ -581,3 +590,69 @@ def onshell_series_term(sc, order: int) -> complex:
     n = len(sc.scatterers)
     return sum(onshell_chain(sc, path) for path in itertools.product(range(n), repeat=order)
                if all(a != b for a, b in zip(path, path[1:])))
+
+
+@dataclass
+class OffshellTable:
+    """t_l(p, p'; z) collocated on the grid nodes plus the on-shell point."""
+
+    l: int
+    z: ComplexEnergy
+    momenta: np.ndarray              # grid nodes + [k0]
+    values: np.ndarray = field(repr=False)
+    on_shell_index: int = -1
+
+    @property
+    def on_shell(self) -> complex:
+        return complex(self.values[self.on_shell_index, self.on_shell_index])
+
+    def half_shell(self) -> np.ndarray:
+        """t_l(q_i, k0; z) for all grid momenta (symmetric half-shell column)."""
+        return self.values[:, self.on_shell_index]
+
+
+def offshell_table(pot, l: int, z: ComplexEnergy, grid) -> OffshellTable:
+    """Solve the partial-wave LS equation on the grid (plus on-shell point) for every column.
+
+    eps > 0: straight Nystrom collocation.  eps = 0: Haftel-Tabakin
+    on-shell subtraction with the analytic principal-value counter-term
+    and the -i pi k0 / 2 half-residue.
+    """
+    if abs(grid.k0 - z.k0) > 1e-12:
+        raise ValueError("grid and energy disagree about k0")
+    q = grid.nodes
+    w = grid.weights
+    k0 = z.k0
+    momenta = np.concatenate([q, [k0]])
+    V = vl_matrix(pot, l, momenta)
+    n = momenta.size
+
+    coeff = np.zeros(n, dtype=complex)
+    if z.eps > 0:
+        coeff[:-1] = w * q * q / (z.z - q * q)
+    else:
+        coeff[:-1] = w * q * q / (k0 * k0 - q * q)
+        log_term = np.log((grid.p_max + k0) / (grid.p_max - k0)) / (2.0 * k0)
+        coeff[-1] = (k0 * k0 * (log_term - np.sum(w / (k0 * k0 - q * q)))
+                     - 0.5j * np.pi * k0)
+
+    A = np.eye(n, dtype=complex) - V * coeff[None, :]
+    try:
+        T = np.linalg.solve(A, V.astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
+    resid = np.max(np.abs(A @ T - V)) / max(np.max(np.abs(V)), 1e-300)
+    if resid > 1e-8:
+        raise PoleProximityError(
+            f"LS solve ill-conditioned at z={z.z} (residual {resid:.2e}); "
+            "z may sit near a bound-state pole")
+    return OffshellTable(l=l, z=z, momenta=momenta, values=T)
+
+
+def grid_bound_states(pot, l: int, grid) -> int:
+    """Negative eigenvalues of H = diag(q^2) + S V_l S on the grid, S = diag(sqrt(w) q)."""
+    q = grid.nodes
+    S = np.sqrt(grid.weights) * q
+    H = S[:, None] * vl_matrix(pot, l, q) * S
+    H[np.diag_indices_from(H)] += q * q
+    return int(np.sum(np.linalg.eigvalsh(H) < 0))

@@ -374,8 +374,8 @@ def test_run_imports_no_scipy(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["nonoverlap_wells", "overlap_gaussians"])
 def test_run_needs_no_eigendecomposition(tmp_path, monkeypatch, name):
-    # the LS t-matrices come from solves in the rank of V_l; only the
-    # eigenvalues of the grid Hamiltonian are computed
+    # the LS t-matrices come from solves in the rank of V_l; bound states
+    # are counted from eigenvalues alone
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
 
@@ -386,6 +386,28 @@ def test_run_needs_no_eigendecomposition(tmp_path, monkeypatch, name):
     cfg.write_text(text)
     assert main(["run", str(cfg)]) == 0
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
+
+def test_wells_run_takes_no_grid_sized_eigenvalues(tmp_path, monkeypatch):
+    # bound states are counted in the rank of V_l: every eigvalsh of a wells
+    # run (the (k x k) Birman-Schwinger matrices and the Gauss-Legendre
+    # companion matrices) is smaller than the momentum grid
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    text = (CONFIG_DIR / "nonoverlap_wells.yaml").read_text().replace(
+        "dir: out/nonoverlap_wells", f"dir: {tmp_path / 'out'}")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True
+    assert sizes and max(sizes) < report["diagnostics"]["momentum_nodes"], max(sizes)
 
 
 def test_run_tail_failure_gives_partial_artifacts(tmp_path):

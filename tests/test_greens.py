@@ -392,7 +392,7 @@ def test_x0_cross_identity_momentum_vs_coordinate():
     def density(j, sign):
         # <k1| t_j^0 |x> for sign=-1 (bra side), <x| t_j^0 |k2> for sign=+1
         pj = eng.sc.scatterers[j].potential
-        tl = [solve_offshell_t(pj, l, z, eng.grid).half_shell()[:-1] for l in range(lmax + 1)]
+        tl = [solve_offshell_t(pj, l, z, eng.grid)[:-1] for l in range(lmax + 1)]
         f = np.stack([
             (wq * q * q * tl[l]) @ spherical_jn(l, np.outer(q, rs))
             for l in range(lmax + 1)])

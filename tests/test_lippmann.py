@@ -17,6 +17,7 @@ from multiscat.potentials import (
     truncated_coulomb,
 )
 from multiscat.radial import onshell_t_lm, phase_shift
+from oracles import grid_bound_states, offshell_table
 
 ALL_KINDS = [
     square_well(-1.0, 1.0),
@@ -72,13 +73,13 @@ def test_vl_matrix_matches_kernel():
 
 def test_solve_zero_potential():
     grid = default_grid(1.0)
-    tab = solve_offshell_t(gaussian(0.0, 1.0), 0, ComplexEnergy(1.0, 0.1), grid)
-    assert np.max(np.abs(tab.values)) == 0.0
+    t = solve_offshell_t(gaussian(0.0, 1.0), 0, ComplexEnergy(1.0, 0.1), grid)
+    assert t.shape == (grid.size + 1,) and np.max(np.abs(t)) == 0.0
 
 
 def test_offshell_symmetry():
     grid = default_grid(1.0)
-    tab = solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(1.0, 0.1), grid)
+    tab = offshell_table(square_well(-1.0, 1.0), 0, ComplexEnergy(1.0, 0.1), grid)
     T = tab.values
     assert np.max(np.abs(T - T.T)) < 1e-10 * np.max(np.abs(T))
 
@@ -87,10 +88,10 @@ def test_born_weak_coupling():
     lam = 1e-4
     grid = default_grid(1.0)
     pot = square_well(-lam, 1.0)
-    tab = solve_offshell_t(pot, 0, ComplexEnergy(1.0, 0.1), grid)
-    V = vl_matrix(pot, 0, tab.momenta)
+    t = solve_offshell_t(pot, 0, ComplexEnergy(1.0, 0.1), grid)
+    v = vl_matrix(pot, 0, np.concatenate([grid.nodes, [grid.k0]]))[:, -1]
     # t/lambda agrees with V/lambda to O(lambda)
-    rel = np.max(np.abs(tab.values - V)) / lam
+    rel = np.max(np.abs(t - v)) / lam
     assert rel < 10 * lam
 
 
@@ -101,9 +102,9 @@ def test_onshell_consistency_with_radial(pot):
     k0 = 1.0
     grid = default_grid(k0)
     for l in (0, 1, 2):
-        tab = solve_offshell_t(pot, l, ComplexEnergy(k0, 0.0), grid)
+        t = solve_offshell_t(pot, l, ComplexEnergy(k0, 0.0), grid)[-1]
         mapped = (2 / np.pi) * onshell_t_lm(phase_shift(pot, l, k0), k0)
-        assert abs(tab.on_shell - mapped) / abs(mapped) < 1e-4
+        assert abs(t - mapped) / abs(mapped) < 1e-4
 
 
 def test_eps_continuity():
@@ -111,8 +112,7 @@ def test_eps_continuity():
     pot = square_well(-1.0, 1.0)
     on_shell = {}
     for eps in (0.1, 0.05, 0.025):
-        on_shell[eps] = solve_offshell_t(pot, 0, ComplexEnergy(1.0, eps),
-                                         grid).on_shell
+        on_shell[eps] = solve_offshell_t(pot, 0, ComplexEnergy(1.0, eps), grid)[-1]
     d1 = abs(on_shell[0.1] - on_shell[0.05])
     d2 = abs(on_shell[0.05] - on_shell[0.025])
     assert 1.5 < d1 / d2 < 3.0       # O(eps) scaling of the differences
@@ -121,10 +121,8 @@ def test_eps_continuity():
 def test_grid_refinement_convergence():
     pot = square_well(-1.0, 1.0)
     z = ComplexEnergy(1.0, 0.0)
-    coarse = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 48, 32,
-                                                            128)).on_shell
-    fine = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 96, 64,
-                                                          256)).on_shell
+    coarse = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 48, 32, 128))[-1]
+    fine = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 96, 64, 256))[-1]
     assert abs(fine - coarse) / abs(fine) < 1e-5
 
 
@@ -132,7 +130,7 @@ def test_onshell_unitarity_of_extrapolated_element():
     from multiscat.multiscatter import eps_extrapolate
     pot = square_well(-1.0, 1.0)
     grid = default_grid(1.0)
-    samples = {eps: solve_offshell_t(pot, 0, ComplexEnergy(1.0, eps), grid).on_shell
+    samples = {eps: solve_offshell_t(pot, 0, ComplexEnergy(1.0, eps), grid)[-1]
                for eps in (0.2, 0.1, 0.05, 0.025)}
     t_ls, _ = eps_extrapolate(samples)
     t_lm = (np.pi / 2) * t_ls        # map back to the phase-shift convention
@@ -165,10 +163,11 @@ EPS = (0.2, 0.1, 0.05, 0.025)
     ids=lambda p: p.kind)
 def test_spectrum_matches_direct_solve(pot):
     # t(z) = B^T X(z) B from one per-potential call for l = 0..8 against
-    # one LU solve per (l, z)
+    # the full-table LU oracle per (l, z); eps = 0 (Haftel-Tabakin weights)
+    # rides in the same batched solve and must match to 1e-12
     k0 = 1.0
     grid = default_grid(k0)
-    spectra = ls_spectrum(pot, 8, grid, EPS)
+    spectra = ls_spectrum(pot, 8, grid, EPS + (0.0,))
     assert len(spectra) == 9
     n_r = _radial_rule(pot, float(grid.nodes.max()), 1)[0].size
     for l, sp in enumerate(spectra):
@@ -176,21 +175,47 @@ def test_spectrum_matches_direct_solve(pot):
         # radial rule's length or the grid plus k0
         rank = sp.B.shape[0]
         assert rank <= min(n_r, grid.size + 1), l
-        assert sp.B.shape == (rank, grid.size + 1) and sp.X.shape == (len(EPS), rank, rank)
+        assert sp.B.shape == (rank, grid.size + 1) and sp.X.shape == (len(EPS) + 1, rank, rank)
         if pot.kind in ("exponential", "truncated_coulomb"):
             # radial rules longer than the grid: still no (n + 1)^2 table
             assert rank < grid.size + 1, l
-        if l == 0 and pot.v0 == -2.8:
-            # sqrt(2.8) > pi/2: one s-wave bound state, one negative eigenvalue
-            assert np.sum(sp.lam < 0) == 1
-        for eps in EPS:
-            ref = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
+        for eps in EPS + (0.0,):
+            tol = 1e-12 if eps == 0 else 1e-10
+            ref = offshell_table(pot, l, ComplexEnergy(k0, eps), grid)
             scale = np.max(np.abs(ref.values))
-            table = sp.B.T @ sp.X[EPS.index(eps)] @ sp.B
-            assert np.max(np.abs(table - ref.values)) <= 1e-10 * scale, (l, eps)
+            table = sp.B.T @ sp.X[sp.eps.index(eps)] @ sp.B
+            assert np.max(np.abs(table - ref.values)) <= tol * scale, (l, eps)
             col = ref.half_shell()
-            assert np.max(np.abs(sp.half_shell(eps) - col)) <= 1e-10 * np.max(np.abs(col))
-            assert abs(sp.on_shell(eps) - ref.on_shell) <= 1e-10 * abs(ref.on_shell)
+            assert np.max(np.abs(sp.half_shell(eps) - col)) <= tol * np.max(np.abs(col))
+            assert abs(sp.on_shell(eps) - ref.on_shell) <= tol * abs(ref.on_shell)
+            if eps == 0:
+                # the direct route solves the half-shell column alone
+                direct = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
+                assert np.max(np.abs(direct - col)) <= tol * np.max(np.abs(col)), l
+
+
+@pytest.mark.parametrize("pot, grid, counts", [
+    (square_well(-2.8, 1.0), default_grid(1.0), [1, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (square_well(-12.0, 1.5), default_grid(1.0), [2, 1, 1, 0, 0, 0, 0, 0, 0]),
+    (gaussian(-5.0, 1.0), default_grid(1.0), [1, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (gaussian(0.0, 1.0), default_grid(1.0), [0] * 9),
+    # a radial rule longer than this grid: rank n + 1, counted on the (n x n) side
+    (exponential(-20.0, 1.0), MomentumGrid.build(1.0, 45.0, 8, 8, 16),
+     [3, 2, 1, 0, 0, 0, 0, 0, 0]),
+], ids=["square_well_one", "square_well_deep", "gaussian", "zero", "full_rank"])
+def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
+    # the rank-k Birman-Schwinger count equals the negative eigenvalues of
+    # the (n x n) grid Hamiltonian built from V_l alone
+    spectra = ls_spectrum(pot, 8, grid, (0.1,))
+    assert [sp.bound_states for sp in spectra] == counts
+    assert [grid_bound_states(pot, l, grid) for l in range(9)] == counts
+    ranks = {sp.B.shape[0] for sp in spectra}
+    if pot.v0 == 0.0:
+        assert ranks == {0}
+    elif pot.kind == "exponential":
+        assert grid.size + 1 in ranks
+    else:
+        assert max(ranks) < grid.size
 
 
 def test_spectrum_zero_potential_has_rank_zero():
@@ -199,7 +224,7 @@ def test_spectrum_zero_potential_has_rank_zero():
         assert sp.B.shape == (0, grid.size + 1)
         assert np.all(sp.half_shell(0.1) == 0.0) and sp.half_shell(0.1).shape == (grid.size + 1,)
         assert sp.on_shell(0.2) == 0.0 and sp.residual == 0.0
-        assert np.array_equal(sp.lam, np.sort(grid.nodes ** 2))
+        assert sp.bound_states == 0
 
 
 def test_spectrum_grid_sandwich():
@@ -207,7 +232,7 @@ def test_spectrum_grid_sandwich():
     grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
     pot = square_well(-1.0, 1.0)
     sp = ls_spectrum(pot, 1, grid, (0.2, 0.07))[1]
-    ref = solve_offshell_t(pot, 1, ComplexEnergy(1.0, 0.07), grid).values
+    ref = offshell_table(pot, 1, ComplexEnergy(1.0, 0.07), grid).values
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 3, grid.size)) + 1j * rng.normal(size=(2, 3, grid.size))
     want = np.sum((a @ ref[:-1, :-1]) * b)
@@ -217,6 +242,7 @@ def test_spectrum_grid_sandwich():
 
 
 def test_spectrum_rejects_real_energy():
+    # eps = 0 is answered only by a stage that was asked to solve it
     sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
                      (0.1,))[0]
     with pytest.raises(ValueError):

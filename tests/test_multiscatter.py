@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
-from multiscat.lippmann import ComplexEnergy, solve_offshell_t
+from multiscat.lippmann import ComplexEnergy
 from multiscat.multiscatter import (
     ExtrapolationError,
     Numerics,
@@ -19,7 +19,7 @@ from multiscat.multiscatter import (
 from multiscat.potentials import Scatterer, gaussian, square_well
 from multiscat.specfun import AngularGrid, sph_index, ylm_table
 
-from oracles import onshell_chain, onshell_series_term, standing_companion
+from oracles import offshell_table, onshell_chain, onshell_series_term, standing_companion
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +261,8 @@ def _brute_force_rule(eng):
 
 def _direct_table(eng, s, l, eps):
     """t_l of scatterer s by the direct LU solve, independent of the engine's spectra."""
-    return solve_offshell_t(eng.sc.scatterers[s].potential, l,
-                            ComplexEnergy(eng.sc.k0, eps), eng.grid)
+    return offshell_table(eng.sc.scatterers[s].potential, l,
+                          ComplexEnergy(eng.sc.k0, eps), eng.grid)
 
 
 def _brute_force_factors(eng, ang, s, D, direction, eps):
@@ -473,20 +473,42 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
         _small_wells().ls_health()
 
 
-def test_spacing_flag(caplog):
+def test_extrapolation_flag(caplog):
+    # the gap between the on-shell t_l extrapolated over eps and the eps = 0
+    # solve, against the Richardson error, both relative to max_l |t_l|;
+    # measured: the small wells at their default eps 5.8e-2 against 8.0e-3,
+    # the bundled wells at half their default eps 3.9e-5 against 4.9e-6
+    # (both flag), the bundled configs 1.2e-6 against 7.8e-6 and 8.6e-6
     from pathlib import Path
 
     from multiscat.cli import validate_config
 
-    spacing = _small_wells().ls_health()["level_spacing"]
     with caplog.at_level("WARNING", logger="multiscat"):
-        health = _small_wells((2 * spacing, 1.5 * spacing, spacing)).ls_health()
-    assert health["spacing_flag"] and health["eps_over_spacing"] <= 1.0
-    assert "level spacing" in caplog.text
+        health = _small_wells().ls_health()
+    assert health["extrapolation_flag"]
+    assert health["extrapolation_gap"] > health["extrapolation_error"] > 0
+    assert "Richardson error" in caplog.text
+    for p in health["potentials"]:
+        assert len(p["extrapolation_gap"]) == len(p["extrapolation_error"]) == 3
+    assert health["extrapolation_gap"] == max(g for p in health["potentials"]
+                                              for g in p["extrapolation_gap"])
+
     configs = Path(__file__).resolve().parent.parent / "configs"
-    for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
-        scenario = validate_config((configs / name).read_text()).scenario
-        assert not ScenarioEngine(scenario).ls_health()["spacing_flag"], name
+    wells = validate_config((configs / "nonoverlap_wells.yaml").read_text()).scenario
+    half = tuple(0.5 * e for e in wells.eps_sequence())
+    halved = replace(wells, numerics=replace(wells.numerics, eps_list=half))
+    assert ScenarioEngine(halved).ls_health()["extrapolation_flag"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="multiscat"):
+        for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
+            scenario = validate_config((configs / name).read_text()).scenario
+            assert not ScenarioEngine(scenario).ls_health()["extrapolation_flag"], name
+        # one s-wave bound state; the former level-spacing proxy flagged it
+        deep = ScenarioEngine(Scenario(scatterers=(Scatterer((0, 0, 0), gaussian(-5.0, 1.0)),),
+                                       k0=1.0)).ls_health()
+        assert not deep["extrapolation_flag"]
+        assert deep["potentials"][0]["bound_states"][:2] == [1, 0]
+    assert "Richardson error" not in caplog.text
 
 
 @pytest.mark.parametrize("depths, stages", [((-1.0, -2.8), 2), ((-1.0, -1.0), 1)],
