@@ -7,8 +7,10 @@
 # that can read its reports.  The script validates and runs the bundled
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs the two
 # long-range kinds and one bound-state well with one scatterer each, checks
-# that no run raises the LS extrapolation flag, and checks that a misspelled
-# config key fails validation with exit status 2.  Runs write under out/.
+# that no run raises the LS extrapolation flag, that the bundled reports
+# give every potential one LS rank and bound-state count per partial wave
+# and a solve residual below 1e-8, and that a misspelled config key fails
+# validation with exit status 2.  Runs write under out/.
 set -euo pipefail
 multiscat=$1
 python=$2
@@ -22,6 +24,12 @@ no_flag() {
   "$python" -c "import json, sys; ls = json.load(open(sys.argv[1]))['diagnostics']['ls']; assert ls['extrapolation_flag'] is False, ls" "$1"
 }
 
+# one rank and one bound-state count per l <= lmax for every potential, and
+# every LS solve within the residual gate
+ls_per_l() {
+  "$python" -c "import json, sys; r = json.load(open(sys.argv[1])); ls = r['diagnostics']['ls']; n = r['scenario']['lmax'] + 1; assert all(len(p['rank']) == len(p['bound_states']) == n for p in ls['potentials']), ls; assert ls['solve_residual'] < 1e-8, ls" "$1"
+}
+
 echo "== the bundled configs"
 "$multiscat" validate configs/nonoverlap_wells.yaml
 "$multiscat" validate configs/overlap_gaussians.yaml
@@ -29,6 +37,8 @@ echo "== the bundled configs"
 "$multiscat" run configs/overlap_gaussians.yaml
 no_flag out/nonoverlap_wells/report.json
 no_flag out/overlap_gaussians/report.json
+ls_per_l out/nonoverlap_wells/report.json
+ls_per_l out/overlap_gaussians/report.json
 
 echo "== the wells config at n_max 3 (the Born-3 term)"
 sed -e 's/^  n_max: 2 /  n_max: 3 /' -e 's|dir: out/nonoverlap_wells|dir: out/wells_born3|' \

@@ -31,13 +31,12 @@ eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
 Phys. A158 (1970) 1).  The factors come from one SVD per l of
 diag(sqrt|c|) J_l cut at numpy's ``matrix_rank`` tolerance, so every
 potential kind solves in the numerical rank k <= min(n_r, n + 1) of V_l
-(k = 0 for a zero potential).  Each l is solved in turn, every eps asked
-for in one batched ``np.linalg.solve``, and each solve is gated:
-max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  The
-bound states of the grid Hamiltonian are counted in rank k too
-(``_bound_states``).  The engine reads all its half-shell columns,
-on-shell elements and Born-3 blocks from these solves, and no (n x n)
-t-matrix table is formed.
+(k = 0 for a zero potential), where the grid bound states are counted too
+(``_bound_states``).  Zero-padded to the largest k, the factors of every l
+form one ``LSSpectrum``, whose (eps, l) systems are solved in one
+``np.linalg.solve``, each gated: max|(I - C A) X - C| / max|C| above 1e-8
+raises PoleProximityError.  The engine reads every l at once from it, and
+no (n x n) t-matrix table is formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
@@ -100,14 +99,13 @@ class MomentumGrid:
 
     @classmethod
     def build(cls, k0: float, p_max: float, n_inner: int = 64, n_mid: int = 48,
-              n_outer: int | None = None, osc_scale: float = 1.0) -> "MomentumGrid":
+              osc_scale: float = 1.0) -> "MomentumGrid":
         if k0 <= 0:
             raise ValueError("k0 must be positive")
         if p_max <= 2 * k0:
             raise ValueError("p_max must exceed 2*k0")
-        if n_outer is None:
-            # resolve oscillations e^{i q * osc_scale} on the outer panel
-            n_outer = max(96, int(0.75 * (p_max - 2 * k0) * max(osc_scale, 1.0)) + 32)
+        # resolve oscillations e^{i q * osc_scale} on the outer panel
+        n_outer = max(96, int(0.75 * (p_max - 2 * k0) * max(osc_scale, 1.0)) + 32)
         nodes, weights = gauss_panels((0.0, k0, 2 * k0, p_max), (n_inner, n_mid, n_outer))
         return cls(nodes=nodes, weights=weights, k0=float(k0), p_max=float(p_max))
 
@@ -169,76 +167,69 @@ def _weights(grid: MomentumGrid, eps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LSSpectrum:
-    """t_l(p, p'; k0^2 + i eps) = B^T X(eps) B from solves in the numerical rank k of V_l.
+    """t_l(p, p'; k0^2 + i eps) = B_l^T X_l(eps) B_l for every l <= lmax of one potential.
 
     Rows and columns of t run over the grid nodes plus the on-shell point k0
-    (the last column of B).  ``X`` holds the solves at the eps values
-    ``eps`` (eps = 0 included when asked for), the only ones it answers
-    for: any other eps raises ValueError.  ``bound_states`` counts the
-    negative eigenvalues of the grid Hamiltonian H = diag(q^2) + S V S
-    (S = diag(sqrt(w) q)), taken in rank k (``_bound_states``), and
-    ``residual`` is the worst solve residual.
+    (the last column of B).  Each l's factors, of the numerical rank
+    ``rank[l]`` of V_l, are zero-padded to the largest rank k.  ``X`` holds
+    the solves at ``eps`` (eps = 0 when asked for), the only eps it answers
+    for: any other raises ValueError.  ``bound_states[l]`` counts the bound
+    states of V_l on the grid (``_bound_states``), and ``residual`` is the
+    worst solve residual.
     """
 
-    B: np.ndarray = field(repr=False)         # (k, n + 1) real
+    B: np.ndarray = field(repr=False)         # (lmax + 1, k, n + 1) real
+    C: np.ndarray = field(repr=False)         # (lmax + 1, k, k) real
     eps: tuple
-    X: np.ndarray = field(repr=False)         # (len(eps), k, k) complex
-    bound_states: int
+    X: np.ndarray = field(repr=False)         # (len(eps), lmax + 1, k, k) complex
+    rank: tuple
+    bound_states: tuple
     residual: float
 
-    def _x(self, eps: float) -> np.ndarray:
+    def x(self, eps: float) -> np.ndarray:
+        """X_l(eps) of every l, (lmax + 1, k, k)."""
         if eps not in self.eps:
             raise ValueError(f"t_l was solved at eps in {self.eps}, not at {eps}")
         return self.X[self.eps.index(eps)]
 
     def half_shell(self, eps: float) -> np.ndarray:
-        """t_l(p_i, k0; k0^2 + i eps) for all momenta (the symmetric half-shell column)."""
-        return _times_real(self._x(eps) @ self.B[:, -1], self.B)
+        """t_l(p_i, k0; k0^2 + i eps) of every l over the grid plus k0, (lmax + 1, n + 1)."""
+        xb = (self.x(eps) @ self.B[:, :, -1:]).transpose(0, 2, 1)
+        # two real products, rather than promoting B to complex
+        return (xb.real @ self.B + 1j * (xb.imag @ self.B))[:, 0]
 
-    def on_shell(self, eps: float) -> complex:
-        """t_l(k0, k0; k0^2 + i eps)."""
-        b = self.B[:, -1]
-        return complex(b @ self._x(eps) @ b)
-
-    def grid_sandwich(self, a: np.ndarray, b: np.ndarray, eps: float) -> complex:
-        """sum_{m,i,k} a[m, i] t_l(q_i, q_k; k0^2 + i eps) b[m, k] over the grid nodes.
-
-        Evaluated in the rank of the factors, without forming the table.
-        """
-        Bg = self.B[:, :-1].T
-        return complex(np.sum((_times_real(a, Bg) @ self._x(eps)) * _times_real(b, Bg)))
-
-
-def _times_real(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M for complex x and real M, without promoting M to complex."""
-    return x.real @ M + 1j * (x.imag @ M)
+    def on_shell(self, eps: float) -> np.ndarray:
+        """t_l(k0, k0; k0^2 + i eps) of every l, (lmax + 1,)."""
+        return self.half_shell(eps)[:, -1]
 
 
 def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tuple:
-    """X(z) solving (I - C A(z)) X = C at every eps, in one batched solve.
+    """X(z) solving (I - C A(z)) X = C at every (eps, l), in one stacked solve.
 
     A(z) = B diag(d) B^T with the weights d of ``_weights``: Nystrom for
-    eps > 0, Haftel-Tabakin for eps = 0.  Returns (X, worst residual);
-    raises PoleProximityError when max|(I - C A) X - C| / max|C| exceeds
-    1e-8 at any eps.
+    eps > 0, Haftel-Tabakin for eps = 0.  The systems and residuals are
+    formed one eps at a time.  Returns (X, worst residual); raises
+    PoleProximityError when max|(I - C A) X - C| / max|C| exceeds 1e-8.
     """
     d = _weights(grid, eps)
-    CB = C @ B
-    # C A(z) from two real products per z
-    L = np.eye(C.shape[0]) - ((CB * d.real[:, None, :]) @ B.T
-                              + 1j * ((CB * d.imag[:, None, :]) @ B.T))
+    L = np.empty((len(eps),) + C.shape, dtype=complex)
+    CB, Bt = C @ B, B.transpose(0, 2, 1)
+    for Le, dr, di in zip(L, d.real, d.imag):
+        # C A(z) from two real products per z
+        Le[:] = np.eye(C.shape[-1]) - ((CB * dr) @ Bt + 1j * ((CB * di) @ Bt))
     try:
-        X = np.linalg.solve(L, np.broadcast_to(C, L.shape))
+        X = np.linalg.solve(L, C)
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular: {exc}") from exc
-    scale = max(np.max(np.abs(C), initial=0.0), 1e-300)
-    resid = np.max(np.abs(L @ X - C), axis=(1, 2), initial=0.0) / scale
+    scale = np.maximum(np.max(np.abs(C), axis=(1, 2), initial=0.0), 1e-300)
+    resid = np.array([np.max(np.abs(Le @ Xe - C), axis=(1, 2), initial=0.0)
+                      for Le, Xe in zip(L, X)]) / scale
     if not np.all(resid <= 1e-8):
-        worst = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
+        e, l = np.unravel_index(np.argmax(np.nan_to_num(resid, nan=np.inf)), resid.shape)
         raise PoleProximityError(
-            f"LS solve inaccurate at eps={eps[worst]:.3g} (residual {resid[worst]:.2e}); "
+            f"LS solve inaccurate at eps={eps[e]:.3g}, l={l} (residual {resid[e, l]:.2e}); "
             "z may sit near a bound-state pole")
-    return X, float(np.max(resid))
+    return X, float(np.max(resid, initial=0.0))
 
 
 def _bound_states(B: np.ndarray, C: np.ndarray, grid: MomentumGrid) -> int:
@@ -259,35 +250,50 @@ def _bound_states(B: np.ndarray, C: np.ndarray, grid: MomentumGrid) -> int:
     return int(np.sum(np.linalg.eigvalsh(M.T @ C @ M) < -1.0))
 
 
-def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> tuple:
-    """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
+def _svd_factors(M: np.ndarray, sign: np.ndarray) -> tuple:
+    """(B, C) = (S_k W_k^T, U_k^T diag(sign) U_k), so that M^T diag(sign) M = B^T C B.
 
-    Returns one LSSpectrum per l.  The radial rule, c = (2/pi) w r^2 V(r)
-    and the Bessel table J[l, r, i] = j_l(p_i r) of every l are built once
-    (``_radial_rule``), so V_l = M_l^T diag(sign c) M_l with
-    M_l = diag(sqrt|c|) J_l.  Per l, one SVD M_l = U S W^T cut at numpy's
-    ``matrix_rank`` tolerance to its k leading singular values gives the
-    factors B = S_k W_k^T and C = U_k^T diag(sign c) U_k, for every
-    potential kind.  Each l is then solved in rank k, every eps (eps = 0
-    by the Haftel-Tabakin weights) in one batched solve, and its bound
-    states are counted in rank k.  Raises PoleProximityError when a solve
-    residual exceeds 1e-8.
+    From one SVD M = U S W^T cut at numpy's ``matrix_rank`` tolerance to k values.
     """
-    q = grid.nodes
-    momenta = np.concatenate([q, [grid.k0]])
+    U, s, Wt = np.linalg.svd(M, full_matrices=False)
+    k = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
+    U = U[:, :k]
+    return s[:k, None] * Wt[:k], (U.T * sign) @ U
+
+
+def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
+    """(B, C, rank, bound_states) of V_l = B_l^T C_l B_l for every l <= lmax.
+
+    One radial rule (``_radial_rule``) and one Bessel table give, per l,
+    V_l = M_l^T diag(sign c) M_l with M_l = diag(sqrt|c|) J_l, factored
+    (``_svd_factors``) with its bound states counted in its rank k_l.  B and
+    C, (lmax + 1, k, n + 1) and (lmax + 1, k, k), are zero-padded to max k_l.
+    """
+    momenta = np.concatenate([grid.nodes, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
     root, sign = np.sqrt(np.abs(c)), np.sign(c)
+    factors = [_svd_factors(root[:, None] * Jl, sign)
+               for Jl in bessel_j_table(lmax, np.outer(rs, momenta))]
+    rank = tuple(len(B) for B, _ in factors)
+    bound = tuple(_bound_states(B, C, grid) for B, C in factors)
+    pad = [max(rank) - k for k in rank]
+    return (np.array([np.pad(B, ((0, p), (0, 0))) for (B, _), p in zip(factors, pad)]),
+            np.array([np.pad(C, (0, p)) for (_, C), p in zip(factors, pad)]), rank, bound)
+
+
+def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectrum:
+    """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
+
+    Every (eps, l) system of the stacked factors (``_factors``), eps = 0 by the
+    Haftel-Tabakin weights, is solved in one ``_solve``, which raises
+    PoleProximityError when a solve residual exceeds 1e-8.
+    """
+    B, C, rank, bound = _factors(pot, lmax, grid)
     eps = tuple(eps)
-    spectra = []
-    for Jl in bessel_j_table(lmax, np.outer(rs, momenta)):
-        U, s, Wt = np.linalg.svd(root[:, None] * Jl, full_matrices=False)
-        k = int(np.sum(s > s[0] * max(Jl.shape) * np.finfo(float).eps))
-        B, U = s[:k, None] * Wt[:k], U[:, :k]
-        C = (U.T * sign) @ U
-        X, resid = _solve(B, C, grid, eps)
-        spectra.append(LSSpectrum(B=B, eps=eps, X=X, bound_states=_bound_states(B, C, grid),
-                                  residual=resid))
-    return tuple(spectra)
+    X, resid = _solve(B, C, grid, eps)
+    # copied once the solve's temporaries are freed, X takes their heap space
+    # instead of stranding it below itself for the rest of the run
+    return LSSpectrum(B=B, C=C, eps=eps, X=X.copy(), rank=rank, bound_states=bound, residual=resid)
 
 
 # ---------------------------------------------------------------------------

@@ -105,29 +105,27 @@ def alpha_list_problem(alphas) -> str | None:
     return None
 
 
-def eps_extrapolate(samples: dict) -> tuple[complex, float]:
+def eps_extrapolate(samples: dict):
     """Richardson/Neville extrapolation of eps -> complex samples to eps = 0.
 
     Needs samples at an eps list that eps_list_problem accepts.  Returns
     (limit, error) with the error taken as the difference between the last
-    two extrapolation levels.
+    two extrapolation levels.  Array samples of one shape are extrapolated
+    element by element in one tableau, to a complex and a float array.
     """
     problem = eps_list_problem(samples)
     if problem is not None:
         raise ExtrapolationError(problem, samples=samples)
     eps = np.array(sorted(samples.keys(), reverse=True), dtype=float)
     f = np.array([samples[e] for e in eps], dtype=complex)
-    n = eps.size
-    tableau = [f]
-    for j in range(1, n):
-        prev = tableau[-1]
-        cur = np.empty(n - j, dtype=complex)
-        for i in range(n - j):
-            cur[i] = (eps[i] * prev[i + 1] - eps[i + j] * prev[i]) / (eps[i] - eps[i + j])
-        tableau.append(cur)
-    limit = complex(tableau[-1][0])
-    err = abs(tableau[-1][0] - tableau[-2][-1])
-    return limit, float(err)
+    e = eps.reshape((-1,) + (1,) * (f.ndim - 1))
+    prev, cur = None, f
+    for j in range(1, eps.size):
+        prev, cur = cur, (e[:-j] * cur[1:] - e[j:] * cur[:-1]) / (e[:-j] - e[j:])
+    limit, err = cur[0], np.abs(cur[0] - prev[-1])
+    if f.ndim == 1:
+        return complex(limit), float(err)
+    return limit, err
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,10 @@ class ScenarioEngine:
     The constructor builds everything that depends only on the scenario:
     the momentum grid, the engine's one angular rule and the principal-value
     operator on the grid.  The LS stage is built by ``offshell(j)`` on
-    first use, once per distinct potential: one radial rule and one Bessel
-    table give the factors of V_l for every l, and the solves at every eps
-    of the run in the numerical rank of V_l (see lippmann.ls_spectrum).
-    Every off-shell t-matrix element is read from it, and no (n x n)
-    t-matrix table is formed.  Every other quantity is computed
+    first use, once per distinct potential: one LSSpectrum that holds every
+    l <= lmax, solved at every eps of the run (see lippmann.ls_spectrum).
+    Every off-shell t-matrix element is read from it for every l at once,
+    and no (n x n) t-matrix table is formed.  Every other quantity is computed
     from those inputs where it is used: phase shifts, structure constants,
     and one angular projection of a half-shell amplitude per series term
     and pair of centres (_projection), which gives both the pair profiles
@@ -244,10 +241,10 @@ class ScenarioEngine:
         self.pv = _pv_operator(self.grid)
         self._spectra: dict = {}
 
-    def offshell(self, j: int) -> tuple:
-        """The LS stage of scatterer j's potential: one LSSpectrum per l <= lmax.
+    def offshell(self, j: int):
+        """The LS stage of scatterer j's potential: one LSSpectrum for every l <= lmax.
 
-        Each holds the solves at every eps of the run and at eps = 0.  Built
+        It holds the solves at every eps of the run and at eps = 0.  Built
         on first use, once per distinct potential.
         """
         pot = self.sc.scatterers[j].potential
@@ -256,10 +253,6 @@ class ScenarioEngine:
                                              self.sc.eps_sequence() + (0.0,))
         return self._spectra[pot]
 
-    def _half_shells(self, j: int, eps: float) -> np.ndarray:
-        """t_l(q_i, k0; k0^2 + i eps) of scatterer j on the grid, (lmax + 1, n_q)."""
-        return np.array([sp.half_shell(eps)[:-1] for sp in self.offshell(j)])
-
     def ls_health(self) -> dict:
         """Health numbers of the LS stage.
 
@@ -267,10 +260,10 @@ class ScenarioEngine:
         the solve rank per l; the relative difference of the l = 0
         half-shell column at eps_min from one direct LU solve of it
         (solve_offshell_t), which must stay below 1e-8; and per l the gap
-        of the on-shell t_l extrapolated over the run's eps from the
-        eps = 0 solve, and the extrapolation's Richardson error, both
-        relative to max_l |t_l(0)|.  Over all of them: the worst solve
-        residual, the largest gap and the largest error; a gap above the
+        of the on-shell t_l extrapolated over the run's eps (every l in one
+        tableau) from the eps = 0 solve, and the extrapolation's Richardson
+        error, both relative to max_l |t_l(0)|.  Over all of them: the worst
+        solve residual, the largest gap and the largest error; a gap above the
         error sets ``extrapolation_flag`` and logs a warning.
         """
         sc = self.sc
@@ -281,24 +274,22 @@ class ScenarioEngine:
             first.setdefault(s.potential, j)
         potentials, resid = [], 0.0
         for pot, j in first.items():
-            spectra = self.offshell(j)
-            resid = max([resid] + [sp.residual for sp in spectra])
+            sp = self.offshell(j)
+            resid = max(resid, sp.residual)
             direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps), self.grid)
-            diff = float(np.max(np.abs(spectra[0].half_shell(eps) - direct))
+            diff = float(np.max(np.abs(sp.half_shell(eps)[0] - direct))
                          / max(np.max(np.abs(direct)), 1e-300))
             if not diff <= 1e-8:
                 raise RuntimeError(
                     f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
-            t0 = [sp.on_shell(0.0) for sp in spectra]
-            scale = max(max(abs(t) for t in t0), 1e-300)
-            fits = [eps_extrapolate({e: sp.on_shell(e) for e in eps_seq}) for sp in spectra]
+            t0 = sp.on_shell(0.0)
+            scale = max(float(np.max(np.abs(t0))), 1e-300)
+            lim, err = eps_extrapolate({e: sp.on_shell(e) for e in eps_seq})
             potentials.append({"scatterer": j, "kind": pot.kind, "cross_check": diff,
-                               "bound_states": [sp.bound_states for sp in spectra],
-                               "rank": [int(sp.B.shape[0]) for sp in spectra],
-                               "extrapolation_gap": [abs(lim - t) / scale
-                                                     for (lim, _), t in zip(fits, t0)],
-                               "extrapolation_error": [err / scale for _, err in fits]})
+                               "bound_states": list(sp.bound_states), "rank": list(sp.rank),
+                               "extrapolation_gap": (np.abs(lim - t0) / scale).tolist(),
+                               "extrapolation_error": (err / scale).tolist()})
         gap = max(g for p in potentials for g in p["extrapolation_gap"])
         err = max(e for p in potentials for e in p["extrapolation_error"])
         flag = bool(gap > err)
@@ -344,7 +335,7 @@ class ScenarioEngine:
                 * self.ang.weights)
         proj = self._projection(rows, j, sc.scatterers[j].center_array
                                 - sc.scatterers[h].center_array, sc.dir_out, eps_seq)
-        S = np.array([(self._half_shells(h, eps) * p).sum(axis=0)
+        S = np.array([(self.offshell(h).half_shell(eps)[:, :-1] * p).sum(axis=0)
                       for eps, p in zip(eps_seq, proj)])
         return S, np.array([self.pv @ row for row in S])
 
@@ -353,10 +344,9 @@ class ScenarioEngine:
     def t_elem(self, j: int, eps: float) -> complex:
         """On-shell element <k1|t_j(z)|k2> of scatterer j."""
         lmax = self.sc.numerics.lmax
+        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
         P = legendre_table(lmax, float(np.dot(self.sc.dir_out, self.sc.dir_in)))
-        total = sum((2 * l + 1) / (4.0 * np.pi) * P[l] * sp.on_shell(eps)
-                    for l, sp in enumerate(self.offshell(j)))
-        return self._phase(j, j) * complex(total)
+        return self._phase(j, j) * complex(np.sum(c * P * self.offshell(j).on_shell(eps)))
 
     def x_lattice(self, alphas, eps_seq,
                   pair: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
@@ -388,17 +378,17 @@ class ScenarioEngine:
             z = complex(sc.k0 ** 2, eps)
             contrib = (w * q * q / (z - q * q)) * (S * cos_aq - Sy * sin_aq)
             totals = self._phase(j, h) * np.sum(contrib, axis=1)
-            worst = 0.0
-            for row, total in zip(contrib, totals):
-                est = _tail_estimate(q, row)
-                if est > tol * max(abs(total), 1e-300):
-                    raise TailEstimateError(
-                        f"momentum-tail estimate {est:.3e} exceeds "
-                        f"{tol:.1e} * |X| = {tol * abs(total):.3e}; increase p_max",
-                        estimate=est)
-                worst = max(worst, est / max(abs(total), 1e-300))
+            est = _tail_estimate(q, contrib)
+            size = np.maximum(np.abs(totals), 1e-300)
+            bad = np.flatnonzero(est > tol * size)
+            if bad.size:
+                i = bad[0]
+                raise TailEstimateError(
+                    f"momentum-tail estimate {est[i]:.3e} exceeds "
+                    f"{tol:.1e} * |X| = {tol * abs(totals[i]):.3e}; increase p_max",
+                    estimate=float(est[i]))
             lattice.append(totals)
-            tails.append(worst)
+            tails.append(float(np.max(est / size)))
         return np.array(lattice), np.array(tails)
 
     def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
@@ -475,8 +465,8 @@ class ScenarioEngine:
 
         Both free propagations are projected onto partial waves (l, m) about
         scatterer h by _projection, with Y_lm rows where pair_profile has
-        Legendre rows; t_h then couples them l by l, read from its solves
-        without forming the table (grid_sandwich).  ``Yw``, the weighted
+        Legendre rows; t_h = B_l^T X_l B_l then couples them l by l in the
+        rank of its factors, without forming the table.  ``Yw``, the weighted
         Y_lm table on ``ang``, may be shared between the terms of one
         order; by default it is built here.
         """
@@ -492,10 +482,13 @@ class ScenarioEngine:
         A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, [eps])[0] * denom
         B = self._projection(np.conj(Yw), k, centers[h] - centers[k], sc.dir_in,
                              [eps])[0] * denom
+        sp = self.offshell(h)
+        X, Bg = sp.x(eps), sp.B[:, :, :-1].transpose(0, 2, 1)
         total = 0.0 + 0.0j
-        for l, sp in enumerate(self.offshell(h)):
+        for l in range(lmax + 1):
             block = slice(sph_index(l, -l), sph_index(l, l) + 1)
-            total += (4.0 * np.pi / (2 * l + 1)) * sp.grid_sandwich(A[block], B[block], eps)
+            total += (4.0 * np.pi / (2 * l + 1)) * np.sum(
+                (A[block] @ Bg[l] @ X[l]) * (B[block] @ Bg[l]))
         return self._phase(j, k) * complex(total)
 
     def _projection(self, rows: np.ndarray, s: int, D: np.ndarray, direction,
@@ -530,7 +523,7 @@ class ScenarioEngine:
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
         wave = coef[:, None] * bessel_j_table(2 * lmax, self.grid.nodes * D_len)
         return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
-                         for t in (self._half_shells(s, eps) for eps in eps_seq)])
+                         for t in (self.offshell(s).half_shell(eps)[:, :-1] for eps in eps_seq)])
 
     # -- the full experiment -------------------------------------------------
 
@@ -538,13 +531,13 @@ class ScenarioEngine:
         return run_verification(self)
 
 
-def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> float:
-    """Crude geometric-decay bound on the neglected q > p_max tail."""
+def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Crude geometric-decay bound on the neglected q > p_max tail, per row of ``contrib``."""
     qr = q[-1] - q[0]
-    last = np.abs(np.sum(contrib[q > q[-1] - qr / 8]))
-    prev = np.abs(np.sum(contrib[(q > q[-1] - qr / 4) & (q <= q[-1] - qr / 8)]))
-    r = min(last / max(prev, 1e-300), 0.9)
-    return float(last * r / (1.0 - r))
+    last = np.abs(np.sum(contrib[:, q > q[-1] - qr / 8], axis=1))
+    prev = np.abs(np.sum(contrib[:, (q > q[-1] - qr / 4) & (q <= q[-1] - qr / 8)], axis=1))
+    r = np.minimum(last / np.maximum(prev, 1e-300), 0.9)
+    return last * r / (1.0 - r)
 
 
 def _spline_slopes(q: np.ndarray) -> np.ndarray:
@@ -709,13 +702,12 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     lattice = dict(zip(eps_seq, rows))
     diagnostics["tail_ratio"] = {e: float(t) for e, t in zip(eps_seq, tails)}
 
-    # stage 4: extrapolation to eps = 0, per alpha
-    x_by_eps, x_extrap, x_err = {}, {}, {}
-    for i, a in enumerate(lattice_alphas):
-        samples = {e: complex(lattice[e][i]) for e in eps_seq}
-        if a in alphas:
-            x_by_eps[a] = samples
-        x_extrap[a], x_err[a] = eps_extrapolate(samples)
+    # stage 4: extrapolation to eps = 0, every alpha in one tableau
+    limits, errors = eps_extrapolate(lattice)
+    x_extrap = {a: complex(x) for a, x in zip(lattice_alphas, limits)}
+    x_err = {a: float(e) for a, e in zip(lattice_alphas, errors)}
+    x_by_eps = {a: {e: complex(lattice[e][i]) for e in eps_seq}
+                for i, a in enumerate(lattice_alphas) if a in alphas}
     x0 = x_extrap[0.0]
     diagnostics["richardson_error"] = x_err
     if x0 == 0:

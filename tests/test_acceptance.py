@@ -90,7 +90,7 @@ def test_criterion_4_eps0_factor_solve(request, fixture, tol):
     # computes no phase shifts for overlapping supports
     eng = request.getfixturevalue(fixture)
     pot, k0, lmax = eng.sc.scatterers[0].potential, eng.sc.k0, eng.sc.numerics.lmax
-    t0 = np.array([sp.on_shell(0.0) for sp in eng.offshell(0)])
+    t0 = eng.offshell(0).on_shell(0.0)
     mapped = (2 / np.pi) * onshell_t_lm(phase_shift(pot, range(lmax + 1), k0), k0)
     _criterion(f"4 eps = 0 factor solve vs radial ({pot.kind})",
                np.max(np.abs(t0 - mapped)) / np.max(np.abs(mapped)), tol)

@@ -17,6 +17,7 @@ from multiscat.potentials import (
     truncated_coulomb,
 )
 from multiscat.radial import onshell_t_lm, phase_shift
+from multiscat.specfun import gauss_panels
 from oracles import grid_bound_states, offshell_table
 
 ALL_KINDS = [
@@ -29,6 +30,12 @@ ALL_KINDS = [
 
 def default_grid(k0, p_max=45.0):
     return MomentumGrid.build(k0, p_max, osc_scale=6.0)
+
+
+def panel_grid(n_inner, n_mid, n_outer, k0=1.0, p_max=45.0):
+    """MomentumGrid.build's panels on [0, k0, 2 k0, p_max], with every node count given."""
+    nodes, weights = gauss_panels((0.0, k0, 2 * k0, p_max), (n_inner, n_mid, n_outer))
+    return MomentumGrid(nodes=nodes, weights=weights, k0=k0, p_max=p_max)
 
 
 def test_grid_invariants():
@@ -121,8 +128,8 @@ def test_eps_continuity():
 def test_grid_refinement_convergence():
     pot = square_well(-1.0, 1.0)
     z = ComplexEnergy(1.0, 0.0)
-    coarse = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 48, 32, 128))[-1]
-    fine = solve_offshell_t(pot, 0, z, MomentumGrid.build(1.0, 45.0, 96, 64, 256))[-1]
+    coarse = solve_offshell_t(pot, 0, z, panel_grid(48, 32, 128))[-1]
+    fine = solve_offshell_t(pot, 0, z, panel_grid(96, 64, 256))[-1]
     assert abs(fine - coarse) / abs(fine) < 1e-5
 
 
@@ -144,13 +151,13 @@ def test_pole_proximity_error(monkeypatch):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", boom)
-    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    grid = panel_grid(24, 16, 64)
     with pytest.raises(PoleProximityError):
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(1.0, 0.0), grid)
 
 
 def test_grid_energy_mismatch_rejected():
-    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    grid = panel_grid(24, 16, 64)
     with pytest.raises(ValueError):
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(2.0, 0.0), grid)
 
@@ -162,36 +169,52 @@ EPS = (0.2, 0.1, 0.05, 0.025)
     pytest.param(square_well(-2.8, 1.0), id="square_well_bound_state")],
     ids=lambda p: p.kind)
 def test_spectrum_matches_direct_solve(pot):
-    # t(z) = B^T X(z) B from one per-potential call for l = 0..8 against
-    # the full-table LU oracle per (l, z); eps = 0 (Haftel-Tabakin weights)
-    # rides in the same batched solve and must match to 1e-12
+    # t(z) = B_l^T X_l(z) B_l from one per-potential call for l = 0..8
+    # against the full-table LU oracle per (l, z); eps = 0 (Haftel-Tabakin
+    # weights) rides in the same stacked solve and must match to 1e-12
     k0 = 1.0
     grid = default_grid(k0)
-    spectra = ls_spectrum(pot, 8, grid, EPS + (0.0,))
-    assert len(spectra) == 9
+    sp = ls_spectrum(pot, 8, grid, EPS + (0.0,))
+    assert len(sp.rank) == len(sp.bound_states) == 9
+    k = max(sp.rank)
+    assert sp.B.shape == (9, k, grid.size + 1) and sp.C.shape == (9, k, k)
+    assert sp.X.shape == (len(EPS) + 1, 9, k, k)
     n_r = _radial_rule(pot, float(grid.nodes.max()), 1)[0].size
-    for l, sp in enumerate(spectra):
+    for l, rank in enumerate(sp.rank):
         # the solves run in the numerical rank of V_l, never above the
         # radial rule's length or the grid plus k0
-        rank = sp.B.shape[0]
         assert rank <= min(n_r, grid.size + 1), l
-        assert sp.B.shape == (rank, grid.size + 1) and sp.X.shape == (len(EPS) + 1, rank, rank)
         if pot.kind in ("exponential", "truncated_coulomb"):
             # radial rules longer than the grid: still no (n + 1)^2 table
             assert rank < grid.size + 1, l
-        for eps in EPS + (0.0,):
-            tol = 1e-12 if eps == 0 else 1e-10
+    for eps in EPS + (0.0,):
+        tol = 1e-12 if eps == 0 else 1e-10
+        half, on = sp.half_shell(eps), sp.on_shell(eps)
+        assert half.shape == (9, grid.size + 1) and on.shape == (9,)
+        for l in range(9):
             ref = offshell_table(pot, l, ComplexEnergy(k0, eps), grid)
             scale = np.max(np.abs(ref.values))
-            table = sp.B.T @ sp.X[sp.eps.index(eps)] @ sp.B
+            table = sp.B[l].T @ sp.x(eps)[l] @ sp.B[l]
             assert np.max(np.abs(table - ref.values)) <= tol * scale, (l, eps)
             col = ref.half_shell()
-            assert np.max(np.abs(sp.half_shell(eps) - col)) <= tol * np.max(np.abs(col))
-            assert abs(sp.on_shell(eps) - ref.on_shell) <= tol * abs(ref.on_shell)
+            assert np.max(np.abs(half[l] - col)) <= tol * np.max(np.abs(col))
+            assert abs(on[l] - ref.on_shell) <= tol * abs(ref.on_shell)
             if eps == 0:
                 # the direct route solves the half-shell column alone
                 direct = solve_offshell_t(pot, l, ComplexEnergy(k0, eps), grid)
                 assert np.max(np.abs(direct - col)) <= tol * np.max(np.abs(col)), l
+
+
+def test_spectrum_pads_beyond_each_rank_with_exact_zeros():
+    # each l's factors and solves fill the leading rank[l] rows and columns
+    # of the stacked arrays; the ranks differ between l, so the rest is
+    # padding, and it must be exactly zero at every eps
+    sp = ls_spectrum(square_well(-1.0, 1.0), 8, default_grid(1.0), EPS + (0.0,))
+    assert len(set(sp.rank)) > 1
+    for l, k in enumerate(sp.rank):
+        assert np.any(sp.B[l, k - 1] != 0.0) and np.all(sp.B[l, k:] == 0.0), l
+        assert np.all(sp.C[l, k:] == 0.0) and np.all(sp.C[l, :, k:] == 0.0), l
+        assert np.all(sp.X[:, l, k:] == 0.0) and np.all(sp.X[:, l, :, k:] == 0.0), l
 
 
 @pytest.mark.parametrize("pot, grid, counts", [
@@ -200,16 +223,16 @@ def test_spectrum_matches_direct_solve(pot):
     (gaussian(-5.0, 1.0), default_grid(1.0), [1, 0, 0, 0, 0, 0, 0, 0, 0]),
     (gaussian(0.0, 1.0), default_grid(1.0), [0] * 9),
     # a radial rule longer than this grid: rank n + 1, counted on the (n x n) side
-    (exponential(-20.0, 1.0), MomentumGrid.build(1.0, 45.0, 8, 8, 16),
+    (exponential(-20.0, 1.0), panel_grid(8, 8, 16),
      [3, 2, 1, 0, 0, 0, 0, 0, 0]),
 ], ids=["square_well_one", "square_well_deep", "gaussian", "zero", "full_rank"])
 def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
     # the rank-k Birman-Schwinger count equals the negative eigenvalues of
     # the (n x n) grid Hamiltonian built from V_l alone
-    spectra = ls_spectrum(pot, 8, grid, (0.1,))
-    assert [sp.bound_states for sp in spectra] == counts
+    sp = ls_spectrum(pot, 8, grid, (0.1,))
+    assert list(sp.bound_states) == counts
     assert [grid_bound_states(pot, l, grid) for l in range(9)] == counts
-    ranks = {sp.B.shape[0] for sp in spectra}
+    ranks = set(sp.rank)
     if pot.v0 == 0.0:
         assert ranks == {0}
     elif pot.kind == "exponential":
@@ -219,47 +242,54 @@ def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
 
 
 def test_spectrum_zero_potential_has_rank_zero():
-    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
-    for sp in ls_spectrum(gaussian(0.0, 1.0), 2, grid, (0.2, 0.1)):
-        assert sp.B.shape == (0, grid.size + 1)
-        assert np.all(sp.half_shell(0.1) == 0.0) and sp.half_shell(0.1).shape == (grid.size + 1,)
-        assert sp.on_shell(0.2) == 0.0 and sp.residual == 0.0
-        assert sp.bound_states == 0
+    grid = panel_grid(24, 16, 64)
+    sp = ls_spectrum(gaussian(0.0, 1.0), 2, grid, (0.2, 0.1))
+    assert sp.rank == (0, 0, 0) and sp.bound_states == (0, 0, 0)
+    assert sp.B.shape == (3, 0, grid.size + 1) and sp.C.shape == (3, 0, 0)
+    assert sp.X.shape == (2, 3, 0, 0)
+    half = sp.half_shell(0.1)
+    assert half.shape == (3, grid.size + 1) and np.all(half == 0.0)
+    assert np.all(sp.on_shell(0.2) == 0.0) and sp.residual == 0.0
 
 
 def test_spectrum_grid_sandwich():
-    # grid_sandwich is the table's bilinear form on the grid
-    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
+    # the factors' grid block is the table's bilinear form on the grid:
+    # sum (a B_g^T) X (B_g b), as Born-3 contracts it
+    grid = panel_grid(24, 16, 64)
     pot = square_well(-1.0, 1.0)
-    sp = ls_spectrum(pot, 1, grid, (0.2, 0.07))[1]
+    sp = ls_spectrum(pot, 1, grid, (0.2, 0.07))
     ref = offshell_table(pot, 1, ComplexEnergy(1.0, 0.07), grid).values
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 3, grid.size)) + 1j * rng.normal(size=(2, 3, grid.size))
     want = np.sum((a @ ref[:-1, :-1]) * b)
-    assert abs(sp.grid_sandwich(a, b, 0.07) - want) <= 1e-10 * abs(want)
-    assert np.max(np.abs(sp.half_shell(0.07) - ref[:, -1])) <= 1e-10 * np.max(np.abs(ref))
+    Bg = sp.B[1, :, :-1].T
+    got = np.sum((a @ Bg @ sp.x(0.07)[1]) * (b @ Bg))
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert np.max(np.abs(sp.half_shell(0.07)[1] - ref[:, -1])) <= 1e-10 * np.max(np.abs(ref))
     assert sp.X.shape[0] == 2
 
 
 def test_spectrum_rejects_real_energy():
     # eps = 0 is answered only by a stage that was asked to solve it
-    sp = ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
-                     (0.1,))[0]
+    sp = ls_spectrum(square_well(-1.0, 1.0), 0, panel_grid(24, 16, 64), (0.1,))
     with pytest.raises(ValueError):
         sp.half_shell(0.0)
+    with pytest.raises(ValueError):
+        sp.on_shell(0.0)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1000001])
 def test_spectrum_answers_only_its_eps(eps):
-    # an eps outside the solved set raises: nothing is solved on request
-    grid = MomentumGrid.build(1.0, 45.0, 24, 16, 64)
-    for sp in ls_spectrum(square_well(-1.0, 1.0), 2, grid, (0.2, 0.1)):
-        with pytest.raises(ValueError, match="solved at eps"):
-            sp.half_shell(eps)
-        with pytest.raises(ValueError, match="solved at eps"):
-            sp.on_shell(eps)
-        with pytest.raises(ValueError, match="solved at eps"):
-            sp.grid_sandwich(np.ones((1, grid.size)), np.ones((1, grid.size)), eps)
+    # an eps outside the solved set raises, for every l at once: nothing is
+    # solved on request
+    grid = panel_grid(24, 16, 64)
+    sp = ls_spectrum(square_well(-1.0, 1.0), 2, grid, (0.2, 0.1))
+    with pytest.raises(ValueError, match="solved at eps"):
+        sp.half_shell(eps)
+    with pytest.raises(ValueError, match="solved at eps"):
+        sp.on_shell(eps)
+    with pytest.raises(ValueError, match="solved at eps"):
+        sp.x(eps)
 
 
 def test_corrupted_solve_raises_pole_proximity(monkeypatch):
@@ -270,5 +300,5 @@ def test_corrupted_solve_raises_pole_proximity(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", corrupted)
     with pytest.raises(PoleProximityError):
-        ls_spectrum(square_well(-1.0, 1.0), 0, MomentumGrid.build(1.0, 45.0, 24, 16, 64),
+        ls_spectrum(square_well(-1.0, 1.0), 0, panel_grid(24, 16, 64),
                     (0.1, 0.05))

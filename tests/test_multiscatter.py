@@ -12,6 +12,7 @@ from multiscat.multiscatter import (
     Numerics,
     Scenario,
     ScenarioEngine,
+    TailEstimateError,
     _spline_slopes,
     alpha_list_problem,
     eps_extrapolate,
@@ -56,6 +57,20 @@ def test_extrapolate_preconditions():
         eps_extrapolate({0.1: 1.0, 0.05: 1.0})
     with pytest.raises(ExtrapolationError):
         eps_extrapolate({0.1: 1.0, 0.099: 1.0, 0.098: 1.0})
+
+
+def test_extrapolate_arrays_match_the_scalar_calls_bit_for_bit():
+    # one tableau over array samples is the scalar extrapolation of each
+    # element on its own, bit for bit
+    rng = np.random.default_rng(1)
+    eps = (0.05, 0.2, 0.025, 0.1)
+    samples = {e: rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9)) for e in eps}
+    lim, err = eps_extrapolate(samples)
+    assert lim.shape == err.shape == (7, 9) and err.dtype == float
+    for idx in np.ndindex(7, 9):
+        one = eps_extrapolate({e: complex(samples[e][idx]) for e in eps})
+        assert type(one[0]) is complex and type(one[1]) is float
+        assert lim[idx] == one[0] and err[idx] == one[1], idx
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +142,32 @@ def test_x_alpha_preconditions(wells_engine):
         wells_engine.x_alpha(0.5, 0.0)
     with pytest.raises(ValueError):
         wells_engine.x_alpha(0.5, 0.1, pair=(0, 0))
+
+
+def test_x_lattice_tail_check_raises_for_the_first_failing_alpha():
+    # p_max barely above the 2 k0 panel edge leaves a momentum tail of
+    # 2-39 % of |X_alpha| at eps 0.1 (measured per alpha: 3.5e-2 at 0.5,
+    # 2.3e-2 at 0.75, 0.21 at 1.25, 0.39 at 0); against a tolerance of
+    # 0.1 the lattice raises with the estimate of alpha 1.25, the first
+    # failing entry of its row, as the single-alpha call does (to rounding:
+    # the row sums of a block and of one row may differ in the last bit)
+    eng = ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
+                    Scatterer((0, 0, 3.0), square_well(-1.0, 1.0))),
+        k0=1.0, numerics=Numerics(lmax=2, p_max=2.5, tail_tol=0.1, n_inner=16, n_mid=16)))
+    with pytest.raises(TailEstimateError, match="increase p_max") as lattice:
+        eng.x_lattice((0.5, 0.75, 1.25, 0.0), [0.1])
+    for a in (0.5, 0.75):
+        eng.x_lattice([a], [0.1])
+    estimates = {}
+    for a in (1.25, 0.0):
+        with pytest.raises(TailEstimateError) as single:
+            eng.x_lattice([a], [0.1])
+        estimates[a] = single.value.estimate
+    assert type(lattice.value.estimate) is float and lattice.value.estimate > 0
+    assert lattice.value.estimate == pytest.approx(estimates[1.25], rel=1e-12)
+    assert lattice.value.estimate != pytest.approx(estimates[0.0], rel=1e-3)
+    assert f"{estimates[1.25]:.3e}" in str(lattice.value)
 
 
 def test_x_alpha_zero_potential():
@@ -451,8 +492,9 @@ def test_ls_health_counts_bound_states_and_cross_checks():
     assert deep["bound_states"] == [1, 0, 0]
     # the rank each l's solves ran in, as the LS stage holds it
     for p in health["potentials"]:
-        ranks = [sp.B.shape[0] for sp in eng.offshell(p["scatterer"])]
+        ranks = list(eng.offshell(p["scatterer"]).rank)
         assert p["rank"] == ranks and all(0 < k <= eng.grid.size + 1 for k in ranks)
+        assert eng.offshell(p["scatterer"]).B.shape[:2] == (3, max(ranks))
     assert health["cross_check"] < 1e-10
     assert health["solve_residual"] < 1e-12
 
@@ -465,8 +507,8 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
     original = multiscatter.ls_spectrum
 
     def corrupted(pot, lmax, grid, eps):
-        return tuple(dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
-                     for sp in original(pot, lmax, grid, eps))
+        sp = original(pot, lmax, grid, eps)
+        return dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
 
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
@@ -548,7 +590,7 @@ def test_ls_stage_builds_one_rule_and_one_table_per_potential(monkeypatch, depth
     assert counts["stage"] == 0
     eng.verify()
     assert counts == {"stage": stages, "rule": stages, "table": stages}
-    assert [len(eng.offshell(j)) for j in range(2)] == [3, 3]
+    assert [len(eng.offshell(j).rank) for j in range(2)] == [3, 3]
 
 
 def test_born2_identity_gate_fails_on_a_perturbed_lattice_entry(monkeypatch):
