@@ -6,7 +6,7 @@
 # MULTISCAT is the multiscat executable under test and PYTHON an interpreter
 # that can read its reports.  The script validates and runs the bundled
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs the two
-# long-range kinds and one bound-state well with one scatterer each, checks
+# long-range kinds and two bound-state wells with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
 # and a solve residual below 1e-8, and that a misspelled config key fails
@@ -67,20 +67,27 @@ YAML
   no_flag "out/$kind/report.json"
 done
 
-echo "== one s-wave bound state (one scatterer)"
-cat > "$tmp/bound_well.yaml" <<YAML
+echo "== bound-state wells (one scatterer each)"
+# one s-wave bound state; then bound states in three partial waves, whose
+# LS factors have mixed ranks across l
+for spec in "bound_well|v0: -2.8, a: 1.0|[1, 0, 0, 0, 0, 0, 0, 0, 0]" \
+            "deep_well|v0: -12.0, a: 1.5|[2, 1, 1, 0, 0, 0, 0, 0, 0]"; do
+  IFS='|' read -r name pot counts <<< "$spec"
+  cat > "$tmp/$name.yaml" <<YAML
 scenario:
   k0: 1.0
 scatterers:
   - center: [0.0, 0.0, 0.0]
-    potential: {kind: square_well, v0: -2.8, a: 1.0}
+    potential: {kind: square_well, $pot}
 numerics:
   lmax: 8
 output:
-  dir: out/bound_well
+  dir: out/$name
 YAML
-"$multiscat" run "$tmp/bound_well.yaml"
-"$python" -c "import json, sys; b = json.load(open(sys.argv[1]))['diagnostics']['ls']['potentials'][0]['bound_states']; assert b == [1, 0, 0, 0, 0, 0, 0, 0, 0], b" out/bound_well/report.json
+  "$multiscat" run "$tmp/$name.yaml"
+  ls_per_l "out/$name/report.json"
+  "$python" -c "import json, sys; p = json.load(open(sys.argv[1]))['diagnostics']['ls']['potentials'][0]; assert p['bound_states'] == json.loads(sys.argv[2]) and len(p['rank']) == 9, p" "out/$name/report.json" "$counts"
+done
 
 echo "== a misspelled key is a configuration error"
 sed 's/^  dir_out:/  dirout:/' configs/nonoverlap_wells.yaml > "$tmp/dirout.yaml"

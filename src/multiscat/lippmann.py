@@ -28,15 +28,16 @@ this discretised operator: with V = B^T C B,
 
 with the weights d of ``_weights`` over the grid plus k0: Nystrom for
 eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
-Phys. A158 (1970) 1).  The factors come from one SVD per l of
-diag(sqrt|c|) J_l cut at numpy's ``matrix_rank`` tolerance, so every
-potential kind solves in the numerical rank k <= min(n_r, n + 1) of V_l
-(k = 0 for a zero potential), where the grid bound states are counted too
-(``_bound_states``).  Zero-padded to the largest k, the factors of every l
-form one ``LSSpectrum``, whose (eps, l) systems are solved in one
-``np.linalg.solve``, each gated: max|(I - C A) X - C| / max|C| above 1e-8
-raises PoleProximityError.  The engine reads every l at once from it, and
-no (n x n) t-matrix table is formed.
+Phys. A158 (1970) 1).  The factors of every l come from one stacked SVD
+of diag(sqrt|c|) J_l, each l cut at numpy's ``matrix_rank`` tolerance, so
+every potential kind solves in the numerical rank k <= min(n_r, n + 1) of
+V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
+eigenvalue count gives the grid bound states (``_bound_states``).  Zero
+beyond each l's rank, the factors form one ``LSSpectrum``, whose (eps, l)
+systems are solved in one ``np.linalg.solve``, each gated:
+max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  The
+engine reads every l at once from it, and no (n x n) t-matrix table is
+formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
@@ -232,53 +233,57 @@ def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tupl
     return X, float(np.max(resid, initial=0.0))
 
 
-def _bound_states(B: np.ndarray, C: np.ndarray, grid: MomentumGrid) -> int:
-    """Negative eigenvalues of H = diag(q^2) + S V_gg S (S = diag(sqrt(w) q)), in rank k.
+def _bound_states(B: np.ndarray, C: np.ndarray, rank: tuple, grid: MomentumGrid) -> tuple:
+    """Negative eigenvalues of H_l = diag(q^2) + S V_l S (S = diag(sqrt(w) q)) for every l.
 
     With D = diag(q^2) and M = B_g diag(sqrt(w)), H = D^{1/2} (I + M^T C M)
     D^{1/2}, so by Sylvester's law of inertia the count is that of the
     eigenvalues of M^T C M below -1, which it shares with the (k x k)
     Birman-Schwinger matrix R^T C R, R R^T = M M^T (Birman 1961; Schwinger
-    1961).  Where B_g is rank-deficient (k = n + 1) it counts M^T C M.
+    1961).  A unit diagonal past each rank keeps every M M^T positive
+    definite for one stacked Cholesky; the zero padded block of R^T C R adds
+    no eigenvalue below -1.  Where the Cholesky fails or k = n + 1, every l
+    is counted on the (n x n) side M^T C M.
     """
-    M = B[:, :-1] * np.sqrt(grid.weights)
-    if M.shape[0] <= M.shape[1]:
+    M = B[:, :, :-1] * np.sqrt(grid.weights)
+    k, n = M.shape[1:]
+    if k <= n:
+        G = M @ M.transpose(0, 2, 1)
+        i = np.arange(k)
+        G[:, i, i] += i >= np.array(rank)[:, None]
         try:
-            M = np.linalg.cholesky(M @ M.T)       # R
-        except np.linalg.LinAlgError:             # B_g rank-deficient after all
+            M = np.linalg.cholesky(G)             # R
+        except np.linalg.LinAlgError:             # some B_g rank-deficient after all
             pass
-    return int(np.sum(np.linalg.eigvalsh(M.T @ C @ M) < -1.0))
-
-
-def _svd_factors(M: np.ndarray, sign: np.ndarray) -> tuple:
-    """(B, C) = (S_k W_k^T, U_k^T diag(sign) U_k), so that M^T diag(sign) M = B^T C B.
-
-    From one SVD M = U S W^T cut at numpy's ``matrix_rank`` tolerance to k values.
-    """
-    U, s, Wt = np.linalg.svd(M, full_matrices=False)
-    k = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
-    U = U[:, :k]
-    return s[:k, None] * Wt[:k], (U.T * sign) @ U
+    counts = np.sum(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ C @ M) < -1.0, axis=-1)
+    return tuple(int(v) for v in counts)
 
 
 def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
     """(B, C, rank, bound_states) of V_l = B_l^T C_l B_l for every l <= lmax.
 
-    One radial rule (``_radial_rule``) and one Bessel table give, per l,
-    V_l = M_l^T diag(sign c) M_l with M_l = diag(sqrt|c|) J_l, factored
-    (``_svd_factors``) with its bound states counted in its rank k_l.  B and
-    C, (lmax + 1, k, n + 1) and (lmax + 1, k, k), are zero-padded to max k_l.
+    One radial rule (``_radial_rule``) and one Bessel table give
+    V_l = M_l^T diag(sign c) M_l, M_l = diag(sqrt|c|) J_l.  One stacked SVD
+    M_l = U S W^T, each l cut at numpy's ``matrix_rank`` tolerance to its
+    rank k_l, gives B_l = S W^T, (lmax + 1, k, n + 1), and C_l =
+    U^T diag(sign c) U, (lmax + 1, k, k), with k = max k_l and zeros beyond
+    each k_l.
     """
     momenta = np.concatenate([grid.nodes, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
-    root, sign = np.sqrt(np.abs(c)), np.sign(c)
-    factors = [_svd_factors(root[:, None] * Jl, sign)
-               for Jl in bessel_j_table(lmax, np.outer(rs, momenta))]
-    rank = tuple(len(B) for B, _ in factors)
-    bound = tuple(_bound_states(B, C, grid) for B, C in factors)
-    pad = [max(rank) - k for k in rank]
-    return (np.array([np.pad(B, ((0, p), (0, 0))) for (B, _), p in zip(factors, pad)]),
-            np.array([np.pad(C, (0, p)) for (_, C), p in zip(factors, pad)]), rank, bound)
+    M = bessel_j_table(lmax, np.outer(rs, momenta))
+    M *= np.sqrt(np.abs(c))[:, None]
+    U, s, Wt = np.linalg.svd(M, full_matrices=False)
+    keep = s > s[:, :1] * max(M.shape[1:]) * np.finfo(float).eps
+    rank = tuple(int(r) for r in keep.sum(axis=1))
+    k = max(rank)
+    pad = ~keep[:, :k]
+    B = s[:, :k, None] * Wt[:, :k]
+    B[pad] = 0.0
+    Ut = U[:, :, :k].transpose(0, 2, 1)
+    Ut[pad] = 0.0
+    C = (Ut * np.sign(c)) @ Ut.transpose(0, 2, 1)
+    return B, C, rank, _bound_states(B, C, rank, grid)
 
 
 def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectrum:

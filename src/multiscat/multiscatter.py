@@ -607,26 +607,29 @@ def _pv_operator(grid: MomentumGrid) -> np.ndarray:
 
 @dataclass
 class VerificationReport:
+    """What one run found.  The fields after ``diagnostics`` default to
+    their values for a single scatterer, which has no pair term and no gates."""
+
     scenario: dict
-    x0_direct: complex
-    x0_direct_error: float
-    x0_structconst: complex | None
-    x0_structconst_by_lmax: list | None
-    structconst_truncation: float | None
-    onshell_rel_diff: float | None
-    x_alpha_extrapolated: dict
-    x_alpha_by_eps: dict
-    y_alpha_samples: dict
-    alpha_flatness: float
-    phase_law_residuals: dict
-    y_average: complex
-    y_average_rel_diff: float
     born_terms: list
-    born2_identity_rel: float | None
-    schatten: dict
     diagnostics: dict
-    comparisons: list
-    passed: bool
+    x0_direct: complex = 0j
+    x0_direct_error: float = 0.0
+    x0_structconst: complex | None = None
+    x0_structconst_by_lmax: list | None = None
+    structconst_truncation: float | None = None
+    onshell_rel_diff: float | None = None
+    x_alpha_extrapolated: dict = field(default_factory=dict)
+    x_alpha_by_eps: dict = field(default_factory=dict)
+    y_alpha_samples: dict = field(default_factory=dict)
+    alpha_flatness: float = 0.0
+    phase_law_residuals: dict = field(default_factory=dict)
+    y_average: complex = 0j
+    y_average_rel_diff: float = 0.0
+    born2_identity_rel: float | None = None
+    schatten: dict = field(default_factory=dict)
+    comparisons: list = field(default_factory=list)
+    passed: bool = True
 
     def to_json_dict(self) -> dict:
         return _jsonify(self.__dict__)
@@ -664,11 +667,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         "pair_gap": None,
     }
     for s in sc.scatterers:
-        rd = rollnik_check(s.potential)
-        diagnostics["rollnik"].append({
-            "kind": s.potential.kind, "l1_norm": rd.l1_norm,
-            "l2_norm": rd.l2_norm, "admissible": rd.admissible,
-            "l1_residual": rd.l1_residual, "l2_residual": rd.l2_residual})
+        diagnostics["rollnik"].append({"kind": s.potential.kind,
+                                       **asdict(rollnik_check(s.potential))})
     # stage 1: the LS stage per distinct potential, and its health numbers
     diagnostics["ls"] = engine.ls_health()
 
@@ -681,16 +681,9 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         return ok
 
     if n_scat == 1:
-        b1 = engine.born_term(1, min(eps_seq))
-        report = VerificationReport(
-            scenario=_scenario_echo(engine), x0_direct=0j, x0_direct_error=0.0,
-            x0_structconst=None, x0_structconst_by_lmax=None,
-            structconst_truncation=None, onshell_rel_diff=None,
-            x_alpha_extrapolated={}, x_alpha_by_eps={}, y_alpha_samples={},
-            alpha_flatness=0.0, phase_law_residuals={}, y_average=0j,
-            y_average_rel_diff=0.0, born_terms=[b1], born2_identity_rel=None,
-            schatten={}, diagnostics=diagnostics, comparisons=[], passed=True)
-        return report
+        return VerificationReport(scenario=_scenario_echo(engine),
+                                  born_terms=[engine.born_term(1, min(eps_seq))],
+                                  diagnostics=diagnostics)
 
     gap = pair_gap(sc.scatterers[0], sc.scatterers[1])
     diagnostics["pair_gap"] = float(gap)

@@ -36,7 +36,10 @@
   weights;
 * ``grid_bound_states`` - the negative eigenvalues of the (n x n) grid
   Hamiltonian diag(q^2) + S V_l S, S = diag(sqrt(w) q), with V_l from
-  ``vl_matrix``.
+  ``vl_matrix``;
+* ``factors_per_l`` - the separable factors V_l = B_l^T C_l B_l of the LS
+  stage, one SVD and one Birman-Schwinger bound-state count per l,
+  zero-padded to the largest rank one l at a time.
 """
 
 import itertools
@@ -58,7 +61,7 @@ from multiscat.greens import (
     _sigma4,
     structure_constants,
 )
-from multiscat.lippmann import ComplexEnergy, PoleProximityError, vl_matrix
+from multiscat.lippmann import ComplexEnergy, PoleProximityError, _radial_rule, vl_matrix
 from multiscat.radial import _ACTION_KEEP, onshell_t_lm, phase_shift
 from multiscat.specfun import (
     _check_l,
@@ -656,3 +659,40 @@ def grid_bound_states(pot, l: int, grid) -> int:
     H = S[:, None] * vl_matrix(pot, l, q) * S
     H[np.diag_indices_from(H)] += q * q
     return int(np.sum(np.linalg.eigvalsh(H) < 0))
+
+
+def _birman_schwinger_count(B, C, grid) -> int:
+    """Eigenvalues below -1 of the (k x k) R^T C R, R R^T = M M^T, M = B_g diag(sqrt(w));
+    of the (n x n) M^T C M where B_g is rank-deficient (k = n + 1)."""
+    M = B[:, :-1] * np.sqrt(grid.weights)
+    if M.shape[0] <= M.shape[1]:
+        try:
+            M = np.linalg.cholesky(M @ M.T)
+        except np.linalg.LinAlgError:
+            pass
+    return int(np.sum(np.linalg.eigvalsh(M.T @ C @ M) < -1.0))
+
+
+def factors_per_l(pot, lmax: int, grid) -> tuple:
+    """(B, C, rank, bound_states) of V_l = B_l^T C_l B_l, one l at a time.
+
+    M_l = diag(sqrt|c|) J_l on the library's radial rule, one SVD
+    M_l = U S W^T per l cut at numpy's ``matrix_rank`` tolerance to k_l
+    values, B_l = S W^T and C_l = U^T diag(sign c) U, each np.pad-ded to
+    the largest k_l.
+    """
+    momenta = np.concatenate([grid.nodes, [grid.k0]])
+    rs, c = _radial_rule(pot, float(momenta.max()), 1)
+    root, sign = np.sqrt(np.abs(c)), np.sign(c)
+    factors = []
+    for Jl in bessel_j_table(lmax, np.outer(rs, momenta)):
+        M = root[:, None] * Jl
+        U, s, Wt = np.linalg.svd(M, full_matrices=False)
+        k = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
+        U = U[:, :k]
+        factors.append((s[:k, None] * Wt[:k], (U.T * sign) @ U))
+    rank = tuple(len(B) for B, _ in factors)
+    bound = tuple(_birman_schwinger_count(B, C, grid) for B, C in factors)
+    pad = [max(rank) - k for k in rank]
+    return (np.array([np.pad(B, ((0, p), (0, 0))) for (B, _), p in zip(factors, pad)]),
+            np.array([np.pad(C, (0, p)) for (_, C), p in zip(factors, pad)]), rank, bound)

@@ -5,6 +5,7 @@ from multiscat.lippmann import (
     ComplexEnergy,
     MomentumGrid,
     PoleProximityError,
+    _factors,
     _radial_rule,
     ls_spectrum,
     solve_offshell_t,
@@ -17,8 +18,9 @@ from multiscat.potentials import (
     truncated_coulomb,
 )
 from multiscat.radial import onshell_t_lm, phase_shift
-from multiscat.specfun import gauss_panels
-from oracles import grid_bound_states, offshell_table
+from multiscat.specfun import bessel_j_table, gauss_panels, octave_edges
+from oracles import factors_per_l, grid_bound_states, offshell_table
+from test_radial import continuous_branch
 
 ALL_KINDS = [
     square_well(-1.0, 1.0),
@@ -71,11 +73,16 @@ def test_vl_square_well_closed_form():
 
 def test_vl_matrix_matches_kernel():
     # an entry does not depend on the other momenta in the set, and it is
-    # converged: doubling the radial nodes leaves it unchanged
-    ms = np.array([0.5, 1.0, 3.0])
-    V = vl_matrix(square_well(-1.0, 1.0), 1, ms)
-    pair = vl_matrix(square_well(-1.0, 1.0), 1, [0.5, 3.0], scale=2)
-    assert V[0, 2] == pytest.approx(pair[0, 1], rel=1e-10)
+    # converged: a rule with twice _radial_rule's nodes on every panel
+    # leaves it unchanged
+    pot = square_well(-1.0, 1.0)
+    V = vl_matrix(pot, 1, [0.5, 1.0, 3.0])
+    edges = octave_edges(pot.support_edges())
+    rs, ws = gauss_panels(edges, [2 * max(24, int(0.7 * (b - a) * 3.0) + 16)
+                                  for a, b in zip(edges[:-1], edges[1:])])
+    j = bessel_j_table(1, np.outer(rs, [0.5, 3.0]))[1]
+    ref = (2.0 / np.pi) * np.sum(ws * rs * rs * pot.evaluate(rs) * j[:, 0] * j[:, 1])
+    assert V[0, 2] == pytest.approx(ref, rel=1e-10)
 
 
 def test_solve_zero_potential():
@@ -239,6 +246,41 @@ def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
         assert grid.size + 1 in ranks
     else:
         assert max(ranks) < grid.size
+
+
+@pytest.mark.parametrize("pot, grid", [(p, default_grid(1.0)) for p in ALL_KINDS] + [
+    (square_well(-12.0, 1.5), default_grid(1.0)),
+    (exponential(-20.0, 1.0), panel_grid(8, 8, 16)),
+    (gaussian(0.0, 1.0), default_grid(1.0)),
+], ids=[p.kind for p in ALL_KINDS] + ["square_well_deep", "full_rank", "zero"])
+def test_stacked_factors_match_the_per_l_oracle(pot, grid):
+    # one stacked SVD, rank cut and Birman-Schwinger count against one SVD
+    # and one count per l: the same ranks and counts, B bit for bit, C to
+    # rounding (the products C = U^T diag(sign c) U run at other shapes),
+    # and exact zeros beyond each rank
+    B, C, rank, bound = _factors(pot, 8, grid)
+    B0, C0, rank0, bound0 = factors_per_l(pot, 8, grid)
+    assert rank == rank0 and bound == bound0
+    assert np.array_equal(B, B0)
+    assert C.shape == C0.shape
+    assert np.max(np.abs(C - C0), initial=0.0) <= 1e-14 * np.max(np.abs(C0), initial=0.0)
+    for l, k in enumerate(rank):
+        assert np.all(B[l, k:] == 0.0) and np.all(C[l, k:] == 0.0) and np.all(C[l, :, k:] == 0.0)
+
+
+@pytest.mark.parametrize("pot, counts", [
+    (square_well(-12.0, 1.5), [2, 1, 1, 0]),
+    (square_well(-2.8, 1.0), [1, 0, 0, 0]),
+], ids=["deep", "one"])
+def test_bound_states_obey_levinson(pot, counts):
+    # Levinson (1949): eta_l(0+) - eta_l(inf) = pi * (bound states of l) on
+    # the branch continuous in k; the LS stage's count of the grid bound
+    # states must agree with the radial phase shifts
+    ks = np.geomspace(0.01, 80.0, 120)
+    sp = ls_spectrum(pot, 3, default_grid(1.0), (0.1,))
+    for l in range(4):
+        eta = continuous_branch(pot, l, ks)
+        assert sp.bound_states[l] == round((eta[0] - eta[-1]) / np.pi) == counts[l], l
 
 
 def test_spectrum_zero_potential_has_rank_zero():
