@@ -5,7 +5,9 @@
 #
 # MULTISCAT is the multiscat executable under test and PYTHON an interpreter
 # that can read its reports.  The script validates and runs the bundled
-# configs, runs the wells config at n_max 3 (the Born-3 term), runs the two
+# configs, runs the wells config at n_max 3 (the Born-3 term), runs a
+# non-overlapping pair of unequal wells through the spectral Schatten norm
+# (both bundled pairs repeat one potential), runs the two
 # long-range kinds and two bound-state wells with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
@@ -47,6 +49,23 @@ grep -q '^  n_max: 3 ' "$tmp/wells_born3.yaml"
 "$multiscat" run "$tmp/wells_born3.yaml"
 # born3_abs, the 16th summary column, is filled only when _born3 ran
 test -n "$(tail -n 1 out/wells_born3/summary.csv | cut -d, -f16)"
+
+echo "== a non-overlapping pair of unequal wells (the spectral norm of two potentials)"
+cat > "$tmp/unequal_wells.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: square_well, v0: -1.0, a: 1.0}
+  - center: [0.0, 0.0, 4.0]
+    potential: {kind: square_well, v0: -0.7, a: 1.3}
+numerics:
+  lmax: 8
+output:
+  dir: out/unequal_wells
+YAML
+"$multiscat" run "$tmp/unequal_wells.yaml"
+"$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and len(s['lmax']) == 4, s" out/unequal_wells/report.json
 
 echo "== the long-range kinds end to end (one scatterer each)"
 for spec in "truncated_coulomb|v0: -1.0, a: 1.0, rc: 0.01" "exponential|v0: -2.0, a: 0.7"; do

@@ -25,15 +25,21 @@ is what the test-suite validates them against.
 One kernel computes that contraction, one azimuthal pair (m, m') at a
 time: ``_gaunt_integrals`` gets every Gaunt integral of the pair from a
 single matrix product on a Gauss-Legendre rule, and ``_g_block`` contracts
-it over L.  ``structure_constants`` calls it for each (m, m') whose
-Y_LM(R^) column is nonzero (only m = m' when R lies on the z axis); the
-spectral Schatten norm calls it once per m with R along z and never builds
-the dense matrix.  The Gaunt table does not depend on k, so the spectral
-norm builds each m's table once for all its k and slices it for the
-smaller truncations.  The triangle and parity zeros of the Gaunt table are
+it over L against the waves of every k at once.  ``structure_constants``
+calls it for each (m, m') whose Y_LM(R^) column is nonzero (only m = m'
+when R lies on the z axis); the spectral Schatten norm calls it once per m
+with R along z, for all its k in one contraction, and never builds the
+dense matrix.  The triangle and parity zeros of the Gaunt table are
 imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
-entry would be amplified past every allowed one.
+entry would be amplified past every allowed one.  That mask is built once
+per lmax and cached with the Legendre table (``_legendre_rule``), and each
+pair slices it.  The rule is folded: only its nonnegative nodes are kept,
+with doubled weights (the zero node of an odd rule keeps its own).  That
+is exact for every entry the mask keeps, because P_lm(-x) =
+(-1)^(l+m) P_lm(x) and |m| + |m'| + |M| is even, so the integrand of an
+allowed entry, whose l + l' + L is even, is even in x.  It halves the
+Legendre table, the pair products and the Gaunt matrix product.
 
 Both Schatten-4 norms are (sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} over
 per-m blocks, each term from one helper, ``_sigma4``.  The spectral norm
@@ -111,71 +117,99 @@ def _ipow(n):
 
 @lru_cache(maxsize=1)
 def _legendre_rule(lmax: int):
-    """Normalised P_LM for L <= 2 lmax on Gauss-Legendre nodes exact to degree 6 lmax.
+    """P_LM for L <= 2 lmax on a folded Gauss-Legendre rule, and the Gaunt mask.
 
-    Both callers sweep the azimuthal pairs of one lmax, so one cached table
-    serves a whole sweep.
+    The rule is the nonnegative half of the Gauss-Legendre rule of
+    3 lmax + 8 nodes (exact to degree 6 lmax + 15): every weight doubled,
+    except at the zero node of an odd rule.  It integrates every even
+    polynomial of that degree exactly, and every Gaunt integrand that the
+    mask keeps is even (see ``_gaunt_integrals``).  ``mask[l, l', L]``
+    (l, l' <= lmax, L <= 2 lmax) is 2 pi, the azimuthal integral, where the
+    triangle and parity rules allow the entry and 0.0 elsewhere; a pair
+    (m, m') slices it ``[|m|:, |m'|:, |M|:]``.  Both callers sweep the
+    azimuthal pairs of one lmax, so one cached, read-only entry serves a
+    whole sweep.
     """
     Lmax = 2 * lmax
-    xg, wg = gauss_legendre(Lmax + Lmax // 2 + 8)
-    return plm_norm_table(Lmax, xg), wg
+    n = Lmax + Lmax // 2 + 8
+    xg, wg = gauss_legendre(n)
+    # the nodes are symmetric to the last bit, the middle one of an odd rule 0.0
+    x, w = xg[n // 2:], 2.0 * wg[n // 2:]
+    if n % 2:
+        w[0] = wg[n // 2]
+    l = np.arange(lmax + 1)[:, None, None]
+    lp = np.arange(lmax + 1)[None, :, None]
+    L = np.arange(Lmax + 1)
+    allowed = (L >= np.abs(l - lp)) & (L <= l + lp) & ((l + lp + L) % 2 == 0)
+    mask = np.where(allowed, 2.0 * np.pi, 0.0)
+    rule = plm_norm_table(Lmax, x), w, mask
+    for table in rule:
+        table.flags.writeable = False
+    return rule
 
 
 def _gaunt_integrals(m: int, mp: int, lmax: int) -> np.ndarray:
     """G[l, l', L] = integral of Y_lm conj(Y_l'm') conj(Y_LM) over the sphere.
 
     M = m - m'; the axes run over l = |m|..lmax, l' = |m'|..lmax and
-    L = |M|..2 lmax.  One matrix product on the Gauss-Legendre rule gives
-    every Legendre triple integral at once; the entries that the triangle
-    and parity rules forbid are then set to exact zeros (see the module
-    docstring for why that mask cannot be left to the quadrature).
+    L = |M|..2 lmax.  One matrix product on the folded rule of
+    ``_legendre_rule`` gives every Legendre triple integral at once; the
+    entries that the triangle and parity rules forbid are then set to
+    exact zeros by the cached mask (see the module docstring for why that
+    mask cannot be left to the quadrature).  The folding is exact for
+    every entry the mask keeps: P_lm(-x) = (-1)^(l+m) P_lm(x), and
+    |m| + |m'| + |M| is even, so the integrand has the parity
+    (-1)^(l+l'+L), which is even wherever l + l' + L is.
     """
     M = m - mp
-    plm, w = _legendre_rule(lmax)
+    plm, w, mask = _legendre_rule(lmax)
     ls = np.arange(abs(m), lmax + 1)
     lps = np.arange(abs(mp), lmax + 1)
     Ls = np.arange(abs(M), 2 * lmax + 1)
     pairs = (plm[tri_index(ls, abs(m))][:, None, :]
              * plm[tri_index(lps, abs(mp))][None, :, :]).reshape(-1, w.size)
-    I = (pairs @ (w * plm[tri_index(Ls, abs(M))]).T).reshape(ls.size, lps.size, Ls.size)
-    lsum = ls[:, None, None] + lps[None, :, None]
-    allowed = ((Ls >= np.abs(ls[:, None, None] - lps[None, :, None]))
-               & (Ls <= lsum) & ((lsum + Ls) % 2 == 0))
+    # the sign (exact) goes on the small (L, node) side of the product
     sign = _neg_sign(m) * _neg_sign(mp) * _neg_sign(M)
-    return np.where(allowed, (2.0 * np.pi * sign) * I, 0.0)
+    G = (pairs @ (sign * w * plm[tri_index(Ls, abs(M))]).T).reshape(ls.size, lps.size, Ls.size)
+    G *= mask[abs(m):, abs(mp):, abs(M):]
+    return G
+
+
+def _hankel_coefficients(k: float, R_len: float, Lmax: int) -> np.ndarray:
+    """i^{-L} (-1)^L h+_L(k R_len) for L <= Lmax."""
+    Ls = np.arange(Lmax + 1)
+    x = k * R_len
+    # (-1)^L: the inner argument enters the one-center expansion through
+    # its antipode
+    return _ipow(-Ls) * (-1.0) ** Ls * (bessel_j_table(Lmax, x) + 1j * bessel_y_table(Lmax, x))
 
 
 def _outgoing_waves(k: float, R, Lmax: int) -> np.ndarray:
     """c[sph_index(L, M)] = i^{-L} (-1)^L h+_L(k|R|) conj(Y_LM(R^)), L <= Lmax."""
     Rv = np.asarray(R, dtype=float)
-    Ls = np.arange(Lmax + 1)
-    x = k * float(np.linalg.norm(Rv))
-    hL = bessel_j_table(Lmax, x) + 1j * bessel_y_table(Lmax, x)
-    # (-1)^L: the inner argument enters the one-center expansion through
-    # its antipode
-    coef = _ipow(-Ls) * (-1.0) ** Ls * hL
-    return np.repeat(coef, 2 * Ls + 1) * np.conj(ylm_table(Lmax, Rv))
+    coef = _hankel_coefficients(k, float(np.linalg.norm(Rv)), Lmax)
+    return np.repeat(coef, 2 * np.arange(Lmax + 1) + 1) * np.conj(ylm_table(Lmax, Rv))
 
 
-def _g_block(k: float, c: np.ndarray, G: np.ndarray, m: int, mp: int,
-             lmax: int) -> np.ndarray:
-    """Structure constants g_{lm;l'm'} of one azimuthal pair (m, m').
+def _g_block(ks: np.ndarray, cM: np.ndarray, G: np.ndarray, m: int, mp: int) -> np.ndarray:
+    """Structure constants g_{lm;l'm'} of one azimuthal pair (m, m') at every k.
 
-    Rows run over l = |m|..lmax and columns over l' = |m'|..lmax; ``c`` is
-    ``_outgoing_waves(k, R, 2 lmax)`` and ``G`` is ``_gaunt_integrals(m, m',
-    lmax)``.  The phase i^{l+l'-L} factorises, so the L-sum is one
-    contraction of the Gaunt table with c.
+    ``G`` is ``_gaunt_integrals(m, m', lmax)`` and column i of ``cM`` holds
+    the M = m - m' entries, L = |M|..2 lmax, of ``_outgoing_waves(ks[i], R,
+    2 lmax)``.  Returns g[i, l - |m|, l' - |m'|].  The phase i^{l+l'-L}
+    factorises, so the L-sum is one contraction of the Gaunt table with
+    every k's waves at once.
     """
-    M = m - mp
-    ls = np.arange(abs(m), lmax + 1)
-    lps = np.arange(abs(mp), lmax + 1)
-    cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]
+    nl, nlp, nL = G.shape
+    ls = np.arange(abs(m), abs(m) + nl)
+    lps = np.arange(abs(mp), abs(mp) + nlp)
+    flat = G.reshape(-1, nL)
     # two real products: G is never copied to complex
-    contracted = G @ cM.real + 1j * (G @ cM.imag)
+    contracted = (flat @ cM.real + 1j * (flat @ cM.imag)).T.reshape(-1, nl, nlp)
     # (-1)^l: the origin-side argument enters the translation formula
     # through its antipode as well
-    return ((-4.0j * np.pi * k) * ((-1.0) ** ls * _ipow(ls))[:, None]
-            * _ipow(lps)[None, :] * contracted)
+    phase = ((-1.0) ** ls * _ipow(ls))[:, None] * _ipow(lps)[None, :]
+    return (-4.0j * np.pi * np.asarray(ks, dtype=float))[:, None, None] * phase * contracted
 
 
 def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
@@ -199,12 +233,13 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
         rows = sph_index(np.arange(abs(m), lmax + 1), m)
         for mp in range(-lmax, lmax + 1):
             M = m - mp
+            cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M), None]
             # with R on the z axis only the M = 0 column of Y_LM(R^) is nonzero
-            if not np.any(c[sph_index(np.arange(abs(M), 2 * lmax + 1), M)]):
+            if not np.any(cM):
                 continue
             cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
-            g[np.ix_(rows, cols)] = _g_block(k0, c, _gaunt_integrals(m, mp, lmax),
-                                             m, mp, lmax)
+            g[np.ix_(rows, cols)] = _g_block([k0], cM, _gaunt_integrals(m, mp, lmax),
+                                             m, mp)[0]
     return StructureConstantMatrix(k0=k0, R=R, lmax=lmax, matrix=g)
 
 
@@ -212,13 +247,14 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
 # discretised two-center kernel and Schatten-4 norms
 # ---------------------------------------------------------------------------
 
-def _sigma4(B: np.ndarray) -> float:
+def _sigma4(B: np.ndarray):
     """||B^H B||_F^2, the sum of the fourth powers of B's singular values.
 
     A Schatten-4 norm of an operator that is unitarily block-diagonal is
-    (sum over its blocks of _sigma4)^{1/4}.
+    (sum over its blocks of _sigma4)^{1/4}.  A stack B[..., n, n'] gives
+    one value per matrix.
     """
-    return float(np.sum(np.abs(B.conj().T @ B) ** 2))
+    return np.sum(np.abs(np.swapaxes(B.conj(), -1, -2) @ B) ** 2, axis=(-2, -1))
 
 
 @dataclass
@@ -314,12 +350,41 @@ _SPECTRAL_LMAX_CAP = 100
 _DECAY_EXPONENT = 4.5
 
 
-def _nu_weights(pot: Potential, k: float, lmax: int, n_radial: int) -> np.ndarray:
-    """nu_l = integral of |V(r)| j_l(k r)^2 r^2 dr over the support."""
+def _nu_weights(pot: Potential, ks, lmax: int, n_radial: int) -> np.ndarray:
+    """nu_l(k) = integral of |V(r)| j_l(k r)^2 r^2 dr over the support.
+
+    One Bessel table serves every k of ``ks``: the result has the shape
+    ``(lmax + 1,) + shape(ks)``.
+    """
     rs, ws = gauss_panels(pot.support_edges(), n_radial)
     ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
-    J = bessel_j_table(lmax, k * rs)
+    J = bessel_j_table(lmax, np.multiply.outer(ks, rs))
     return (J * J) @ ws
+
+
+def _nu_roots(pot: Potential, ks: np.ndarray, lms: np.ndarray, n_radial: int,
+              width: int) -> np.ndarray:
+    """root[i, l] = sqrt(nu_l(ks[i])) for l <= lms[i], 0 past it: ``width`` columns.
+
+    One Bessel table serves every k.
+    """
+    nu = np.zeros((ks.size, width))
+    nu[:, :lms.max() + 1] = _nu_weights(pot, ks, int(lms.max()), n_radial).T
+    return np.sqrt(np.where(np.arange(width) <= lms[:, None], nu, 0.0))
+
+
+def spectral_truncations(pot_j: Potential, pot_h: Potential, ks, R_len: float) -> list:
+    """The l-truncation of the spectral Schatten-4 norm's coarse estimate at each k.
+
+    The refined estimate keeps 8 more l's.
+    """
+    # past l ~ ka the coupled entries decay geometrically with ratio
+    # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
+    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
+    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
+    r_max = max(pot_j.effective_radius(), pot_h.effective_radius())
+    return [min(int(k * r_max + 4.0 * (k * r_max + 1.0) ** (1.0 / 3.0)) + pad,
+                _SPECTRAL_LMAX_CAP) for k in ks]
 
 
 def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
@@ -330,46 +395,50 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
     along z the kernel block-diagonalises in the azimuthal index m, and
     its singular values are those of diag(sqrt(nu_l)) g_m diag(sqrt(nu_l'))
     per block, where nu_l are |V|-weighted Bessel moments.  Exact up to the
-    l-truncation, which the returned delta monitors: one ``(value, delta)``
-    per k, the value at lmax + 8 and the delta its relative change from
-    lmax.  The Gaunt tables do not depend on k, so each m's table is built
-    once, at the largest truncation any k needs, sliced for the others and
-    contracted against every k's outgoing waves before the next m.
+    l-truncation (``spectral_truncations``), which the returned delta
+    monitors: one ``(value, delta)`` per k, the value at lmax + 8 and the
+    delta its relative change from lmax.
+
+    One sweep over m serves every k.  The Gaunt table does not depend on
+    k: each m's table is built once, at the largest truncation any k
+    needs, on the folded Legendre rule and with the once-built mask of
+    ``_legendre_rule``, and one contraction takes it against every k's
+    M = 0 waves.  Each k's Hankel table is built at its own truncation
+    2 (lmax + 8) and zero-padded to the largest; that is exact, because the
+    mask zeroes every L > l + l', and building it higher would overflow
+    y_L at small k|R|.  The nu moments come from one Bessel table per
+    potential and level over all k, and the sqrt(nu) rows of each k are
+    zero past its truncation, so every k's blocks of one m reduce in one
+    stacked ``_sigma4``.
     """
     if pot_j.effective_radius() + pot_h.effective_radius() >= R_len:
         raise ValueError("spectral Schatten norm requires non-overlapping supports")
-    ks = [float(k) for k in ks]
-    # past l ~ ka the coupled entries decay geometrically with ratio
-    # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
-    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
-    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
-    r_max = max(pot_j.effective_radius(), pot_h.effective_radius())
-    lmaxes = [min(int(k * r_max + 4.0 * (k * r_max + 1.0) ** (1.0 / 3.0)) + pad,
-                  _SPECTRAL_LMAX_CAP) for k in ks]
-    # per k, (truncation, sqrt nu_j, sqrt nu_h) of the coarse estimate and of
-    # the refined one (8 more l's, 3/2 the radial nodes)
-    levels = [[(lm, np.sqrt(_nu_weights(pot_j, k, lm, n_rad)),
-                np.sqrt(_nu_weights(pot_h, k, lm, n_rad)))
-               for lm, n_rad in ((lmax, _SPECTRAL_RADIAL_NODES),
-                                 (lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2))]
-              for k, lmax in zip(ks, lmaxes)]
-    waves = [_outgoing_waves(k, (0.0, 0.0, R_len), 2 * (lmax + 8))
-             for k, lmax in zip(ks, lmaxes)]
-    top = max(lmaxes) + 8
-    sums = np.zeros((len(ks), 2))
+    ks = np.array(ks, dtype=float)
+    lmaxes = np.array(spectral_truncations(pot_j, pot_h, ks, R_len))
+    top = int(lmaxes.max()) + 8
+    # per level (the coarse estimate, and the refined one with 8 more l's
+    # and 3/2 the radial nodes) root[i, l] = sqrt(nu_l(k_i)), zero past the
+    # truncation of k_i
+    roots = []
+    for lms, n_rad in ((lmaxes, _SPECTRAL_RADIAL_NODES),
+                       (lmaxes + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)):
+        root_j = _nu_roots(pot_j, ks, lms, n_rad, top + 1)
+        roots.append((root_j, root_j if pot_h == pot_j
+                      else _nu_roots(pot_h, ks, lms, n_rad, top + 1)))
+    # the M = 0 waves of every k; Y_L0 along +z is sqrt((2L + 1)/(4 pi))
+    Ls = np.arange(2 * top + 1)
+    waves = np.zeros((Ls.size, ks.size), dtype=complex)
+    for i, (k, lmax) in enumerate(zip(ks, lmaxes)):
+        waves[:2 * (lmax + 8) + 1, i] = _hankel_coefficients(k, R_len, 2 * (lmax + 8))
+    waves *= np.sqrt((2 * Ls + 1) / (4.0 * np.pi))[:, None]
+    sums = np.zeros((2, ks.size))
     for m in range(top + 1):
-        G = _gaunt_integrals(m, m, top)
-        for i, (k, lmax, c) in enumerate(zip(ks, lmaxes, waves)):
-            L = lmax + 8
-            if m > L:
-                continue
-            g = _g_block(k, c, G[:L - m + 1, :L - m + 1, :2 * L + 1], m, m, L)
-            for level, (lm, root_j, root_h) in enumerate(levels[i]):
-                if m <= lm:
-                    # the +m and -m blocks coincide
-                    sums[i, level] += (1.0 if m == 0 else 2.0) * _sigma4(
-                        root_j[m:, None] * g[:lm - m + 1, :lm - m + 1] * root_h[None, m:])
-    v1, v2 = sums.T ** 0.25
+        g = _g_block(ks, waves, _gaunt_integrals(m, m, top), m, m)
+        for level, (root_j, root_h) in enumerate(roots):
+            # the +m and -m blocks coincide
+            sums[level] += (1.0 if m == 0 else 2.0) * _sigma4(
+                root_j[:, m:, None] * g * root_h[:, None, m:])
+    v1, v2 = sums ** 0.25
     return [(float(b), float(abs(b - a) / max(abs(b), 1e-300))) for a, b in zip(v1, v2)]
 
 

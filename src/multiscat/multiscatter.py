@@ -46,6 +46,7 @@ from multiscat.greens import (
     schatten4_decay_diagnostic,
     schatten4_norm,
     schatten4_norm_spectral,
+    spectral_truncations,
     structure_constants,
 )
 from multiscat.lippmann import ComplexEnergy, MomentumGrid, ls_spectrum, solve_offshell_t
@@ -756,13 +757,15 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
                                      - sc.scatterers[0].center_array))
         # the spectral norm at every k of the decay diagnostic; the value is k0's
         ks = [0.5 * sc.k0, sc.k0, 2.0 * sc.k0, 3.0 * sc.k0]
-        norms = schatten4_norm_spectral(sc.scatterers[0].potential,
-                                        sc.scatterers[1].potential, ks, R_len)
+        pots = (sc.scatterers[0].potential, sc.scatterers[1].potential)
+        norms = schatten4_norm_spectral(*pots, ks, R_len)
         s_val, s_delta = norms[1]
-        # every k's refinement delta, in the order of decay_diagnostic's k_values
+        # every k's refinement delta and coarse l-truncation (the refined
+        # level keeps 8 more l's), in the order of decay_diagnostic's k_values
         schatten = {"method": "spectral", "value": float(s_val),
                     "refinement_delta": float(s_delta),
-                    "refinement_deltas": [float(d) for _, d in norms]}
+                    "refinement_deltas": [float(d) for _, d in norms],
+                    "lmax": spectral_truncations(*pots, ks, R_len)}
         # truncated-integral decay diagnostic (report-only; the tail beyond
         # the sampled k-range is not computable at desk scale)
         schatten["decay_diagnostic"] = schatten4_decay_diagnostic(

@@ -139,7 +139,8 @@ def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):
 def zaxis_blocks(k: float, R_len: float, lmax: int):
     """m-diagonal structure-constant blocks g[l - m, l' - m], m = 0..lmax, R along z."""
     c = _outgoing_waves(k, (0.0, 0.0, R_len), 2 * lmax)
-    return [_g_block(k, c, _gaunt_integrals(m, m, lmax), m, m, lmax)
+    c0 = c[sph_index(np.arange(2 * lmax + 1), 0), None]
+    return [_g_block([k], c0, _gaunt_integrals(m, m, lmax), m, m)[0]
             for m in range(lmax + 1)]
 
 

@@ -439,15 +439,22 @@ def test_schatten_spectral_pinned_values(k, R_len, expected):
     assert value == pytest.approx(expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("pots,R_len", [
-    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 5.0),
-    ((square_well(-1.0, 1.0), square_well(-0.7, 1.3)), 4.0),
-], ids=["wells", "mixed"])
-def test_batched_spectral_norms_match_per_k(pots, R_len):
-    # one Gaunt table per m at the largest truncation, sliced for the smaller
-    # ones, against tables built per k at each k's own truncation; the k
-    # values are those of the wells decay diagnostic, in both orders
-    for ks in ([0.5, 1.0, 2.0, 3.0], [3.0, 0.5, 2.0, 1.0]):
+_DECAY_KS = ([0.5, 1.0, 2.0, 3.0], [3.0, 0.5, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("pots,R_len,ks_lists", [
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 5.0, _DECAY_KS),
+    ((square_well(-1.0, 1.0), square_well(-0.7, 1.3)), 4.0, _DECAY_KS),
+    # k|R| = 0.3 against a top truncation of 65: y_130(0.3) overflows, so
+    # the k = 0.1 waves must be built at that k's own truncation
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 3.0, ([0.1, 6.0],)),
+], ids=["wells", "mixed", "wide_k"])
+def test_batched_spectral_norms_match_per_k(pots, R_len, ks_lists):
+    # one sweep over m at the largest truncation, every k's waves zero-padded
+    # to it, against Gaunt tables and waves built per k at each k's own
+    # truncation; the k values are those of the wells decay diagnostic, in
+    # both orders, and a pair far apart
+    for ks in ks_lists:
         batched = schatten4_norm_spectral(*pots, ks, R_len)
         assert len(batched) == len(ks)
         for k, (value, delta) in zip(ks, batched):

@@ -667,14 +667,16 @@ def test_pair_run_with_a_zero_potential_names_the_vanishing_x0():
 
 
 def test_report_records_every_spectral_refinement_delta():
-    from multiscat.greens import schatten4_norm_spectral
+    from multiscat.greens import schatten4_norm_spectral, spectral_truncations
 
     eng = _small_wells()
     schatten = eng.verify().schatten
     ks = schatten["decay_diagnostic"]["k_values"]
     assert schatten["method"] == "spectral" and len(ks) == 4
     assert schatten["refinement_deltas"][ks.index(eng.sc.k0)] == schatten["refinement_delta"]
-    sc = eng.sc
-    norms = schatten4_norm_spectral(sc.scatterers[0].potential, sc.scatterers[1].potential,
-                                    ks, 3.0)
+    pots = tuple(s.potential for s in eng.sc.scatterers)
+    norms = schatten4_norm_spectral(*pots, ks, 3.0)
     assert schatten["refinement_deltas"] == [d for _, d in norms]
+    # each k's coarse truncation, in the same order; it grows with k
+    assert schatten["lmax"] == spectral_truncations(*pots, ks, 3.0)
+    assert schatten["lmax"] == sorted(schatten["lmax"]) and len(schatten["lmax"]) == 4
