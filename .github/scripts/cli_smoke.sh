@@ -11,8 +11,8 @@
 # long-range kinds and two bound-state wells with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
-# and a solve residual below 1e-8, and that a misspelled config key fails
-# validation with exit status 2.  Runs write under out/.
+# and a solve residual below 1e-8, and that a misspelled config key and a
+# removed one fail validation with exit status 2.  Runs write under out/.
 set -euo pipefail
 multiscat=$1
 python=$2
@@ -116,3 +116,20 @@ status=0
 cat "$tmp/dirout.err"
 test "$status" -eq 2
 grep -q '^  scenario\.dirout: unknown key' "$tmp/dirout.err"
+
+echo "== a removed key is a configuration error (the grid Schatten levels are fixed)"
+cat > "$tmp/schatten.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: gaussian, v0: -1.0, a: 1.0}
+  - center: [0.0, 0.0, 1.0]
+    potential: {kind: gaussian, v0: -1.0, a: 1.0}
+numerics: {schatten_radial: 12}
+YAML
+status=0
+"$multiscat" validate "$tmp/schatten.yaml" 2> "$tmp/schatten.err" || status=$?
+cat "$tmp/schatten.err"
+test "$status" -eq 2
+grep -q '^  numerics\.schatten_radial: unknown key' "$tmp/schatten.err"

@@ -205,8 +205,6 @@ def validate_config(text: str) -> RunConfig:
         "n_mid": (int, lambda v: 8 <= v <= 512),
         "n_max": (int, lambda v: 1 <= v <= 3),
         "tail_tol": (float, lambda v: v > 0),
-        "schatten_radial": (int, lambda v: 4 <= v <= 64),
-        "schatten_order": (int, lambda v: 2 <= v <= 40),
     }
     for key, v in block("numerics", num_schema).items():
         if v is None:
@@ -257,8 +255,6 @@ def validate_config(text: str) -> RunConfig:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     return f"{x:.12e}"
 
 

@@ -282,7 +282,7 @@ class KtildeDiscretization:
 
     @classmethod
     def build(cls, sj: Scatterer, sh: Scatterer, k0: float,
-              n_radial: int = 14, angular_order: int = 10) -> "KtildeDiscretization":
+              n_radial: int = 12, angular_order: int = 9) -> "KtildeDiscretization":
         R_len = float(np.linalg.norm(sh.center_array - sj.center_array))
         aj = Scatterer((0.0, 0.0, 0.0), sj.potential)
         ah = Scatterer((0.0, 0.0, R_len), sh.potential)

@@ -141,8 +141,6 @@ class Numerics:
     n_mid: int = 48
     n_max: int = 2
     tail_tol: float = 0.05
-    schatten_radial: int = 14
-    schatten_order: int = 10
     tolerances: dict = field(default_factory=lambda: {
         "onshell_equivalence": 1e-3,
         "phase_law": 1e-3,
@@ -461,23 +459,20 @@ class ScenarioEngine:
                                if j != h and h != k))
         raise ValueError("orders above 3 are not implemented")
 
-    def _born3(self, j: int, h: int, k: int, eps: float, Yw=None) -> complex:
+    def _born3(self, j: int, h: int, k: int, eps: float, Yw: np.ndarray) -> complex:
         """Third-order term <k1|t_j R0 t_h R0 t_k|k2> at z = k0^2 + i eps.
 
         Both free propagations are projected onto partial waves (l, m) about
         scatterer h by _projection, with Y_lm rows where pair_profile has
         Legendre rows; t_h = B_l^T X_l B_l then couples them l by l in the
-        rank of its factors, without forming the table.  ``Yw``, the weighted
-        Y_lm table on ``ang``, may be shared between the terms of one
-        order; by default it is built here.
+        rank of its factors, without forming the table.  ``Yw`` is the
+        weighted Y_lm table on ``ang``, shared between the terms of one order.
         """
         sc = self.sc
         z = complex(sc.k0 ** 2, eps)
         lmax = sc.numerics.lmax
         q = self.grid.nodes
         w = self.grid.weights
-        if Yw is None:
-            Yw = ylm_table(lmax, self.ang.nodes) * self.ang.weights
         centers = [s.center_array for s in sc.scatterers]
         denom = w * q * q / (z - q * q)
         A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, [eps])[0] * denom
@@ -641,8 +636,6 @@ def _jsonify(obj):
         return [obj.real, obj.imag]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -746,10 +739,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         born2_rel = abs(born[1] - pair_sum) / max(abs(born[1]), 1e-300)
 
     if overlapping:
-        K = KtildeDiscretization.build(
-            sc.scatterers[0], sc.scatterers[1], sc.k0,
-            n_radial=num.schatten_radial, angular_order=num.schatten_order)
-        s_val, s_delta = schatten4_norm(K)
+        s_val, s_delta = schatten4_norm(KtildeDiscretization.build(
+            sc.scatterers[0], sc.scatterers[1], sc.k0))
         schatten = {"method": "grid", "value": float(s_val),
                     "refinement_delta": float(s_delta)}
     else:

@@ -28,14 +28,15 @@ segment is a 2x2 map, and one sweep integrates every segment of every l
 and both step scales at once (``_segment_maps``): w is read on all
 lattices in one call of ``Potential.evaluate``, the lattices are cut into
 chunks of ``_CHUNK`` Numerov steps that run side by side from the two
-basis starts, and each segment's chunk maps are multiplied pairwise in
-log2 rounds.  The Python loops thus run over a chunk's steps and a plan's
-segments, never over a segment's length.  The plans (probes of w, WKB
-starts, step counts) are set for every l at once too, each probe set in
-one evaluation.  Each plan then applies its segment maps in order,
-renormalising (u, u') above 1e100; only the log-derivative survives,
-which is all matching needs.  A non-finite w, or a step count above
-400,000 on one segment, is a StepControlError.
+basis starts, and one tree (``_chain_chunks``) multiplies maps pairwise
+in log2 rounds: each segment's chunk maps, and then each plan's segment
+maps.  The Python loops thus run over a chunk's steps and the tree's
+rounds, never over a segment's length or a plan's segments.  The plans
+(probes of w, WKB starts, step counts) are set for every l at once too,
+each probe set in one evaluation.  A plan's product, applied to its
+starting (u, u'), gives the log-derivative at r_match, which is all
+matching needs.  A non-finite w, or a step count above 400,000 on one
+segment, is a StepControlError.
 
 The Richardson combination of the two step scales removes the h^4 Numerov
 error, which matters when eta itself is tiny (high l, low k).
@@ -131,36 +132,35 @@ def _segments(pot: Potential, ls: np.ndarray, k: float, r_match: float):
 
     plans = []
     for fb, act, sql in zip(forbidden, action, sq):
+        # one backward pass over the forbidden runs (i = -1 closes the
+        # first): the last run carrying more than _ACTION_KEEP + 5 of action
+        # keeps only its tail carrying _ACTION_KEEP, which starts inside
+        # pair `tail` and takes the last `remaining` of that pair's action
         start_idx, start_r = 0, None
-        i = 0
-        while i < len(bounds):
-            if not fb[i]:
-                i += 1
+        run, remaining, tail = 0.0, _ACTION_KEEP, None
+        for i in range(len(bounds) - 1, -2, -1):
+            if i >= 0 and fb[i]:
+                run += act[i]
+                if tail is None:
+                    if act[i] >= remaining:
+                        tail = i
+                    else:
+                        remaining -= act[i]
                 continue
-            j = i
-            run_action = 0.0
-            while j < len(bounds) and fb[j]:
-                run_action += act[j]
-                j += 1
-            if run_action > _ACTION_KEEP + 5.0:
-                # keep only the run's tail carrying _ACTION_KEEP of action
-                remaining = _ACTION_KEEP
-                for kk in range(j - 1, i - 1, -1):
-                    if act[kk] >= remaining:
-                        x, s = xs[kk], sql[kk]
-                        cum = np.concatenate(
-                            [[0.0], np.cumsum((s[1:] + s[:-1]) * 0.5 * np.diff(x))])
-                        target = cum[-1] - remaining
-                        idx = int(np.clip(np.searchsorted(cum, target), 1, len(x) - 1))
-                        # interpolate inside the probe cell; the lattice is far
-                        # coarser than 1/sqrt(w) when the action is huge
-                        c0, c1 = cum[idx - 1], cum[idx]
-                        frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
-                        start_idx = kk
-                        start_r = float(x[idx - 1] + frac * (x[idx] - x[idx - 1]))
-                        break
-                    remaining -= act[kk]
-            i = j
+            if run > _ACTION_KEEP + 5.0:
+                x, s = xs[tail], sql[tail]
+                cum = np.concatenate(
+                    [[0.0], np.cumsum((s[1:] + s[:-1]) * 0.5 * np.diff(x))])
+                target = cum[-1] - remaining
+                idx = int(np.clip(np.searchsorted(cum, target), 1, len(x) - 1))
+                # interpolate inside the probe cell; the lattice is far
+                # coarser than 1/sqrt(w) when the action is huge
+                c0, c1 = cum[idx - 1], cum[idx]
+                frac = 0.0 if c1 == c0 else (target - c0) / (c1 - c0)
+                start_idx = tail
+                start_r = float(x[idx - 1] + frac * (x[idx] - x[idx - 1]))
+                break
+            run, remaining, tail = 0.0, _ACTION_KEEP, None
         own = list(bounds[start_idx:])
         if start_r is not None:
             own[0] = (start_r, own[0][1])
@@ -206,12 +206,13 @@ def _mul(B: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _chain_chunks(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each segment's product of its consecutive chunk maps, later @ earlier.
+    """Each group's product of its consecutive maps, later @ earlier.
 
-    M stacks the chunk maps (2, 2, n_chunks), every segment's chunks
-    contiguous and in order; counts[s] is segment s's chunk count.
+    M stacks the maps (2, 2, n), every group's maps contiguous and in
+    order; counts[s] is group s's map count.  The groups are a segment's
+    chunks in _segment_maps and a plan's segments in phase_shift.
     Neighbouring pairs are multiplied in ceil(log2(max count)) rounds.
-    Every map is divided by its largest entry, the chunk maps first and
+    Every map is divided by its largest entry, the given maps first and
     then each product: a positive factor on a map leaves the
     log-derivative it delivers unchanged, and a map that is already
     normalised is left bit for bit as it is.
@@ -395,15 +396,10 @@ def phase_shift(pot: Potential, l, k: float, *, r_match: float | None = None):
     c2 = (pot.evaluate(r0) - k * k) / (2.0 * (2 * ls + 3))
     series = (ls + 1) / r0 + 2.0 * c2 * r0 / (1.0 + c2 * r0 * r0)
     up = np.tile(np.where(wkb, np.sqrt(np.maximum(w_start, 0.0)), series), len(_SCALES))
-    u = np.ones_like(up)
-    for s in range(counts.max()):
-        f = F[..., first + np.minimum(s, counts - 1)]
-        on = s < counts
-        u, up = (np.where(on, f[0, 0] * u + f[0, 1] * up, u),
-                 np.where(on, f[1, 0] * u + f[1, 1] * up, up))
-        norm = np.where((np.abs(u) > 1e100) | (np.abs(up) > 1e100), np.abs(u), 1.0)
-        u, up = u / norm, up / norm
-    gamma = (up / u).reshape(len(_SCALES), ls.size)
+    # each plan's product of its segment maps takes (1, u') at its start to
+    # (u, u') at r_match, up to a positive factor
+    P = _chain_chunks(F, counts)
+    gamma = ((P[1, 0] + P[1, 1] * up) / (P[0, 0] + P[0, 1] * up)).reshape(len(_SCALES), -1)
 
     # log-derivative match against Riccati-Bessel combinations, each l from
     # tables of orders 0..max(l, 1) (the derivative of order 0 reads order

@@ -104,6 +104,11 @@ SECOND = "potential: {kind: square_well, v0: -1.0, a: 1.0}\noutput"
     ("output:", "numerics:\n  tail_tol: true\noutput:", "numerics.tail_tol"),
     # tolerances
     ("output:", "tolerances:\n  phase_law: true\noutput:", "tolerances.phase_law"),
+    # values of the right type that the run cannot use
+    ("k0: 1.0", "k0: 1.0\n  dir_in: [0.0, 0.0, 0.0]", "scenario.dir_in"),
+    (SECOND, "potential: 3\noutput", "scatterers[1].potential"),
+    ("output:", "numerics: {lmax: 31}\noutput:", "numerics.lmax"),
+    ("dir: out/minimal", "dir: 5", "output.dir"),
 ])
 def test_booleans_and_non_integral_values_rejected(old, new, path):
     text = MINIMAL.replace(old, new, 1)
@@ -111,6 +116,17 @@ def test_booleans_and_non_integral_values_rejected(old, new, path):
     with pytest.raises(ConfigError) as exc:
         validate_config(text)
     assert [p for p, _ in exc.value.errors] == [path]
+
+
+@pytest.mark.parametrize("text", ["scenario: [k0: 1.0\n", "- k0: 1.0\n"],
+                         ids=["not_yaml", "not_a_mapping"])
+def test_file_that_is_not_a_config_rejected(tmp_path, text):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert [p for p, _ in exc.value.errors] == ["<file>"]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
 
 
 @pytest.mark.parametrize("old,new,path", [
@@ -126,6 +142,8 @@ def test_booleans_and_non_integral_values_rejected(old, new, path):
     ("dir: out/minimal", "dir: out/minimal\n  formats: [json, csv, plotdata]",
      "output.formats"),
     ("output:", "numerics:\n  n_outer: 128\noutput:", "numerics.n_outer"),
+    ("output:", "numerics:\n  schatten_radial: 12\noutput:", "numerics.schatten_radial"),
+    ("output:", "numerics:\n  schatten_order: 9\noutput:", "numerics.schatten_order"),
 ])
 def test_unknown_keys_rejected_at_their_path(tmp_path, capsys, old, new, path):
     text = MINIMAL.replace(old, new, 1)
@@ -248,6 +266,16 @@ def test_structconst_export(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "l,m,lp,mp,re_g,im_g"
     assert len(lines) == 1 + 81   # (lmax+1)^4 entries
+    # three components along z are the one-value form
+    out3 = tmp_path / "g3.csv"
+    assert main(["structconst", "--k0", "1.0", "--r", "0", "0", "3",
+                 "--lmax", "2", "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out.read_bytes()
+    # two components are neither form
+    out2 = tmp_path / "g2.csv"
+    assert main(["structconst", "--k0", "1.0", "--r", "1", "2",
+                 "--lmax", "2", "--out", str(out2)]) == 2
+    assert not out2.exists()
 
 
 def test_structconst_overflow_is_an_input_error(tmp_path, caplog):
@@ -271,7 +299,7 @@ scatterers:
     potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
   - center: [0.0, 1.0, 0.0]
     potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
-numerics: {{lmax: 2, schatten_radial: 4, schatten_order: 2}}
+numerics: {{lmax: 2}}
 output:
   dir: {tmp_path / "three"}
 """
@@ -300,8 +328,6 @@ scatterers:
     potential: {{kind: gaussian, v0: -1.0, a: 1.0}}
 numerics:
   lmax: 4
-  schatten_radial: 8
-  schatten_order: 6
 {extra}
 output:
   dir: {tmp_path / name}

@@ -245,6 +245,9 @@ def test_structure_constants_preconditions():
         structure_constants(0.0, [0, 0, 1.0], 4)
     with pytest.raises(ValueError):
         structure_constants(1.0, [0, 0, 0.0], 4)
+    # L = 2 lmax runs to 140 at most
+    with pytest.raises(ValueError):
+        structure_constants(1.0, (0, 0, 3), 71)
 
 
 # ---------------------------------------------------------------------------

@@ -385,9 +385,10 @@ def test_born3_matches_brute_force_quadrature(three_engine):
     assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
     assert (0, 3, 1) in terms and (1, 0, 3) in terms
     eps = eng.sc.eps_sequence()[2]
+    Yw = ylm_table(eng.sc.numerics.lmax, eng.ang.nodes) * eng.ang.weights
     for j, h, k in terms:
         ref = _born3_brute_force(eng, j, h, k, eps)
-        assert abs(eng._born3(j, h, k, eps) - ref) <= 1e-12 * abs(ref), (j, h, k)
+        assert abs(eng._born3(j, h, k, eps, Yw) - ref) <= 1e-12 * abs(ref), (j, h, k)
 
 
 def test_projection_rows_do_not_depend_on_the_other_eps(three_engine):
