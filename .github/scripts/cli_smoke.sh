@@ -8,7 +8,8 @@
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
 # (both bundled pairs repeat one potential), runs the two
-# long-range kinds and two bound-state wells with one scatterer each, checks
+# long-range kinds, two bound-state wells and a repulsive well (no bound
+# state: the LS stage's positive-sign branch) with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
 # and a solve residual below 1e-8, and that a misspelled config key and a
@@ -86,11 +87,12 @@ YAML
   no_flag "out/$kind/report.json"
 done
 
-echo "== bound-state wells (one scatterer each)"
+echo "== bound-state wells and a repulsive well (one scatterer each)"
 # one s-wave bound state; then bound states in three partial waves, whose
-# LS factors have mixed ranks across l
+# LS factors have mixed ranks across l; then none, for v0 > 0
 for spec in "bound_well|v0: -2.8, a: 1.0|[1, 0, 0, 0, 0, 0, 0, 0, 0]" \
-            "deep_well|v0: -12.0, a: 1.5|[2, 1, 1, 0, 0, 0, 0, 0, 0]"; do
+            "deep_well|v0: -12.0, a: 1.5|[2, 1, 1, 0, 0, 0, 0, 0, 0]" \
+            "repulsive_well|v0: 3.0, a: 1.0|[0, 0, 0, 0, 0, 0, 0, 0, 0]"; do
   IFS='|' read -r name pot counts <<< "$spec"
   cat > "$tmp/$name.yaml" <<YAML
 scenario:

@@ -19,12 +19,13 @@ One LS stage per potential: ``ls_spectrum(pot, lmax, grid, eps)`` builds
 the panelled Gauss radial rule r (weights w_r) once, with
 c = (2/pi) w_r r^2 V(r), and one Bessel table J[l, r, i] = j_l(p_i r) for
 every l <= lmax, so V_l = J_l^T diag(c) J_l has rank at most n_r for
-every l.  Collocation on a panelled Gauss momentum grid q_i (weights
-w_i), plus the on-shell point k0, is then a separable-expansion problem
-(Ernst, Shakin and Thaler, Phys. Rev. C 8 (1973) 46) that is exact for
-this discretised operator: with V = B^T C B,
+every l.  Every potential kind is v0 times a nonnegative shape, so c takes
+only the sign s = sign(v0) (or 0) and V_l = s B^T B.  Collocation on a
+panelled Gauss momentum grid q_i (weights w_i), plus the on-shell point
+k0, is then a separable-expansion problem (Ernst, Shakin and Thaler, Phys.
+Rev. C 8 (1973) 46) that is exact for this discretised operator:
 
-    t_l(z) = B^T X(z) B,   (I - C A(z)) X(z) = C,   A(z) = B diag(d) B^T,
+    t_l(z) = B^T X(z) B,   (I - s A(z)) X(z) = s I,   A(z) = B diag(d) B^T,
 
 with the weights d of ``_weights`` over the grid plus k0: Nystrom for
 eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
@@ -35,9 +36,8 @@ V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
 eigenvalue count gives the grid bound states (``_bound_states``).  Zero
 beyond each l's rank, the factors form one ``LSSpectrum``, whose (eps, l)
 systems are solved in one ``np.linalg.solve``, each gated:
-max|(I - C A) X - C| / max|C| above 1e-8 raises PoleProximityError.  The
-engine reads every l at once from it, and no (n x n) t-matrix table is
-formed.
+max|(I - s A) X - s I| above 1e-8 raises PoleProximityError.  The engine
+reads every l at once from it, and no (n x n) t-matrix table is formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
@@ -171,16 +171,15 @@ class LSSpectrum:
     """t_l(p, p'; k0^2 + i eps) = B_l^T X_l(eps) B_l for every l <= lmax of one potential.
 
     Rows and columns of t run over the grid nodes plus the on-shell point k0
-    (the last column of B).  Each l's factors, of the numerical rank
-    ``rank[l]`` of V_l, are zero-padded to the largest rank k.  ``X`` holds
-    the solves at ``eps`` (eps = 0 when asked for), the only eps it answers
-    for: any other raises ValueError.  ``bound_states[l]`` counts the bound
-    states of V_l on the grid (``_bound_states``), and ``residual`` is the
-    worst solve residual.
+    (the last column of B).  Each l's factor B_l of V_l = s B_l^T B_l, of the
+    numerical rank ``rank[l]`` of V_l, is zero-padded to the largest rank k.
+    ``X`` holds the solves at ``eps`` (eps = 0 when asked for), the only eps
+    it answers for: any other raises ValueError.  ``bound_states[l]`` counts
+    the bound states of V_l on the grid (``_bound_states``), and
+    ``residual`` is the worst solve residual.
     """
 
     B: np.ndarray = field(repr=False)         # (lmax + 1, k, n + 1) real
-    C: np.ndarray = field(repr=False)         # (lmax + 1, k, k) real
     eps: tuple
     X: np.ndarray = field(repr=False)         # (len(eps), lmax + 1, k, k) complex
     rank: tuple
@@ -204,27 +203,29 @@ class LSSpectrum:
         return self.half_shell(eps)[:, -1]
 
 
-def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tuple:
-    """X(z) solving (I - C A(z)) X = C at every (eps, l), in one stacked solve.
+def _solve(B: np.ndarray, s: float, rank: tuple, grid: MomentumGrid, eps: tuple) -> tuple:
+    """X(z) solving (I - s A(z)) X = s I on each l's rank at every (eps, l), in one stacked solve.
 
     A(z) = B diag(d) B^T with the weights d of ``_weights``: Nystrom for
-    eps > 0, Haftel-Tabakin for eps = 0.  The systems and residuals are
-    formed one eps at a time.  Returns (X, worst residual); raises
-    PoleProximityError when max|(I - C A) X - C| / max|C| exceeds 1e-8.
+    eps > 0, Haftel-Tabakin for eps = 0.  The right-hand side is zero past
+    each rank, so X is too.  The systems and residuals are formed one eps
+    at a time.  Returns (X, worst residual); raises PoleProximityError when
+    max|(I - s A) X - s I| exceeds 1e-8.
     """
     d = _weights(grid, eps)
-    L = np.empty((len(eps),) + C.shape, dtype=complex)
-    CB, Bt = C @ B, B.transpose(0, 2, 1)
-    for Le, dr, di in zip(L, d.real, d.imag):
-        # C A(z) from two real products per z
-        Le[:] = np.eye(C.shape[-1]) - ((CB * dr) @ Bt + 1j * ((CB * di) @ Bt))
+    k = B.shape[1]
+    rhs = s * (np.arange(k) < np.array(rank)[:, None, None]) * np.eye(k)
+    L = np.empty((len(eps),) + rhs.shape, dtype=complex)
+    Bt = B.transpose(0, 2, 1)
+    for Le, dr, di in zip(L, s * d.real, s * d.imag):
+        # s A(z) from two real products per z
+        Le[:] = np.eye(k) - ((B * dr) @ Bt + 1j * ((B * di) @ Bt))
     try:
-        X = np.linalg.solve(L, C)
+        X = np.linalg.solve(L, rhs)
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular: {exc}") from exc
-    scale = np.maximum(np.max(np.abs(C), axis=(1, 2), initial=0.0), 1e-300)
-    resid = np.array([np.max(np.abs(Le @ Xe - C), axis=(1, 2), initial=0.0)
-                      for Le, Xe in zip(L, X)]) / scale
+    resid = np.array([np.max(np.abs(Le @ Xe - rhs), axis=(1, 2), initial=0.0)
+                      for Le, Xe in zip(L, X)])
     if not np.all(resid <= 1e-8):
         e, l = np.unravel_index(np.argmax(np.nan_to_num(resid, nan=np.inf)), resid.shape)
         raise PoleProximityError(
@@ -233,72 +234,59 @@ def _solve(B: np.ndarray, C: np.ndarray, grid: MomentumGrid, eps: tuple) -> tupl
     return X, float(np.max(resid, initial=0.0))
 
 
-def _bound_states(B: np.ndarray, C: np.ndarray, rank: tuple, grid: MomentumGrid) -> tuple:
+def _bound_states(B: np.ndarray, s: float, grid: MomentumGrid) -> tuple:
     """Negative eigenvalues of H_l = diag(q^2) + S V_l S (S = diag(sqrt(w) q)) for every l.
 
-    With D = diag(q^2) and M = B_g diag(sqrt(w)), H = D^{1/2} (I + M^T C M)
-    D^{1/2}, so by Sylvester's law of inertia the count is that of the
-    eigenvalues of M^T C M below -1, which it shares with the (k x k)
-    Birman-Schwinger matrix R^T C R, R R^T = M M^T (Birman 1961; Schwinger
-    1961).  A unit diagonal past each rank keeps every M M^T positive
-    definite for one stacked Cholesky; the zero padded block of R^T C R adds
-    no eigenvalue below -1.  Where the Cholesky fails or k = n + 1, every l
-    is counted on the (n x n) side M^T C M.
+    With D = diag(q^2) and M = B_g diag(sqrt(w)), H = D^{1/2} (I + s M^T M)
+    D^{1/2}.  For s >= 0, H >= D has none.  For s < 0, by Sylvester's law
+    of inertia, the count is that of the singular values of M above 1: the
+    eigenvalues above 1 of the (k x k) Birman-Schwinger matrix M M^T
+    (Birman 1961; Schwinger 1961), one stacked ``eigvalsh`` over every l.
     """
+    if s >= 0:
+        return (0,) * B.shape[0]
     M = B[:, :, :-1] * np.sqrt(grid.weights)
-    k, n = M.shape[1:]
-    if k <= n:
-        G = M @ M.transpose(0, 2, 1)
-        i = np.arange(k)
-        G[:, i, i] += i >= np.array(rank)[:, None]
-        try:
-            M = np.linalg.cholesky(G)             # R
-        except np.linalg.LinAlgError:             # some B_g rank-deficient after all
-            pass
-    counts = np.sum(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ C @ M) < -1.0, axis=-1)
+    counts = np.sum(np.linalg.eigvalsh(M @ M.transpose(0, 2, 1)) > 1.0, axis=-1)
     return tuple(int(v) for v in counts)
 
 
 def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
-    """(B, C, rank, bound_states) of V_l = B_l^T C_l B_l for every l <= lmax.
+    """(B, s, rank, bound_states) of V_l = s B_l^T B_l for every l <= lmax, s = sign(v0).
 
     One radial rule (``_radial_rule``) and one Bessel table give
-    V_l = M_l^T diag(sign c) M_l, M_l = diag(sqrt|c|) J_l.  One stacked SVD
-    M_l = U S W^T, each l cut at numpy's ``matrix_rank`` tolerance to its
-    rank k_l, gives B_l = S W^T, (lmax + 1, k, n + 1), and C_l =
-    U^T diag(sign c) U, (lmax + 1, k, k), with k = max k_l and zeros beyond
-    each k_l.
+    V_l = s M_l^T M_l, M_l = diag(sqrt|c|) J_l, since c takes only the sign
+    of v0 (or 0).  One stacked SVD M_l = U S W^T, each l cut at numpy's
+    ``matrix_rank`` tolerance to its rank k_l, gives B_l = S W^T,
+    (lmax + 1, k, n + 1), with k = max k_l and zeros beyond each k_l.
     """
     momenta = np.concatenate([grid.nodes, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
     M = bessel_j_table(lmax, np.outer(rs, momenta))
     M *= np.sqrt(np.abs(c))[:, None]
-    U, s, Wt = np.linalg.svd(M, full_matrices=False)
-    keep = s > s[:, :1] * max(M.shape[1:]) * np.finfo(float).eps
+    sv, Wt = np.linalg.svd(M, full_matrices=False)[1:]
+    keep = sv > sv[:, :1] * max(M.shape[1:]) * np.finfo(float).eps
     rank = tuple(int(r) for r in keep.sum(axis=1))
     k = max(rank)
-    pad = ~keep[:, :k]
-    B = s[:, :k, None] * Wt[:, :k]
-    B[pad] = 0.0
-    Ut = U[:, :, :k].transpose(0, 2, 1)
-    Ut[pad] = 0.0
-    C = (Ut * np.sign(c)) @ Ut.transpose(0, 2, 1)
-    return B, C, rank, _bound_states(B, C, rank, grid)
+    B = sv[:, :k, None] * Wt[:, :k]
+    B[~keep[:, :k]] = 0.0
+    s = float(np.sign(pot.v0))
+    return B, s, rank, _bound_states(B, s, grid)
 
 
 def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectrum:
     """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
 
-    Every (eps, l) system of the stacked factors (``_factors``), eps = 0 by the
-    Haftel-Tabakin weights, is solved in one ``_solve``, which raises
-    PoleProximityError when a solve residual exceeds 1e-8.
+    Every (eps, l) system (I - s A) X = s I of the stacked factors of
+    V_l = s B^T B (``_factors``), eps = 0 by the Haftel-Tabakin weights, is
+    solved in one ``_solve``, which raises PoleProximityError when a solve
+    residual exceeds 1e-8.
     """
-    B, C, rank, bound = _factors(pot, lmax, grid)
+    B, s, rank, bound = _factors(pot, lmax, grid)
     eps = tuple(eps)
-    X, resid = _solve(B, C, grid, eps)
+    X, resid = _solve(B, s, rank, grid, eps)
     # copied once the solve's temporaries are freed, X takes their heap space
     # instead of stranding it below itself for the rest of the run
-    return LSSpectrum(B=B, C=C, eps=eps, X=X.copy(), rank=rank, bound_states=bound, residual=resid)
+    return LSSpectrum(B=B, eps=eps, X=X.copy(), rank=rank, bound_states=bound, residual=resid)
 
 
 # ---------------------------------------------------------------------------

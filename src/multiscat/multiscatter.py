@@ -232,11 +232,10 @@ class ScenarioEngine:
         osc = self.max_sep + (max(num.alpha_list) if num.alpha_list else 0.0) + 2.0
         self.grid = MomentumGrid.build(scenario.k0, self.p_max, n_inner=num.n_inner,
                                        n_mid=num.n_mid, osc_scale=osc)
-        # exact to degree 4*lmax + 8: every angular integral of the engine
-        # has, once its plane waves are truncated at L = 2*lmax, a polynomial
-        # integrand of degree at most 4*lmax (see _projection); the 8 extra
-        # degrees are margin
-        self.ang = AngularGrid.for_degree(4 * num.lmax + 8)
+        # exact to degree 4*lmax: every angular integral of the engine has,
+        # once its plane waves are truncated at L = 2*lmax, a polynomial
+        # integrand of degree at most 4*lmax (see _projection)
+        self.ang = AngularGrid.for_degree(4 * num.lmax)
         self.pv = _pv_operator(self.grid)
         self._spectra: dict = {}
 

@@ -10,6 +10,11 @@ Four built-in shapes:
 * ``exponential``:       V(r) = v0 exp(-r/a)
 * ``truncated_coulomb``: V(r) = v0 min(1/r, 1/rc) exp(-r/a)
 
+Each is v0 times a nonnegative shape, so V takes only the sign of v0 (or
+0).  The LS stage relies on this: it writes V_l = sign(v0) B^T B
+(``lippmann._factors``).  A kind that changes sign would need the general
+middle factor back, as ``tests/oracles.py::factors_per_l`` keeps it.
+
 The factorisation phi with phi^2 = V uses the +i branch where V < 0
 (phi = i sqrt(|V|)); phi only ever enters quadratically, so the branch
 choice drops out of every observable.

@@ -231,6 +231,9 @@ def test_engine_construction_error_writes_error_report(tmp_path):
 def test_null_tolerances_are_the_defaults():
     cfg = validate_config(MINIMAL + "tolerances:\n")
     assert cfg.scenario.numerics.tolerances == Numerics().tolerances
+    # a null numerics field keeps its default too
+    cfg = validate_config(MINIMAL + "numerics: {lmax: null, n_max: 3}\n")
+    assert cfg.scenario.numerics.lmax == Numerics().lmax and cfg.scenario.numerics.n_max == 3
     with pytest.raises(ConfigError) as exc:
         validate_config(MINIMAL + "tolerances: 3\n")
     assert [p for p, _ in exc.value.errors] == ["tolerances"]

@@ -50,6 +50,19 @@ def test_grid_invariants():
 def test_grid_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         MomentumGrid.build(1.0, 1.5)
+    for k0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="k0 must be positive"):
+            MomentumGrid.build(k0, 10.0)
+
+
+@pytest.mark.parametrize("nodes, weights, match", [
+    ([0.5, 0.5, 2.0], [1.0, 1.0, 1.0], "increasing"),
+    ([0.5, 1.5, 2.0], [1.0, 0.0, 1.0], "weights"),
+    ([0.5, 1.0, 2.0], [1.0, 1.0, 1.0], "coincide"),
+], ids=["repeated_node", "zero_weight", "node_at_k0"])
+def test_grid_rejects_bad_rules(nodes, weights, match):
+    with pytest.raises(ValueError, match=match):
+        MomentumGrid(nodes=np.array(nodes), weights=np.array(weights), k0=1.0, p_max=3.0)
 
 
 def test_vl_zero_potential():
@@ -161,6 +174,8 @@ def test_pole_proximity_error(monkeypatch):
     grid = panel_grid(24, 16, 64)
     with pytest.raises(PoleProximityError):
         solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(1.0, 0.0), grid)
+    with pytest.raises(PoleProximityError, match="singular"):
+        ls_spectrum(square_well(-1.0, 1.0), 0, grid, (0.1,))
 
 
 def test_grid_energy_mismatch_rejected():
@@ -184,7 +199,7 @@ def test_spectrum_matches_direct_solve(pot):
     sp = ls_spectrum(pot, 8, grid, EPS + (0.0,))
     assert len(sp.rank) == len(sp.bound_states) == 9
     k = max(sp.rank)
-    assert sp.B.shape == (9, k, grid.size + 1) and sp.C.shape == (9, k, k)
+    assert sp.B.shape == (9, k, grid.size + 1)
     assert sp.X.shape == (len(EPS) + 1, 9, k, k)
     n_r = _radial_rule(pot, float(grid.nodes.max()), 1)[0].size
     for l, rank in enumerate(sp.rank):
@@ -220,7 +235,6 @@ def test_spectrum_pads_beyond_each_rank_with_exact_zeros():
     assert len(set(sp.rank)) > 1
     for l, k in enumerate(sp.rank):
         assert np.any(sp.B[l, k - 1] != 0.0) and np.all(sp.B[l, k:] == 0.0), l
-        assert np.all(sp.C[l, k:] == 0.0) and np.all(sp.C[l, :, k:] == 0.0), l
         assert np.all(sp.X[:, l, k:] == 0.0) and np.all(sp.X[:, l, :, k:] == 0.0), l
 
 
@@ -229,10 +243,11 @@ def test_spectrum_pads_beyond_each_rank_with_exact_zeros():
     (square_well(-12.0, 1.5), default_grid(1.0), [2, 1, 1, 0, 0, 0, 0, 0, 0]),
     (gaussian(-5.0, 1.0), default_grid(1.0), [1, 0, 0, 0, 0, 0, 0, 0, 0]),
     (gaussian(0.0, 1.0), default_grid(1.0), [0] * 9),
-    # a radial rule longer than this grid: rank n + 1, counted on the (n x n) side
+    (square_well(3.0, 1.0), default_grid(1.0), [0] * 9),
+    # a radial rule longer than this grid: rank n + 1, still counted on the (k x k) side
     (exponential(-20.0, 1.0), panel_grid(8, 8, 16),
      [3, 2, 1, 0, 0, 0, 0, 0, 0]),
-], ids=["square_well_one", "square_well_deep", "gaussian", "zero", "full_rank"])
+], ids=["square_well_one", "square_well_deep", "gaussian", "zero", "repulsive", "full_rank"])
 def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
     # the rank-k Birman-Schwinger count equals the negative eigenvalues of
     # the (n x n) grid Hamiltonian built from V_l alone
@@ -254,18 +269,19 @@ def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
     (gaussian(0.0, 1.0), default_grid(1.0)),
 ], ids=[p.kind for p in ALL_KINDS] + ["square_well_deep", "full_rank", "zero"])
 def test_stacked_factors_match_the_per_l_oracle(pot, grid):
-    # one stacked SVD, rank cut and Birman-Schwinger count against one SVD
-    # and one count per l: the same ranks and counts, B bit for bit, C to
-    # rounding (the products C = U^T diag(sign c) U run at other shapes),
-    # and exact zeros beyond each rank
-    B, C, rank, bound = _factors(pot, 8, grid)
+    # one stacked SVD, rank cut and sign-form Birman-Schwinger count against
+    # one SVD and one general count per l: the same ranks and counts, B bit
+    # for bit, and exact zeros beyond each rank; the oracle's general middle
+    # factor C_l = U^T diag(sign c) U is s I on each rank, s = sign(v0)
+    B, s, rank, bound = _factors(pot, 8, grid)
     B0, C0, rank0, bound0 = factors_per_l(pot, 8, grid)
     assert rank == rank0 and bound == bound0
     assert np.array_equal(B, B0)
-    assert C.shape == C0.shape
-    assert np.max(np.abs(C - C0), initial=0.0) <= 1e-14 * np.max(np.abs(C0), initial=0.0)
+    assert s == np.sign(pot.v0)
     for l, k in enumerate(rank):
-        assert np.all(B[l, k:] == 0.0) and np.all(C[l, k:] == 0.0) and np.all(C[l, :, k:] == 0.0)
+        assert np.all(B[l, k:] == 0.0)
+        assert np.max(np.abs(C0[l] - s * np.diag(np.arange(C0.shape[1]) < k)),
+                      initial=0.0) <= 1e-14, l
 
 
 @pytest.mark.parametrize("pot, counts", [
@@ -287,7 +303,7 @@ def test_spectrum_zero_potential_has_rank_zero():
     grid = panel_grid(24, 16, 64)
     sp = ls_spectrum(gaussian(0.0, 1.0), 2, grid, (0.2, 0.1))
     assert sp.rank == (0, 0, 0) and sp.bound_states == (0, 0, 0)
-    assert sp.B.shape == (3, 0, grid.size + 1) and sp.C.shape == (3, 0, 0)
+    assert sp.B.shape == (3, 0, grid.size + 1)
     assert sp.X.shape == (2, 3, 0, 0)
     half = sp.half_shell(0.1)
     assert half.shape == (3, grid.size + 1) and np.all(half == 0.0)
@@ -318,6 +334,9 @@ def test_spectrum_rejects_real_energy():
         sp.half_shell(0.0)
     with pytest.raises(ValueError):
         sp.on_shell(0.0)
+    # and no stage solves at a negative eps
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        ls_spectrum(square_well(-1.0, 1.0), 0, panel_grid(24, 16, 64), (0.1, -0.01))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1000001])
@@ -344,3 +363,6 @@ def test_corrupted_solve_raises_pole_proximity(monkeypatch):
     with pytest.raises(PoleProximityError):
         ls_spectrum(square_well(-1.0, 1.0), 0, panel_grid(24, 16, 64),
                     (0.1, 0.05))
+    with pytest.raises(PoleProximityError, match="ill-conditioned"):
+        solve_offshell_t(square_well(-1.0, 1.0), 0, ComplexEnergy(1.0, 0.05),
+                         panel_grid(24, 16, 64))

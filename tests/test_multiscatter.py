@@ -13,6 +13,7 @@ from multiscat.multiscatter import (
     Scenario,
     ScenarioEngine,
     TailEstimateError,
+    _jsonify,
     _spline_slopes,
     alpha_list_problem,
     eps_extrapolate,
@@ -89,6 +90,9 @@ def test_scenario_rejects_bad_inputs():
         Scenario(scatterers=(), k0=1.0)
     with pytest.raises(ValueError):
         Scenario(scatterers=(Scatterer((0, 0, 0), square_well(-1, 1)),), k0=-1.0)
+    with pytest.raises(ValueError, match="dir_out must be a nonzero direction"):
+        Scenario(scatterers=(Scatterer((0, 0, 0), square_well(-1, 1)),), k0=1.0,
+                 dir_out=(0.0, 0.0, 0.0))
 
 
 def test_t_elem_zero_potential():
@@ -430,6 +434,10 @@ def test_born_term_order_guard(wells_engine):
         wells_engine.born_term(3, 0.05)    # n_max defaults to 2
     with pytest.raises(ValueError):
         wells_engine.born_term(0, 0.05)
+    # the API takes any n_max; orders above 3 still have no term
+    sc = replace(wells_engine.sc, numerics=replace(wells_engine.sc.numerics, n_max=4))
+    with pytest.raises(ValueError, match="orders above 3"):
+        ScenarioEngine(sc).born_term(4, 0.05)
 
 
 def test_single_scatterer_report_degenerates():
@@ -470,6 +478,8 @@ def test_verify_report_json_roundtrip(overlap_engine):
     assert back["schatten"]["method"] == "grid"
     # complex values serialised as [re, im]
     assert isinstance(back["x0_direct"], list) and len(back["x0_direct"]) == 2
+    # a non-finite number is JSON null
+    assert _jsonify({"a": [float("nan"), -float("inf"), 1.5]}) == {"a": [None, None, 1.5]}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from multiscat.potentials import (
     square_well,
     truncated_coulomb,
 )
+from multiscat.lippmann import _radial_rule
 
 from oracles import rollnik_quad
 
@@ -57,6 +58,8 @@ def test_invalid_construction():
         Potential("gaussian", -1.0, -2.0)
     with pytest.raises(ValueError):
         Potential("truncated_coulomb", -1.0, 1.0)   # missing rc
+    with pytest.raises(ValueError, match="nonnegative"):
+        gaussian(-1.0, 1.0).evaluate(np.array([0.5, -1e-3]))
 
 
 def test_phi_branches():
@@ -82,6 +85,15 @@ def test_phi_squares_to_v_on_dense_grid():
         v = p.evaluate(rs)
         # exact up to the one-ulp sqrt/square roundtrip
         assert np.max(np.abs(p.phi(rs) ** 2 - v)) <= 4e-16 * max(np.max(np.abs(v)), 1.0)
+
+
+@pytest.mark.parametrize("p", ALL_KINDS + [Potential(p.kind, -p.v0, p.a, p.rc) for p in ALL_KINDS],
+                         ids=lambda p: f"{p.kind}{p.v0:+g}")
+def test_every_kind_takes_only_the_sign_of_v0(p):
+    # the LS stage writes V_l = sign(v0) B^T B: no kind may change sign on
+    # the nodes of its radial rule
+    c = _radial_rule(p, 40.0, 1)[1]
+    assert set(np.sign(c)) <= {np.sign(p.v0), 0.0} and np.any(c != 0.0)
 
 
 def test_attractive_kinds_monotone():

@@ -79,6 +79,10 @@ def test_singular_argument_errors():
         bessel_derivative(bessel_j_table(2, 1.0), 0.0)
     with pytest.raises(ValueError):
         bessel_j_table(221, 1.0)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        bessel_j_table(1.5, 1.0)
+    with pytest.raises(ValueError, match="orders 0 and 1"):
+        bessel_derivative(bessel_j_table(0, 1.0), 1.0)
 
 
 def test_overflow_guard():
@@ -207,6 +211,10 @@ def test_ylm_simple_values():
 def test_ylm_domain_error():
     with pytest.raises(ValueError):
         ylm(1, 2, [0, 0, 1])
+    with pytest.raises(ValueError, match="no direction"):
+        ylm(1, 0, [0, 0, 0])
+    with pytest.raises(ValueError, match="degree"):
+        AngularGrid.for_degree(-1)
 
 
 def test_ylm_conjugation():
