@@ -7,7 +7,8 @@
 # that can read its reports.  The script validates and runs the bundled
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
-# (both bundled pairs repeat one potential), runs the two
+# (both bundled pairs repeat one potential) and checks that every k's
+# refinement delta stays at round-off (<= 1e-12), runs the two
 # long-range kinds, two bound-state wells and a repulsive well (no bound
 # state: the LS stage's positive-sign branch) with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
@@ -66,7 +67,7 @@ output:
   dir: out/unequal_wells
 YAML
 "$multiscat" run "$tmp/unequal_wells.yaml"
-"$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and len(s['lmax']) == 4, s" out/unequal_wells/report.json
+"$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and len(s['lmax']) == 4, s; assert max(s['refinement_deltas']) <= 1e-12, s" out/unequal_wells/report.json
 
 echo "== the long-range kinds end to end (one scatterer each)"
 for spec in "truncated_coulomb|v0: -1.0, a: 1.0, rc: 0.01" "exponential|v0: -2.0, a: 0.7"; do

@@ -43,12 +43,14 @@ Legendre table, the pair products and the Gaunt matrix product.
 
 Both Schatten-4 norms are (sum_m mult_m ||B_m^H B_m||_F^2)^{1/4} over
 per-m blocks, each term from one helper, ``_sigma4``.  The spectral norm
-(disjoint supports) sums the |V|-weighted blocks g_m with R along z,
-counting the +/-m pair twice.  The grid norm (overlapping supports) sums
-the azimuthal Fourier blocks of the quadrature-discretised kernel, each
-once; they come from the kernel's first phi column on ball
-grids built with R on the polar axis, so the value does not depend on the
-pair's orientation and no (n_nodes x n_nodes) matrix is formed.
+(disjoint supports) sums the blocks g_m with R along z, counting the +/-m
+pair twice, weighted by nu_l(k) = (pi/2) |V_l(k, k)| on the LS stage's
+radial rule (the refined level doubles its nodes).  The grid norm
+(overlapping supports) sums the azimuthal Fourier blocks of the
+quadrature-discretised kernel, each once; they come from the kernel's
+first phi column on ball grids built with R on the polar axis, so the
+value does not depend on the pair's orientation and no (n_nodes x n_nodes)
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from multiscat.lippmann import _radial_rule
 from multiscat.potentials import Potential, Scatterer
 from multiscat.specfun import (
     AngularGrid,
@@ -341,36 +344,20 @@ def schatten4_norm(K: KtildeDiscretization):
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
-#: Radial Gauss nodes per support segment for the spectral nu_l moments; the
-#: refined estimate uses 3/2 as many.
-_SPECTRAL_RADIAL_NODES = 160
 #: Largest l kept by the spectral Schatten norm's coarse estimate.
 _SPECTRAL_LMAX_CAP = 100
 #: Exponent r of the decay diagnostic's integrand ||K||_4^r.
 _DECAY_EXPONENT = 4.5
 
 
-def _nu_weights(pot: Potential, ks, lmax: int, n_radial: int) -> np.ndarray:
-    """nu_l(k) = integral of |V(r)| j_l(k r)^2 r^2 dr over the support.
+def _nu_weights(pot: Potential, ks, lmax: int, scale: int) -> np.ndarray:
+    """nu_l(k) = integral |V| j_l(k r)^2 r^2 dr = (pi/2) |V_l(k, k)|, shape (len(ks), lmax + 1).
 
-    One Bessel table serves every k of ``ks``: the result has the shape
-    ``(lmax + 1,) + shape(ks)``.
+    Read on ``lippmann._radial_rule`` at the largest k, from one Bessel table.
     """
-    rs, ws = gauss_panels(pot.support_edges(), n_radial)
-    ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
+    rs, c = _radial_rule(pot, float(np.max(ks)), scale)
     J = bessel_j_table(lmax, np.multiply.outer(ks, rs))
-    return (J * J) @ ws
-
-
-def _nu_roots(pot: Potential, ks: np.ndarray, lms: np.ndarray, n_radial: int,
-              width: int) -> np.ndarray:
-    """root[i, l] = sqrt(nu_l(ks[i])) for l <= lms[i], 0 past it: ``width`` columns.
-
-    One Bessel table serves every k.
-    """
-    nu = np.zeros((ks.size, width))
-    nu[:, :lms.max() + 1] = _nu_weights(pot, ks, int(lms.max()), n_radial).T
-    return np.sqrt(np.where(np.arange(width) <= lms[:, None], nu, 0.0))
+    return ((J * J) @ (0.5 * np.pi * np.abs(c))).T
 
 
 def spectral_truncations(pot_j: Potential, pot_h: Potential, ks, R_len: float) -> list:
@@ -407,24 +394,24 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
     2 (lmax + 8) and zero-padded to the largest; that is exact, because the
     mask zeroes every L > l + l', and building it higher would overflow
     y_L at small k|R|.  The nu moments come from one Bessel table per
-    potential and level over all k, and the sqrt(nu) rows of each k are
-    zero past its truncation, so every k's blocks of one m reduce in one
-    stacked ``_sigma4``.
+    distinct potential and level over all k (``_nu_weights``), and the
+    sqrt(nu) rows of each k are zero past its truncation, so every k's
+    blocks of one m reduce in one stacked ``_sigma4``.
     """
     if pot_j.effective_radius() + pot_h.effective_radius() >= R_len:
         raise ValueError("spectral Schatten norm requires non-overlapping supports")
     ks = np.array(ks, dtype=float)
     lmaxes = np.array(spectral_truncations(pot_j, pot_h, ks, R_len))
     top = int(lmaxes.max()) + 8
-    # per level (the coarse estimate, and the refined one with 8 more l's
-    # and 3/2 the radial nodes) root[i, l] = sqrt(nu_l(k_i)), zero past the
-    # truncation of k_i
+    # per level (the coarse estimate on the LS stage's radial rule, and the
+    # refined one with 8 more l's on twice its nodes) root[i, l] =
+    # sqrt(nu_l(k_i)), zero past the truncation of k_i
     roots = []
-    for lms, n_rad in ((lmaxes, _SPECTRAL_RADIAL_NODES),
-                       (lmaxes + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)):
-        root_j = _nu_roots(pot_j, ks, lms, n_rad, top + 1)
-        roots.append((root_j, root_j if pot_h == pot_j
-                      else _nu_roots(pot_h, ks, lms, n_rad, top + 1)))
+    for extra, scale in ((0, 1), (8, 2)):
+        keep = np.arange(top + 1) <= (lmaxes + extra)[:, None]
+        root = {p: np.sqrt(np.where(keep, _nu_weights(p, ks, top, scale), 0.0))
+                for p in {pot_j, pot_h}}
+        roots.append((root[pot_j], root[pot_h]))
     # the M = 0 waves of every k; Y_L0 along +z is sqrt((2L + 1)/(4 pi))
     Ls = np.arange(2 * top + 1)
     waves = np.zeros((Ls.size, ks.size), dtype=complex)

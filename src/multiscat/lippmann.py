@@ -121,7 +121,8 @@ class MomentumGrid:
 
 def _radial_rule(pot: Potential, p_top: float, scale: int):
     """Panelled Gauss nodes r resolving j_l(p_top * r) over the support, and
-    c = (2/pi) w r^2 V(r) on them."""
+    c = (2/pi) w r^2 V(r) on them: the rule of V_l for the LS stage and of
+    the spectral norm's (pi/2)|V_l(k, k)|, whose refined level reads scale 2."""
     full = octave_edges(pot.support_edges())
     rs, ws = gauss_panels(full, [scale * max(24, int(0.7 * (b - a) * p_top) + 16)
                                  for a, b in zip(full[:-1], full[1:])])

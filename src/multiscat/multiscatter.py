@@ -70,9 +70,7 @@ class TailEstimateError(RuntimeError):
 
 
 class ExtrapolationError(RuntimeError):
-    def __init__(self, msg, samples=None):
-        super().__init__(msg)
-        self.samples = samples
+    """The eps samples cannot be extrapolated to eps = 0."""
 
 
 def eps_list_problem(eps) -> str | None:
@@ -116,7 +114,7 @@ def eps_extrapolate(samples: dict):
     """
     problem = eps_list_problem(samples)
     if problem is not None:
-        raise ExtrapolationError(problem, samples=samples)
+        raise ExtrapolationError(problem)
     eps = np.array(sorted(samples.keys(), reverse=True), dtype=float)
     f = np.array([samples[e] for e in eps], dtype=complex)
     e = eps.reshape((-1,) + (1,) * (f.ndim - 1))
@@ -510,11 +508,8 @@ class ScenarioEngine:
         P = c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
         PL = legendre_table(2 * lmax, self.ang.nodes @ axis)
         G = (P.T[:, :, None] * PL.T[:, None, :]).reshape(self.ang.size, -1)
-        if np.iscomplexobj(rows):
-            # two real products, rather than promoting G to complex
-            K = rows.real @ G + 1j * (rows.imag @ G)
-        else:
-            K = rows @ G
+        # two real products, rather than promoting G to complex
+        K = rows.real @ G + 1j * (rows.imag @ G)
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
         wave = coef[:, None] * bessel_j_table(2 * lmax, self.grid.nodes * D_len)
         return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)

@@ -10,6 +10,8 @@
 * ``dense_grid_schatten4`` - the grid Schatten-4 norm from the dense
   (n_nodes x n_nodes) kernel on the library's ball grids, in the lab frame;
 * ``ylm`` - a single spherical harmonic;
+* ``gauss_legendre_weights_mp`` - Gauss-Legendre weights at 40 digits
+  (mpmath, from the ``sympy`` test extra), from Newton-polished nodes;
 * ``plm_norm_table_loop`` and ``ylm_table_loop`` - the normalised Legendre
   and spherical-harmonic tables by scalar double loops over (l, m), which
   the library's row-vectorised tables must reproduce bit for bit;
@@ -22,6 +24,8 @@
 * ``zaxis_blocks`` and ``spectral_schatten4_per_k`` - the m-diagonal
   structure-constant blocks with R along z, and the spectral Schatten-4 norm
   at one k from them, each Gaunt table built at that k's own truncation;
+* ``nu_fixed_rule`` - the spectral norm's Bessel moments nu_l(k) on a fixed
+  Gauss rule per support segment, whatever the k;
 * ``numerov_segment`` and ``phase_shift_scalar`` - one l's phase shift on
   the library's integration plan, built probe by probe and integrated one
   lattice value at a time, with the classical three-term Numerov
@@ -52,7 +56,6 @@ import numpy as np
 
 from multiscat.greens import (
     _SPECTRAL_LMAX_CAP,
-    _SPECTRAL_RADIAL_NODES,
     _ball_grid,
     _g_block,
     _gaunt_integrals,
@@ -70,6 +73,7 @@ from multiscat.specfun import (
     bessel_j_table,
     bessel_y_table,
     gauss_legendre,
+    gauss_panels,
     plm_norm_table,
     sph_index,
     tri_index,
@@ -157,16 +161,55 @@ def spectral_schatten4_per_k(pot_j, pot_h, k: float, R_len: float):
     lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad, _SPECTRAL_LMAX_CAP)
     blocks = zaxis_blocks(k, R_len, lmax + 8)
 
-    def total(lm, n_rad):
-        root_j = np.sqrt(_nu_weights(pot_j, k, lm, n_rad))
-        root_h = np.sqrt(_nu_weights(pot_h, k, lm, n_rad))
+    def total(lm, scale):
+        root_j = np.sqrt(_nu_weights(pot_j, [k], lm, scale)[0])
+        root_h = np.sqrt(_nu_weights(pot_h, [k], lm, scale)[0])
         return sum((1.0 if m == 0 else 2.0) * _sigma4(
             root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1] * root_h[None, m:])
             for m in range(lm + 1)) ** 0.25
 
-    v1 = total(lmax, _SPECTRAL_RADIAL_NODES)
-    v2 = total(lmax + 8, _SPECTRAL_RADIAL_NODES * 3 // 2)
+    v1 = total(lmax, 1)
+    v2 = total(lmax + 8, 2)
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
+
+
+def nu_fixed_rule(pot, ks, lmax: int, n_radial: int) -> np.ndarray:
+    """nu_l(k) = integral of |V(r)| j_l(k r)^2 r^2 dr on a fixed Gauss rule.
+
+    ``n_radial`` nodes per segment of ``pot.support_edges()``, whatever the
+    k: shape ``(len(ks), lmax + 1)``, as ``greens._nu_weights``.
+    """
+    rs, ws = gauss_panels(pot.support_edges(), n_radial)
+    ws = ws * rs ** 2 * np.abs(pot.evaluate(rs))
+    J = bessel_j_table(lmax, np.multiply.outer(np.asarray(ks, dtype=float), rs))
+    return ((J * J) @ ws).T
+
+
+def gauss_legendre_weights_mp(n: int, x, dps: int = 40) -> list:
+    """Gauss-Legendre weights at ``dps`` digits, one node at a time.
+
+    Each double node x is polished by Newton steps on P_n from Bonnet's
+    recurrence in mpmath, and its weight is 2 (1 - x^2) / (n (x P_n -
+    P_{n-1}))^2 there.  Returns mpmath numbers.
+    """
+    import mpmath
+
+    def legendre_pair(t):
+        p_prev, p = mpmath.mpf(1), t
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+        return p, p_prev
+
+    out = []
+    with mpmath.workdps(dps):
+        for xi in np.asarray(x, dtype=float):
+            t = mpmath.mpf(float(xi))
+            for _ in range(3):
+                p, p_prev = legendre_pair(t)
+                t -= p * (t * t - 1) / (n * (t * p - p_prev))
+            p, p_prev = legendre_pair(t)
+            out.append(2 * (1 - t * t) / (n * (t * p - p_prev)) ** 2)
+    return out
 
 
 def plm_norm_table_loop(lmax: int, ct, st=None) -> np.ndarray:

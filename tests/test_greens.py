@@ -4,16 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from multiscat import greens
 from multiscat.greens import (
     KtildeDiscretization,
     _ball_grid,
     _gaunt_integrals,
+    _nu_weights,
     schatten4_norm,
     schatten4_norm_spectral,
     structure_constants,
 )
 from multiscat.lippmann import ComplexEnergy
-from multiscat.potentials import Scatterer, gaussian, square_well, truncated_coulomb
+from multiscat.potentials import (
+    Scatterer,
+    exponential,
+    gaussian,
+    square_well,
+    truncated_coulomb,
+)
 from multiscat.specfun import sph_index
 
 from oracles import (
@@ -22,6 +30,7 @@ from oracles import (
     expansion_value,
     g_entry,
     ktilde_kernel,
+    nu_fixed_rule,
     r0_kernel,
     spectral_schatten4_per_k,
     wigner3j,
@@ -465,3 +474,34 @@ def test_batched_spectral_norms_match_per_k(pots, R_len, ks_lists):
             assert value == pytest.approx(ref_value, rel=1e-12)
             # delta differences close numbers: it carries their 1e-12 absolutely
             assert abs(delta - ref_delta) <= 1e-12
+
+
+@pytest.mark.parametrize("pot", [
+    square_well(-1.0, 1.0),
+    gaussian(-1.0, 0.5),
+    exponential(-2.0, 0.7),
+    truncated_coulomb(-1.0, 1.0, 0.01),
+    square_well(3.0, 1.0),
+], ids=["square_well", "gaussian", "exponential", "truncated_coulomb", "repulsive"])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_nu_weights_match_a_fixed_rule(pot, scale):
+    # the spectral norm's Bessel moments on the LS stage's radial rule,
+    # sized for the largest k, against 480 Gauss nodes per support segment
+    ks = [0.5, 1.0, 2.0, 3.0]
+    nu = _nu_weights(pot, ks, 20, scale)
+    ref = nu_fixed_rule(pot, ks, 20, 480)
+    assert nu.shape == ref.shape == (4, 21)
+    seen = ref > 1e-30 * ref.max()
+    assert np.all(np.abs(nu - ref)[seen] <= 1e-12 * ref[seen])
+
+
+def test_spectral_delta_sees_the_truncation(monkeypatch):
+    # the bundled wells at k = 3: three l's leave the refinement (eight more
+    # l's) a visible change, the default cap only round-off
+    pot = square_well(-1.0, 1.0)
+    monkeypatch.setattr(greens, "_SPECTRAL_LMAX_CAP", 3)
+    [(_, delta)] = schatten4_norm_spectral(pot, pot, [3.0], 5.0)
+    assert delta > 1e-3
+    monkeypatch.setattr(greens, "_SPECTRAL_LMAX_CAP", 100)
+    [(_, delta)] = schatten4_norm_spectral(pot, pot, [3.0], 5.0)
+    assert delta <= 1e-13

@@ -9,13 +9,21 @@ from multiscat.specfun import (
     bessel_derivative,
     bessel_j_table,
     bessel_y_table,
+    gauss_legendre,
     legendre_table,
     plm_norm_table,
     sph_index,
     ylm_table,
 )
 
-from oracles import gaunt, plm_norm_table_loop, wigner3j, ylm, ylm_table_loop
+from oracles import (
+    gauss_legendre_weights_mp,
+    gaunt,
+    plm_norm_table_loop,
+    wigner3j,
+    ylm,
+    ylm_table_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,18 @@ def test_legendre_table_matches_scipy():
     assert np.max(np.abs(P[:, ::20] - exact)) < 4e-15
     assert np.array_equal(P[:, -2], np.ones(41))
     assert legendre_table(3, 0.5).shape == (4,)
+
+
+@pytest.mark.parametrize("n", [22, 64, 116])
+def test_gauss_legendre_weights_to_1e12(n):
+    # numpy's leggauss weights drift to 1.1e-11 at 116 nodes; the weights
+    # recomputed at its nodes hold 1e-12 against 40 digits
+    x, w = gauss_legendre(n)
+    ref = gauss_legendre_weights_mp(n, x)
+    err = max(abs(float((wi - ri) / ri)) for wi, ri in zip(w, ref))
+    assert err <= 1e-12
+    assert np.array_equal(w, w[::-1])
+    assert not w.flags.writeable
 
 
 # ---------------------------------------------------------------------------
