@@ -8,7 +8,10 @@
 # configs, runs the wells config at n_max 3 (the Born-3 term), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
 # (both bundled pairs repeat one potential) and checks that every k's
-# refinement delta stays at round-off (<= 1e-12), runs the two
+# refinement delta stays at round-off (<= 1e-12), runs a pair of
+# non-overlapping Gaussians through the on-shell comparison (phase shifts of
+# a smooth potential: the pair passes, its on-shell equivalence is among the
+# comparisons and its Schatten norm is the spectral one), runs the two
 # long-range kinds, two bound-state wells and a repulsive well (no bound
 # state: the LS stage's positive-sign branch) with one scatterer each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
@@ -68,6 +71,25 @@ output:
 YAML
 "$multiscat" run "$tmp/unequal_wells.yaml"
 "$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and len(s['lmax']) == 4, s; assert max(s['refinement_deltas']) <= 1e-12, s" out/unequal_wells/report.json
+
+echo "== a non-overlapping pair of Gaussians (on-shell phase shifts of a smooth potential)"
+cat > "$tmp/gaussian_pair.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: gaussian, v0: -1.0, a: 0.5}
+  - center: [0.0, 0.0, 9.0]
+    potential: {kind: gaussian, v0: -1.0, a: 0.5}
+numerics:
+  lmax: 8
+output:
+  dir: out/gaussian_pair
+YAML
+"$multiscat" run "$tmp/gaussian_pair.yaml"
+"$python" -c "import json, sys; r = json.load(open(sys.argv[1])); names = [c['name'] for c in r['comparisons']]; assert r['passed'] is True and 'onshell_equivalence' in names, r['comparisons']; assert r['schatten']['method'] == 'spectral', r['schatten']" out/gaussian_pair/report.json
+no_flag out/gaussian_pair/report.json
+ls_per_l out/gaussian_pair/report.json
 
 echo "== the long-range kinds end to end (one scatterer each)"
 for spec in "truncated_coulomb|v0: -1.0, a: 1.0, rc: 0.01" "exponential|v0: -2.0, a: 0.7"; do

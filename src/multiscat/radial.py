@@ -23,20 +23,20 @@ Each l has one integration plan, run at step scales 1 and 1/2:
   differences of neighbouring values), and u' at the segment's end from
   the one-sided 5-point stencil.
 
-Every step of that is linear in the segment's starting (u, u'), so a
-segment is a 2x2 map, and one sweep integrates every segment of every l
-and both step scales at once (``_segment_maps``): w is read on all
-lattices in one call of ``Potential.evaluate``, the lattices are cut into
-chunks of ``_CHUNK`` Numerov steps that run side by side from the two
-basis starts, and one tree (``_chain_chunks``) multiplies maps pairwise
-in log2 rounds: each segment's chunk maps, and then each plan's segment
-maps.  The Python loops thus run over a chunk's steps and the tree's
-rounds, never over a segment's length or a plan's segments.  The plans
-(probes of w, WKB starts, step counts) are set for every l at once too,
-each probe set in one evaluation.  A plan's product, applied to its
-starting (u, u'), gives the log-derivative at r_match, which is all
-matching needs.  A non-finite w, or a step count above 400,000 on one
-segment, is a StepControlError.
+Every step of that is linear in the segment's starting (u, u'), so each
+Numerov step and each segment is a 2x2 map, and one sweep integrates
+every segment of every l and both step scales at once
+(``_segment_maps``): w is read on all lattices in one call of
+``Potential.evaluate``, the step maps are cut into chunks of ``_CHUNK``
+slots, each chunk is multiplied out in log2(_CHUNK) pairwise rounds, and
+one tree (``_chain_chunks``) multiplies each segment's chunk maps and then
+each plan's segment maps, also pairwise in log2 rounds.  The Python loops
+thus run over rounds, never over a chunk's slots, a segment's length or a
+plan's segments.  The plans (probes of w, WKB starts, step counts) are set
+for every l at once too, each probe set in one evaluation.  A plan's
+product, applied to its starting (u, u'), gives the log-derivative at
+r_match, which is all matching needs.  A non-finite w, or a step count
+above 400,000 on one segment, is a StepControlError.
 
 The Richardson combination of the two step scales removes the h^4 Numerov
 error, which matters when eta itself is tiny (high l, low k).
@@ -64,12 +64,13 @@ from multiscat.specfun import (
 #: The discarded decaying admixture is suppressed by exp(-2 * action) ~ 1e-39.
 _ACTION_KEEP = 45.0
 
-#: Numerov steps per chunk of the sweep: the length of its one loop over steps.
+#: Step-map slots per chunk of the sweep: a power of two, so that a chunk
+#: is multiplied out in log2(_CHUNK) pairwise rounds.
 _CHUNK = 32
 
 #: Lattice nodes per sweep call; longer plans are swept in several calls,
-#: which bounds the sweep's working arrays.
-_SWEEP_NODES = 1 << 18
+#: which bounds the sweep's working arrays (about 30 MB at this size).
+_SWEEP_NODES = 1 << 17
 
 #: Step scales of the Richardson pair.
 _SCALES = (1.0, 0.5)
@@ -248,12 +249,16 @@ def _segment_maps(pot: Potential, k: float, l: np.ndarray, a: np.ndarray,
 
     whose maps over many steps stay well conditioned where adjacent v are
     nearly equal (a map on (v_{i-1}, v_i) there loses ~1/(k h) in
-    cancellation at every product).  Steps 1..n-4 run in chunks of _CHUNK
-    side by side from the basis states (v, d) = (1, 0) and (0, 1); each
-    segment's first chunk is padded at its start with idle slots and
-    reset to the basis where its first step begins.  The chunk maps are
-    multiplied per segment (_chain_chunks), and the last three steps and
-    the stencil, written on the d's, run on the product.
+    cancellation at every product).  Step i is the map
+
+        (v_i, d_{i-1}) -> (v_{i+1}, d_i):  [[1 + a_i, b_i], [a_i, b_i]],
+        a_i = q_i / c_{i+1},  b_i = c_{i-1} / c_{i+1}.
+
+    Steps 1..n-4 fill chunks of _CHUNK slots, each segment's first chunk
+    padded at its start with identity maps; each chunk is multiplied out in
+    log2(_CHUNK) pairwise rounds and the chunk maps per segment
+    (_chain_chunks).  The last three steps and the stencil, written on the
+    d's, run on the product.
     """
     nseg = n.size
     h = (b - a) / n
@@ -295,32 +300,25 @@ def _segment_maps(pot: Potential, k: float, l: np.ndarray, a: np.ndarray,
     q = np.zeros_like(wv)
     q[1:-1] = hs[1:-1] * (wv[:-2] + 10.0 * wv[1:-1] + wv[2:])
 
-    # steps i = 1..n-4 in chunks laid out (_CHUNK, n_chunks); a segment's
-    # slot j holds step j - pad + 1, and its first pad slots are idle
+    # steps i = 1..n-4 as maps in chunks laid out (n_chunks, _CHUNK); a
+    # segment's slot j holds step j - pad + 1, and its first pad slots the
+    # identity
     steps = n - 4
     chunks = -(-steps // _CHUNK)
     slots = chunks * _CHUNK
     pad = slots - steps
     node = np.arange(slots.sum()) + np.repeat(start - (np.cumsum(slots) - slots) - pad + 1, slots)
-    idle = node <= np.repeat(start, slots)
-    node = np.where(idle, 0, node).reshape(-1, _CHUNK).T
-    Q, CP, CN = q[node], c[node - 1], c[node + 1]
-    idle = idle.reshape(-1, _CHUNK).T
-    # idle slots step (v, d) -> (v + d, d), harmlessly: the state of a
-    # padded chunk is reset to the basis where its first step begins
-    Q[idle], CP[idle], CN[idle] = 0.0, 1.0, 1.0
-    first = np.cumsum(chunks) - chunks       # each segment's padded chunk
-    v = np.zeros((2, Q.shape[1]))
-    v[0] = 1.0
-    d = v[::-1].copy()
-    for t in range(_CHUNK):
-        reset = first[pad == t]
-        if t and reset.size:
-            v[:, reset] = [[1.0], [0.0]]
-            d[:, reset] = [[0.0], [1.0]]
-        d = (Q[t] * v + CP[t] * d) / CN[t]
-        v = v + d
-    K = _chain_chunks(np.array([v, d]), chunks)
+    padded = node <= np.repeat(start, slots)
+    node = np.where(padded, 0, node)
+    M = np.empty((2, 2, node.size))
+    M[1, 0] = q[node] / c[node + 1]
+    M[0, 1] = M[1, 1] = c[node - 1] / c[node + 1]
+    M[0, 0] = 1.0 + M[1, 0]
+    M[..., padded] = np.eye(2)[..., None]
+    M = M.reshape(2, 2, -1, _CHUNK)
+    while M.shape[-1] > 1:
+        M = _mul(M[..., 1::2], M[..., 0::2])
+    K = _chain_chunks(M[..., 0], chunks)
 
     # (v[n-3], d[n-4]) as coefficients of the segment's starting (u, u'),
     # from (v[1], d[0]) = (y0, d0); then steps n-3..n-1
@@ -378,13 +376,7 @@ def phase_shift(pot: Potential, l, k: float, *, r_match: float | None = None):
     n = _steps(pot, seg_l, k, a, b).ravel()
 
     # the sweep, in calls of about _SWEEP_NODES lattice nodes
-    cuts, total = [0], 0
-    for i, size in enumerate(n + 1):
-        if total and total + size > _SWEEP_NODES:
-            cuts.append(i)
-            total = 0
-        total += size
-    cuts.append(n.size)
+    cuts = [0, *np.flatnonzero(np.diff(np.cumsum(n + 1) // _SWEEP_NODES)) + 1, n.size]
     F = np.concatenate([_segment_maps(pot, k, seg_l2[p:q], a2[p:q], b2[p:q], n[p:q])
                         for p, q in zip(cuts[:-1], cuts[1:])], axis=-1)
 

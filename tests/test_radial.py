@@ -16,11 +16,12 @@ from multiscat.radial import (
     StepControlError,
     _segment_maps,
     _segments,
+    _w,
     onshell_t_lm,
     phase_shift,
 )
 
-from oracles import phase_shift_scalar
+from oracles import numerov_segment, phase_shift_scalar
 
 
 def square_well_eta0_oracle(v0, a, k):
@@ -104,6 +105,30 @@ def test_numerov_segment_free_wave_is_fourth_order():
     assert 14 < errs[0] / errs[1] < 18
 
 
+def test_segment_maps_at_the_chunk_edges():
+    # step counts n give n - 4 chunked steps: 4, then exactly _CHUNK = 32
+    # and 33, 64 and 65, and 96.  Each call sweeps one segment twice, the
+    # counts in opposite orders, so that padded chunks sit side by side; the
+    # segments are classically allowed, then forbidden.  Each map, applied to
+    # three starts, points (u, u') where the summed recurrence run one value
+    # at a time does
+    ns = [8, 35, 36, 37, 68, 69, 100]
+    worst = 0.0
+    for pot, l, k, lo, hi in [(square_well(-1.0, 1.0), 2, 1.0, 0.3, 0.9),
+                              (exponential(-2.0, 0.7), 5, 0.5, 0.05, 0.6)]:
+        for counts in zip(ns, ns[::-1]):
+            F = _segment_maps(pot, k, np.array([l, l]), np.array([lo, lo]), np.array([hi, hi]),
+                              np.array(counts))
+            for i, n in enumerate(counts):
+                for start in [(1.0, 0.0), (0.0, 1.0), (0.7, -2.3)]:
+                    got = F[..., i] @ start
+                    ref = numerov_segment(lambda r: _w(pot, l, k, r, lo, hi), lo, hi, *start, n,
+                                          summed=True)
+                    worst = max(worst, abs(got[0] * ref[1] - got[1] * ref[0])
+                                / (np.hypot(*got) * np.hypot(*ref)))
+    assert worst <= 1e-13
+
+
 # one potential per kind; the Coulomb core puts three decades between rc
 # and r_match
 SWEEP_POTENTIALS = [square_well(-1.0, 1.0), gaussian(-1.0, 1.0), exponential(-2.0, 0.7),
@@ -152,10 +177,12 @@ def test_phase_shift_of_a_sequence_is_per_l_calls(monkeypatch):
         single = [phase_shift(pot, l, k) for l in ls]
         assert all(isinstance(e, float) for e in single)
         assert etas.tolist() == single
-        # a lattice swept in several calls gives the same values
-        with monkeypatch.context() as m:
-            m.setattr(radial, "_SWEEP_NODES", 3000)
-            assert phase_shift(pot, ls, k).tolist() == single
+        # a lattice swept in several calls gives the same values, also when
+        # every segment is larger than the cap (50 and 1)
+        for cap in (3000, 50, 1):
+            with monkeypatch.context() as m:
+                m.setattr(radial, "_SWEEP_NODES", cap)
+                assert phase_shift(pot, ls, k).tolist() == single, cap
     assert phase_shift(square_well(-1.0, 1.0), [], 1.0).shape == (0,)
     with pytest.raises(ValueError):
         phase_shift(square_well(-1.0, 1.0), [0, -1], 1.0)
