@@ -11,9 +11,12 @@
 # refinement delta stays at round-off (<= 1e-12), runs a pair of
 # non-overlapping Gaussians through the on-shell comparison (phase shifts of
 # a smooth potential: the pair passes, its on-shell equivalence is among the
-# comparisons and its Schatten norm is the spectral one), runs the two
-# long-range kinds, two bound-state wells and a repulsive well (no bound
-# state: the LS stage's positive-sign branch) with one scatterer each, checks
+# comparisons and its Schatten norm is the spectral one), runs an overlapping
+# pair of a repulsive and an attractive Gaussian off the z axis through the
+# grid Schatten norm (finite and positive, refinement delta below 0.05),
+# runs the two long-range kinds, two bound-state wells and a repulsive well
+# (no bound state: the LS stage's positive-sign branch) with one scatterer
+# each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
 # and a solve residual below 1e-8, and that a misspelled config key and a
@@ -90,6 +93,23 @@ YAML
 "$python" -c "import json, sys; r = json.load(open(sys.argv[1])); names = [c['name'] for c in r['comparisons']]; assert r['passed'] is True and 'onshell_equivalence' in names, r['comparisons']; assert r['schatten']['method'] == 'spectral', r['schatten']" out/gaussian_pair/report.json
 no_flag out/gaussian_pair/report.json
 ls_per_l out/gaussian_pair/report.json
+
+echo "== an overlapping mixed-sign pair of Gaussians off the z axis (the grid norm)"
+cat > "$tmp/mixed_sign_pair.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: gaussian, v0: 1.5, a: 0.8}
+  - center: [0.5, 0.3, 0.9]
+    potential: {kind: gaussian, v0: -1.0, a: 1.0}
+numerics:
+  lmax: 8
+output:
+  dir: out/mixed_sign_pair
+YAML
+"$multiscat" run "$tmp/mixed_sign_pair.yaml"
+"$python" -c "import json, math, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'grid', s; assert math.isfinite(s['value']) and s['value'] > 0, s; assert s['refinement_delta'] < 0.05, s" out/mixed_sign_pair/report.json
 
 echo "== the long-range kinds end to end (one scatterer each)"
 for spec in "truncated_coulomb|v0: -1.0, a: 1.0, rc: 0.01" "exponential|v0: -2.0, a: 0.7"; do

@@ -47,10 +47,16 @@ per-m blocks, each term from one helper, ``_sigma4``.  The spectral norm
 pair twice, weighted by nu_l(k) = (pi/2) |V_l(k, k)| on the LS stage's
 radial rule (the refined level doubles its nodes).  The grid norm
 (overlapping supports) sums the azimuthal Fourier blocks of the
-quadrature-discretised kernel, each once; they come from the kernel's
-first phi column on ball grids built with R on the polar axis, so the
-value does not depend on the pair's orientation and no (n_nodes x n_nodes)
-matrix is formed.
+quadrature-discretised kernel on ball grids built with R on the polar
+axis, so the value does not depend on the pair's orientation and no
+(n_nodes x n_nodes) matrix is formed.  With the h node at phi = 0 the
+kernel's first phi column is even in phi_j, so only its phi nodes
+0..N//2 are built, and one real cosine transform of them gives the
+distinct blocks m = 0..N//2; blocks m and N - m coincide, so each counts
+twice except m = 0 and m = N/2, as the +/-m pairs do.  Both norms carry
+|V|^{1/2} on each side of the resolvent, in place of the complex phi with
+phi^2 = V: the two differ by a unit phase on each node, which moves no
+singular value.
 """
 
 from __future__ import annotations
@@ -95,16 +101,18 @@ class StructureConstantMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def to_csv(self, path) -> None:
+        """One row (l, m, l', m', Re g, Im g) per entry, in ``sph_index`` order on both sides."""
+        ls = np.repeat(np.arange(self.lmax + 1), 2 * np.arange(self.lmax + 1) + 1)
+        n = ls.size
+        ms = np.arange(n) - ls * (ls + 1)
+        g = self.matrix.ravel()
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["l", "m", "lp", "mp", "re_g", "im_g"])
-            for l in range(self.lmax + 1):
-                for m in range(-l, l + 1):
-                    for lp in range(self.lmax + 1):
-                        for mp in range(-lp, lp + 1):
-                            v = self.matrix[sph_index(l, m), sph_index(lp, mp)]
-                            wr.writerow([l, m, lp, mp,
-                                         f"{v.real:.16e}", f"{v.imag:.16e}"])
+            wr.writerows(zip(np.repeat(ls, n).tolist(), np.repeat(ms, n).tolist(),
+                             np.tile(ls, n).tolist(), np.tile(ms, n).tolist(),
+                             [f"{v:.16e}" for v in g.real.tolist()],
+                             [f"{v:.16e}" for v in g.imag.tolist()]))
 
 
 def _neg_sign(m):
@@ -266,20 +274,28 @@ class KtildeDiscretization:
 
     The kernel at z = k0^2 + i0 is discretised as sqrt(w_x) K(x, y)
     sqrt(w_y) on two ball grids built with the pair on the polar axis, at
-    (0, 0, 0) and (0, 0, |R|).  The kernel depends only on distances, and the grids,
-    weights and cell-radius cap are invariant under a joint rotation about
-    that axis, so the matrix is block-circulant over the uniform phi nodes:
-    one FFT of its first phi column gives ``matrix[m]``, the block of
-    azimuthal Fourier mode m, and the singular values of all the blocks
-    are those of the whole matrix.  For overlapping supports the integrable
-    1/|x-y| diagonal is tamed by capping distances at the local
-    quadrature-cell radius (cell averaging).
+    (0, 0, 0) and (0, 0, |R|).  The kernel depends only on distances, and
+    the grids, weights and cell-radius cap are invariant under a joint
+    rotation about that axis, so the matrix is block-circulant over the
+    N uniform phi nodes: the blocks of azimuthal Fourier mode m are the
+    transform of its first phi column, and the singular values of all the
+    blocks are those of the whole matrix.  With the h node at phi = 0 that
+    column depends on phi_j only through cos(phi_j), so its phi nodes n and
+    N - n coincide, and so do blocks m and N - m: ``matrix[m]`` holds the
+    distinct blocks m = 0..N//2, from one real cosine transform of phi nodes
+    0..N//2, and ``multiplicity[m]`` counts each block's copies (1 for m = 0
+    and m = N/2, 2 otherwise).  The amplitudes are sqrt(w |V|) in place of
+    sqrt(w) phi with phi^2 = V: the two differ by a diagonal unitary
+    (phi/|phi| on each node), which leaves the singular values unchanged.
+    For overlapping supports the integrable 1/|x-y| diagonal is tamed by
+    capping distances at the local quadrature-cell radius (cell averaging).
     """
 
     scatterer_j: Scatterer
     scatterer_h: Scatterer
     k0: float
     matrix: np.ndarray = field(repr=False)
+    multiplicity: np.ndarray = field(repr=False)
     n_radial: int = 0
     angular_order: int = 0
 
@@ -291,14 +307,22 @@ class KtildeDiscretization:
         ah = Scatterer((0.0, 0.0, R_len), sh.potential)
         pj, wj, n_phi = _ball_grid(aj, n_radial, angular_order)
         ph, wh, _ = _ball_grid(ah, n_radial, angular_order)
-        # nodes run phi-fastest: the h nodes at phi index 0 are every n_phi-th
+        half = n_phi // 2 + 1
+        # the grids run phi-fastest: keep the j nodes at phi indices
+        # 0..N//2, reordered phi-slowest for the transform over the leading
+        # axis, and the h nodes at phi index 0 (every n_phi-th)
+        pj = pj.reshape(-1, n_phi, 3)[:, :half].transpose(1, 0, 2).reshape(-1, 3)
+        wj = wj.reshape(-1, n_phi)[:, :half].T.ravel()
         ph, wh = ph[::n_phi], wh[::n_phi]
-        col = (np.sqrt(wj)[:, None] * _ktilde_matrix(aj, ah, k0, pj, wj, ph, wh)
-               * np.sqrt(wh)[None, :])
-        blocks = np.fft.fft(col.reshape(-1, n_phi, ph.shape[0]), axis=1)
-        return cls(scatterer_j=sj, scatterer_h=sh, k0=k0,
-                   matrix=blocks.transpose(1, 0, 2),
-                   n_radial=n_radial, angular_order=angular_order)
+        # blocks[m] = sum_n mult_n cos(2 pi m n/N) col[n], as one real
+        # product on the interleaved (re, im) column
+        n = np.arange(half)
+        mult = np.where((n == 0) | (2 * n == n_phi), 1.0, 2.0)
+        cosines = np.cos((2.0 * np.pi / n_phi) * (np.outer(n, n) % n_phi)) * mult
+        col = _ktilde_matrix(aj, ah, k0, pj, wj, ph, wh).reshape(half, -1)
+        blocks = (cosines @ col).view(complex).reshape(half, -1, ph.shape[0])
+        return cls(scatterer_j=sj, scatterer_h=sh, k0=k0, matrix=blocks,
+                   multiplicity=mult, n_radial=n_radial, angular_order=angular_order)
 
 
 def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
@@ -316,16 +340,37 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
 
 
 def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh):
-    """Kernel K(x, y) at every pair of nodes, distances capped at the cell radius."""
-    phi_j = sj.potential.phi(np.linalg.norm(pj - sj.center_array, axis=1))
-    phi_h = sh.potential.phi(np.linalg.norm(ph - sh.center_array, axis=1))
-    # cell radius used to regularise near-coincident nodes (overlap case)
-    rho_j = (3.0 * wj / (4.0 * np.pi)) ** (1.0 / 3.0)
-    rho_h = (3.0 * wh / (4.0 * np.pi)) ** (1.0 / 3.0)
-    d = np.linalg.norm(pj[:, None, :] - ph[None, :, :], axis=2)
-    d = np.maximum(d, (2.0 / 3.0) * np.maximum(rho_j[:, None], rho_h[None, :]))
-    return (phi_j[:, None] * phi_h[None, :]
-            * np.exp(1j * k0 * d) / (4.0j * np.pi * d))
+    """sqrt(w_x |V_j(x)|) K(x, y) sqrt(w_y |V_h(y)|) at every node pair, as (re, im).
+
+    The h nodes must lie at phi = 0 (y = 0 exactly), so each distance is
+    read from (x_j - x_h)^2 + y_j^2 + (z_j - z_h)^2; it is capped at 2/3 of
+    the larger cell radius (3 w/(4 pi))^{1/3}.  The kernel's phase
+    e^{ikd}/(4 pi i d) = (sin kd - i cos kd)/(4 pi d) goes into the last
+    axis of the real (len(pj), len(ph), 2) result, whose complex view is
+    the matrix.
+    """
+    amp_j = np.sqrt(wj * np.abs(sj.potential.evaluate(
+        np.linalg.norm(pj - sj.center_array, axis=1)))) / (4.0 * np.pi)
+    amp_h = np.sqrt(wh * np.abs(sh.potential.evaluate(
+        np.linalg.norm(ph - sh.center_array, axis=1))))
+    # 2/3 of the cell radius regularises near-coincident nodes (overlap case)
+    cap_j = (2.0 / 3.0) * (3.0 * wj / (4.0 * np.pi)) ** (1.0 / 3.0)
+    cap_h = (2.0 / 3.0) * (3.0 * wh / (4.0 * np.pi)) ** (1.0 / 3.0)
+    # one (len(pj), len(ph)) buffer: d^2, d, then k d
+    d = np.subtract.outer(pj[:, 0], ph[:, 0]) ** 2
+    d += (pj[:, 1] ** 2)[:, None]
+    d += np.subtract.outer(pj[:, 2], ph[:, 2]) ** 2
+    np.sqrt(d, out=d)
+    np.maximum(d, np.maximum.outer(cap_j, cap_h), out=d)
+    scale = np.multiply.outer(amp_j, amp_h)
+    scale /= d
+    d *= k0
+    out = np.empty(d.shape + (2,))
+    np.sin(d, out=out[..., 0])
+    np.cos(d, out=out[..., 1])
+    out *= scale[..., None]
+    np.negative(out[..., 1], out=out[..., 1])
+    return out
 
 
 def schatten4_norm(K: KtildeDiscretization):
@@ -333,14 +378,14 @@ def schatten4_norm(K: KtildeDiscretization):
 
     Returns ``(value, refinement_delta)``: the value on a grid refined by
     1.5x in both radial and angular resolution, and its relative change
-    from ``K``'s grid.  Every azimuthal block counts once.
+    from ``K``'s grid.  Each distinct azimuthal block counts its
+    ``multiplicity`` times, as the +/-m pairs of the spectral norm do.
     """
-    v1 = sum(_sigma4(B) for B in K.matrix) ** 0.25
     fine = KtildeDiscretization.build(
         K.scatterer_j, K.scatterer_h, K.k0,
         n_radial=math.ceil(1.5 * K.n_radial),
-        angular_order=math.ceil(1.5 * K.angular_order)).matrix
-    v2 = sum(_sigma4(B) for B in fine) ** 0.25
+        angular_order=math.ceil(1.5 * K.angular_order))
+    v1, v2 = (float(D.multiplicity @ _sigma4(D.matrix)) ** 0.25 for D in (K, fine))
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 

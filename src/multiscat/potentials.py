@@ -15,9 +15,10 @@ Each is v0 times a nonnegative shape, so V takes only the sign of v0 (or
 (``lippmann._factors``).  A kind that changes sign would need the general
 middle factor back, as ``tests/oracles.py::factors_per_l`` keeps it.
 
-The factorisation phi with phi^2 = V uses the +i branch where V < 0
-(phi = i sqrt(|V|)); phi only ever enters quadratically, so the branch
-choice drops out of every observable.
+The two-center kernel of the Schatten norms carries |V|^{1/2} on each
+side.  The factor phi = +i sqrt(|V|) where V < 0 (phi^2 = V) differs from it
+by a unit phase on each node, so both give the same singular values; the
+test oracles keep the complex phi (``tests/oracles.py::phi``).
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ class Potential:
             inv = 1.0 / np.maximum(r, self.rc)
             out = self.v0 * inv * np.exp(-r / self.a)
         return out if out.ndim else float(out)
-
-    def phi(self, r):
-        """Factor phi(r) with phi^2 = V exactly; i*sqrt(|V|) where V < 0."""
-        v = np.asarray(self.evaluate(r), dtype=float)
-        out = np.where(v >= 0, np.sqrt(np.clip(v, 0, None)) + 0j,
-                       1j * np.sqrt(np.clip(-v, 0, None)))
-        return out if out.ndim else complex(out)
 
     def effective_radius(self) -> float:
         """Radius beyond which |V| < SUPPORT_CUTOFF (exact support for the well)."""

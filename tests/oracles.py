@@ -5,10 +5,13 @@
   the sphere, one coefficient at a time; it vanishes identically unless
   ``m3 = m1 + m2``, the triangle rule holds and ``l1 + l2 + l3`` is even;
 * ``r0_kernel`` - the free-resolvent kernel -e^{i sqrt(z) r}/(4 pi r);
+* ``phi`` - the factor of V with phi^2 = V, +i sqrt(|V|) where V < 0 (the
+  library's Schatten norms carry |V|^{1/2} instead);
 * ``ktilde_kernel`` - the two-center kernel evaluated pointwise, with no
   regularisation of near-coincident points;
 * ``dense_grid_schatten4`` - the grid Schatten-4 norm from the dense
-  (n_nodes x n_nodes) kernel on the library's ball grids, in the lab frame;
+  (n_nodes x n_nodes) kernel with the complex phi on the library's ball
+  grids, in the lab frame;
 * ``ylm`` - a single spherical harmonic;
 * ``gauss_legendre_weights_mp`` - Gauss-Legendre weights at 40 digits
   (mpmath, from the ``sympy`` test extra), from Newton-polished nodes;
@@ -96,6 +99,14 @@ def r0_kernel(z, x, y):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def phi(pot, r):
+    """Factor phi(r) of ``pot`` with phi^2 = V exactly; i*sqrt(|V|) where V < 0."""
+    v = np.asarray(pot.evaluate(r), dtype=float)
+    out = np.where(v >= 0, np.sqrt(np.clip(v, 0, None)) + 0j,
+                   1j * np.sqrt(np.clip(-v, 0, None)))
+    return out if out.ndim else complex(out)
+
+
 def ktilde_kernel(j, h, z, x, y):
     """Two-center kernel phi_j(x) e^{i sqrt(z) r}/(4 pi i r) phi_h(y)."""
     x = np.asarray(x, dtype=float)
@@ -105,7 +116,7 @@ def ktilde_kernel(j, h, z, x, y):
     r = np.linalg.norm(x - y, axis=-1)
     if np.any(r == 0):
         raise ValueError("ktilde_kernel is singular at x = y")
-    out = (j.potential.phi(rj) * h.potential.phi(rh)
+    out = (phi(j.potential, rj) * phi(h.potential, rh)
            * np.exp(1j * np.sqrt(z.z) * r) / (4.0j * np.pi * r))
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -122,7 +133,7 @@ def _capped_ktilde(j, h, z, x, wx, y, wy):
     r = np.maximum(r, (2.0 / 3.0) * np.maximum(rho_x[:, None], rho_y[None, :]))
     rj = np.linalg.norm(x - j.center_array, axis=-1)
     rh = np.linalg.norm(y - h.center_array, axis=-1)
-    return (j.potential.phi(rj)[:, None] * h.potential.phi(rh)[None, :]
+    return (phi(j.potential, rj)[:, None] * phi(h.potential, rh)[None, :]
             * np.exp(1j * np.sqrt(z.z) * r) / (4.0j * np.pi * r))
 
 

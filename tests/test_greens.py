@@ -31,6 +31,7 @@ from oracles import (
     g_entry,
     ktilde_kernel,
     nu_fixed_rule,
+    phi,
     r0_kernel,
     spectral_schatten4_per_k,
     wigner3j,
@@ -117,8 +118,10 @@ def test_ktilde_distance_bound():
 
 def test_ktilde_matrix_matches_pointwise_oracle():
     # on disjoint supports every node pair is farther apart than the cell
-    # radius, so the first phi column behind the azimuthal blocks is the
-    # plain weighted kernel entrywise, on grids with the pair on the z axis
+    # radius, so the phi-0..N//2 column behind the distinct azimuthal blocks
+    # is the plain weighted kernel entrywise, on grids with the pair on the
+    # z axis, with |V|^{1/2} in place of phi: the oracle's kernel times the
+    # unit phases |phi_j phi_h|/(phi_j phi_h)
     sj = Scatterer((0, 0, 0), square_well(-1.0, 1.0))
     sh = Scatterer((0.4, 0.0, 2.9), square_well(-2.0, 0.8))
     z = ComplexEnergy(1.3, 0.0)
@@ -127,11 +130,22 @@ def test_ktilde_matrix_matches_pointwise_oracle():
     ah = Scatterer((0, 0, np.hypot(0.4, 2.9)), sh.potential)
     pj, wj, n_phi = _ball_grid(aj, 6, 4)
     ph, wh, _ = _ball_grid(ah, 6, 4)
+    half = n_phi // 2 + 1
+    pj = pj.reshape(-1, n_phi, 3)[:, :half].transpose(1, 0, 2)
+    wj = wj.reshape(-1, n_phi)[:, :half].T
     ph, wh = ph[::n_phi], wh[::n_phi]
-    want = (np.sqrt(wj)[:, None] * ktilde_kernel(aj, ah, z, pj[:, None, :], ph[None, :, :])
-            * np.sqrt(wh)[None, :])
-    assert K.matrix.shape == (n_phi, pj.shape[0] // n_phi, ph.shape[0])
-    got = np.fft.ifft(K.matrix, axis=0).transpose(1, 0, 2).reshape(want.shape)
+    phi_j = phi(sj.potential, np.linalg.norm(pj, axis=-1))
+    phi_h = phi(sh.potential, np.linalg.norm(ph - ah.center_array, axis=-1))
+    want = ((np.sqrt(wj) * np.abs(phi_j) / phi_j)[..., None]
+            * ktilde_kernel(aj, ah, z, pj[..., None, :], ph[None, None, :, :])
+            * np.sqrt(wh) * np.abs(phi_h) / phi_h)
+    assert K.matrix.shape == (n_phi // 2 + 1, pj.shape[1], ph.shape[0])
+    # the inverse cosine transform: column n = sum_m mult_m cos(2 pi m n/N) B_m / N
+    m = np.arange(half)
+    mult = np.where((m == 0) | (2 * m == n_phi), 1.0, 2.0)
+    np.testing.assert_array_equal(K.multiplicity, mult)
+    inverse = mult * np.cos(2.0 * np.pi * np.outer(m, m) / n_phi) / n_phi
+    got = np.einsum("nm,mrc->nrc", inverse, K.matrix)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
@@ -193,6 +207,12 @@ def test_csv_roundtrip(tmp_path):
             float(re) + 1j * float(im))
     assert len(rows) == 1 + g.matrix.size
     assert np.max(np.abs(g.matrix - back)) < 1e-15 * np.max(np.abs(g.matrix))
+    # the rows of a nested loop over (l, m), then (l', m'), string for string
+    want = [[str(l), str(m), str(lp), str(mp), f"{v.real:.16e}", f"{v.imag:.16e}"]
+            for l in range(4) for m in range(-l, l + 1)
+            for lp in range(4) for mp in range(-lp, lp + 1)
+            for v in [g.matrix[sph_index(l, m), sph_index(lp, mp)]]]
+    assert rows[1:] == want
 
 
 def _racah_gaunt(l, m, lp, mp, L):
@@ -341,15 +361,25 @@ def test_schatten_spectral_requires_gap():
     _gauss_pair(1.0),
     (Scatterer((0, 0, 0), square_well(-1.0, 1.0)),
      Scatterer((0, 0, 3.0), truncated_coulomb(-1.0, 0.04, 0.2))),
-], ids=["overlapping", "separated"])
+    (Scatterer((0, 0, 0), gaussian(1.5, 0.8)),
+     Scatterer((0.5, 0.3, 0.9), gaussian(-1.0, 1.0))),
+], ids=["overlapping", "separated", "mixed_sign_off_axis"])
 def test_schatten_blocks_match_dense_oracle(sj, sh):
-    # with R along z the oracle's lab-frame grids are the block route's own
-    # grids; the truncated Coulomb ball has two radial segments, so the
-    # separated pair's blocks are rectangular
+    # the block route builds its grids with the pair on the polar axis, so
+    # the oracle's lab-frame grids are handed the pair there (same |R|); the
+    # truncated Coulomb ball has two radial segments, so the separated
+    # pair's blocks are rectangular.  The oracle keeps the complex phi, which
+    # checks the blocks' |V|^{1/2} amplitudes, here also with a repulsive V_j
+    # against an attractive V_h and R off the z axis.  The levels
+    # (8, 6) -> (12, 9) have N = 7 and N = 10 phi nodes, so both an odd and
+    # an even N (with its m = N/2 block) are covered
     z = ComplexEnergy(1.0, 0.0)
     value, delta = schatten4_norm(KtildeDiscretization.build(sj, sh, z.k0, 8, 6))
-    coarse = dense_grid_schatten4(sj, sh, z, 8, 6)
-    fine = dense_grid_schatten4(sj, sh, z, 12, 9)
+    R_len = np.linalg.norm(sh.center_array - sj.center_array)
+    aj = Scatterer((0, 0, 0), sj.potential)
+    ah = Scatterer((0, 0, R_len), sh.potential)
+    coarse = dense_grid_schatten4(aj, ah, z, 8, 6)
+    fine = dense_grid_schatten4(aj, ah, z, 12, 9)
     assert value == pytest.approx(fine, rel=1e-12)
     assert delta == pytest.approx(abs(fine - coarse) / fine, abs=1e-12)
 
