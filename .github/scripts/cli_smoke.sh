@@ -19,8 +19,10 @@
 # each, checks
 # that no run raises the LS extrapolation flag, that the bundled reports
 # give every potential one LS rank and bound-state count per partial wave
-# and a solve residual below 1e-8, and that a misspelled config key and a
-# removed one fail validation with exit status 2.  Runs write under out/.
+# and a solve residual below 1e-8, that a misspelled config key and a
+# removed one fail validation with exit status 2, and that a potential with
+# a bad v0, a and rc fails validation with exit status 2 and all three field
+# paths reported.  Runs write under out/.
 set -euo pipefail
 multiscat=$1
 python=$2
@@ -178,3 +180,19 @@ status=0
 cat "$tmp/schatten.err"
 test "$status" -eq 2
 grep -q '^  numerics\.schatten_radial: unknown key' "$tmp/schatten.err"
+
+echo "== every bad parameter of one potential is reported"
+cat > "$tmp/bad_potential.yaml" <<YAML
+scenario:
+  k0: 1.0
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: truncated_coulomb, v0: true, a: -1.0, rc: 0}
+YAML
+status=0
+"$multiscat" validate "$tmp/bad_potential.yaml" 2> "$tmp/bad_potential.err" || status=$?
+cat "$tmp/bad_potential.err"
+test "$status" -eq 2
+for field in v0 a rc; do
+  grep -q "^  scatterers\[0\]\.potential\.$field: " "$tmp/bad_potential.err"
+done

@@ -16,11 +16,17 @@ not read.  ``multiscat run config.yaml`` writes
 and exits 0 exactly when every enabled comparison passed its configured
 tolerance.  Identical configs produce byte-identical summary.csv files:
 there is no randomness anywhere in a run and reduction orders are fixed.
+
+``multiscat structconst --k0 K --r R --lmax L --out g.csv`` writes the
+structure constants g_{lm;l'm'}(k0, R) as one CSV row
+``l,m,lp,mp,re_g,im_g`` per entry, in ``sph_index`` order on both sides,
+with the real and imaginary parts in ``.16e`` form (``_write_structconst``).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -177,15 +183,16 @@ def validate_config(text: str) -> RunConfig:
         v0 = pot.get("v0")
         a = pot.get("a")
         rc = pot.get("rc")
+        before = len(errors)
         if not _is_number(v0) or v0 == 0:
             errors.append((f"{base}.potential.v0", "must be a nonzero number"))
-            continue
         if not _is_number(a) or a <= 0:
             errors.append((f"{base}.potential.a", "must be a positive number"))
-            continue
         if kind == "truncated_coulomb" and (not _is_number(rc) or rc <= 0):
             errors.append((f"{base}.potential.rc",
                            "truncated_coulomb needs a positive rc"))
+        # a potential with any bad parameter is dropped after all are checked
+        if len(errors) > before:
             continue
         scatterers.append(Scatterer(tuple(float(x) for x in center),
                                     Potential(kind, float(v0), float(a),
@@ -327,6 +334,25 @@ def _write_plotdata(outdir: Path, report) -> None:
         (pd / "structconst_lmax.csv").write_text("\n".join(lines) + "\n")
 
 
+def _write_structconst(path: Path, g: np.ndarray, lmax: int) -> None:
+    """One CSV row (l, m, l', m', Re g, Im g) per entry of the structure constants ``g``.
+
+    The rows run in ``sph_index`` order on both sides, and the parts are
+    written in ``.16e`` form.
+    """
+    ls = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+    n = ls.size
+    ms = np.arange(n) - ls * (ls + 1)
+    g = g.ravel()
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["l", "m", "lp", "mp", "re_g", "im_g"])
+        wr.writerows(zip(np.repeat(ls, n).tolist(), np.repeat(ms, n).tolist(),
+                         np.tile(ls, n).tolist(), np.tile(ms, n).tolist(),
+                         [f"{v:.16e}" for v in g.real.tolist()],
+                         [f"{v:.16e}" for v in g.imag.tolist()]))
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     outdir = config.output_dir
@@ -416,7 +442,7 @@ def main(argv=None) -> int:
             log.error("cannot compute structure constants: %s", exc)
             return 2
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        g.to_csv(args.out)
+        _write_structconst(args.out, g, args.lmax)
         print(f"wrote {(args.lmax + 1) ** 4} entries to {args.out}")
         return 0
 

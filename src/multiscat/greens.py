@@ -32,10 +32,10 @@ with R along z, for all its k in one contraction, and never builds the
 dense matrix.  The triangle and parity zeros of the Gaunt table are
 imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
-entry would be amplified past every allowed one.  That mask is built once
-per lmax and cached with the Legendre table (``_legendre_rule``), and each
-pair slices it.  The rule is folded: only its nonnegative nodes are kept,
-with doubled weights (the zero node of an odd rule keeps its own).  That
+entry would be amplified past every allowed one.  That mask is built with
+the Legendre table (``_legendre_rule``) once per sweep over the pairs, and
+each pair slices it.  The rule is folded: only its nonnegative nodes are
+kept, with doubled weights (the zero node of an odd rule keeps its own).  That
 is exact for every entry the mask keeps, because P_lm(-x) =
 (-1)^(l+m) P_lm(x) and |m| + |m'| + |M| is even, so the integrand of an
 allowed entry, whose l + l' + L is even, is even in x.  It halves the
@@ -61,10 +61,8 @@ singular value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,34 +85,6 @@ from multiscat.specfun import (
 # structure constants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StructureConstantMatrix:
-    """g_{lm;l'm'}(k0, R) for l, l' <= lmax.
-
-    ``matrix`` is indexed by ``sph_index(l, m)`` on the first center (at the
-    origin) and ``sph_index(l', m')`` on the second (at R).
-    """
-
-    k0: float
-    R: tuple[float, float, float]
-    lmax: int
-    matrix: np.ndarray = field(repr=False)
-
-    def to_csv(self, path) -> None:
-        """One row (l, m, l', m', Re g, Im g) per entry, in ``sph_index`` order on both sides."""
-        ls = np.repeat(np.arange(self.lmax + 1), 2 * np.arange(self.lmax + 1) + 1)
-        n = ls.size
-        ms = np.arange(n) - ls * (ls + 1)
-        g = self.matrix.ravel()
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["l", "m", "lp", "mp", "re_g", "im_g"])
-            wr.writerows(zip(np.repeat(ls, n).tolist(), np.repeat(ms, n).tolist(),
-                             np.tile(ls, n).tolist(), np.tile(ms, n).tolist(),
-                             [f"{v:.16e}" for v in g.real.tolist()],
-                             [f"{v:.16e}" for v in g.imag.tolist()]))
-
-
 def _neg_sign(m):
     """Parity factor relating Y_{l,-|m|} to the positive-m Legendre row."""
     m = np.asarray(m)
@@ -126,7 +96,6 @@ def _ipow(n):
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.asarray(n) % 4]
 
 
-@lru_cache(maxsize=1)
 def _legendre_rule(lmax: int):
     """P_LM for L <= 2 lmax on a folded Gauss-Legendre rule, and the Gaunt mask.
 
@@ -138,8 +107,8 @@ def _legendre_rule(lmax: int):
     (l, l' <= lmax, L <= 2 lmax) is 2 pi, the azimuthal integral, where the
     triangle and parity rules allow the entry and 0.0 elsewhere; a pair
     (m, m') slices it ``[|m|:, |m'|:, |M|:]``.  Both callers sweep the
-    azimuthal pairs of one lmax, so one cached, read-only entry serves a
-    whole sweep.
+    azimuthal pairs of one lmax, so each builds the rule once per sweep and
+    hands it to every ``_gaunt_integrals`` call of that sweep.
     """
     Lmax = 2 * lmax
     n = Lmax + Lmax // 2 + 8
@@ -152,28 +121,25 @@ def _legendre_rule(lmax: int):
     lp = np.arange(lmax + 1)[None, :, None]
     L = np.arange(Lmax + 1)
     allowed = (L >= np.abs(l - lp)) & (L <= l + lp) & ((l + lp + L) % 2 == 0)
-    mask = np.where(allowed, 2.0 * np.pi, 0.0)
-    rule = plm_norm_table(Lmax, x), w, mask
-    for table in rule:
-        table.flags.writeable = False
-    return rule
+    return plm_norm_table(Lmax, x), w, np.where(allowed, 2.0 * np.pi, 0.0)
 
 
-def _gaunt_integrals(m: int, mp: int, lmax: int) -> np.ndarray:
+def _gaunt_integrals(m: int, mp: int, rule) -> np.ndarray:
     """G[l, l', L] = integral of Y_lm conj(Y_l'm') conj(Y_LM) over the sphere.
 
-    M = m - m'; the axes run over l = |m|..lmax, l' = |m'|..lmax and
-    L = |M|..2 lmax.  One matrix product on the folded rule of
-    ``_legendre_rule`` gives every Legendre triple integral at once; the
+    ``rule`` is ``_legendre_rule(lmax)``.  M = m - m'; the axes run over
+    l = |m|..lmax, l' = |m'|..lmax and L = |M|..2 lmax.  One matrix product
+    on the folded rule gives every Legendre triple integral at once; the
     entries that the triangle and parity rules forbid are then set to
-    exact zeros by the cached mask (see the module docstring for why that
+    exact zeros by the rule's mask (see the module docstring for why that
     mask cannot be left to the quadrature).  The folding is exact for
     every entry the mask keeps: P_lm(-x) = (-1)^(l+m) P_lm(x), and
     |m| + |m'| + |M| is even, so the integrand has the parity
     (-1)^(l+l'+L), which is even wherever l + l' + L is.
     """
     M = m - mp
-    plm, w, mask = _legendre_rule(lmax)
+    plm, w, mask = rule
+    lmax = mask.shape[0] - 1
     ls = np.arange(abs(m), lmax + 1)
     lps = np.arange(abs(mp), lmax + 1)
     Ls = np.arange(abs(M), 2 * lmax + 1)
@@ -205,7 +171,7 @@ def _outgoing_waves(k: float, R, Lmax: int) -> np.ndarray:
 def _g_block(ks: np.ndarray, cM: np.ndarray, G: np.ndarray, m: int, mp: int) -> np.ndarray:
     """Structure constants g_{lm;l'm'} of one azimuthal pair (m, m') at every k.
 
-    ``G`` is ``_gaunt_integrals(m, m', lmax)`` and column i of ``cM`` holds
+    ``G`` is ``_gaunt_integrals(m, m', rule)`` and column i of ``cM`` holds
     the M = m - m' entries, L = |M|..2 lmax, of ``_outgoing_waves(ks[i], R,
     2 lmax)``.  Returns g[i, l - |m|, l' - |m'|].  The phase i^{l+l'-L}
     factorises, so the L-sum is one contraction of the Gaunt table with
@@ -223,22 +189,27 @@ def _g_block(ks: np.ndarray, cM: np.ndarray, G: np.ndarray, m: int, mp: int) -> 
     return (-4.0j * np.pi * np.asarray(ks, dtype=float))[:, None, None] * phase * contracted
 
 
-def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
+def structure_constants(k0: float, R, lmax: int) -> np.ndarray:
     """Displaced-wave re-expansion coefficients g_{lm;l'm'}(k0, R).
 
-    Assembled by the Gaunt contraction over outgoing waves h+_L(k0 |R|)
-    Y_LM(R^); the defining pointwise identity (module docstring) is the
-    source of truth for sign and normalisation.
+    Returns the ((lmax + 1)^2, (lmax + 1)^2) complex matrix indexed by
+    ``sph_index(l, m)`` on the first center (at the origin) and
+    ``sph_index(l', m')`` on the second (at R).  Assembled by the Gaunt
+    contraction over outgoing waves h+_L(k0 |R|) Y_LM(R^), with one
+    Legendre rule for the whole (m, m') sweep; the defining pointwise
+    identity (module docstring) is the source of truth for sign and
+    normalisation.
     """
     if k0 <= 0:
         raise ValueError("k0 must be positive")
-    R = tuple(float(v) for v in np.asarray(R, dtype=float))
+    R = np.asarray(R, dtype=float)
     if np.linalg.norm(R) == 0:
         raise ValueError("structure constants need |R| > 0")
     if lmax < 0 or 2 * lmax > 140:
         raise ValueError("lmax out of the supported range")
     k0, lmax = float(k0), int(lmax)
     c = _outgoing_waves(k0, R, 2 * lmax)
+    rule = _legendre_rule(lmax)
     g = np.zeros(((lmax + 1) ** 2, (lmax + 1) ** 2), dtype=complex)
     for m in range(-lmax, lmax + 1):
         rows = sph_index(np.arange(abs(m), lmax + 1), m)
@@ -249,9 +220,9 @@ def structure_constants(k0: float, R, lmax: int) -> StructureConstantMatrix:
             if not np.any(cM):
                 continue
             cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
-            g[np.ix_(rows, cols)] = _g_block([k0], cM, _gaunt_integrals(m, mp, lmax),
+            g[np.ix_(rows, cols)] = _g_block([k0], cM, _gaunt_integrals(m, mp, rule),
                                              m, mp)[0]
-    return StructureConstantMatrix(k0=k0, R=R, lmax=lmax, matrix=g)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +260,15 @@ class KtildeDiscretization:
     (phi/|phi| on each node), which leaves the singular values unchanged.
     For overlapping supports the integrable 1/|x-y| diagonal is tamed by
     capping distances at the local quadrature-cell radius (cell averaging).
+    ``schatten4_norm`` builds one at each of its two grid levels.
     """
 
-    scatterer_j: Scatterer
-    scatterer_h: Scatterer
-    k0: float
     matrix: np.ndarray = field(repr=False)
     multiplicity: np.ndarray = field(repr=False)
-    n_radial: int = 0
-    angular_order: int = 0
 
     @classmethod
     def build(cls, sj: Scatterer, sh: Scatterer, k0: float,
-              n_radial: int = 12, angular_order: int = 9) -> "KtildeDiscretization":
+              n_radial: int, angular_order: int) -> "KtildeDiscretization":
         R_len = float(np.linalg.norm(sh.center_array - sj.center_array))
         aj = Scatterer((0.0, 0.0, 0.0), sj.potential)
         ah = Scatterer((0.0, 0.0, R_len), sh.potential)
@@ -321,8 +288,7 @@ class KtildeDiscretization:
         cosines = np.cos((2.0 * np.pi / n_phi) * (np.outer(n, n) % n_phi)) * mult
         col = _ktilde_matrix(aj, ah, k0, pj, wj, ph, wh).reshape(half, -1)
         blocks = (cosines @ col).view(complex).reshape(half, -1, ph.shape[0])
-        return cls(scatterer_j=sj, scatterer_h=sh, k0=k0, matrix=blocks,
-                   multiplicity=mult, n_radial=n_radial, angular_order=angular_order)
+        return cls(matrix=blocks, multiplicity=mult)
 
 
 def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
@@ -373,19 +339,21 @@ def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh):
     return out
 
 
-def schatten4_norm(K: KtildeDiscretization):
-    """Schatten-4 norm estimate of the discretised kernel.
+def schatten4_norm(sj: Scatterer, sh: Scatterer, k0: float,
+                   n_radial: int = 12, angular_order: int = 9):
+    """Schatten-4 norm estimate of the two-center kernel of ``sj`` and ``sh`` at k0.
 
-    Returns ``(value, refinement_delta)``: the value on a grid refined by
-    1.5x in both radial and angular resolution, and its relative change
-    from ``K``'s grid.  Each distinct azimuthal block counts its
-    ``multiplicity`` times, as the +/-m pairs of the spectral norm do.
+    Builds the ``KtildeDiscretization`` at (n_radial, angular_order) and
+    on a grid refined by 1.5x in both radial and angular resolution, and
+    returns ``(value, refinement_delta)``: the refined value and its
+    relative change from the coarse one.  Each distinct azimuthal block
+    counts its ``multiplicity`` times, as the +/-m pairs of the spectral
+    norm do.
     """
-    fine = KtildeDiscretization.build(
-        K.scatterer_j, K.scatterer_h, K.k0,
-        n_radial=math.ceil(1.5 * K.n_radial),
-        angular_order=math.ceil(1.5 * K.angular_order))
-    v1, v2 = (float(D.multiplicity @ _sigma4(D.matrix)) ** 0.25 for D in (K, fine))
+    levels = ((n_radial, angular_order),
+              (math.ceil(1.5 * n_radial), math.ceil(1.5 * angular_order)))
+    v1, v2 = (float(D.multiplicity @ _sigma4(D.matrix)) ** 0.25
+              for D in (KtildeDiscretization.build(sj, sh, k0, *level) for level in levels))
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 
@@ -433,9 +401,9 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
 
     One sweep over m serves every k.  The Gaunt table does not depend on
     k: each m's table is built once, at the largest truncation any k
-    needs, on the folded Legendre rule and with the once-built mask of
-    ``_legendre_rule``, and one contraction takes it against every k's
-    M = 0 waves.  Each k's Hankel table is built at its own truncation
+    needs, on one folded Legendre rule and Gaunt mask (``_legendre_rule``)
+    built for the whole sweep, and one contraction takes it against every
+    k's M = 0 waves.  Each k's Hankel table is built at its own truncation
     2 (lmax + 8) and zero-padded to the largest; that is exact, because the
     mask zeroes every L > l + l', and building it higher would overflow
     y_L at small k|R|.  The nu moments come from one Bessel table per
@@ -463,9 +431,10 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
     for i, (k, lmax) in enumerate(zip(ks, lmaxes)):
         waves[:2 * (lmax + 8) + 1, i] = _hankel_coefficients(k, R_len, 2 * (lmax + 8))
     waves *= np.sqrt((2 * Ls + 1) / (4.0 * np.pi))[:, None]
+    rule = _legendre_rule(top)
     sums = np.zeros((2, ks.size))
     for m in range(top + 1):
-        g = _g_block(ks, waves, _gaunt_integrals(m, m, top), m, m)
+        g = _g_block(ks, waves, _gaunt_integrals(m, m, rule), m, m)
         for level, (root_j, root_h) in enumerate(roots):
             # the +m and -m blocks coincide
             sums[level] += (1.0 if m == 0 else 2.0) * _sigma4(

@@ -42,7 +42,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from multiscat.greens import (
-    KtildeDiscretization,
     schatten4_decay_diagnostic,
     schatten4_norm,
     schatten4_norm_spectral,
@@ -413,7 +412,7 @@ class ScenarioEngine:
             raise ValueError(
                 f"x0_structconst requires non-overlapping supports (gap {gap:.4g})")
         lmax = sc.numerics.lmax
-        g = structure_constants(sc.k0, sh.center_array - sj.center_array, lmax).matrix
+        g = structure_constants(sc.k0, sh.center_array - sj.center_array, lmax)
         y1 = ylm_table(lmax, np.asarray(sc.dir_out))
         y2c = np.conj(ylm_table(lmax, np.asarray(sc.dir_in)))
         ls = np.concatenate([[l] * (2 * l + 1) for l in range(lmax + 1)]).astype(int)
@@ -733,8 +732,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
         born2_rel = abs(born[1] - pair_sum) / max(abs(born[1]), 1e-300)
 
     if overlapping:
-        s_val, s_delta = schatten4_norm(KtildeDiscretization.build(
-            sc.scatterers[0], sc.scatterers[1], sc.k0))
+        s_val, s_delta = schatten4_norm(sc.scatterers[0], sc.scatterers[1], sc.k0)
         schatten = {"method": "grid", "value": float(s_val),
                     "refinement_delta": float(s_delta)}
     else:

@@ -40,7 +40,7 @@
 * ``offshell_table`` - the whole partial-wave t-matrix table on the grid
   plus k0 (``OffshellTable``) by one LU solve of the full collocation
   system, with its own Nystrom (eps > 0) and Haftel-Tabakin (eps = 0)
-  weights;
+  weights; ``offshell_tables`` solves several eps from one V_l;
 * ``grid_bound_states`` - the negative eigenvalues of the (n x n) grid
   Hamiltonian diag(q^2) + S V_l S, S = diag(sqrt(w) q), with V_l from
   ``vl_matrix``;
@@ -62,6 +62,7 @@ from multiscat.greens import (
     _ball_grid,
     _g_block,
     _gaunt_integrals,
+    _legendre_rule,
     _nu_weights,
     _outgoing_waves,
     _sigma4,
@@ -155,7 +156,8 @@ def zaxis_blocks(k: float, R_len: float, lmax: int):
     """m-diagonal structure-constant blocks g[l - m, l' - m], m = 0..lmax, R along z."""
     c = _outgoing_waves(k, (0.0, 0.0, R_len), 2 * lmax)
     c0 = c[sph_index(np.arange(2 * lmax + 1), 0), None]
-    return [_g_block([k], c0, _gaunt_integrals(m, m, lmax), m, m)[0]
+    rule = _legendre_rule(lmax)
+    return [_g_block([k], c0, _gaunt_integrals(m, m, rule), m, m)[0]
             for m in range(lmax + 1)]
 
 
@@ -273,18 +275,18 @@ def ylm(l: int, m: int, direction) -> complex:
 
 
 def g_entry(g, l: int, m: int, lp: int, mp: int) -> complex:
-    """The structure constant g_{lm;l'm'} of a ``StructureConstantMatrix``."""
-    return complex(g.matrix[sph_index(l, m), sph_index(lp, mp)])
+    """The structure constant g_{lm;l'm'} of a ``structure_constants`` matrix."""
+    return complex(g[sph_index(l, m), sph_index(lp, mp)])
 
 
-def expansion_value(g, x, y) -> complex:
-    """Evaluate the displaced-wave expansion of ``g`` at coordinates (x, y).
+def expansion_value(g, k0: float, R, lmax: int, x, y) -> complex:
+    """Evaluate the displaced-wave expansion at coordinates (x, y).
 
-    x is measured from the origin-center, y from the origin as well
-    (the second center sits at g.R).  Raises ConvergenceRegionError
-    outside |x| + |y - R| < |R|.
+    ``g`` is ``structure_constants(k0, R, lmax)``.  x is measured from the
+    origin-center, y from the origin as well (the second center sits at
+    R).  Raises ConvergenceRegionError outside |x| + |y - R| < |R|.
     """
-    R = np.asarray(g.R, dtype=float)
+    R = np.asarray(R, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(y, dtype=float) - R
     rx = float(np.linalg.norm(x))
@@ -294,12 +296,12 @@ def expansion_value(g, x, y) -> complex:
         raise ConvergenceRegionError(
             f"|x| + |y-R| = {rx + rv:.4g} >= |R| = {Rlen:.4g}: "
             "outside the expansion's convergence region")
-    xa = ylm_table(g.lmax, x if rx > 0 else np.array([0.0, 0.0, 1.0]))
-    ya = ylm_table(g.lmax, v if rv > 0 else np.array([0.0, 0.0, 1.0]))
-    reps = 2 * np.arange(g.lmax + 1) + 1
-    jx = np.repeat(bessel_j_table(g.lmax, g.k0 * rx), reps)
-    jy = np.repeat(bessel_j_table(g.lmax, g.k0 * rv), reps)
-    return complex((jx * xa) @ g.matrix @ (jy * np.conj(ya)))
+    xa = ylm_table(lmax, x if rx > 0 else np.array([0.0, 0.0, 1.0]))
+    ya = ylm_table(lmax, v if rv > 0 else np.array([0.0, 0.0, 1.0]))
+    reps = 2 * np.arange(lmax + 1) + 1
+    jx = np.repeat(bessel_j_table(lmax, k0 * rx), reps)
+    jy = np.repeat(bessel_j_table(lmax, k0 * rv), reps)
+    return complex((jx * xa) @ g @ (jy * np.conj(ya)))
 
 
 def standing_companion(grid, S):
@@ -626,7 +628,7 @@ def onshell_chain(sc, path) -> complex:
     (2/pi) e^{-i k1.x_first + i k2.x_last} sum i^{-l} Y_lm(k1^) t_first
     [g(x_next - x_prev) t_next]... i^{l'} conj(Y_l'm'(k2^)) for the
     scatterer indices ``path`` of Scenario ``sc``, with
-    g = structure_constants(k0, R, lmax).matrix and t = onshell_t_lm of each
+    g = structure_constants(k0, R, lmax) and t = onshell_t_lm of each
     centre's phase shifts.  For non-overlapping muffin tins it is the
     eps -> 0 limit of <k1| t_first R0 ... R0 t_last |k2>.
     """
@@ -637,7 +639,7 @@ def onshell_chain(sc, path) -> complex:
                       sc.k0)[ls] for s in path]
     row = (1j) ** (-ls) * ylm_table(lmax, np.asarray(sc.dir_out)) * t[0]
     for prev, nxt, t_next in zip(x, x[1:], t[1:]):
-        row = (row @ structure_constants(sc.k0, nxt - prev, lmax).matrix) * t_next
+        row = (row @ structure_constants(sc.k0, nxt - prev, lmax)) * t_next
     col = (1j) ** ls * np.conj(ylm_table(lmax, np.asarray(sc.dir_in)))
     phase = np.exp(-1j * np.dot(sc.k1, x[0]) + 1j * np.dot(sc.k2, x[-1]))
     return complex((2.0 / np.pi) * phase * (row @ col))
@@ -676,35 +678,42 @@ def offshell_table(pot, l: int, z: ComplexEnergy, grid) -> OffshellTable:
     on-shell subtraction with the analytic principal-value counter-term
     and the -i pi k0 / 2 half-residue.
     """
-    if abs(grid.k0 - z.k0) > 1e-12:
+    return offshell_tables(pot, l, [z], grid)[0]
+
+
+def offshell_tables(pot, l: int, zs, grid) -> list:
+    """``offshell_table`` at every z in ``zs`` (one k0), from one V_l."""
+    if any(abs(grid.k0 - z.k0) > 1e-12 for z in zs):
         raise ValueError("grid and energy disagree about k0")
     q = grid.nodes
     w = grid.weights
-    k0 = z.k0
+    k0 = zs[0].k0
     momenta = np.concatenate([q, [k0]])
     V = vl_matrix(pot, l, momenta)
     n = momenta.size
+    tables = []
+    for z in zs:
+        coeff = np.zeros(n, dtype=complex)
+        if z.eps > 0:
+            coeff[:-1] = w * q * q / (z.z - q * q)
+        else:
+            coeff[:-1] = w * q * q / (k0 * k0 - q * q)
+            log_term = np.log((grid.p_max + k0) / (grid.p_max - k0)) / (2.0 * k0)
+            coeff[-1] = (k0 * k0 * (log_term - np.sum(w / (k0 * k0 - q * q)))
+                         - 0.5j * np.pi * k0)
 
-    coeff = np.zeros(n, dtype=complex)
-    if z.eps > 0:
-        coeff[:-1] = w * q * q / (z.z - q * q)
-    else:
-        coeff[:-1] = w * q * q / (k0 * k0 - q * q)
-        log_term = np.log((grid.p_max + k0) / (grid.p_max - k0)) / (2.0 * k0)
-        coeff[-1] = (k0 * k0 * (log_term - np.sum(w / (k0 * k0 - q * q)))
-                     - 0.5j * np.pi * k0)
-
-    A = np.eye(n, dtype=complex) - V * coeff[None, :]
-    try:
-        T = np.linalg.solve(A, V.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
-    resid = np.max(np.abs(A @ T - V)) / max(np.max(np.abs(V)), 1e-300)
-    if resid > 1e-8:
-        raise PoleProximityError(
-            f"LS solve ill-conditioned at z={z.z} (residual {resid:.2e}); "
-            "z may sit near a bound-state pole")
-    return OffshellTable(l=l, z=z, momenta=momenta, values=T)
+        A = np.eye(n, dtype=complex) - V * coeff[None, :]
+        try:
+            T = np.linalg.solve(A, V.astype(complex))
+        except np.linalg.LinAlgError as exc:
+            raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
+        resid = np.max(np.abs(A @ T - V)) / max(np.max(np.abs(V)), 1e-300)
+        if resid > 1e-8:
+            raise PoleProximityError(
+                f"LS solve ill-conditioned at z={z.z} (residual {resid:.2e}); "
+                "z may sit near a bound-state pole")
+        tables.append(OffshellTable(l=l, z=z, momenta=momenta, values=T))
+    return tables
 
 
 def grid_bound_states(pot, l: int, grid) -> int:

@@ -131,7 +131,7 @@ def test_criterion_6_greens_expansion_identity():
         y = R + v
         r = np.linalg.norm(x - y)
         exact = -np.exp(1j * k0 * r) / (4 * np.pi * r)
-        worst = max(worst, abs(expansion_value(g, x, y) - exact) / abs(exact))
+        worst = max(worst, abs(expansion_value(g, k0, R, 20, x, y) - exact) / abs(exact))
     _criterion("6 Green's expansion identity (lmax=20)", worst, 1e-6)
 
 

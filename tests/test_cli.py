@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 from multiscat.cli import ConfigError, RunConfig, main, run, validate_config
+from multiscat.greens import structure_constants
 from multiscat.multiscatter import Numerics, Scenario
+from multiscat.specfun import sph_index
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,6 +57,18 @@ tolerances:
     assert "scatterers[0].center" in paths
     assert "scatterers[0].potential.kind" in paths
     assert "tolerances.nonsense" in paths
+
+
+def test_every_bad_potential_parameter_reported():
+    # a bad v0 does not hide a bad a or rc of the same potential
+    bad = MINIMAL.replace("{kind: square_well, v0: -1.0, a: 1.0}\n  - center",
+                          "{kind: truncated_coulomb, v0: true, a: -1.0, rc: 0}\n  - center")
+    assert "truncated_coulomb" in bad
+    with pytest.raises(ConfigError) as exc:
+        validate_config(bad)
+    assert [p for p, _ in exc.value.errors] == [
+        "scatterers[0].potential.v0", "scatterers[0].potential.a",
+        "scatterers[0].potential.rc"]
 
 
 def test_non_unit_direction_warns():
@@ -279,6 +295,33 @@ def test_structconst_export(tmp_path):
     assert main(["structconst", "--k0", "1.0", "--r", "1", "2",
                  "--lmax", "2", "--out", str(out2)]) == 2
     assert not out2.exists()
+
+
+def test_structconst_csv_roundtrip(tmp_path):
+    # the CSV holds every entry of the matrix, in sph_index order on both
+    # sides, with .16e real and imaginary parts
+    g = structure_constants(1.0, [1.0, 0.5, 3.0], 3)
+    path = tmp_path / "g.csv"
+    assert main(["structconst", "--k0", "1", "--r", "1", "0.5", "3",
+                 "--lmax", "3", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "l,m,lp,mp,re_g,im_g"
+    assert re.fullmatch(r"0,0,0,0(,-?\d\.\d{16}e[+-]\d{2}){2}", lines[1])
+    assert lines[1] == f"0,0,0,0,{g[0, 0].real:.16e},{g[0, 0].imag:.16e}"
+    back = np.zeros_like(g)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for l, m, lp, mp, re_g, im_g in rows[1:]:
+        back[sph_index(int(l), int(m)), sph_index(int(lp), int(mp))] = (
+            float(re_g) + 1j * float(im_g))
+    assert len(rows) == 1 + g.size
+    assert np.max(np.abs(g - back)) < 1e-15 * np.max(np.abs(g))
+    # the rows of a nested loop over (l, m), then (l', m'), string for string
+    want = [[str(l), str(m), str(lp), str(mp), f"{v.real:.16e}", f"{v.imag:.16e}"]
+            for l in range(4) for m in range(-l, l + 1)
+            for lp in range(4) for mp in range(-lp, lp + 1)
+            for v in [g[sph_index(l, m), sph_index(lp, mp)]]]
+    assert rows[1:] == want
 
 
 def test_structconst_overflow_is_an_input_error(tmp_path, caplog):

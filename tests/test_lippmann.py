@@ -19,7 +19,7 @@ from multiscat.potentials import (
 )
 from multiscat.radial import onshell_t_lm, phase_shift
 from multiscat.specfun import bessel_j_table, gauss_panels, octave_edges
-from oracles import factors_per_l, grid_bound_states, offshell_table
+from oracles import factors_per_l, grid_bound_states, offshell_table, offshell_tables
 from test_radial import continuous_branch
 
 ALL_KINDS = [
@@ -209,12 +209,16 @@ def test_spectrum_matches_direct_solve(pot):
         if pot.kind in ("exponential", "truncated_coulomb"):
             # radial rules longer than the grid: still no (n + 1)^2 table
             assert rank < grid.size + 1, l
-    for eps in EPS + (0.0,):
-        tol = 1e-12 if eps == 0 else 1e-10
-        half, on = sp.half_shell(eps), sp.on_shell(eps)
+    shells = {eps: (sp.half_shell(eps), sp.on_shell(eps)) for eps in EPS + (0.0,)}
+    for half, on in shells.values():
         assert half.shape == (9, grid.size + 1) and on.shape == (9,)
-        for l in range(9):
-            ref = offshell_table(pot, l, ComplexEnergy(k0, eps), grid)
+    # the oracle builds each l's V_l once and solves every eps from it
+    zs = [ComplexEnergy(k0, eps) for eps in shells]
+    for l in range(9):
+        for z, ref in zip(zs, offshell_tables(pot, l, zs, grid)):
+            eps = z.eps
+            tol = 1e-12 if eps == 0 else 1e-10
+            half, on = shells[eps]
             scale = np.max(np.abs(ref.values))
             table = sp.B[l].T @ sp.x(eps)[l] @ sp.B[l]
             assert np.max(np.abs(table - ref.values)) <= tol * scale, (l, eps)
