@@ -113,7 +113,8 @@ def _legendre_rule(lmax: int):
     Lmax = 2 * lmax
     n = Lmax + Lmax // 2 + 8
     xg, wg = gauss_legendre(n)
-    # the nodes are symmetric to the last bit, the middle one of an odd rule 0.0
+    # gauss_legendre mirrors its positive half, so the halves match by
+    # construction and the middle node of an odd rule is exactly 0.0
     x, w = xg[n // 2:], 2.0 * wg[n // 2:]
     if n % 2:
         w[0] = wg[n // 2]

@@ -49,6 +49,7 @@ Recurrences (Abramowitz & Stegun 10.1.19 and 8.5.3):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -312,19 +313,86 @@ class AngularGrid:
         return self.degree + 1
 
 
-@lru_cache(maxsize=64)
-def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1], shared and read-only.
+#: Veltkamp's splitting constant 2^27 + 1: with t = s x, the head t - (t - x)
+#: keeps the top 26 bits of x, so an integer f < 2^26 times it is exact.
+_SPLIT = 134217729.0
 
-    numpy's nodes (right to 1e-16), with w = 2 (1 - x^2)/(n (x P_n - P_{n-1}))^2
-    from Bonnet's recurrence at them: right to 1e-12, where numpy's weights
-    drift to 1e-10 (Hale and Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+#: Newton passes allowed for the Gauss-Legendre nodes; n <= 5000 takes at
+#: most 5 (four steps and the pass that finds the last one below 1e-14).
+_NEWTON_PASSES = 8
+
+#: Largest n |theta - head| at which the order-6 Taylor series of
+#: ``gauss_legendre`` is summed: the first term it drops is below
+#: 0.01^7 / 7! = 2e-18.  Tricomi's guesses lie within 0.0039 / n of the nodes.
+_TAYLOR_REACH = 0.01
+
+
+@lru_cache(maxsize=64, typed=True)
+def gauss_legendre(n: int):
+    """Cached Gauss-Legendre nodes/weights on [-1, 1], ascending, shared and read-only.
+
+    Newton's method in theta, x = cos theta, on Stieltjes' series
+    ``P_n(cos theta) = sum_k g_k g_{n-k} cos((n - 2k) theta)``,
+    ``g_k = C(2k, k) / 4^k`` (Szego, Orthogonal Polynomials, 4.9.3), with
+    the terms k and n - k folded into the n//2 + 1 distinct frequencies f.
+    The guesses are Tricomi's, ``x_i = (1 - (n-1)/(8 n^3)) cos(pi (4i - 1)
+    / (4n + 2))`` on the positive half.  Each guess is split into a 26-bit
+    head, so that every ``f head`` is exact, and a tail.  The series and its
+    first seven theta-derivatives are summed once at the heads: one cos and
+    one sin of an (n/2, n/2 + 1) table, O(n^2).  Every Newton step then
+    sums an order-6 Taylor series in the tail, until every step is below
+    1e-14 (three or four steps for n from 2 to 5000); a tail beyond
+    ``_TAYLOR_REACH / n``, or more than ``_NEWTON_PASSES`` passes, raises
+    RuntimeError.  The weights are ``w = 2 / (dP_n/dtheta)^2`` at the final
+    nodes, and the middle weight of an odd rule is ``2 / (n g_{(n-1)/2})^2``.
+    The negative half is the mirror image, so the rule is exactly
+    antisymmetric and the middle node of an odd rule is exactly 0.0.
+    Against 40-digit roots the nodes are within 1.2e-16, and the weights
+    within 4e-15 relative, for n up to 640.  Newton in theta from
+    asymptotic guesses is the method of Hale and Townsend (SIAM J. Sci.
+    Comput. 35 (2013) A652); they sum P_n by its recurrence or asymptotics.
     """
-    x = np.polynomial.legendre.leggauss(n)[0]
-    p_prev, p = np.ones_like(x), x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    w = 2.0 * (1.0 - x * x) / (n * (x * p - p_prev)) ** 2
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs n >= 1 nodes, got {n}")
+    k = np.arange(1, n + 1)
+    g = np.concatenate([[1.0], np.cumprod((2 * k - 1) / (2 * k))])
+    j = np.arange(n // 2 + 1)
+    f = n - 2.0 * j
+    a = np.where(2 * j == n, 1.0, 2.0) * g[j] * g[n - j]
+    i = np.arange(1, n // 2 + 1)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3))
+                      * np.cos(np.pi * (4 * i - 1) / (4 * n + 2)))
+    t = _SPLIT * theta
+    head = t - (t - theta)
+    tail = theta - head
+    # d[:, k] = d^k P_n / dtheta^k at the heads, k = 0..7: the k-th
+    # derivative of cos(f theta) is f^k cos(f theta + k pi / 2)
+    ak = a * f ** np.arange(8)[:, None] * np.array([1, -1, -1, 1, 1, -1, -1, 1])[:, None]
+    fh = np.multiply.outer(head, f)
+    d = np.empty((head.size, 8))
+    d[:, 0::2] = np.cos(fh) @ ak[0::2].T
+    d[:, 1::2] = np.sin(fh, out=fh) @ ak[1::2].T
+    inv_factorial = 1.0 / np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0])
+    step = np.inf
+    for _ in range(_NEWTON_PASSES):
+        powers = tail[:, None] ** np.arange(7) * inv_factorial
+        dp = np.sum(d[:, 1:] * powers, axis=1)            # dP_n/dtheta
+        if np.max(np.abs(step), initial=0.0) < 1e-14:
+            break
+        step = np.sum(d[:, :7] * powers, axis=1) / dp      # P_n / (dP_n/dtheta)
+        tail -= step
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes for n={n} did not converge "
+                           f"in {_NEWTON_PASSES} Newton passes")
+    if n * np.max(np.abs(tail), initial=0.0) > _TAYLOR_REACH:
+        raise RuntimeError(f"Gauss-Legendre nodes for n={n} moved past the "
+                           f"Taylor series' reach {_TAYLOR_REACH} / n")
+    x = np.cos(head) * np.cos(tail) - np.sin(head) * np.sin(tail)
+    w = 2.0 / dp ** 2
+    x_mid, w_mid = ([0.0], [2.0 / (n * g[n // 2]) ** 2]) if n % 2 else ([], [])
+    x = np.concatenate([-x, x_mid, x[::-1]])
+    w = np.concatenate([w, w_mid, w[::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -304,8 +305,13 @@ def _brute_force_rule(eng):
                                   + 2 * eng.sc.numerics.lmax + 30)
 
 
+@lru_cache(maxsize=32)
 def _direct_table(eng, s, l, eps):
-    """t_l of scatterer s by the direct LU solve, independent of the engine's spectra."""
+    """t_l of scatterer s by the direct LU solve, independent of the engine's spectra.
+
+    Memoised: the brute-force oracles below ask for the same (engine, s, l,
+    eps) table once per term and per pair; three_engine has 32 of them.
+    """
     return offshell_table(eng.sc.scatterers[s].potential, l,
                           ComplexEnergy(eng.sc.k0, eps), eng.grid)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
+from multiscat import specfun
 from multiscat.specfun import (
     AngularGrid,
     bessel_derivative,
@@ -207,16 +208,47 @@ def test_legendre_table_matches_scipy():
     assert legendre_table(3, 0.5).shape == (4,)
 
 
-@pytest.mark.parametrize("n", [22, 64, 116])
-def test_gauss_legendre_weights_to_1e12(n):
-    # numpy's leggauss weights drift to 1.1e-11 at 116 nodes; the weights
-    # recomputed at its nodes hold 1e-12 against 40 digits
+@pytest.mark.parametrize("n", [1, 2, 3, 22, 64, 116, 288, 640])
+def test_gauss_legendre_nodes_match_leggauss(n):
+    # numpy's eigensolve is the oracle for the nodes only
     x, w = gauss_legendre(n)
-    ref = gauss_legendre_weights_mp(n, x)
-    err = max(abs(float((wi - ri) / ri)) for wi, ri in zip(w, ref))
+    assert x.shape == w.shape == (n,)
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 4e-16
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [22, 64, 116, 288])
+def test_gauss_legendre_weights_to_1e12(n):
+    # numpy's leggauss weights drift to 1.1e-11 at 116 nodes; the Newton
+    # rule's hold 1e-12 against 40 digits (every node up to 116, every
+    # seventh at 288: the oracle costs O(n) mpmath steps a node)
+    x, w = gauss_legendre(n)
+    nodes = np.arange(0, n, 1 if n <= 116 else 7)
+    ref = gauss_legendre_weights_mp(n, x[nodes])
+    err = max(abs(float((w[i] - r) / r)) for i, r in zip(nodes, ref))
     assert err <= 1e-12
     assert np.array_equal(w, w[::-1])
-    assert not w.flags.writeable
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n, error", [(0, ValueError), (-1, ValueError),
+                                      (2.0, TypeError), (2.5, TypeError)])
+def test_gauss_legendre_rejects_bad_n(n, error):
+    gauss_legendre(2)   # cached first: 2.0 == 2 must not find its entry
+    with pytest.raises(error):
+        gauss_legendre(n)
+
+
+@pytest.mark.parametrize("name, value, match", [("_NEWTON_PASSES", 2, "did not converge"),
+                                                ("_TAYLOR_REACH", 1e-9, "reach")])
+def test_gauss_legendre_gates_can_fail(monkeypatch, name, value, match):
+    monkeypatch.setattr(specfun, name, value)
+    with pytest.raises(RuntimeError, match=match):
+        gauss_legendre.__wrapped__(40)
 
 
 # ---------------------------------------------------------------------------
