@@ -5,7 +5,10 @@
 #
 # MULTISCAT is the multiscat executable under test and PYTHON an interpreter
 # that can read its reports.  The script validates and runs the bundled
-# configs, runs the wells config at n_max 3 (the Born-3 term), runs a
+# configs, reruns the wells config into the same directory with a momentum
+# tail it cannot pass (p_max 2.5, tail_tol 1e-6) and checks that the run
+# exits 1 with an error report and leaves no summary.csv or plotdata CSV of
+# the earlier run, runs the wells config at n_max 3 (the Born-3 term), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
 # (both bundled pairs repeat one potential) and checks that every k's
 # refinement delta stays at round-off (<= 1e-12), runs a pair of
@@ -51,6 +54,17 @@ no_flag out/nonoverlap_wells/report.json
 no_flag out/overlap_gaussians/report.json
 ls_per_l out/nonoverlap_wells/report.json
 ls_per_l out/overlap_gaussians/report.json
+
+echo "== a failed run in the same directory leaves only its error report"
+sed 's/^  lmax: 8$/  lmax: 8\n  p_max: 2.5\n  tail_tol: 1.0e-6/' configs/nonoverlap_wells.yaml \
+  > "$tmp/short_tail.yaml"
+grep -q '^  tail_tol: 1.0e-6$' "$tmp/short_tail.yaml"
+status=0
+"$multiscat" run "$tmp/short_tail.yaml" || status=$?
+test "$status" -eq 1
+"$python" -c "import json, sys; r = json.load(open(sys.argv[1])); assert r['error_type'] == 'TailEstimateError', r" out/nonoverlap_wells/report.json
+test ! -e out/nonoverlap_wells/summary.csv
+test -z "$(find out/nonoverlap_wells/plotdata -name '*.csv')"
 
 echo "== the wells config at n_max 3 (the Born-3 term)"
 sed -e 's/^  n_max: 2 /  n_max: 3 /' -e 's|dir: out/nonoverlap_wells|dir: out/wells_born3|' \

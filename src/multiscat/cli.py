@@ -14,8 +14,10 @@ not read.  ``multiscat run config.yaml`` writes
   value, and the structure-constant truncation sweep,
 
 and exits 0 exactly when every enabled comparison passed its configured
-tolerance.  Identical configs produce byte-identical summary.csv files:
-there is no randomness anywhere in a run and reduction orders are fixed.
+tolerance.  It first deletes those CSV files (``_RUN_FILES``), so a failed
+run leaves its error report alone and no file of an earlier run survives.
+Identical configs produce byte-identical summary.csv files: there is no
+randomness anywhere in a run and reduction orders are fixed.
 
 ``multiscat structconst --k0 K --r R --lmax L --out g.csv`` writes the
 structure constants g_{lm;l'm'}(k0, R) as one CSV row
@@ -50,6 +52,9 @@ from multiscat.potentials import KINDS, Potential, Scatterer
 log = logging.getLogger("multiscat")
 
 SUMMARY_SCHEMA_VERSION = 1
+
+_RUN_FILES = ("summary.csv", "plotdata/y_alpha.csv", "plotdata/x0_vs_eps.csv",
+              "plotdata/structconst_lmax.csv")
 
 SUMMARY_COLUMNS = [
     "schema_version", "k0", "n_scatterers", "pair_gap",
@@ -300,29 +305,20 @@ def _write_plotdata(outdir: Path, report) -> None:
     pd = outdir / "plotdata"
     pd.mkdir(parents=True, exist_ok=True)
     sv = str(SUMMARY_SCHEMA_VERSION)
-    eps_seq = sorted(next(iter(report.x_alpha_by_eps.values())).keys(),
-                     reverse=True) if report.x_alpha_by_eps else []
+    eps_seq = sorted(report.x_alpha_by_eps.get(0.0, {}), reverse=True)
 
     lines = ["schema_version,alpha,"
              + ",".join(f"re_eps{e:g},im_eps{e:g}" for e in eps_seq)
              + ",re_extrap,im_extrap"]
     for a in sorted(report.y_alpha_samples):
-        vals = []
-        for e in eps_seq:
-            v = report.x_alpha_by_eps[a][e] * np.exp(-1j * a * report.scenario["k0"])
-            vals += [_fmt(v.real), _fmt(v.imag)]
-        y = report.y_alpha_samples[a]
-        vals += [_fmt(y.real), _fmt(y.imag)]
-        lines.append(sv + "," + _fmt(a) + "," + ",".join(vals))
+        phase = np.exp(-1j * a * report.scenario["k0"])
+        ys = [report.x_alpha_by_eps[a][e] * phase for e in eps_seq] + [report.y_alpha_samples[a]]
+        lines.append(",".join([sv, _fmt(a)] + [_fmt(p) for y in ys for p in (y.real, y.imag)]))
     (pd / "y_alpha.csv").write_text("\n".join(lines) + "\n")
 
-    lines = ["schema_version,eps,re_x0,im_x0"]
-    for e in eps_seq:
-        v = report.x_alpha_by_eps.get(0.0, {}).get(e)
-        if v is not None:
-            lines.append(f"{sv},{_fmt(e)},{_fmt(v.real)},{_fmt(v.imag)}")
-    lines.append(f"{sv},{_fmt(0.0)},{_fmt(report.x0_direct.real)},"
-                 f"{_fmt(report.x0_direct.imag)}")
+    x0 = {**report.x_alpha_by_eps.get(0.0, {}), 0.0: report.x0_direct}
+    lines = ["schema_version,eps,re_x0,im_x0"] + [
+        f"{sv},{_fmt(e)},{_fmt(x0[e].real)},{_fmt(x0[e].imag)}" for e in eps_seq + [0.0]]
     (pd / "x0_vs_eps.csv").write_text("\n".join(lines) + "\n")
 
     if report.x0_structconst_by_lmax:
@@ -357,6 +353,8 @@ def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in _RUN_FILES:
+        (outdir / name).unlink(missing_ok=True)
     try:
         report = ScenarioEngine(config.scenario).verify()
     except Exception as exc:

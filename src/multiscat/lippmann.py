@@ -27,7 +27,7 @@ Rev. C 8 (1973) 46) that is exact for this discretised operator:
 
     t_l(z) = B^T X(z) B,   (I - s A(z)) X(z) = s I,   A(z) = B diag(d) B^T,
 
-with the weights d of ``_weights`` over the grid plus k0: Nystrom for
+with the weights d of ``ls_weights`` over the grid plus k0: Nystrom for
 eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
 Phys. A158 (1970) 1).  The factors of every l come from one stacked SVD
 of diag(sqrt|c|) J_l, each l cut at numpy's ``matrix_rank`` tolerance, so
@@ -43,6 +43,11 @@ alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
 cross-check per distinct potential compares the factorised column
 against it.
+
+``ls_weights`` is the one copy of R0(z) = (z - q^2)^{-1} on the momentum
+rule.  ``_solve`` and ``solve_offshell_t`` read it, and ``multiscatter``
+reads its eps > 0 grid columns in ``ScenarioEngine.x_lattice`` (every eps
+at once) and in ``ScenarioEngine._born3`` (both free propagations).
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ def vl_matrix(pot: Potential, l: int, momenta, scale: int = 1) -> np.ndarray:
 # LS weights and the factorised solves
 # ---------------------------------------------------------------------------
 
-def _weights(grid: MomentumGrid, eps) -> np.ndarray:
+def ls_weights(grid: MomentumGrid, eps) -> np.ndarray:
     """Weights d of the LS kernel over the grid nodes plus k0, one row per eps.
 
     eps > 0 (Nystrom): d_i = w_i q_i^2 / (z - q_i^2) and 0 on the k0 column.
@@ -187,17 +192,18 @@ class LSSpectrum:
     bound_states: tuple
     residual: float
 
-    def x(self, eps: float) -> np.ndarray:
-        """X_l(eps) of every l, (lmax + 1, k, k)."""
-        if eps not in self.eps:
+    def x(self, eps) -> np.ndarray:
+        """X_l(eps) of every l, (lmax + 1, k, k), with a leading axis for a sequence of eps."""
+        if not set(np.ravel(eps)) <= set(self.eps):
             raise ValueError(f"t_l was solved at eps in {self.eps}, not at {eps}")
-        return self.X[self.eps.index(eps)]
+        return self.X[np.vectorize(self.eps.index)(eps)]
 
-    def half_shell(self, eps: float) -> np.ndarray:
-        """t_l(p_i, k0; k0^2 + i eps) of every l over the grid plus k0, (lmax + 1, n + 1)."""
-        xb = (self.x(eps) @ self.B[:, :, -1:]).transpose(0, 2, 1)
+    def half_shell(self, eps) -> np.ndarray:
+        """t_l(p_i, k0; k0^2 + i eps) of every l over the grid plus k0, (lmax + 1, n + 1),
+        with a leading axis for a sequence of eps."""
+        xb = (self.x(eps) @ self.B[:, :, -1:]).swapaxes(-1, -2)
         # two real products, rather than promoting B to complex
-        return (xb.real @ self.B + 1j * (xb.imag @ self.B))[:, 0]
+        return (xb.real @ self.B + 1j * (xb.imag @ self.B))[..., 0, :]
 
     def on_shell(self, eps: float) -> np.ndarray:
         """t_l(k0, k0; k0^2 + i eps) of every l, (lmax + 1,)."""
@@ -207,13 +213,13 @@ class LSSpectrum:
 def _solve(B: np.ndarray, s: float, rank: tuple, grid: MomentumGrid, eps: tuple) -> tuple:
     """X(z) solving (I - s A(z)) X = s I on each l's rank at every (eps, l), in one stacked solve.
 
-    A(z) = B diag(d) B^T with the weights d of ``_weights``: Nystrom for
+    A(z) = B diag(d) B^T with the weights d of ``ls_weights``: Nystrom for
     eps > 0, Haftel-Tabakin for eps = 0.  The right-hand side is zero past
     each rank, so X is too.  The systems and residuals are formed one eps
     at a time.  Returns (X, worst residual); raises PoleProximityError when
     max|(I - s A) X - s I| exceeds 1e-8.
     """
-    d = _weights(grid, eps)
+    d = ls_weights(grid, eps)
     k = B.shape[1]
     rhs = s * (np.arange(k) < np.array(rank)[:, None, None]) * np.eye(k)
     L = np.empty((len(eps),) + rhs.shape, dtype=complex)
@@ -300,13 +306,13 @@ def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
 
     ``vl_matrix`` assembles V_l on the grid plus k0 and one LU solve of the
     full collocation system (I - V diag(d)) t = V e_k0, with the weights d
-    of ``_weights``, gives the column alone.  Raises PoleProximityError when
+    of ``ls_weights``, gives the column alone.  Raises PoleProximityError when
     its residual max|(I - V diag(d)) t - V e_k0| / max|V e_k0| exceeds 1e-8.
     """
     if abs(grid.k0 - z.k0) > 1e-12:
         raise ValueError("grid and energy disagree about k0")
     V = vl_matrix(pot, l, np.concatenate([grid.nodes, [z.k0]]))
-    A = np.eye(V.shape[0]) - V * _weights(grid, [z.eps])
+    A = np.eye(V.shape[0]) - V * ls_weights(grid, [z.eps])
     v = V[:, -1]
     try:
         t = np.linalg.solve(A, v.astype(complex))

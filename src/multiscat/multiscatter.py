@@ -48,7 +48,13 @@ from multiscat.greens import (
     spectral_truncations,
     structure_constants,
 )
-from multiscat.lippmann import ComplexEnergy, MomentumGrid, ls_spectrum, solve_offshell_t
+from multiscat.lippmann import (
+    ComplexEnergy,
+    MomentumGrid,
+    ls_spectrum,
+    ls_weights,
+    solve_offshell_t,
+)
 from multiscat.potentials import pair_gap, rollnik_check
 from multiscat.radial import onshell_t_lm, phase_shift
 from multiscat.specfun import (
@@ -313,14 +319,14 @@ class ScenarioEngine:
         radial wave j_0(q|x-y|).  It is the projection (_projection, as in
         _born3) of T_j, carried by e^{i q k^.(x_j - x_h)}, onto the rows
         c_l' P_l'(k^_a.k2^) w_a; by the addition theorem
-        S(q) = sum_l' t_h,l'(q) proj[l', q].
+        S(q) = sum_l' t_h,l'(q) proj[l', q], one sum over l' for every eps.
         Sy(q) is the same sandwich through the irregular wave y_0(q|x-y|),
         obtained from S by the principal-value identity
         y_0(q r) = (2/(pi q)) PV int dk k^2 j_0(k r)/(q^2 - k^2):
         a Hilbert-type transform on the momentum grid (see _pv_operator),
-        valid for any geometry including overlapping supports.  Each eps
-        is contracted on its own, so a row does not depend on the other
-        eps of the call.
+        valid for any geometry including overlapping supports, applied to
+        every row in one stacked product.  A row does not depend on the
+        other eps of the call.
         """
         j, h = pair
         sc = self.sc
@@ -330,9 +336,8 @@ class ScenarioEngine:
                 * self.ang.weights)
         proj = self._projection(rows, j, sc.scatterers[j].center_array
                                 - sc.scatterers[h].center_array, sc.dir_out, eps_seq)
-        S = np.array([(self.offshell(h).half_shell(eps)[:, :-1] * p).sum(axis=0)
-                      for eps, p in zip(eps_seq, proj)])
-        return S, np.array([self.pv @ row for row in S])
+        S = (self.offshell(h).half_shell(eps_seq)[:, :, :-1] * proj).sum(axis=1)
+        return S, (self.pv @ S[:, :, None])[:, :, 0]
 
     # -- operations ---------------------------------------------------------
 
@@ -347,44 +352,40 @@ class ScenarioEngine:
                   pair: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
         """Pair terms X_alpha(z) for every alpha in ``alphas`` at every eps of ``eps_seq``.
 
-        The integrand uses genuinely off-shell half-shell t-matrix columns
-        through one pair profile per eps, all from one angular projection;
-        the alpha insertion carries the branch-continued phase, under which
+        The integrand is one (n_eps, n_alpha, n_q) block: the pair profiles
+        of every eps, built on genuinely off-shell half-shell t-matrix
+        columns, times the alpha insertion and R0(z) (lippmann.ls_weights).
+        The insertion carries the branch-continued phase, under which
         X_alpha = e^{i alpha sqrt(z)} X_0 up to quadrature error.  Every
-        entry passes the momentum-tail check or raises TailEstimateError.
-        Returns the terms (n_eps, n_alpha) and, per eps, the worst
-        momentum-tail estimate relative to |X_alpha| over the row.
+        entry passes the momentum-tail check, or TailEstimateError names
+        the first failing one in (eps, alpha) order.  Returns the terms
+        (n_eps, n_alpha) and, per eps, the worst momentum-tail estimate
+        relative to |X_alpha| over the row.
         """
-        if any(eps <= 0 for eps in eps_seq):
+        if min(eps_seq) <= 0:
             raise ValueError("x_alpha needs eps > 0; use eps_extrapolate for the limit")
         j, h = pair
         if j == h:
             raise ValueError("pair term needs two distinct scatterers")
-        sc = self.sc
         q = self.grid.nodes
-        w = self.grid.weights
-        tol = sc.numerics.tail_tol
+        tol = self.sc.numerics.tail_tol
         # branch-continued alpha phase: e^{i alpha q} on the outgoing and
         # e^{-i alpha q} on the incoming half of the free propagation
         aq = np.outer(alphas, q)
-        cos_aq, sin_aq = np.cos(aq), np.sin(aq)
-        lattice, tails = [], []
-        for eps, S, Sy in zip(eps_seq, *self.pair_profile(pair, eps_seq)):
-            z = complex(sc.k0 ** 2, eps)
-            contrib = (w * q * q / (z - q * q)) * (S * cos_aq - Sy * sin_aq)
-            totals = self._phase(j, h) * np.sum(contrib, axis=1)
-            est = _tail_estimate(q, contrib)
-            size = np.maximum(np.abs(totals), 1e-300)
-            bad = np.flatnonzero(est > tol * size)
-            if bad.size:
-                i = bad[0]
-                raise TailEstimateError(
-                    f"momentum-tail estimate {est[i]:.3e} exceeds "
-                    f"{tol:.1e} * |X| = {tol * abs(totals[i]):.3e}; increase p_max",
-                    estimate=float(est[i]))
-            lattice.append(totals)
-            tails.append(float(np.max(est / size)))
-        return np.array(lattice), np.array(tails)
+        S, Sy = self.pair_profile(pair, eps_seq)
+        contrib = ls_weights(self.grid, eps_seq)[:, None, :-1] * (
+            S[:, None] * np.cos(aq) - Sy[:, None] * np.sin(aq))
+        totals = self._phase(j, h) * np.sum(contrib, axis=-1)
+        est = _tail_estimate(q, contrib)
+        size = np.maximum(np.abs(totals), 1e-300)
+        bad = np.argwhere(est > tol * size)
+        if bad.size:
+            i = tuple(bad[0])
+            raise TailEstimateError(
+                f"momentum-tail estimate {est[i]:.3e} exceeds "
+                f"{tol:.1e} * |X| = {tol * abs(totals[i]):.3e}; increase p_max",
+                estimate=float(est[i]))
+        return totals, np.max(est / size, axis=1)
 
     def x_alpha(self, alpha: float, eps: float, pair: tuple[int, int] = (0, 1)) -> complex:
         """Pair term X_alpha(z) by intermediate-momentum quadrature.
@@ -465,12 +466,9 @@ class ScenarioEngine:
         weighted Y_lm table on ``ang``, shared between the terms of one order.
         """
         sc = self.sc
-        z = complex(sc.k0 ** 2, eps)
         lmax = sc.numerics.lmax
-        q = self.grid.nodes
-        w = self.grid.weights
         centers = [s.center_array for s in sc.scatterers]
-        denom = w * q * q / (z - q * q)
+        denom = ls_weights(self.grid, [eps])[0, :-1]
         A = self._projection(Yw, j, centers[j] - centers[h], sc.dir_out, [eps])[0] * denom
         B = self._projection(np.conj(Yw), k, centers[h] - centers[k], sc.dir_in,
                              [eps])[0] * denom
@@ -512,7 +510,7 @@ class ScenarioEngine:
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
         wave = coef[:, None] * bessel_j_table(2 * lmax, self.grid.nodes * D_len)
         return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
-                         for t in (self.offshell(s).half_shell(eps)[:, :-1] for eps in eps_seq)])
+                         for t in self.offshell(s).half_shell(eps_seq)[:, :, :-1]])
 
     # -- the full experiment -------------------------------------------------
 
@@ -521,10 +519,11 @@ class ScenarioEngine:
 
 
 def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Crude geometric-decay bound on the neglected q > p_max tail, per row of ``contrib``."""
+    """Crude geometric-decay bound on the neglected q > p_max tail of every
+    integrand in ``contrib`` (x_lattice's (eps, alpha) block) over its last axis, q."""
     qr = q[-1] - q[0]
-    last = np.abs(np.sum(contrib[:, q > q[-1] - qr / 8], axis=1))
-    prev = np.abs(np.sum(contrib[:, (q > q[-1] - qr / 4) & (q <= q[-1] - qr / 8)], axis=1))
+    last = np.abs(np.sum(contrib[..., q > q[-1] - qr / 8], axis=-1))
+    prev = np.abs(np.sum(contrib[..., (q > q[-1] - qr / 4) & (q <= q[-1] - qr / 8)], axis=-1))
     r = np.minimum(last / np.maximum(prev, 1e-300), 0.9)
     return last * r / (1.0 - r)
 
@@ -650,12 +649,10 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics = {
         "momentum_nodes": int(engine.grid.size),
         "p_max": float(engine.p_max),
-        "rollnik": [],
+        "rollnik": [{"kind": s.potential.kind, **asdict(rollnik_check(s.potential))}
+                    for s in sc.scatterers],
         "pair_gap": None,
     }
-    for s in sc.scatterers:
-        diagnostics["rollnik"].append({"kind": s.potential.kind,
-                                       **asdict(rollnik_check(s.potential))})
     # stage 1: the LS stage per distinct potential, and its health numbers
     diagnostics["ls"] = engine.ls_health()
 
@@ -676,7 +673,8 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     diagnostics["pair_gap"] = float(gap)
     overlapping = gap <= 0
 
-    # stages 2-3: one angular projection, then a pair profile and X_alpha row per eps
+    # stages 2-3: the pair profiles, then the X lattice, each one (eps, ...) block;
+    # alpha = 0 is always computed, since X_0 is what the gates compare with
     lattice_alphas = alphas if 0.0 in alphas else alphas + (0.0,)
     rows, tails = engine.x_lattice(lattice_alphas, eps_seq)
     lattice = dict(zip(eps_seq, rows))
@@ -687,7 +685,7 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     x_extrap = {a: complex(x) for a, x in zip(lattice_alphas, limits)}
     x_err = {a: float(e) for a, e in zip(lattice_alphas, errors)}
     x_by_eps = {a: {e: complex(lattice[e][i]) for e in eps_seq}
-                for i, a in enumerate(lattice_alphas) if a in alphas}
+                for i, a in enumerate(lattice_alphas)}
     x0 = x_extrap[0.0]
     diagnostics["richardson_error"] = x_err
     if x0 == 0:
@@ -697,13 +695,10 @@ def run_verification(engine: ScenarioEngine) -> VerificationReport:
     y_samples = {a: complex(np.exp(-1j * a * sc.k0) * x_extrap[a]) for a in alphas}
     flat = max(abs(y_samples[a] - x0) for a in alphas) / abs(x0)
 
-    phase_res = {}
-    for a in alphas:
-        if a == 0.0:
-            continue
-        arg = np.angle(x_extrap[a] / x0)
-        d = (arg - a * sc.k0 + np.pi) % (2.0 * np.pi) - np.pi
-        phase_res[a] = float(abs(d))
+    # arg(X_alpha / X_0) - alpha k0, wrapped to [-pi, pi)
+    wrapped = {a: (np.angle(x_extrap[a] / x0) - a * sc.k0 + np.pi) % (2.0 * np.pi) - np.pi
+               for a in alphas if a != 0.0}
+    phase_res = {a: float(abs(d)) for a, d in wrapped.items()}
 
     # trapezoid alpha-average of Y over [alpha_min, alpha_max]
     a_arr = np.array(sorted(y_samples))

@@ -493,6 +493,57 @@ def test_run_tail_failure_gives_partial_artifacts(tmp_path):
     assert "error" in report
 
 
+def _bundled_config(path, name, out, extra=""):
+    """Writes to ``path`` the bundled config ``name`` with output dir ``out``
+    and ``extra`` numerics lines."""
+    path.write_text((CONFIG_DIR / f"{name}.yaml").read_text().replace(
+        f"dir: out/{name}", f"dir: {out}").replace("  lmax: 8\n", "  lmax: 8\n" + extra))
+    return path
+
+
+def test_run_deletes_the_files_of_an_earlier_run(tmp_path):
+    # a run owns its output files: a failed run leaves its error report
+    # alone, and a run without the structure-constant sweep leaves no
+    # earlier sweep behind
+    out = tmp_path / "out"
+    csvs = ["summary.csv", "plotdata/y_alpha.csv", "plotdata/x0_vs_eps.csv",
+            "plotdata/structconst_lmax.csv"]
+    wells = _bundled_config(tmp_path / "wells.yaml", "nonoverlap_wells", out)
+    assert main(["run", str(wells)]) == 0
+    assert all((out / f).exists() for f in csvs)
+    tail = _bundled_config(tmp_path / "tail.yaml", "nonoverlap_wells", out,
+                           "  p_max: 2.5\n  tail_tol: 1.0e-6\n")
+    assert main(["run", str(tail)]) == 1
+    assert json.loads((out / "report.json").read_text())["error_type"] == "TailEstimateError"
+    assert [f for f in csvs if (out / f).exists()] == []
+    assert main(["run", str(wells)]) == 0
+    gaussians = _bundled_config(tmp_path / "gaussians.yaml", "overlap_gaussians", out)
+    assert main(["run", str(gaussians)]) == 0
+    assert [f for f in csvs if (out / f).exists()] == csvs[:3]
+
+
+def test_x0_vs_eps_holds_every_eps_when_alpha_list_has_no_zero(tmp_path):
+    # the lattice always computes alpha = 0; its eps samples are reported
+    # whatever alpha_list holds
+    text = MINIMAL.replace("k0: 1.0", "k0: 1.0\n  alpha_list: [0.5, 1.0]").replace(
+        "dir: out/minimal", f"dir: {tmp_path}")
+    p = tmp_path / "c.yaml"
+    p.write_text(text + "numerics:\n  lmax: 4\n")
+    assert main(["run", str(p)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    with open(tmp_path / "plotdata" / "x0_vs_eps.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    eps = report["scenario"]["eps_list"]
+    assert len(eps) == 4
+    assert [float(r["eps"]) for r in rows] == sorted(eps, reverse=True) + [0.0]
+    x0 = report["x_alpha_by_eps"]["0.0"]
+    for r in rows[:-1]:
+        re, im = x0[str(float(r["eps"]))]
+        assert (float(r["re_x0"]), float(r["im_x0"])) == pytest.approx((re, im), rel=1e-11)
+    with open(tmp_path / "plotdata" / "y_alpha.csv") as fh:
+        assert [float(r["alpha"]) for r in csv.DictReader(fh)] == [0.5, 1.0]
+
+
 def test_bundled_configs_validate():
     for name in ("nonoverlap_wells.yaml", "overlap_gaussians.yaml"):
         cfg = validate_config((CONFIG_DIR / name).read_text())

@@ -355,6 +355,17 @@ def test_spectrum_answers_only_its_eps(eps):
         sp.on_shell(eps)
     with pytest.raises(ValueError, match="solved at eps"):
         sp.x(eps)
+    with pytest.raises(ValueError, match="solved at eps"):
+        sp.half_shell([0.2, eps])
+
+
+def test_spectrum_answers_a_sequence_of_eps_row_by_row():
+    # a sequence of eps, in any order, stacks what each eps gives alone,
+    # bit for bit
+    sp = ls_spectrum(square_well(-1.0, 1.0), 2, panel_grid(24, 16, 64), (0.2, 0.1, 0.0))
+    eps = [0.0, 0.2, 0.1, 0.2]
+    assert np.array_equal(sp.x(eps), np.stack([sp.x(e) for e in eps]))
+    assert np.array_equal(sp.half_shell(eps), np.stack([sp.half_shell(e) for e in eps]))
 
 
 def test_corrupted_solve_raises_pole_proximity(monkeypatch):

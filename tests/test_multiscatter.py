@@ -173,6 +173,22 @@ def test_x_lattice_tail_check_raises_for_the_first_failing_alpha():
     assert lattice.value.estimate == pytest.approx(estimates[1.25], rel=1e-12)
     assert lattice.value.estimate != pytest.approx(estimates[0.0], rel=1e-3)
     assert f"{estimates[1.25]:.3e}" in str(lattice.value)
+    # a block of two eps raises for the first failing entry of its first
+    # failing row.  At tail_tol 0.04 the row of eps 0.1 first fails at
+    # alpha 1.25 (0.5 and 0.75 pass at 3.5e-2 and 2.3e-2), while the row
+    # of eps 0.2 already fails at alpha 0.5 (4.3e-2), which an alpha-major
+    # scan would name first
+    strict = ScenarioEngine(replace(eng.sc, numerics=replace(eng.sc.numerics, tail_tol=0.04)))
+    with pytest.raises(TailEstimateError) as block:
+        strict.x_lattice((0.5, 0.75, 1.25, 0.0), [0.1, 0.2])
+    strict.x_lattice((0.5, 0.75), [0.1])
+    with pytest.raises(TailEstimateError) as first:
+        strict.x_lattice([1.25], [0.1])
+    with pytest.raises(TailEstimateError) as alpha_major:
+        strict.x_lattice([0.5], [0.2])
+    assert block.value.estimate == pytest.approx(first.value.estimate, rel=1e-12)
+    assert block.value.estimate != pytest.approx(alpha_major.value.estimate, rel=1e-3)
+    assert f"{first.value.estimate:.3e}" in str(block.value)
 
 
 def test_x_alpha_zero_potential():
@@ -324,7 +340,7 @@ def _brute_force_factors(eng, ang, s, D, direction, eps):
     P = np.stack([eval_legendre(l, ang.nodes @ np.asarray(direction))
                   for l in range(lmax + 1)])
     wave = np.exp(1j * np.outer(ang.nodes @ D, eng.grid.nodes))
-    return wave * np.einsum("l,la,li->ai", cl, P, t)
+    return wave * ((P * cl[:, None]).T @ t)
 
 
 def _born3_brute_force(eng, j, h, k, eps):
@@ -372,6 +388,9 @@ def test_pair_profile_matches_brute_force_quadrature(three_engine):
     sc = eng.sc
     ang = _brute_force_rule(eng)
     n = len(sc.scatterers)
+    # the right-hand factor depends on (h, eps) alone
+    T = {(h, eps): _brute_force_factors(eng, ang, h, np.zeros(3), sc.dir_in, eps)
+         for h in range(n) for eps in eps_seq}
     for j in range(n):
         for h in range(n):
             if j == h:
@@ -380,9 +399,8 @@ def test_pair_profile_matches_brute_force_quadrature(three_engine):
             S, Sy = eng.pair_profile((j, h), eps_seq)
             assert S.shape == Sy.shape == (2, eng.grid.size)
             for eps, row in zip(eps_seq, S):
-                T_h = _brute_force_factors(eng, ang, h, np.zeros(3), sc.dir_in, eps)
                 ref = ang.weights @ (_brute_force_factors(eng, ang, j, D, sc.dir_out, eps)
-                                     * T_h)
+                                     * T[h, eps])
                 assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (j, h, eps)
 
 
