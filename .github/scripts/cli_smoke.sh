@@ -8,7 +8,10 @@
 # configs, reruns the wells config into the same directory with a momentum
 # tail it cannot pass (p_max 2.5, tail_tol 1e-6) and checks that the run
 # exits 1 with an error report and leaves no summary.csv or plotdata CSV of
-# the earlier run, runs the wells config at n_max 3 (the Born-3 term), runs a
+# the earlier run, runs the wells config at n_max 3 (the Born-3 term), runs
+# three wells in general position at n_max 3 (three distinct separations:
+# exit status 0, three finite Born terms, and the warning that the gates
+# check only the first pair), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
 # (both bundled pairs repeat one potential) and checks that every k's
 # refinement delta stays at round-off (<= 1e-12), runs a pair of
@@ -73,6 +76,29 @@ grep -q '^  n_max: 3 ' "$tmp/wells_born3.yaml"
 "$multiscat" run "$tmp/wells_born3.yaml"
 # born3_abs, the 16th summary column, is filled only when _born3 ran
 test -n "$(tail -n 1 out/wells_born3/summary.csv | cut -d, -f16)"
+
+echo "== three wells in general position at n_max 3"
+cat > "$tmp/three_wells.yaml" <<YAML
+scenario:
+  k0: 1.0
+  dir_out: [0.8660254037844386, 0.0, 0.5]
+scatterers:
+  - center: [0.0, 0.0, 0.0]
+    potential: {kind: square_well, v0: -1.0, a: 1.0}
+  - center: [0.0, 0.0, 5.0]
+    potential: {kind: square_well, v0: -1.0, a: 1.0}
+  - center: [3.0, 2.5, 1.0]
+    potential: {kind: square_well, v0: -1.0, a: 1.0}
+numerics:
+  lmax: 4
+  n_max: 3
+output:
+  dir: out/three_wells
+YAML
+"$multiscat" run "$tmp/three_wells.yaml" 2> "$tmp/three_wells.err"
+cat "$tmp/three_wells.err"
+grep -q 'the gates check only the pair' "$tmp/three_wells.err"
+"$python" -c "import json, math, sys; b = json.load(open(sys.argv[1]))['born_terms']; assert len(b) == 3 and all(math.isfinite(x) for t in b for x in t), b" out/three_wells/report.json
 
 echo "== a non-overlapping pair of unequal wells (the spectral norm of two potentials)"
 cat > "$tmp/unequal_wells.yaml" <<YAML

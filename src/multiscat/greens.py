@@ -26,11 +26,13 @@ One kernel computes that contraction, one azimuthal pair (m, m') at a
 time: ``_gaunt_integrals`` gets every Gaunt integral of the pair from a
 single matrix product on a Gauss-Legendre rule, and ``_g_block`` contracts
 it over L against the waves of every k at once.  ``structure_constants``
-calls it for each (m, m') whose Y_LM(R^) column is nonzero (only m = m'
-when R lies on the z axis); the spectral Schatten norm calls it once per m
-with R along z, for all its k in one contraction, and never builds the
-dense matrix.  The triangle and parity zeros of the Gaunt table are
-imposed exactly, not left to the quadrature: once L exceeds k|R|, h+_L
+finds the columns M of Y_LM(R^) that are nonzero and visits only the
+pairs (m, m') with m - m' among them: with R on the z axis that is M = 0,
+the 2 lmax + 1 pairs m = m' (17 of 289 at lmax 8), and off it every pair.
+The spectral Schatten norm calls it once per m with R along z, for all
+its k in one contraction, and never builds the dense matrix.  The
+triangle and parity zeros of the Gaunt table are imposed exactly, not
+left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
 entry would be amplified past every allowed one.  That mask is built with
 the Legendre table (``_legendre_rule``) once per sweep over the pairs, and
@@ -197,9 +199,11 @@ def structure_constants(k0: float, R, lmax: int) -> np.ndarray:
     ``sph_index(l, m)`` on the first center (at the origin) and
     ``sph_index(l', m')`` on the second (at R).  Assembled by the Gaunt
     contraction over outgoing waves h+_L(k0 |R|) Y_LM(R^), with one
-    Legendre rule for the whole (m, m') sweep; the defining pointwise
-    identity (module docstring) is the source of truth for sign and
-    normalisation.
+    Legendre rule for the whole (m, m') sweep.  The sweep visits only the
+    pairs whose M = m - m' column of the waves is nonzero (m = m' alone
+    when R lies on the z axis); every other block is exactly zero.  The
+    defining pointwise identity (module docstring) is the source of truth
+    for sign and normalisation.
     """
     if k0 <= 0:
         raise ValueError("k0 must be positive")
@@ -210,15 +214,18 @@ def structure_constants(k0: float, R, lmax: int) -> np.ndarray:
         raise ValueError("lmax out of the supported range")
     k0, lmax = float(k0), int(lmax)
     c = _outgoing_waves(k0, R, 2 * lmax)
+    # the live columns M of the outgoing waves: with R on the z axis only
+    # M = 0 is nonzero, off it every M is
+    columns = ((M, c[sph_index(np.arange(abs(M), 2 * lmax + 1), M), None])
+               for M in range(-2 * lmax, 2 * lmax + 1))
+    live = {M: cM for M, cM in columns if np.any(cM)}
     rule = _legendre_rule(lmax)
     g = np.zeros(((lmax + 1) ** 2, (lmax + 1) ** 2), dtype=complex)
     for m in range(-lmax, lmax + 1):
         rows = sph_index(np.arange(abs(m), lmax + 1), m)
-        for mp in range(-lmax, lmax + 1):
-            M = m - mp
-            cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M), None]
-            # with R on the z axis only the M = 0 column of Y_LM(R^) is nonzero
-            if not np.any(cM):
+        for M, cM in live.items():
+            mp = m - M
+            if abs(mp) > lmax:
                 continue
             cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
             g[np.ix_(rows, cols)] = _g_block([k0], cM, _gaunt_integrals(m, mp, rule),

@@ -306,13 +306,16 @@ def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
 
     ``vl_matrix`` assembles V_l on the grid plus k0 and one LU solve of the
     full collocation system (I - V diag(d)) t = V e_k0, with the weights d
-    of ``ls_weights``, gives the column alone.  Raises PoleProximityError when
-    its residual max|(I - V diag(d)) t - V e_k0| / max|V e_k0| exceeds 1e-8.
+    of ``ls_weights``, gives the column alone; the system matrix is built
+    in place as -V diag(d) with 1 added on its diagonal.  Raises
+    PoleProximityError when its residual max|(I - V diag(d)) t - V e_k0| /
+    max|V e_k0| exceeds 1e-8.
     """
     if abs(grid.k0 - z.k0) > 1e-12:
         raise ValueError("grid and energy disagree about k0")
     V = vl_matrix(pot, l, np.concatenate([grid.nodes, [z.k0]]))
-    A = np.eye(V.shape[0]) - V * ls_weights(grid, [z.eps])
+    A = V * -ls_weights(grid, [z.eps])
+    A.flat[::A.shape[0] + 1] += 1.0
     v = V[:, -1]
     try:
         t = np.linalg.solve(A, v.astype(complex))

@@ -210,17 +210,21 @@ def default_p_max(scenario: Scenario) -> float:
 class ScenarioEngine:
     """The inputs of one verification run and the operations on them.
 
-    The constructor builds everything that depends only on the scenario:
-    the momentum grid, the engine's one angular rule and the principal-value
-    operator on the grid.  The LS stage is built by ``offshell(j)`` on
-    first use, once per distinct potential: one LSSpectrum that holds every
-    l <= lmax, solved at every eps of the run (see lippmann.ls_spectrum).
-    Every off-shell t-matrix element is read from it for every l at once,
-    and no (n x n) t-matrix table is formed.  Every other quantity is computed
-    from those inputs where it is used: phase shifts, structure constants,
-    and one angular projection of a half-shell amplitude per series term
-    and pair of centres (_projection), which gives both the pair profiles
-    of order 2 and the Born-3 term.  run_verification calls the operations
+    The constructor builds everything that depends only on the scenario,
+    each table once: the momentum grid, the engine's one angular rule, the
+    principal-value operator on the grid (``pv``) and, per distinct
+    separation |D| of two centres, the Rayleigh table
+    i^L (2L+1) j_L(q|D|), L <= 2*lmax, on the grid (``rayleigh``, keyed by
+    |D|), which every _projection of that separation reads.  The LS stage
+    is built by ``offshell(j)`` on first use, once per distinct potential:
+    one LSSpectrum that holds every l <= lmax, solved at every eps of the
+    run (see lippmann.ls_spectrum).  Every off-shell t-matrix element is
+    read from it for every l at once, and no (n x n) t-matrix table is
+    formed.  Every other quantity is computed from those inputs where it
+    is used: phase shifts, structure constants, and one angular projection
+    of a half-shell amplitude per series term and pair of centres
+    (_projection), which gives both the pair profiles of order 2 and the
+    Born-3 term.  run_verification calls the operations
     in stages: the LS stage and its health numbers, pair profiles, the X
     lattice, eps extrapolation, gates.
     """
@@ -230,8 +234,8 @@ class ScenarioEngine:
         num = scenario.numerics
         self.p_max = num.p_max or default_p_max(scenario)
         centers = [s.center_array for s in scenario.scatterers]
-        self.max_sep = max((np.linalg.norm(a - b) for a in centers for b in centers),
-                           default=0.0)
+        seps = {float(np.linalg.norm(a - b)) for j, a in enumerate(centers) for b in centers[:j]}
+        self.max_sep = max(seps, default=0.0)
         osc = self.max_sep + (max(num.alpha_list) if num.alpha_list else 0.0) + 2.0
         self.grid = MomentumGrid.build(scenario.k0, self.p_max, n_inner=num.n_inner,
                                        n_mid=num.n_mid, osc_scale=osc)
@@ -240,6 +244,11 @@ class ScenarioEngine:
         # integrand of degree at most 4*lmax (see _projection)
         self.ang = AngularGrid.for_degree(4 * num.lmax)
         self.pv = _pv_operator(self.grid)
+        # the Rayleigh factors i^L (2L+1) j_L(q |D|), L <= 2*lmax, of every
+        # distinct separation |D| of two centres, keyed by |D|
+        coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * num.lmax + 1)])[:, None]
+        self.rayleigh = {r: coef * bessel_j_table(2 * num.lmax, self.grid.nodes * r)
+                         for r in sorted(seps)}
         self._spectra: dict = {}
 
     def offshell(self, j: int):
@@ -265,7 +274,10 @@ class ScenarioEngine:
         tableau) from the eps = 0 solve, and the extrapolation's Richardson
         error, both relative to max_l |t_l(0)|.  Over all of them: the worst
         solve residual, the largest gap and the largest error; a gap above the
-        error sets ``extrapolation_flag`` and logs a warning.
+        error sets ``extrapolation_flag`` and logs a warning.  The LU is
+        solved before ``offshell`` first builds the stage, so its (n x n)
+        transients are freed before the stage's long-lived arrays are
+        allocated.
         """
         sc = self.sc
         eps_seq = sc.eps_sequence()
@@ -275,9 +287,9 @@ class ScenarioEngine:
             first.setdefault(s.potential, j)
         potentials, resid = [], 0.0
         for pot, j in first.items():
+            direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps), self.grid)
             sp = self.offshell(j)
             resid = max(resid, sp.residual)
-            direct = solve_offshell_t(pot, 0, ComplexEnergy(sc.k0, eps), self.grid)
             diff = float(np.max(np.abs(sp.half_shell(eps)[0] - direct))
                          / max(np.max(np.abs(direct)), 1e-300))
             if not diff <= 1e-8:
@@ -496,7 +508,9 @@ class ScenarioEngine:
         the z axis serves.  The nodes are summed once, into K[x, (l, L)] =
         sum_a rows[x, a] c_l P_l(k^_a.direction) P_L(k^_a.D^); each eps is
         then one product K @ [t_l(q) wave_L(q)], so a row does not depend on
-        the other eps of the call.
+        the other eps of the call.  wave_L(q) = i^L (2L+1) j_L(q|D|) is the
+        engine's Rayleigh table of |D| (``rayleigh``, built with the
+        engine), so D must be the difference of two of the run's centres.
         """
         lmax = self.sc.numerics.lmax
         D_len = float(np.linalg.norm(D))
@@ -507,8 +521,7 @@ class ScenarioEngine:
         G = (P.T[:, :, None] * PL.T[:, None, :]).reshape(self.ang.size, -1)
         # two real products, rather than promoting G to complex
         K = rows.real @ G + 1j * (rows.imag @ G)
-        coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
-        wave = coef[:, None] * bessel_j_table(2 * lmax, self.grid.nodes * D_len)
+        wave = self.rayleigh[D_len]
         return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
                          for t in self.offshell(s).half_shell(eps_seq)[:, :, :-1]])
 
@@ -537,31 +550,39 @@ def _spline_slopes(q: np.ndarray) -> np.ndarray:
     = 3 (h_i d_{i-1} + h_{i-1} d_i), and at each end the not-a-knot row
     (the third derivative is continuous across the second and the
     second-to-last node), reduced to two entries.  Every right-hand side is
-    linear in f, so one forward elimination and back substitution over the
-    n right-hand sides of the (n x n) matrix of divided differences gives D
-    in O(n^2).
+    linear in f: row i of the right-hand-side matrix is banded, with
+    entries at columns i-1..i+1 (0..2 and n-3..n-1 on the end rows),
+    written into one zeroed (n x n) array.  Forward elimination then keeps
+    row i nonzero only on its prefix [:i+2], so it runs over that prefix,
+    and back substitution over the n right-hand sides gives D in O(n^2).
     """
     n = q.size
     h = np.diff(q)
-    delta = (np.eye(n, k=1) - np.eye(n))[:-1] / h[:, None]   # d = delta @ f
+    inv = 1.0 / h                    # d_i = inv_i (f_{i+1} - f_i)
     lower = np.zeros(n)              # lower[i] multiplies s_{i-1}
     diag = np.empty(n)
     upper = np.zeros(n)              # upper[i] multiplies s_{i+1}
-    B = np.empty((n, n))
+    B = np.zeros((n, n))
     lower[1:-1] = h[1:]
     diag[1:-1] = 2.0 * (h[:-1] + h[1:])
     upper[1:-1] = h[:-1]
-    B[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    i = np.arange(1, n - 1)
+    # interior rows 3 (h_i d_{i-1} + h_{i-1} d_i), column by column
+    B[i, i - 1] = 3.0 * (h[1:] * -inv[:-1])
+    B[i, i] = 3.0 * (h[1:] * inv[:-1] + h[:-1] * -inv[1:])
+    B[i, i + 1] = 3.0 * (h[:-1] * inv[1:])
     d = q[2] - q[0]
     diag[0], upper[0] = h[1], d
-    B[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
+    a, b = (h[0] + 2.0 * d) * h[1], h[0] ** 2
+    B[0, :3] = [a * -inv[0] / d, (a * inv[0] + b * -inv[1]) / d, b * inv[1] / d]
     d = q[-1] - q[-3]
     lower[-1], diag[-1] = d, h[-2]
-    B[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d + h[-1]) * h[-2] * delta[-1]) / d
+    a, b = h[-1] ** 2, (2.0 * d + h[-1]) * h[-2]
+    B[-1, -3:] = [a * -inv[-2] / d, (a * inv[-2] + b * -inv[-1]) / d, b * inv[-1] / d]
     for i in range(1, n):
         w = lower[i] / diag[i - 1]
         diag[i] -= w * upper[i - 1]
-        B[i] -= w * B[i - 1]
+        B[i, :i + 2] -= w * B[i - 1, :i + 2]
     B[-1] /= diag[-1]
     for i in range(n - 2, -1, -1):
         B[i] -= upper[i] * B[i + 1]
@@ -578,19 +599,25 @@ def _pv_operator(grid: MomentumGrid) -> np.ndarray:
     through f (one linear solve on the grid, see _spline_slopes), plus the
     analytic counter-term f_i ln((P + q_i)/(P - q_i))/(2 q_i) for the
     integral of 1/(q_i^2 - k^2) over [0, P].  Each step is linear in f, so
-    the transform is one matrix on the grid.
+    the transform is one matrix on the grid, built in place: the only other
+    (n x n) array alive is the slope matrix.
     """
     q = grid.nodes
     w = grid.weights
     P = grid.p_max
-    den = np.subtract.outer(q * q, q * q)   # q_i^2 - k_j^2
-    np.fill_diagonal(den, 1.0)
-    K = w / den
+    q2 = q * q
+    K = np.subtract.outer(q2, q2)   # q_i^2 - k_j^2
+    np.fill_diagonal(K, 1.0)
+    np.divide(w, K, out=K)
     np.fill_diagonal(K, 0.0)
     diag = np.log((P + q) / (P - q)) / (2.0 * q) - K.sum(axis=1)
-    K -= (w / (2.0 * q))[:, None] * _spline_slopes(q)
+    slopes = _spline_slopes(q)
+    slopes *= (w / (2.0 * q))[:, None]
+    K -= slopes
     K[np.diag_indices_from(K)] += diag
-    return (2.0 / (np.pi * q))[:, None] * K * (q * q)
+    K *= (2.0 / (np.pi * q))[:, None]
+    K *= q2
+    return K
 
 
 @dataclass

@@ -22,6 +22,15 @@
   displaced-wave re-expansion of the resolvent summed at a point pair;
 * ``standing_companion`` - the principal-value transform of a pair profile,
   one grid node at a time;
+* ``spline_slopes_dense`` and ``pv_operator_dense`` - the PV operator's
+  spline-slope matrix and the operator itself, built from dense (n x n)
+  divided differences with full-row elimination and out-of-place
+  products; the library's banded, in-place build must reproduce both bit
+  for bit;
+* ``structure_constants_full_sweep`` - the structure-constant matrix from
+  every azimuthal pair (m, m'), skipping only those whose outgoing-wave
+  column is zero, which the library's sweep over the live columns must
+  reproduce bit for bit;
 * ``rollnik_quad`` - the two Rollnik norms by adaptive quadrature
   (``scipy.integrate.quad``);
 * ``zaxis_blocks`` and ``spectral_schatten4_per_k`` - the m-diagonal
@@ -325,6 +334,71 @@ def standing_companion(grid, S):
         pv = terms.sum() + f[i] * np.log((P + qi) / (P - qi)) / (2.0 * qi)
         Sy[i] = (2.0 / (np.pi * qi)) * pv
     return Sy
+
+
+def spline_slopes_dense(q):
+    """Not-a-knot spline slope matrix D (D @ f = slopes at q), from the dense
+    (n x n) matrix of divided differences, eliminated over whole rows."""
+    n = q.size
+    h = np.diff(q)
+    delta = (np.eye(n, k=1) - np.eye(n))[:-1] / h[:, None]   # d = delta @ f
+    lower = np.zeros(n)
+    diag = np.empty(n)
+    upper = np.zeros(n)
+    B = np.empty((n, n))
+    lower[1:-1] = h[1:]
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    upper[1:-1] = h[:-1]
+    B[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    d = q[2] - q[0]
+    diag[0], upper[0] = h[1], d
+    B[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
+    d = q[-1] - q[-3]
+    lower[-1], diag[-1] = d, h[-2]
+    B[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d + h[-1]) * h[-2] * delta[-1]) / d
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        B[i] -= w * B[i - 1]
+    B[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        B[i] -= upper[i] * B[i + 1]
+        B[i] /= diag[i]
+    return B
+
+
+def pv_operator_dense(grid):
+    """The PV operator M (M @ S = Sy) with out-of-place products on
+    ``spline_slopes_dense``."""
+    q = grid.nodes
+    w = grid.weights
+    P = grid.p_max
+    den = np.subtract.outer(q * q, q * q)   # q_i^2 - k_j^2
+    np.fill_diagonal(den, 1.0)
+    K = w / den
+    np.fill_diagonal(K, 0.0)
+    diag = np.log((P + q) / (P - q)) / (2.0 * q) - K.sum(axis=1)
+    K -= (w / (2.0 * q))[:, None] * spline_slopes_dense(q)
+    K[np.diag_indices_from(K)] += diag
+    return (2.0 / (np.pi * q))[:, None] * K * (q * q)
+
+
+def structure_constants_full_sweep(k0: float, R, lmax: int) -> np.ndarray:
+    """``structure_constants`` by a loop over every azimuthal pair (m, m')."""
+    c = _outgoing_waves(k0, np.asarray(R, dtype=float), 2 * lmax)
+    rule = _legendre_rule(lmax)
+    g = np.zeros(((lmax + 1) ** 2, (lmax + 1) ** 2), dtype=complex)
+    for m in range(-lmax, lmax + 1):
+        rows = sph_index(np.arange(abs(m), lmax + 1), m)
+        for mp in range(-lmax, lmax + 1):
+            M = m - mp
+            cM = c[sph_index(np.arange(abs(M), 2 * lmax + 1), M), None]
+            if not np.any(cM):
+                continue
+            cols = sph_index(np.arange(abs(mp), lmax + 1), mp)
+            g[np.ix_(rows, cols)] = _g_block([k0], cM, _gaunt_integrals(m, mp, rule),
+                                             m, mp)[0]
+    return g
 
 
 def rollnik_quad(p):

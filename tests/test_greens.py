@@ -37,6 +37,7 @@ from oracles import (
     phi,
     r0_kernel,
     spectral_schatten4_per_k,
+    structure_constants_full_sweep,
     wigner3j,
     zaxis_blocks,
 )
@@ -250,6 +251,32 @@ def test_structure_constants_truncate_as_blocks():
             n = (lm + 1) ** 2
             g = structure_constants(1.0, R, lm)
             assert np.max(np.abs(g - big[:n, :n])) <= 1e-12 * scale, (R, lm)
+
+
+@pytest.mark.parametrize("R, lmax", [((0.0, 0.0, 3.0), 0), ((0.0, 0.0, 3.0), 3),
+                                     ((0.0, 0.0, 3.0), 8), ((0.0, 0.0, -3.0), 0),
+                                     ((0.0, 0.0, -3.0), 3), ((0.0, 0.0, -3.0), 8),
+                                     ((1.0, 2.0, 3.0), 4)])
+def test_structure_constants_sweep_only_the_live_columns(monkeypatch, R, lmax):
+    # the sweep over the live M = m - m' columns is the sweep over every
+    # (m, m') bit for bit, and on the z axis it visits only m = m'
+    ref = structure_constants_full_sweep(1.3, R, lmax)
+    visited = []
+    gaunt = greens._gaunt_integrals
+
+    def counted(m, mp, rule):
+        visited.append((m, mp))
+        return gaunt(m, mp, rule)
+
+    monkeypatch.setattr(greens, "_gaunt_integrals", counted)
+    g = structure_constants(1.3, R, lmax)
+    assert np.array_equal(g, ref)
+    ms = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
+    if R[:2] == (0.0, 0.0):
+        assert sorted(visited) == [(m, m) for m in range(-lmax, lmax + 1)]
+        assert np.all(g[ms[:, None] != ms[None, :]] == 0.0)
+    else:
+        assert len(visited) == (2 * lmax + 1) ** 2
 
 
 def test_structure_constants_preconditions():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
-from multiscat.lippmann import ComplexEnergy
+from multiscat.lippmann import ComplexEnergy, MomentumGrid
 from multiscat.multiscatter import (
     ExtrapolationError,
     Numerics,
@@ -15,14 +15,22 @@ from multiscat.multiscatter import (
     ScenarioEngine,
     TailEstimateError,
     _jsonify,
+    _pv_operator,
     _spline_slopes,
     alpha_list_problem,
     eps_extrapolate,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
-from multiscat.specfun import AngularGrid, sph_index, ylm_table
+from multiscat.specfun import AngularGrid, bessel_j_table, gauss_panels, sph_index, ylm_table
 
-from oracles import offshell_table, onshell_chain, onshell_series_term, standing_companion
+from oracles import (
+    offshell_table,
+    onshell_chain,
+    onshell_series_term,
+    pv_operator_dense,
+    spline_slopes_dense,
+    standing_companion,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,24 @@ def test_pv_operator_matches_nodewise_oracle(wells_engine):
     assert np.max(np.abs(wells_engine.pv @ S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _random_panel_grid():
+    rng = np.random.default_rng(3)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 9.0, 4)), [10.0]])
+    nodes, weights = gauss_panels(edges, list(rng.integers(5, 40, 5)))
+    return MomentumGrid(nodes, weights, float(edges[1]), 10.0)
+
+
+@pytest.mark.parametrize("grid", ["wells", "gaussians", "random_panels"])
+def test_pv_operator_is_the_dense_construction_bit_for_bit(wells_engine, overlap_engine, grid):
+    # the banded, in-place build does the dense construction's arithmetic
+    # in the same order
+    grid = {"wells": wells_engine.grid, "gaussians": overlap_engine.grid,
+            "random_panels": _random_panel_grid()}[grid]
+    assert np.array_equal(_spline_slopes(grid.nodes), spline_slopes_dense(grid.nodes))
+    pv = _pv_operator(grid)
+    assert pv.shape == (grid.size, grid.size) and np.array_equal(pv, pv_operator_dense(grid))
+
+
 @pytest.mark.parametrize("nodes", ["engine_grid", "random"])
 def test_spline_slopes_match_not_a_knot_spline(wells_engine, nodes):
     from scipy.interpolate import CubicSpline  # test-only oracle
@@ -412,6 +438,51 @@ def test_born3_matches_brute_force_quadrature(three_engine):
              if j != h and h != k and (3 not in (j, h, k) or {0, 3} in ({j, h}, {h, k}))]
     assert any(j == k for j, _, k in terms) and any(j != k for j, _, k in terms)
     assert (0, 3, 1) in terms and (1, 0, 3) in terms
+    eps = eng.sc.eps_sequence()[2]
+    Yw = ylm_table(eng.sc.numerics.lmax, eng.ang.nodes) * eng.ang.weights
+    for j, h, k in terms:
+        ref = _born3_brute_force(eng, j, h, k, eps)
+        assert abs(eng._born3(j, h, k, eps, Yw) - ref) <= 1e-12 * abs(ref), (j, h, k)
+
+
+@pytest.fixture(scope="module")
+def three_wells_engine():
+    """Three wells in general position: three distinct separations, none on an axis."""
+    pot = square_well(-1.0, 1.0)
+    return ScenarioEngine(Scenario(
+        scatterers=tuple(Scatterer(c, pot) for c in ((0.0, 0.0, 0.0), (0.0, 0.0, 5.0),
+                                                     (3.0, 2.5, 1.0))),
+        k0=1.0, dir_out=(0.8660254037844386, 0.0, 0.5),
+        numerics=Numerics(lmax=2, n_max=3, p_max=8.0, n_inner=16, n_mid=16)))
+
+
+def test_engine_holds_one_rayleigh_table_per_separation(three_wells_engine, monkeypatch):
+    from multiscat import multiscatter
+
+    eng = three_wells_engine
+    lmax = eng.sc.numerics.lmax
+    centers = [s.center_array for s in eng.sc.scatterers]
+    seps = {float(np.linalg.norm(centers[j] - centers[h]))
+            for j in range(3) for h in range(3) if j != h}
+    assert len(seps) == 3 and set(eng.rayleigh) == seps
+    coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * lmax + 1)])
+    for r, table in eng.rayleigh.items():
+        assert np.array_equal(table, coef[:, None] * bessel_j_table(2 * lmax, eng.grid.nodes * r))
+    # the series terms read the tables and build none
+    def no_table(*args):
+        raise AssertionError("a Rayleigh table built outside the constructor")
+
+    monkeypatch.setattr(multiscatter, "bessel_j_table", no_table)
+    eps = eng.sc.eps_sequence()[2]
+    eng.pair_terms(eps)
+    eng.born_term(3, eps)
+
+
+def test_born3_matches_brute_force_quadrature_on_three_wells(three_wells_engine):
+    eng = three_wells_engine
+    terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
+             if j != h and h != k]
+    assert len(terms) == 12 and any(len({j, h, k}) == 3 for j, h, k in terms)
     eps = eng.sc.eps_sequence()[2]
     Yw = ylm_table(eng.sc.numerics.lmax, eng.ang.nodes) * eng.ang.weights
     for j, h, k in terms:
