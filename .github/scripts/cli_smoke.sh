@@ -20,12 +20,13 @@
 # comparisons and its Schatten norm is the spectral one), runs an overlapping
 # pair of a repulsive and an attractive Gaussian off the z axis through the
 # grid Schatten norm (finite and positive, refinement delta below 0.05),
-# runs the two long-range kinds, two bound-state wells and a repulsive well
-# (no bound state: the LS stage's positive-sign branch) with one scatterer
-# each, checks
-# that no run raises the LS extrapolation flag, that the bundled reports
-# give every potential one LS rank and bound-state count per partial wave
-# and a solve residual below 1e-8, that a misspelled config key and a
+# runs the two long-range kinds (radial rules longer than the momentum grid:
+# the LS factors' tall-table form), two bound-state wells and a repulsive
+# well (no bound state: the LS stage's positive-sign branch) with one
+# scatterer each, checks that no run raises the LS extrapolation flag, that
+# the bundled reports and the long-range ones give every potential one LS
+# rank and bound-state count per partial wave and a solve residual below
+# 1e-8, that a misspelled config key and a
 # removed one fail validation with exit status 2, and that a potential with
 # a bad v0, a and rc fails validation with exit status 2 and all three field
 # paths reported.  Runs write under out/.
@@ -170,6 +171,7 @@ YAML
   "$multiscat" run "$tmp/$kind.yaml"
   "$python" -c "import json, sys; c = json.load(open(sys.argv[1]))['diagnostics']['ls']['cross_check']; assert c < 1e-8, c" "out/$kind/report.json"
   no_flag "out/$kind/report.json"
+  ls_per_l "out/$kind/report.json"
 done
 
 echo "== bound-state wells and a repulsive well (one scatterer each)"

@@ -29,15 +29,17 @@ Rev. C 8 (1973) 46) that is exact for this discretised operator:
 
 with the weights d of ``ls_weights`` over the grid plus k0: Nystrom for
 eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
-Phys. A158 (1970) 1).  The factors of every l come from one stacked SVD
-of diag(sqrt|c|) J_l, each l cut at numpy's ``matrix_rank`` tolerance, so
-every potential kind solves in the numerical rank k <= min(n_r, n + 1) of
-V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
+Phys. A158 (1970) 1).  The factors of every l come from one stacked QR
+of diag(sqrt|c|) J_l along its long side and the SVD of the square
+triangular factor alone, each l cut at numpy's ``matrix_rank`` tolerance,
+so every potential kind solves in the numerical rank k <= min(n_r, n + 1)
+of V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
 eigenvalue count gives the grid bound states (``_bound_states``).  Zero
 beyond each l's rank, the factors form one ``LSSpectrum``, whose (eps, l)
 systems are solved in one ``np.linalg.solve``, each gated:
-max|(I - s A) X - s I| above 1e-8 raises PoleProximityError.  The engine
-reads every l at once from it, and no (n x n) t-matrix table is formed.
+max|(I - s A) X - s I| above 1e-8 raises PoleProximityError, and whose
+half-shell columns B^T X B[:, -1] are formed once.  The engine reads every
+l at once from it, and no (n x n) t-matrix table is formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
@@ -179,31 +181,37 @@ class LSSpectrum:
     Rows and columns of t run over the grid nodes plus the on-shell point k0
     (the last column of B).  Each l's factor B_l of V_l = s B_l^T B_l, of the
     numerical rank ``rank[l]`` of V_l, is zero-padded to the largest rank k.
-    ``X`` holds the solves at ``eps`` (eps = 0 when asked for), the only eps
-    it answers for: any other raises ValueError.  ``bound_states[l]`` counts
-    the bound states of V_l on the grid (``_bound_states``), and
-    ``residual`` is the worst solve residual.
+    ``X`` holds the solves at ``eps`` (eps = 0 when asked for), and ``half``
+    the half-shell columns t_l(q_i, k0; eps) = B_l^T X_l(eps) B_l[:, -1]
+    formed from them once; ``eps`` are the only eps they answer for: any
+    other raises ValueError.  ``bound_states[l]`` counts the bound states of
+    V_l on the grid (``_bound_states``), and ``residual`` is the worst solve
+    residual.
     """
 
     B: np.ndarray = field(repr=False)         # (lmax + 1, k, n + 1) real
     eps: tuple
     X: np.ndarray = field(repr=False)         # (len(eps), lmax + 1, k, k) complex
+    half: np.ndarray = field(repr=False)      # (len(eps), lmax + 1, n + 1) complex
     rank: tuple
     bound_states: tuple
     residual: float
 
-    def x(self, eps) -> np.ndarray:
-        """X_l(eps) of every l, (lmax + 1, k, k), with a leading axis for a sequence of eps."""
+    def _rows(self, eps):
+        """The index of each eps in ``eps`` of the stage, in the shape of ``eps``."""
         if not set(np.ravel(eps)) <= set(self.eps):
             raise ValueError(f"t_l was solved at eps in {self.eps}, not at {eps}")
-        return self.X[np.vectorize(self.eps.index)(eps)]
+        return np.array([self.eps.index(e) for e in np.ravel(eps)],
+                        dtype=int).reshape(np.shape(eps))
+
+    def x(self, eps) -> np.ndarray:
+        """X_l(eps) of every l, (lmax + 1, k, k), with a leading axis for a sequence of eps."""
+        return self.X[self._rows(eps)]
 
     def half_shell(self, eps) -> np.ndarray:
         """t_l(p_i, k0; k0^2 + i eps) of every l over the grid plus k0, (lmax + 1, n + 1),
         with a leading axis for a sequence of eps."""
-        xb = (self.x(eps) @ self.B[:, :, -1:]).swapaxes(-1, -2)
-        # two real products, rather than promoting B to complex
-        return (xb.real @ self.B + 1j * (xb.imag @ self.B))[..., 0, :]
+        return self.half[self._rows(eps)]
 
     def on_shell(self, eps: float) -> np.ndarray:
         """t_l(k0, k0; k0^2 + i eps) of every l, (lmax + 1,)."""
@@ -262,19 +270,27 @@ def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
 
     One radial rule (``_radial_rule``) and one Bessel table give
     V_l = s M_l^T M_l, M_l = diag(sqrt|c|) J_l, since c takes only the sign
-    of v0 (or 0).  One stacked SVD M_l = U S W^T, each l cut at numpy's
-    ``matrix_rank`` tolerance to its rank k_l, gives B_l = S W^T,
+    of v0 (or 0).  One stacked QR along each M_l's long side and the SVD of
+    its square triangular factor alone give the singular values of M_l
+    without its long singular vectors (Chan, ACM TOMS 8 (1982) 72): a wide
+    M_l (n_r < n + 1) is R^T Q^T with R^T = U S V'^T, so B_l = U_k^T M_l; a
+    tall one is Q R with R = U' S W^T, so B_l = S_k W_k^T.  Each l is cut
+    at numpy's ``matrix_rank`` tolerance to its rank k_l, and B is
     (lmax + 1, k, n + 1), with k = max k_l and zeros beyond each k_l.
     """
     momenta = np.concatenate([grid.nodes, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
     M = bessel_j_table(lmax, np.outer(rs, momenta))
     M *= np.sqrt(np.abs(c))[:, None]
-    sv, Wt = np.linalg.svd(M, full_matrices=False)[1:]
+    wide = M.shape[1] < M.shape[2]
+    R = np.linalg.qr(M.transpose(0, 2, 1) if wide else M, mode="r")
+    # R = U_R S Wt: a wide M_l has R^T = Wt^T S U_R^T, so the rows of Wt are
+    # U^T there, and W^T of a tall one
+    sv, Wt = np.linalg.svd(R)[1:]
     keep = sv > sv[:, :1] * max(M.shape[1:]) * np.finfo(float).eps
     rank = tuple(int(r) for r in keep.sum(axis=1))
     k = max(rank)
-    B = sv[:, :k, None] * Wt[:, :k]
+    B = Wt[:, :k] @ M if wide else sv[:, :k, None] * Wt[:, :k]
     B[~keep[:, :k]] = 0.0
     s = float(np.sign(pot.v0))
     return B, s, rank, _bound_states(B, s, grid)
@@ -286,14 +302,20 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectru
     Every (eps, l) system (I - s A) X = s I of the stacked factors of
     V_l = s B^T B (``_factors``), eps = 0 by the Haftel-Tabakin weights, is
     solved in one ``_solve``, which raises PoleProximityError when a solve
-    residual exceeds 1e-8.
+    residual exceeds 1e-8.  The half-shell columns B^T X B[:, -1] of every
+    (eps, l) are then formed once, in two real products with B.
     """
     B, s, rank, bound = _factors(pot, lmax, grid)
     eps = tuple(eps)
     X, resid = _solve(B, s, rank, grid, eps)
     # copied once the solve's temporaries are freed, X takes their heap space
     # instead of stranding it below itself for the rest of the run
-    return LSSpectrum(B=B, eps=eps, X=X.copy(), rank=rank, bound_states=bound, residual=resid)
+    X = X.copy()
+    xb = X @ B[:, :, -1:]
+    Bt = B.transpose(0, 2, 1)
+    half = (Bt @ xb.real + 1j * (Bt @ xb.imag))[..., 0]
+    return LSSpectrum(B=B, eps=eps, X=X, half=half, rank=rank, bound_states=bound,
+                      residual=resid)
 
 
 # ---------------------------------------------------------------------------

@@ -215,18 +215,22 @@ class ScenarioEngine:
     principal-value operator on the grid (``pv``) and, per distinct
     separation |D| of two centres, the Rayleigh table
     i^L (2L+1) j_L(q|D|), L <= 2*lmax, on the grid (``rayleigh``, keyed by
-    |D|), which every _projection of that separation reads.  The LS stage
-    is built by ``offshell(j)`` on first use, once per distinct potential:
-    one LSSpectrum that holds every l <= lmax, solved at every eps of the
-    run (see lippmann.ls_spectrum).  Every off-shell t-matrix element is
-    read from it for every l at once, and no (n x n) t-matrix table is
-    formed.  Every other quantity is computed from those inputs where it
-    is used: phase shifts, structure constants, and one angular projection
-    of a half-shell amplitude per series term and pair of centres
-    (_projection), which gives both the pair profiles of order 2 and the
-    Born-3 term.  run_verification calls the operations
-    in stages: the LS stage and its health numbers, pair profiles, the X
-    lattice, eps extrapolation, gates.
+    |D|), which every _projection of that separation reads, and, per
+    direction u among dir_in, dir_out and the unit axis of every centre
+    difference, the Legendre table P_L(k^_a.u), L <= 2*lmax, on the angular
+    rule (``legendre``, keyed by u), whose rows every pair profile and
+    _projection slice.  The LS stage is built by ``offshell(j)`` on first
+    use, once per distinct potential: one LSSpectrum that holds every
+    l <= lmax, solved at every eps of the run, with its half-shell columns
+    formed once (see lippmann.ls_spectrum).  Every off-shell t-matrix
+    element is read from it for every l at once, and no (n x n) t-matrix
+    table is formed.  Every other quantity is computed from those inputs
+    where it is used: phase shifts, structure constants, and one angular
+    projection of a half-shell amplitude per series term and pair of
+    centres (_projection), which gives both the pair profiles of order 2
+    and the Born-3 term.  run_verification calls the operations in stages:
+    the LS stage and its health numbers, pair profiles, the X lattice, eps
+    extrapolation, gates.
     """
 
     def __init__(self, scenario: Scenario):
@@ -249,6 +253,13 @@ class ScenarioEngine:
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * num.lmax + 1)])[:, None]
         self.rayleigh = {r: coef * bessel_j_table(2 * num.lmax, self.grid.nodes * r)
                          for r in sorted(seps)}
+        # P_L(k^_a.u), L <= 2*lmax, on the angular rule for u = dir_in, dir_out
+        # and the unit axis of every centre difference, keyed by u
+        units = {tuple(scenario.dir_in), tuple(scenario.dir_out)} | {
+            _unit_axis(a - b) for j, a in enumerate(centers)
+            for h, b in enumerate(centers) if j != h}
+        self.legendre = {u: legendre_table(2 * num.lmax, self.ang.nodes @ np.asarray(u))
+                         for u in units}
         self._spectra: dict = {}
 
     def offshell(self, j: int):
@@ -344,8 +355,7 @@ class ScenarioEngine:
         sc = self.sc
         lmax = sc.numerics.lmax
         c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        rows = (c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(sc.dir_in))
-                * self.ang.weights)
+        rows = c[:, None] * self.legendre[tuple(sc.dir_in)][:lmax + 1] * self.ang.weights
         proj = self._projection(rows, j, sc.scatterers[j].center_array
                                 - sc.scatterers[h].center_array, sc.dir_out, eps_seq)
         S = (self.offshell(h).half_shell(eps_seq)[:, :, :-1] * proj).sum(axis=1)
@@ -509,19 +519,22 @@ class ScenarioEngine:
         sum_a rows[x, a] c_l P_l(k^_a.direction) P_L(k^_a.D^); each eps is
         then one product K @ [t_l(q) wave_L(q)], so a row does not depend on
         the other eps of the call.  wave_L(q) = i^L (2L+1) j_L(q|D|) is the
-        engine's Rayleigh table of |D| (``rayleigh``, built with the
-        engine), so D must be the difference of two of the run's centres.
+        engine's Rayleigh table of |D| (``rayleigh``), and P_l and P_L are
+        rows of its Legendre tables of ``direction`` and of D^
+        (``legendre``), all built with the engine; so ``direction`` must be
+        dir_in or dir_out, and D the difference of two of the run's centres.
+        Real ``rows``, as pair_profile's are, take one real product with the
+        node table.
         """
         lmax = self.sc.numerics.lmax
-        D_len = float(np.linalg.norm(D))
-        axis = D / D_len if D_len > 0 else np.array([0.0, 0.0, 1.0])
         c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        P = c[:, None] * legendre_table(lmax, self.ang.nodes @ np.asarray(direction))
-        PL = legendre_table(2 * lmax, self.ang.nodes @ axis)
+        P = c[:, None] * self.legendre[tuple(direction)][:lmax + 1]
+        PL = self.legendre[_unit_axis(D)]
         G = (P.T[:, :, None] * PL.T[:, None, :]).reshape(self.ang.size, -1)
-        # two real products, rather than promoting G to complex
-        K = rows.real @ G + 1j * (rows.imag @ G)
-        wave = self.rayleigh[D_len]
+        # real rows take one real product; complex ones two, rather than
+        # promoting G to complex
+        K = rows @ G if np.isrealobj(rows) else rows.real @ G + 1j * (rows.imag @ G)
+        wave = self.rayleigh[float(np.linalg.norm(D))]
         return np.array([K @ (t[:, None, :] * wave[None, :, :]).reshape(K.shape[1], -1)
                          for t in self.offshell(s).half_shell(eps_seq)[:, :, :-1]])
 
@@ -529,6 +542,12 @@ class ScenarioEngine:
 
     def verify(self) -> "VerificationReport":
         return run_verification(self)
+
+
+def _unit_axis(D: np.ndarray) -> tuple:
+    """D / |D| as a key of ``ScenarioEngine.legendre``; the z axis at D = 0."""
+    D_len = float(np.linalg.norm(D))
+    return tuple((D / D_len).tolist()) if D_len > 0 else (0.0, 0.0, 1.0)
 
 
 def _tail_estimate(q: np.ndarray, contrib: np.ndarray) -> np.ndarray:

@@ -273,19 +273,41 @@ def test_bound_states_match_the_grid_hamiltonian(pot, grid, counts):
     (gaussian(0.0, 1.0), default_grid(1.0)),
 ], ids=[p.kind for p in ALL_KINDS] + ["square_well_deep", "full_rank", "zero"])
 def test_stacked_factors_match_the_per_l_oracle(pot, grid):
-    # one stacked SVD, rank cut and sign-form Birman-Schwinger count against
-    # one SVD and one general count per l: the same ranks and counts, B bit
-    # for bit, and exact zeros beyond each rank; the oracle's general middle
-    # factor C_l = U^T diag(sign c) U is s I on each rank, s = sign(v0)
+    # one stacked QR, square SVD, rank cut and sign-form Birman-Schwinger
+    # count against one full SVD and one general count per l: the same ranks
+    # and counts, B row by row up to one sign per row (two decompositions of
+    # M_l, measured at worst 1.1e-14 of max|B0|, on the exponential), and
+    # exact zeros beyond each rank; the oracle's general middle factor
+    # C_l = U^T diag(sign c) U is s I on each rank, s = sign(v0)
     B, s, rank, bound = _factors(pot, 8, grid)
     B0, C0, rank0, bound0 = factors_per_l(pot, 8, grid)
     assert rank == rank0 and bound == bound0
-    assert np.array_equal(B, B0)
+    assert B.shape == B0.shape
+    sign = np.where(np.sum(B * B0, axis=-1, keepdims=True) < 0.0, -1.0, 1.0)
+    assert np.max(np.abs(sign * B - B0), initial=0.0) <= 1e-13 * np.max(np.abs(B0), initial=0.0)
     assert s == np.sign(pot.v0)
     for l, k in enumerate(rank):
         assert np.all(B[l, k:] == 0.0)
         assert np.max(np.abs(C0[l] - s * np.diag(np.arange(C0.shape[1]) < k)),
                       initial=0.0) <= 1e-14, l
+
+
+@pytest.mark.parametrize("grid, wide", [(panel_grid(8, 8, 16), False),
+                                        (panel_grid(64, 48, 320, p_max=12.0), True)],
+                         ids=["tall", "wide"])
+@pytest.mark.parametrize("pot", ALL_KINDS + [square_well(3.0, 1.0)],
+                         ids=[p.kind for p in ALL_KINDS] + ["repulsive"])
+def test_sign_form_reproduces_the_vl_matrix(pot, grid, wide):
+    # s B_l^T B_l against vl_matrix's independent J^T diag(c) J on the grid
+    # plus k0, through both forms of _factors: every M_l wider than long on
+    # the dense grid, every one taller than wide on the small grid; measured
+    # at worst 2.6e-14 of max|V_l| (the well, tall)
+    momenta = np.concatenate([grid.nodes, [grid.k0]])
+    assert (_radial_rule(pot, float(momenta.max()), 1)[0].size < momenta.size) == wide
+    B, s, rank, _ = _factors(pot, 8, grid)
+    for l in range(9):
+        V = vl_matrix(pot, l, momenta)
+        assert np.max(np.abs(s * B[l].T @ B[l] - V)) <= 1e-13 * np.max(np.abs(V)), l
 
 
 @pytest.mark.parametrize("pot, counts", [
@@ -366,6 +388,25 @@ def test_spectrum_answers_a_sequence_of_eps_row_by_row():
     eps = [0.0, 0.2, 0.1, 0.2]
     assert np.array_equal(sp.x(eps), np.stack([sp.x(e) for e in eps]))
     assert np.array_equal(sp.half_shell(eps), np.stack([sp.half_shell(e) for e in eps]))
+
+
+def test_half_shell_table_is_formed_from_the_spectrum_factors():
+    # half_shell reads the table ls_spectrum formed once: B^T X(eps) B[:, -1]
+    # from the spectrum's own B and X, bit for bit at every solved eps and
+    # for an unordered sequence of them, and on_shell is its k0 entry
+    sp = ls_spectrum(square_well(-1.0, 1.0), 3, panel_grid(24, 16, 64), (0.2, 0.1, 0.0))
+    Bt = sp.B.transpose(0, 2, 1)
+    want = {}
+    for e in sp.eps:
+        xb = sp.x(e) @ sp.B[:, :, -1:]
+        want[e] = (Bt @ xb.real + 1j * (Bt @ xb.imag))[..., 0]
+        assert np.array_equal(sp.half_shell(e), want[e]), e
+        assert np.array_equal(sp.on_shell(e), want[e][:, -1]), e
+        # and it is the complex product B^T X B[:, -1] up to round-off
+        ref = np.stack([B.T @ X @ B[:, -1] for B, X in zip(sp.B, sp.x(e))])
+        assert np.max(np.abs(want[e] - ref)) <= 1e-14 * np.max(np.abs(ref)), e
+    eps = [0.1, 0.0, 0.2, 0.1]
+    assert np.array_equal(sp.half_shell(eps), np.stack([want[e] for e in eps]))
 
 
 def test_corrupted_solve_raises_pole_proximity(monkeypatch):

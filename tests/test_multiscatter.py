@@ -21,7 +21,14 @@ from multiscat.multiscatter import (
     eps_extrapolate,
 )
 from multiscat.potentials import Scatterer, gaussian, square_well
-from multiscat.specfun import AngularGrid, bessel_j_table, gauss_panels, sph_index, ylm_table
+from multiscat.specfun import (
+    AngularGrid,
+    bessel_j_table,
+    gauss_panels,
+    legendre_table,
+    sph_index,
+    ylm_table,
+)
 
 from oracles import (
     offshell_table,
@@ -478,6 +485,31 @@ def test_engine_holds_one_rayleigh_table_per_separation(three_wells_engine, monk
     eng.born_term(3, eps)
 
 
+def test_engine_holds_one_legendre_table_per_direction(three_wells_engine, monkeypatch):
+    from multiscat import multiscatter
+
+    eng = three_wells_engine
+    lmax = eng.sc.numerics.lmax
+    centers = [s.center_array for s in eng.sc.scatterers]
+    axes = {tuple(D / np.linalg.norm(D)) for D in
+            (centers[j] - centers[h] for j in range(3) for h in range(3) if j != h)}
+    assert len(axes) == 6
+    assert set(eng.legendre) == axes | {eng.sc.dir_in, eng.sc.dir_out}
+    for u, table in eng.legendre.items():
+        u_dot = eng.ang.nodes @ np.asarray(u)
+        assert np.array_equal(table, legendre_table(2 * lmax, u_dot))
+        # the rows a direction's P_l read are the order-lmax table bit for bit
+        assert np.array_equal(table[:lmax + 1], legendre_table(lmax, u_dot))
+    # the series terms from order 2 up slice the tables and build none
+    def no_table(*args):
+        raise AssertionError("a Legendre table built outside the constructor")
+
+    monkeypatch.setattr(multiscatter, "legendre_table", no_table)
+    eps = eng.sc.eps_sequence()[2]
+    eng.pair_terms(eps)
+    eng.born_term(3, eps)
+
+
 def test_born3_matches_brute_force_quadrature_on_three_wells(three_wells_engine):
     eng = three_wells_engine
     terms = [(j, h, k) for j in range(3) for h in range(3) for k in range(3)
@@ -614,7 +646,7 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
 
     def corrupted(pot, lmax, grid, eps):
         sp = original(pot, lmax, grid, eps)
-        return dataclasses.replace(sp, B=sp.B * (1.0 + 1e-6))
+        return dataclasses.replace(sp, half=sp.half * (1.0 + 1e-6))
 
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
