@@ -83,10 +83,11 @@ class RunConfig:
 
 
 def _is_number(v) -> bool:
-    """An int or a finite float; YAML's true/false load as bool, a subclass of int."""
+    """An int or float with a finite float value; not YAML's true/false, bools being ints."""
     if isinstance(v, bool):
         return False
-    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+    # false for nan, for +-inf and for an int that float() cannot hold
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
 def _is_integer(v) -> bool:
@@ -94,17 +95,79 @@ def _is_integer(v) -> bool:
     return _is_number(v) and (isinstance(v, int) or v.is_integer())
 
 
-def _unknown_keys(block, path: str, known) -> list:
+def _is_vector(v) -> bool:
+    """Three numbers."""
+    return isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))
+
+
+# The rule tables.  Each maps a key of one config block to (rule, what,
+# cast): a value that fails ``rule`` is reported at its field path as
+# "must be <what>, got <value>", and one that passes enters the run as
+# ``cast(value)``.  A table's keys are the keys its block accepts.
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number", float)
+
+
+def _integer_in(lo: int, hi: int) -> tuple:
+    return (lambda v: _is_integer(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]", int)
+
+
+def _number_list(problem, what: str) -> tuple:
+    """A list of numbers, empty (the default) or one that ``problem`` finds no fault in."""
+    return (lambda v: (isinstance(v, list) and all(map(_is_number, v))
+                       and not (v and problem(v))), what, tuple)
+
+
+# the sum of squares in (0, inf) is the norm that Scenario divides by
+_DIRECTION = (lambda v: _is_vector(v) and 0 < sum(x * x for x in map(float, v)) < math.inf,
+              "a 3-vector of nonzero, finite length", tuple)
+
+_SCENARIO = {
+    "k0": _POSITIVE,
+    "dir_in": _DIRECTION,
+    "dir_out": _DIRECTION,
+    "eps_list": _number_list(eps_list_problem, "a list of at least 3 distinct positive "
+                             "numbers, each >= 1.2 times the next once sorted"),
+    "alpha_list": _number_list(alpha_list_problem,
+                               "a list of at least 2 distinct nonnegative numbers"),
+}
+_SCATTERER = {
+    "center": (_is_vector, "a 3-vector", tuple),
+    "potential": (lambda v: isinstance(v, dict), "a mapping", dict),
+}
+_KIND = (lambda v: v in KINDS, f"one of {KINDS}", str)
+_POTENTIAL = {
+    "kind": _KIND,
+    # a zero potential makes X_0 vanish, and every alpha gate divides by it
+    "v0": (lambda v: _is_number(v) and v != 0, "a nonzero number", float),
+    "a": _POSITIVE,
+}
+# only a truncated Coulomb potential reads rc
+_COULOMB = {**_POTENTIAL, "rc": _POSITIVE}
+_NUMERICS = {
+    "lmax": _integer_in(0, 30),
+    "p_max": _POSITIVE,
+    "n_inner": _integer_in(8, 512),
+    "n_mid": _integer_in(8, 512),
+    "n_max": _integer_in(1, 3),
+    "tail_tol": _POSITIVE,
+}
+_TOLERANCES = dict.fromkeys(Numerics().tolerances, _POSITIVE)
+_OUTPUT = {"dir": (lambda v: isinstance(v, str), "a path string", Path)}
+
+
+def _unknown_keys(block: dict, path: str, known) -> list:
     """(field path, message) for every key of mapping ``block`` the run does not read."""
-    if not isinstance(block, dict):
-        return []
     prefix = f"{path}." if path else ""
     return [(f"{prefix}{key}", f"unknown key; known: {sorted(known)}")
             for key in block if key not in known]
 
 
 def validate_config(text: str) -> RunConfig:
-    """Parse and validate a YAML config, reporting every violation at once."""
+    """Parse and validate a YAML config, reporting every violation at once.
+
+    Every field is checked against its row of a rule table; an absent or
+    null optional key takes its default.
+    """
     errors: list = []
     warnings: list = []
     try:
@@ -114,94 +177,56 @@ def validate_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([("<file>", "top level must be a mapping")])
 
+    def check(path: str, value, rule, what: str) -> bool:
+        """Whether ``value`` passes ``rule``; if not, records that it must be ``what``."""
+        if rule(value):
+            return True
+        errors.append((path, f"must be {what}, got {value!r}"))
+        return False
+
+    def fields(path: str, block, table: dict, required=()) -> dict:
+        """cast(value) of each key of ``table`` whose value in ``block`` passes its rule.
+
+        An absent or null key is checked only if ``required``; else it takes its default.
+        """
+        block = block if isinstance(block, dict) else {}
+        errors.extend(_unknown_keys(block, path, table))
+        out = {}
+        for key, (rule, what, cast) in table.items():
+            v = block.get(key)
+            if (v is not None or key in required) and check(f"{path}.{key}", v, rule, what):
+                out[key] = cast(v)
+        return out
+
+    def block(name: str, table: dict, required=()) -> dict:
+        """``fields`` of top-level mapping ``name``; absent or null, every key's default."""
+        check(name, raw.get(name), lambda v: v is None or isinstance(v, dict), "a mapping")
+        return fields(name, raw.get(name), table, required)
+
     errors += _unknown_keys(raw, "", ("scenario", "scatterers", "numerics",
                                       "tolerances", "output"))
-
-    def block(name, known) -> dict:
-        """The keys in ``known`` of top-level mapping ``name``; {} when absent or null."""
-        v = raw.get(name)
-        if v is not None and not isinstance(v, dict):
-            errors.append((name, "must be a mapping"))
-        errors.extend(_unknown_keys(v, name, known))
-        return {k: x for k, x in v.items() if k in known} if isinstance(v, dict) else {}
-
-    scen = block("scenario", ("k0", "dir_in", "dir_out", "eps_list", "alpha_list"))
-    k0 = scen.get("k0")
-    if not _is_number(k0) or k0 <= 0:
-        errors.append(("scenario.k0", f"must be a positive number, got {k0!r}"))
-
-    def direction(name, default):
-        v = scen.get(name, default)
-        arr = None
-        if (not isinstance(v, (list, tuple)) or len(v) != 3
-                or not all(_is_number(x) for x in v)):
-            errors.append((f"scenario.{name}", f"must be a 3-vector, got {v!r}"))
-        else:
-            arr = np.asarray(v, dtype=float)
-            n = np.linalg.norm(arr)
-            if n == 0:
-                errors.append((f"scenario.{name}", "must be nonzero"))
-                arr = None
-            elif abs(n - 1.0) > 1e-9:
-                warnings.append(f"scenario.{name} was not unit length "
-                                f"(|v| = {n:.6g}); normalised")
-                arr = arr / n
-        return arr
-
-    dir_in = direction("dir_in", [0.0, 0.0, 1.0])
-    dir_out = direction("dir_out", [0.0, 0.0, 1.0])
-
-    for name in ("eps_list", "alpha_list"):
-        v = scen.get(name)
-        if v is not None and (not isinstance(v, list)
-                              or not all(_is_number(x) for x in v)):
-            errors.append((f"scenario.{name}", "must be a list of numbers"))
-        elif v and (problem := (eps_list_problem if name == "eps_list"
-                                else alpha_list_problem)(v)):
-            errors.append((f"scenario.{name}", problem))
+    scen = block("scenario", _SCENARIO, required=("k0",))
+    for name in ("dir_in", "dir_out"):
+        if name in scen and abs((n := np.linalg.norm(scen[name])) - 1.0) > 1e-9:
+            warnings.append(f"scenario.{name} was not unit length (|v| = {n:.6g}); "
+                            "normalised")
+            scen[name] = tuple(np.asarray(scen[name], dtype=float) / n)
 
     scatterers = []
     raw_scat = raw.get("scatterers")
-    if not isinstance(raw_scat, list) or len(raw_scat) < 1:
-        errors.append(("scatterers", "need a list with at least one scatterer"))
-        raw_scat = []
-    for i, s in enumerate(raw_scat):
+    check("scatterers", raw_scat, lambda v: isinstance(v, list) and len(v) > 0,
+          "a list of at least one scatterer")
+    for i, s in enumerate(raw_scat if isinstance(raw_scat, list) else []):
         base = f"scatterers[{i}]"
-        errors += _unknown_keys(s, base, ("center", "potential"))
-        center = s.get("center") if isinstance(s, dict) else None
-        if (not isinstance(center, (list, tuple)) or len(center) != 3
-                or not all(_is_number(x) for x in center)):
-            errors.append((f"{base}.center", f"must be a 3-vector, got {center!r}"))
-            center = (0.0, 0.0, 0.0)
-        pot = s.get("potential") if isinstance(s, dict) else None
-        if not isinstance(pot, dict):
-            errors.append((f"{base}.potential", "must be a mapping"))
+        scat = fields(base, s, _SCATTERER, required=_SCATTERER)
+        pot = scat.get("potential")
+        if pot is None or not check(f"{base}.potential.kind", pot.get("kind"), *_KIND[:2]):
             continue
-        kind = pot.get("kind")
-        if kind not in KINDS:
-            errors.append((f"{base}.potential.kind",
-                           f"must be one of {KINDS}, got {kind!r}"))
-            continue
-        # only a truncated Coulomb potential reads rc
-        errors += _unknown_keys(pot, f"{base}.potential", ("kind", "v0", "a")
-                                + (("rc",) if kind == "truncated_coulomb" else ()))
-        v0 = pot.get("v0")
-        a = pot.get("a")
-        rc = pot.get("rc")
-        before = len(errors)
-        if not _is_number(v0) or v0 == 0:
-            errors.append((f"{base}.potential.v0", "must be a nonzero number"))
-        if not _is_number(a) or a <= 0:
-            errors.append((f"{base}.potential.a", "must be a positive number"))
-        if kind == "truncated_coulomb" and (not _is_number(rc) or rc <= 0):
-            errors.append((f"{base}.potential.rc",
-                           "truncated_coulomb needs a positive rc"))
-        # a potential with any bad parameter is dropped after all are checked
-        if len(errors) > before:
-            continue
-        scatterers.append(Scatterer(tuple(float(x) for x in center),
-                                    Potential(kind, float(v0), float(a),
-                                              float(rc) if rc is not None else None)))
+        table = _COULOMB if pot["kind"] == "truncated_coulomb" else _POTENTIAL
+        # every parameter of one potential is checked, whichever fail
+        params = fields(f"{base}.potential", pot, table, required=table)
+        if "center" in scat and len(params) == len(table):
+            scatterers.append(Scatterer(scat["center"], Potential(**params)))
 
     if len(scatterers) > 2:
         warnings.append(f"{len(scatterers)} scatterers: the gates check only the pair "
@@ -209,55 +234,22 @@ def validate_config(text: str) -> RunConfig:
                         "and phase-law gates are skipped; the other scatterers enter "
                         "only the Born terms")
 
-    num_kwargs = {}
-    num_schema = {
-        "lmax": (int, lambda v: 0 <= v <= 30),
-        "p_max": (float, lambda v: v > 0),
-        "n_inner": (int, lambda v: 8 <= v <= 512),
-        "n_mid": (int, lambda v: 8 <= v <= 512),
-        "n_max": (int, lambda v: 1 <= v <= 3),
-        "tail_tol": (float, lambda v: v > 0),
-    }
-    for key, v in block("numerics", num_schema).items():
-        if v is None:
-            continue
-        caster, check = num_schema[key]
-        if not (_is_integer(v) if caster is int else _is_number(v)):
-            errors.append((f"numerics.{key}",
-                           f"must be {'an integer' if caster is int else 'a number'}, got {v!r}"))
-        elif not check(caster(v)):
-            errors.append((f"numerics.{key}", f"out of range: {v!r}"))
-        else:
-            num_kwargs[key] = caster(v)
-
-    p_max = num_kwargs.get("p_max")
-    if p_max is not None and _is_number(k0) and k0 > 0 and p_max <= 2 * k0:
-        errors.append(("numerics.p_max", f"must exceed 2*k0 = {2 * k0:g}, got {p_max:g}"))
-
-    tolerances = dict(Numerics().tolerances)
-    for k, v in block("tolerances", tolerances).items():
-        if not _is_number(v) or v <= 0:
-            errors.append((f"tolerances.{k}", "must be a positive number"))
-        else:
-            tolerances[k] = float(v)
-
-    out_dir = block("output", ("dir",)).get("dir", "out")
-    if not isinstance(out_dir, str):
-        errors.append(("output.dir", "must be a path string"))
-        out_dir = "out"
+    num = block("numerics", _NUMERICS)
+    if "p_max" in num and "k0" in scen:
+        check("numerics.p_max", num["p_max"], lambda p: p > 2 * scen["k0"],
+              f"above 2*k0 = {2 * scen['k0']:g}")
+    tolerances = block("tolerances", _TOLERANCES)
+    output = block("output", _OUTPUT)
 
     if errors:
         raise ConfigError(errors)
 
-    numerics = Numerics(
-        eps_list=tuple(scen.get("eps_list") or ()),
-        alpha_list=tuple(scen.get("alpha_list") or Numerics().alpha_list),
-        tolerances=tolerances,
-        **num_kwargs)
-    scenario = Scenario(scatterers=tuple(scatterers), k0=float(k0),
-                        dir_in=tuple(dir_in), dir_out=tuple(dir_out),
-                        numerics=numerics)
-    return RunConfig(scenario=scenario, output_dir=Path(out_dir), warnings=warnings)
+    numerics = Numerics(eps_list=scen.pop("eps_list", ()),
+                        alpha_list=scen.pop("alpha_list", ()) or Numerics().alpha_list,
+                        tolerances={**Numerics().tolerances, **tolerances}, **num)
+    scenario = Scenario(scatterers=tuple(scatterers), numerics=numerics, **scen)
+    return RunConfig(scenario=scenario, output_dir=output.get("dir", Path("out")),
+                     warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

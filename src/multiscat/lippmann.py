@@ -186,7 +186,7 @@ class LSSpectrum:
     formed from them once; ``eps`` are the only eps they answer for: any
     other raises ValueError.  ``bound_states[l]`` counts the bound states of
     V_l on the grid (``_bound_states``), and ``residual`` is the worst solve
-    residual.
+    residual.  ``ls_spectrum`` leaves ``B``, ``X`` and ``half`` read-only.
     """
 
     B: np.ndarray = field(repr=False)         # (lmax + 1, k, n + 1) real
@@ -314,6 +314,8 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectru
     xb = X @ B[:, :, -1:]
     Bt = B.transpose(0, 2, 1)
     half = (Bt @ xb.real + 1j * (Bt @ xb.imag))[..., 0]
+    for table in (B, X, half):
+        table.flags.writeable = False
     return LSSpectrum(B=B, eps=eps, X=X, half=half, rank=rank, bound_states=bound,
                       residual=resid)
 

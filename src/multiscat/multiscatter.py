@@ -230,7 +230,7 @@ class ScenarioEngine:
     centres (_projection), which gives both the pair profiles of order 2
     and the Born-3 term.  run_verification calls the operations in stages:
     the LS stage and its health numbers, pair profiles, the X lattice, eps
-    extrapolation, gates.
+    extrapolation, gates.  The pv, rayleigh and legendre tables are read-only.
     """
 
     def __init__(self, scenario: Scenario):
@@ -260,6 +260,8 @@ class ScenarioEngine:
             for h, b in enumerate(centers) if j != h}
         self.legendre = {u: legendre_table(2 * num.lmax, self.ang.nodes @ np.asarray(u))
                          for u in units}
+        for table in (self.pv, *self.rayleigh.values(), *self.legendre.values()):
+            table.flags.writeable = False
         self._spectra: dict = {}
 
     def offshell(self, j: int):

@@ -98,6 +98,7 @@ SECOND = "potential: {kind: square_well, v0: -1.0, a: 1.0}\noutput"
     # scenario numbers
     ("k0: 1.0", "k0: true", "scenario.k0"),
     ("k0: 1.0", "k0: .inf", "scenario.k0"),
+    pytest.param("k0: 1.0", f"k0: {10 ** 400}", "scenario.k0", id="int_beyond_float"),
     # vector components
     ("k0: 1.0", "k0: 1.0\n  dir_in: [0.0, false, 1.0]", "scenario.dir_in"),
     ("[0.0, 0.0, 5.0]", "[0.0, 0.0, true]", "scatterers[1].center"),
@@ -122,8 +123,17 @@ SECOND = "potential: {kind: square_well, v0: -1.0, a: 1.0}\noutput"
     ("output:", "tolerances:\n  phase_law: true\noutput:", "tolerances.phase_law"),
     # values of the right type that the run cannot use
     ("k0: 1.0", "k0: 1.0\n  dir_in: [0.0, 0.0, 0.0]", "scenario.dir_in"),
+    # a length that overflows
+    ("k0: 1.0", "k0: 1.0\n  dir_in: [1.0e+200, 0.0, 0.0]", "scenario.dir_in"),
     (SECOND, "potential: 3\noutput", "scatterers[1].potential"),
     ("output:", "numerics: {lmax: 31}\noutput:", "numerics.lmax"),
+    ("output:", "numerics: {lmax: -1}\noutput:", "numerics.lmax"),
+    ("output:", "numerics: {n_inner: 7}\noutput:", "numerics.n_inner"),
+    ("output:", "numerics: {n_mid: 513}\noutput:", "numerics.n_mid"),
+    ("output:", "numerics: {n_max: 0}\noutput:", "numerics.n_max"),
+    ("output:", "numerics: {n_max: 4}\noutput:", "numerics.n_max"),
+    ("output:", "numerics: {tail_tol: 0}\noutput:", "numerics.tail_tol"),
+    ("output:", "numerics: {p_max: 0}\noutput:", "numerics.p_max"),
     ("dir: out/minimal", "dir: 5", "output.dir"),
 ])
 def test_booleans_and_non_integral_values_rejected(old, new, path):
@@ -153,6 +163,8 @@ def test_file_that_is_not_a_config_rejected(tmp_path, text):
      "scatterers[1].potential.depth"),
     # only a truncated Coulomb potential reads rc
     (SECOND, "potential: {kind: square_well, v0: -1.0, a: 1.0, rc: 3}\noutput",
+     "scatterers[1].potential.rc"),
+    (SECOND, "potential: {kind: square_well, v0: -1.0, a: 1.0, rc: x}\noutput",
      "scatterers[1].potential.rc"),
     # knobs that are gone
     ("dir: out/minimal", "dir: out/minimal\n  formats: [json, csv, plotdata]",
@@ -247,12 +259,19 @@ def test_engine_construction_error_writes_error_report(tmp_path):
 def test_null_tolerances_are_the_defaults():
     cfg = validate_config(MINIMAL + "tolerances:\n")
     assert cfg.scenario.numerics.tolerances == Numerics().tolerances
-    # a null numerics field keeps its default too
+    # a null numerics field or tolerance keeps its default too
     cfg = validate_config(MINIMAL + "numerics: {lmax: null, n_max: 3}\n")
     assert cfg.scenario.numerics.lmax == Numerics().lmax and cfg.scenario.numerics.n_max == 3
+    cfg = validate_config(MINIMAL + "tolerances: {phase_law: null, y_average: 0.5}\n")
+    assert cfg.scenario.numerics.tolerances == {**Numerics().tolerances, "y_average": 0.5}
     with pytest.raises(ConfigError) as exc:
         validate_config(MINIMAL + "tolerances: 3\n")
     assert [p for p, _ in exc.value.errors] == ["tolerances"]
+    # so do null directions and a null output dir
+    cfg = validate_config(MINIMAL.replace("k0: 1.0", "k0: 1.0\n  dir_in: null\n  dir_out:")
+                          .replace("dir: out/minimal", "dir: null"))
+    assert cfg.scenario.dir_in == cfg.scenario.dir_out == (0.0, 0.0, 1.0)
+    assert cfg.output_dir == Path("out") and cfg.warnings == []
 
 
 def test_threads_option_is_gone():
@@ -464,8 +483,8 @@ def test_run_needs_no_eigendecomposition(tmp_path, monkeypatch, name):
 
 def test_wells_run_takes_no_grid_sized_eigenvalues(tmp_path, monkeypatch):
     # bound states are counted in the rank of V_l: every eigvalsh of a wells
-    # run (the (k x k) Birman-Schwinger matrices and the Gauss-Legendre
-    # companion matrices) is smaller than the momentum grid
+    # run (the (k x k) Birman-Schwinger matrices) is smaller than the
+    # momentum grid
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 

@@ -653,6 +653,22 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
         _small_wells().ls_health()
 
 
+def test_stored_tables_are_read_only():
+    # a table rescaled after it was built would still agree with itself in
+    # every health check that reads it, so none can be rescaled in place
+    eng = _small_wells()
+    sp = eng.offshell(0)
+    with pytest.raises(ValueError, match="read-only"):
+        sp.B *= 1 + 1e-6
+    with pytest.raises(ValueError, match="read-only"):
+        eng.pv *= 2
+    for table in (sp.X, sp.half, *eng.rayleigh.values(), *eng.legendre.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+    # the momentum grid the tables were built on is not one of them
+    assert eng.grid.nodes.flags.writeable and eng.grid.weights.flags.writeable
+
+
 def test_extrapolation_flag(caplog):
     # the gap between the on-shell t_l extrapolated over eps and the eps = 0
     # solve, against the Richardson error, both relative to max_l |t_l|;
