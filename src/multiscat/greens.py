@@ -53,9 +53,13 @@ quadrature-discretised kernel on ball grids built with R on the polar
 axis, so the value does not depend on the pair's orientation and no
 (n_nodes x n_nodes) matrix is formed.  With the h node at phi = 0 the
 kernel's first phi column is even in phi_j, so only its phi nodes
-0..N//2 are built, and one real cosine transform of them gives the
-distinct blocks m = 0..N//2; blocks m and N - m coincide, so each counts
-twice except m = 0 and m = N/2, as the +/-m pairs do.  Both norms carry
+0..N//2 are built, one node's slice at a time into the one table that
+then holds the blocks, and a real cosine transform of them, done in place
+over column chunks, gives the distinct blocks m = 0..N//2; blocks m and
+N - m coincide, so each counts twice except m = 0 and m = N/2, as the
++/-m pairs do.  The norm reduces that table one block at a time and
+finishes each grid level before it builds the next, so beside the refined
+table only transients of one block's size are live.  Both norms carry
 |V|^{1/2} on each side of the resolvent, in place of the complex phi with
 phi^2 = V: the two differ by a unit phase on each node, which moves no
 singular value.
@@ -261,9 +265,13 @@ class KtildeDiscretization:
     blocks are those of the whole matrix.  With the h node at phi = 0 that
     column depends on phi_j only through cos(phi_j), so its phi nodes n and
     N - n coincide, and so do blocks m and N - m: ``matrix[m]`` holds the
-    distinct blocks m = 0..N//2, from one real cosine transform of phi nodes
-    0..N//2, and ``multiplicity[m]`` counts each block's copies (1 for m = 0
-    and m = N/2, 2 otherwise).  The amplitudes are sqrt(w |V|) in place of
+    distinct blocks m = 0..N//2, and ``multiplicity[m]`` counts each block's
+    copies (1 for m = 0 and m = N/2, 2 otherwise).  ``build`` writes phi
+    nodes 0..N//2 of the column one node's (n_j', n_h) slice at a time into
+    one interleaved (re, im) table of shape (N//2 + 1, n_j', n_h, 2), applies
+    the real cosine transform to it in place, over column chunks the size
+    of one slice, and ``matrix`` is its complex view: no other array of the
+    table's size is formed.  The amplitudes are sqrt(w |V|) in place of
     sqrt(w) phi with phi^2 = V: the two differ by a diagonal unitary
     (phi/|phi| on each node), which leaves the singular values unchanged.
     For overlapping supports the integrable 1/|x-y| diagonal is tamed by
@@ -283,19 +291,26 @@ class KtildeDiscretization:
         pj, wj, n_phi = _ball_grid(aj, n_radial, angular_order)
         ph, wh, _ = _ball_grid(ah, n_radial, angular_order)
         half = n_phi // 2 + 1
-        # the grids run phi-fastest: keep the j nodes at phi indices
-        # 0..N//2, reordered phi-slowest for the transform over the leading
-        # axis, and the h nodes at phi index 0 (every n_phi-th)
-        pj = pj.reshape(-1, n_phi, 3)[:, :half].transpose(1, 0, 2).reshape(-1, 3)
-        wj = wj.reshape(-1, n_phi)[:, :half].T.ravel()
+        # the grids run phi-fastest: the j nodes at phi index n are
+        # pj[:, n], and the h nodes are kept at phi index 0 alone
+        pj, wj = pj.reshape(-1, n_phi, 3), wj.reshape(-1, n_phi)
         ph, wh = ph[::n_phi], wh[::n_phi]
-        # blocks[m] = sum_n mult_n cos(2 pi m n/N) col[n], as one real
-        # product on the interleaved (re, im) column
+        # the first phi column, one phi node n = 0..N//2 at a time, straight
+        # into the interleaved (re, im) table whose complex view is the blocks
+        table = np.empty((half, pj.shape[0], ph.shape[0], 2))
+        for i, out in enumerate(table):
+            _ktilde_matrix(aj, ah, k0, pj[:, i], wj[:, i], ph, wh, out)
+        # blocks[m] = sum_n mult_n cos(2 pi m n/N) col[n], as a real product
+        # in place, over column chunks the size of one phi node's slice
         n = np.arange(half)
         mult = np.where((n == 0) | (2 * n == n_phi), 1.0, 2.0)
         cosines = np.cos((2.0 * np.pi / n_phi) * (np.outer(n, n) % n_phi)) * mult
-        col = _ktilde_matrix(aj, ah, k0, pj, wj, ph, wh).reshape(half, -1)
-        blocks = (cosines @ col).view(complex).reshape(half, -1, ph.shape[0])
+        flat = table.reshape(half, -1)
+        step = -(-flat.shape[1] // half)
+        for c in range(0, flat.shape[1], step):
+            chunk = flat[:, c:c + step]
+            chunk[...] = cosines @ chunk
+        blocks = table.view(complex)[..., 0]
         return cls(matrix=blocks, multiplicity=mult)
 
 
@@ -313,15 +328,16 @@ def _ball_grid(s: Scatterer, n_radial: int, angular_order: int):
     return pts, wts, ang.n_phi
 
 
-def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh):
-    """sqrt(w_x |V_j(x)|) K(x, y) sqrt(w_y |V_h(y)|) at every node pair, as (re, im).
+def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh, out):
+    """sqrt(w_x |V_j(x)|) K(x, y) sqrt(w_y |V_h(y)|) at every node pair, as (re, im), into ``out``.
 
     The h nodes must lie at phi = 0 (y = 0 exactly), so each distance is
     read from (x_j - x_h)^2 + y_j^2 + (z_j - z_h)^2; it is capped at 2/3 of
     the larger cell radius (3 w/(4 pi))^{1/3}.  The kernel's phase
     e^{ikd}/(4 pi i d) = (sin kd - i cos kd)/(4 pi d) goes into the last
-    axis of the real (len(pj), len(ph), 2) result, whose complex view is
-    the matrix.
+    axis of the real (len(pj), len(ph), 2) array ``out``, whose complex view
+    is the matrix.  ``KtildeDiscretization.build`` passes the j nodes of one
+    phi node and that node's slice of its table.
     """
     amp_j = np.sqrt(wj * np.abs(sj.potential.evaluate(
         np.linalg.norm(pj - sj.center_array, axis=1)))) / (4.0 * np.pi)
@@ -339,12 +355,10 @@ def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh):
     scale = np.multiply.outer(amp_j, amp_h)
     scale /= d
     d *= k0
-    out = np.empty(d.shape + (2,))
     np.sin(d, out=out[..., 0])
     np.cos(d, out=out[..., 1])
     out *= scale[..., None]
     np.negative(out[..., 1], out=out[..., 1])
-    return out
 
 
 def schatten4_norm(sj: Scatterer, sh: Scatterer, k0: float,
@@ -356,12 +370,19 @@ def schatten4_norm(sj: Scatterer, sh: Scatterer, k0: float,
     returns ``(value, refinement_delta)``: the refined value and its
     relative change from the coarse one.  Each distinct azimuthal block
     counts its ``multiplicity`` times, as the +/-m pairs of the spectral
-    norm do.
+    norm do.  The blocks are reduced by ``_sigma4`` one at a time, and each
+    level's table is freed before the next level is built, so the refined
+    table is the one grid-sized array alive at the peak.
     """
     levels = ((n_radial, angular_order),
               (math.ceil(1.5 * n_radial), math.ceil(1.5 * angular_order)))
-    v1, v2 = (float(D.multiplicity @ _sigma4(D.matrix)) ** 0.25
-              for D in (KtildeDiscretization.build(sj, sh, k0, *level) for level in levels))
+    values = []
+    for level in levels:
+        D = KtildeDiscretization.build(sj, sh, k0, *level)
+        values.append(float(D.multiplicity @ np.array([_sigma4(B) for B in D.matrix])) ** 0.25)
+        # the level's blocks are freed before the next level is built
+        del D
+    v1, v2 = values
     return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
 
 

@@ -296,14 +296,24 @@ def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
     return B, s, rank, _bound_states(B, s, grid)
 
 
+def _half_shell(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B_l^T X_l B_l[:, -1] of every l, and of every eps on a leading axis of X.
+
+    Two real products with B: B is never copied to complex.
+    """
+    xb = X @ B[:, :, -1:]
+    Bt = B.transpose(0, 2, 1)
+    return (Bt @ xb.real + 1j * (Bt @ xb.imag))[..., 0]
+
+
 def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectrum:
     """The LS stage of one potential: t_l for l = 0..lmax at every eps in ``eps``.
 
     Every (eps, l) system (I - s A) X = s I of the stacked factors of
     V_l = s B^T B (``_factors``), eps = 0 by the Haftel-Tabakin weights, is
     solved in one ``_solve``, which raises PoleProximityError when a solve
-    residual exceeds 1e-8.  The half-shell columns B^T X B[:, -1] of every
-    (eps, l) are then formed once, in two real products with B.
+    residual exceeds 1e-8.  The half-shell columns of every (eps, l) are
+    then formed once (``_half_shell``).
     """
     B, s, rank, bound = _factors(pot, lmax, grid)
     eps = tuple(eps)
@@ -311,9 +321,7 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectru
     # copied once the solve's temporaries are freed, X takes their heap space
     # instead of stranding it below itself for the rest of the run
     X = X.copy()
-    xb = X @ B[:, :, -1:]
-    Bt = B.transpose(0, 2, 1)
-    half = (Bt @ xb.real + 1j * (Bt @ xb.imag))[..., 0]
+    half = _half_shell(B, X)
     for table in (B, X, half):
         table.flags.writeable = False
     return LSSpectrum(B=B, eps=eps, X=X, half=half, rank=rank, bound_states=bound,

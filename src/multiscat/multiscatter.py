@@ -51,6 +51,7 @@ from multiscat.greens import (
 from multiscat.lippmann import (
     ComplexEnergy,
     MomentumGrid,
+    _half_shell,
     ls_spectrum,
     ls_weights,
     solve_offshell_t,
@@ -175,10 +176,16 @@ class Scenario:
             raise ValueError("need at least one scatterer")
         for name in ("dir_in", "dir_out"):
             v = np.asarray(getattr(self, name), dtype=float)
-            n = np.linalg.norm(v)
-            if n == 0:
-                raise ValueError(f"{name} must be a nonzero direction")
-            object.__setattr__(self, name, tuple(v / n))
+            # |v| and the length of v scaled by its largest component, which
+            # neither under- nor overflows where |v|^2 does
+            top = np.max(np.abs(v))
+            with np.errstate(all="ignore"):
+                n, scaled = np.linalg.norm(v), np.linalg.norm(v / top)
+                length = top * scaled
+            if not 0 < length < np.inf:
+                raise ValueError(f"{name} must be a nonzero direction of finite length, "
+                                 f"got {tuple(v.tolist())}")
+            object.__setattr__(self, name, tuple(v / n if 0 < n < np.inf else v / top / scaled))
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
 
     @property
@@ -282,7 +289,11 @@ class ScenarioEngine:
         Per distinct potential (``offshell``): the grid bound states and
         the solve rank per l; the relative difference of the l = 0
         half-shell column at eps_min from one direct LU solve of it
-        (solve_offshell_t), which must stay below 1e-8; and per l the gap
+        (solve_offshell_t), which must stay below 1e-8; the same column at
+        eps_min of every l recomputed as B_l^T X_l B_l[:, -1] from the
+        factors that Born-3 reads (``lippmann._half_shell``), which must
+        match the stored one within 1e-12 relative to that l's largest
+        entry; and per l the gap
         of the on-shell t_l extrapolated over the run's eps (every l in one
         tableau) from the eps = 0 solve, and the extrapolation's Richardson
         error, both relative to max_l |t_l(0)|.  Over all of them: the worst
@@ -309,6 +320,15 @@ class ScenarioEngine:
                 raise RuntimeError(
                     f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
+            stored = sp.half_shell(eps)
+            factored = _half_shell(sp.B, sp.x(eps))
+            drift = float(np.max(np.max(np.abs(factored - stored), axis=1)
+                                 / np.maximum(np.max(np.abs(stored), axis=1), 1e-300)))
+            if not drift <= 1e-12:
+                raise RuntimeError(
+                    f"LS factor cross-check failed for scatterer {j}: B^T X B at eps "
+                    f"{eps:.3g} differs from the stored half-shell column by {drift:.2e} "
+                    "(relative)")
             t0 = sp.on_shell(0.0)
             scale = max(float(np.max(np.abs(t0))), 1e-300)
             lim, err = eps_extrapolate({e: sp.on_shell(e) for e in eps_seq})

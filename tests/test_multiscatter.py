@@ -111,6 +111,24 @@ def test_scenario_rejects_bad_inputs():
                  dir_out=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("direction, unit", [
+    ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((float("nan"), 0.0, 1.0), None),
+    ((float("inf"), 0.0, 0.0), None),
+], ids=["huge", "tiny", "nan", "inf"])
+def test_scenario_direction_of_extreme_length(direction, unit):
+    # |v|^2 overflows at 1e200 and underflows at 1e-200, but both lengths
+    # are finite and nonzero; a non-finite component has no length at all
+    sc = (Scatterer((0, 0, 0), square_well(-1, 1)),)
+    if unit is None:
+        with pytest.raises(ValueError,
+                           match="dir_in must be a nonzero direction of finite length"):
+            Scenario(scatterers=sc, k0=1.0, dir_in=direction)
+    else:
+        assert Scenario(scatterers=sc, k0=1.0, dir_in=direction).dir_in == unit
+
+
 def test_t_elem_zero_potential():
     eng = ScenarioEngine(Scenario(
         scatterers=(Scatterer((0, 0, 0), gaussian(0.0, 1.0)),
@@ -651,6 +669,20 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
         _small_wells().ls_health()
+
+
+def test_rescaled_factors_trip_factor_cross_check():
+    # Born-3 reads B and X, not the stored half-shell columns: a spectrum
+    # whose B is rescaled after the stage was built keeps its LU
+    # cross-check (it reads ``half``) but not B^T X B = half; measured 2.0e-6
+    # relative, against exactly 0 untampered (one helper forms both)
+    import dataclasses
+
+    eng = _small_wells()
+    sp = eng.offshell(0)
+    eng._spectra[eng.sc.scatterers[0].potential] = dataclasses.replace(sp, B=sp.B * (1 + 1e-6))
+    with pytest.raises(RuntimeError, match="factor cross-check"):
+        eng.ls_health()
 
 
 def test_stored_tables_are_read_only():
