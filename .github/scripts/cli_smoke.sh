@@ -5,8 +5,11 @@
 #
 # MULTISCAT is the multiscat executable under test and PYTHON an interpreter
 # that can read its reports.  The script validates and runs the bundled
-# configs, reruns the wells config into the same directory with a momentum
-# tail it cannot pass (p_max 2.5, tail_tol 1e-6) and checks that the run
+# configs, validates the Gaussians config with dir_in [1.0e-200, 0, 0] (a
+# length whose square underflows: exit status 0 and one "not unit length"
+# warning, as Scenario normalises it), reruns the wells config into the
+# same directory with a momentum tail it cannot pass (p_max 2.5, tail_tol
+# 1e-6) and checks that the run
 # exits 1 with an error report and leaves no summary.csv or plotdata CSV of
 # the earlier run, runs the wells config at n_max 3 (the Born-3 term), runs
 # three wells in general position at n_max 3 (three distinct separations:
@@ -58,6 +61,14 @@ no_flag out/nonoverlap_wells/report.json
 no_flag out/overlap_gaussians/report.json
 ls_per_l out/nonoverlap_wells/report.json
 ls_per_l out/overlap_gaussians/report.json
+
+echo "== a direction whose squared length underflows is normalised with a warning"
+sed 's/^  dir_in: \[0.0, 0.0, 1.0\]$/  dir_in: [1.0e-200, 0.0, 0.0]/' \
+  configs/overlap_gaussians.yaml > "$tmp/tiny_dir.yaml"
+grep -q '^  dir_in: \[1.0e-200, 0.0, 0.0\]$' "$tmp/tiny_dir.yaml"
+"$multiscat" validate "$tmp/tiny_dir.yaml" 2> "$tmp/tiny_dir.err"
+cat "$tmp/tiny_dir.err"
+test "$(grep -c 'not unit length' "$tmp/tiny_dir.err")" -eq 1
 
 echo "== a failed run in the same directory leaves only its error report"
 sed 's/^  lmax: 8$/  lmax: 8\n  p_max: 2.5\n  tail_tol: 1.0e-6/' configs/nonoverlap_wells.yaml \

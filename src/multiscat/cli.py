@@ -45,6 +45,7 @@ from multiscat.multiscatter import (
     Scenario,
     ScenarioEngine,
     alpha_list_problem,
+    direction_length,
     eps_list_problem,
 )
 from multiscat.potentials import KINDS, Potential, Scatterer
@@ -117,8 +118,8 @@ def _number_list(problem, what: str) -> tuple:
                        and not (v and problem(v))), what, tuple)
 
 
-# the sum of squares in (0, inf) is the norm that Scenario divides by
-_DIRECTION = (lambda v: _is_vector(v) and 0 < sum(x * x for x in map(float, v)) < math.inf,
+# Scenario reads the same length and normalises the direction by it
+_DIRECTION = (lambda v: _is_vector(v) and 0 < direction_length(v) < math.inf,
               "a 3-vector of nonzero, finite length", tuple)
 
 _SCENARIO = {
@@ -207,10 +208,9 @@ def validate_config(text: str) -> RunConfig:
                                       "tolerances", "output"))
     scen = block("scenario", _SCENARIO, required=("k0",))
     for name in ("dir_in", "dir_out"):
-        if name in scen and abs((n := np.linalg.norm(scen[name])) - 1.0) > 1e-9:
+        if name in scen and abs((n := direction_length(scen[name])) - 1.0) > 1e-9:
             warnings.append(f"scenario.{name} was not unit length (|v| = {n:.6g}); "
                             "normalised")
-            scen[name] = tuple(np.asarray(scen[name], dtype=float) / n)
 
     scatterers = []
     raw_scat = raw.get("scatterers")

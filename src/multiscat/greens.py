@@ -383,7 +383,12 @@ def schatten4_norm(sj: Scatterer, sh: Scatterer, k0: float,
         # the level's blocks are freed before the next level is built
         del D
     v1, v2 = values
-    return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
+    return v2, _refinement_delta(v1, v2)
+
+
+def _refinement_delta(coarse: float, fine: float) -> float:
+    """|fine - coarse| / |fine|: the relative change of a Schatten norm under refinement."""
+    return float(abs(fine - coarse) / max(abs(fine), 1e-300))
 
 
 #: Largest l kept by the spectral Schatten norm's coarse estimate.
@@ -469,7 +474,7 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
             sums[level] += (1.0 if m == 0 else 2.0) * _sigma4(
                 root_j[:, m:, None] * g * root_h[:, None, m:])
     v1, v2 = sums ** 0.25
-    return [(float(b), float(abs(b - a) / max(abs(b), 1e-300))) for a, b in zip(v1, v2)]
+    return [(float(b), _refinement_delta(a, b)) for a, b in zip(v1, v2)]
 
 
 def schatten4_decay_diagnostic(k_values, norms) -> dict:

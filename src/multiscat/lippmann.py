@@ -37,14 +37,14 @@ of V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
 eigenvalue count gives the grid bound states (``_bound_states``).  Zero
 beyond each l's rank, the factors form one ``LSSpectrum``, whose (eps, l)
 systems are solved in one ``np.linalg.solve``, each gated:
-max|(I - s A) X - s I| above 1e-8 raises PoleProximityError, and whose
-half-shell columns B^T X B[:, -1] are formed once.  The engine reads every
+max|(I - s A) X - s I| above 1e-8 raises PoleProximityError, and which
+forms its half-shell columns B^T X B[:, -1] itself.  The engine reads every
 l at once from it, and no (n x n) t-matrix table is formed.
 ``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
 alone, and one LU solve of the full collocation system gives the
 half-shell column at one z, with the same weights.  The engine's one
 cross-check per distinct potential compares the factorised column
-against it.
+against it, and so the B and X it is formed from.
 
 ``ls_weights`` is the one copy of R0(z) = (z - q^2)^{-1} on the momentum
 rule.  ``_solve`` and ``solve_offshell_t`` read it, and ``multiscatter``
@@ -182,20 +182,25 @@ class LSSpectrum:
     (the last column of B).  Each l's factor B_l of V_l = s B_l^T B_l, of the
     numerical rank ``rank[l]`` of V_l, is zero-padded to the largest rank k.
     ``X`` holds the solves at ``eps`` (eps = 0 when asked for), and ``half``
-    the half-shell columns t_l(q_i, k0; eps) = B_l^T X_l(eps) B_l[:, -1]
-    formed from them once; ``eps`` are the only eps they answer for: any
-    other raises ValueError.  ``bound_states[l]`` counts the bound states of
-    V_l on the grid (``_bound_states``), and ``residual`` is the worst solve
-    residual.  ``ls_spectrum`` leaves ``B``, ``X`` and ``half`` read-only.
+    the half-shell columns t_l(q_i, k0; eps) = B_l^T X_l(eps) B_l[:, -1],
+    which the spectrum forms itself (it takes no ``half``); ``eps`` are the
+    only eps they answer for: any other raises ValueError.  ``bound_states[l]``
+    counts the bound states of V_l on the grid (``_bound_states``), and
+    ``residual`` is the worst solve residual.  ``B``, ``X`` and ``half`` are read-only.
     """
 
     B: np.ndarray = field(repr=False)         # (lmax + 1, k, n + 1) real
     eps: tuple
     X: np.ndarray = field(repr=False)         # (len(eps), lmax + 1, k, k) complex
-    half: np.ndarray = field(repr=False)      # (len(eps), lmax + 1, n + 1) complex
     rank: tuple
     bound_states: tuple
     residual: float
+    half: np.ndarray = field(init=False, repr=False)  # (len(eps), lmax + 1, n + 1) complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "half", _half_shell(self.B, self.X))
+        for table in (self.B, self.X, self.half):
+            table.flags.writeable = False
 
     def _rows(self, eps):
         """The index of each eps in ``eps`` of the stage, in the shape of ``eps``."""
@@ -312,8 +317,7 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectru
     Every (eps, l) system (I - s A) X = s I of the stacked factors of
     V_l = s B^T B (``_factors``), eps = 0 by the Haftel-Tabakin weights, is
     solved in one ``_solve``, which raises PoleProximityError when a solve
-    residual exceeds 1e-8.  The half-shell columns of every (eps, l) are
-    then formed once (``_half_shell``).
+    residual exceeds 1e-8.
     """
     B, s, rank, bound = _factors(pot, lmax, grid)
     eps = tuple(eps)
@@ -321,11 +325,7 @@ def ls_spectrum(pot: Potential, lmax: int, grid: MomentumGrid, eps) -> LSSpectru
     # copied once the solve's temporaries are freed, X takes their heap space
     # instead of stranding it below itself for the rest of the run
     X = X.copy()
-    half = _half_shell(B, X)
-    for table in (B, X, half):
-        table.flags.writeable = False
-    return LSSpectrum(B=B, eps=eps, X=X, half=half, rank=rank, bound_states=bound,
-                      residual=resid)
+    return LSSpectrum(B=B, eps=eps, X=X, rank=rank, bound_states=bound, residual=resid)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from multiscat.greens import (
 from multiscat.lippmann import (
     ComplexEnergy,
     MomentumGrid,
-    _half_shell,
     ls_spectrum,
     ls_weights,
     solve_offshell_t,
@@ -154,6 +153,15 @@ class Numerics:
     })
 
 
+def direction_length(v) -> float:
+    """|v| from v scaled by its largest component, which neither under- nor overflows
+    where |v|^2 does: 0 for the zero vector, not finite when a component is not."""
+    v = np.asarray(v, dtype=float)
+    top = np.max(np.abs(v))
+    with np.errstate(all="ignore"):
+        return float(top * np.linalg.norm(v / top) if top > 0 else top)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Scatterer arrangement plus on-shell kinematics.
@@ -176,16 +184,13 @@ class Scenario:
             raise ValueError("need at least one scatterer")
         for name in ("dir_in", "dir_out"):
             v = np.asarray(getattr(self, name), dtype=float)
-            # |v| and the length of v scaled by its largest component, which
-            # neither under- nor overflows where |v|^2 does
-            top = np.max(np.abs(v))
-            with np.errstate(all="ignore"):
-                n, scaled = np.linalg.norm(v), np.linalg.norm(v / top)
-                length = top * scaled
+            length = direction_length(v)
             if not 0 < length < np.inf:
                 raise ValueError(f"{name} must be a nonzero direction of finite length, "
                                  f"got {tuple(v.tolist())}")
-            object.__setattr__(self, name, tuple(v / n if 0 < n < np.inf else v / top / scaled))
+            with np.errstate(all="ignore"):
+                n = np.linalg.norm(v)
+            object.__setattr__(self, name, tuple(v / n if 0 < n < np.inf else v / length))
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
 
     @property
@@ -219,7 +224,8 @@ class ScenarioEngine:
 
     The constructor builds everything that depends only on the scenario,
     each table once: the momentum grid, the engine's one angular rule, the
-    principal-value operator on the grid (``pv``) and, per distinct
+    principal-value operator on the grid (``pv``), the partial-wave
+    weights c_l = (2l+1)/(4 pi), l <= lmax (``c_l``), and, per distinct
     separation |D| of two centres, the Rayleigh table
     i^L (2L+1) j_L(q|D|), L <= 2*lmax, on the grid (``rayleigh``, keyed by
     |D|), which every _projection of that separation reads, and, per
@@ -237,7 +243,7 @@ class ScenarioEngine:
     centres (_projection), which gives both the pair profiles of order 2
     and the Born-3 term.  run_verification calls the operations in stages:
     the LS stage and its health numbers, pair profiles, the X lattice, eps
-    extrapolation, gates.  The pv, rayleigh and legendre tables are read-only.
+    extrapolation, gates.  The pv, c_l, rayleigh and legendre tables are read-only.
     """
 
     def __init__(self, scenario: Scenario):
@@ -255,6 +261,8 @@ class ScenarioEngine:
         # integrand of degree at most 4*lmax (see _projection)
         self.ang = AngularGrid.for_degree(4 * num.lmax)
         self.pv = _pv_operator(self.grid)
+        # the partial-wave weights c_l = (2l+1)/(4 pi) of sum_l c_l P_l t_l, l <= lmax
+        self.c_l = (2 * np.arange(num.lmax + 1) + 1) / (4.0 * np.pi)
         # the Rayleigh factors i^L (2L+1) j_L(q |D|), L <= 2*lmax, of every
         # distinct separation |D| of two centres, keyed by |D|
         coef = np.array([(1j) ** L * (2 * L + 1) for L in range(2 * num.lmax + 1)])[:, None]
@@ -267,7 +275,7 @@ class ScenarioEngine:
             for h, b in enumerate(centers) if j != h}
         self.legendre = {u: legendre_table(2 * num.lmax, self.ang.nodes @ np.asarray(u))
                          for u in units}
-        for table in (self.pv, *self.rayleigh.values(), *self.legendre.values()):
+        for table in (self.pv, self.c_l, *self.rayleigh.values(), *self.legendre.values()):
             table.flags.writeable = False
         self._spectra: dict = {}
 
@@ -289,16 +297,14 @@ class ScenarioEngine:
         Per distinct potential (``offshell``): the grid bound states and
         the solve rank per l; the relative difference of the l = 0
         half-shell column at eps_min from one direct LU solve of it
-        (solve_offshell_t), which must stay below 1e-8; the same column at
-        eps_min of every l recomputed as B_l^T X_l B_l[:, -1] from the
-        factors that Born-3 reads (``lippmann._half_shell``), which must
-        match the stored one within 1e-12 relative to that l's largest
-        entry; and per l the gap
-        of the on-shell t_l extrapolated over the run's eps (every l in one
-        tableau) from the eps = 0 solve, and the extrapolation's Richardson
-        error, both relative to max_l |t_l(0)|.  Over all of them: the worst
-        solve residual, the largest gap and the largest error; a gap above the
-        error sets ``extrapolation_flag`` and logs a warning.  The LU is
+        (solve_offshell_t), which must stay below 1e-8 (the spectrum forms
+        that column from the B and X that Born-3 reads, so it checks them
+        too); and per l the gap of the on-shell t_l extrapolated over the
+        run's eps (every l in one tableau) from the eps = 0 solve, and the
+        extrapolation's Richardson error, both relative to max_l |t_l(0)|.
+        Over all of them: the worst solve residual, the largest gap and the
+        largest error; a gap above the error sets ``extrapolation_flag``
+        and logs a warning.  The LU is
         solved before ``offshell`` first builds the stage, so its (n x n)
         transients are freed before the stage's long-lived arrays are
         allocated.
@@ -320,15 +326,6 @@ class ScenarioEngine:
                 raise RuntimeError(
                     f"LS cross-check failed for scatterer {j}: the factorised half-shell "
                     f"column differs from the direct solve by {diff:.2e} (relative)")
-            stored = sp.half_shell(eps)
-            factored = _half_shell(sp.B, sp.x(eps))
-            drift = float(np.max(np.max(np.abs(factored - stored), axis=1)
-                                 / np.maximum(np.max(np.abs(stored), axis=1), 1e-300)))
-            if not drift <= 1e-12:
-                raise RuntimeError(
-                    f"LS factor cross-check failed for scatterer {j}: B^T X B at eps "
-                    f"{eps:.3g} differs from the stored half-shell column by {drift:.2e} "
-                    "(relative)")
             t0 = sp.on_shell(0.0)
             scale = max(float(np.max(np.abs(t0))), 1e-300)
             lim, err = eps_extrapolate({e: sp.on_shell(e) for e in eps_seq})
@@ -376,8 +373,7 @@ class ScenarioEngine:
         j, h = pair
         sc = self.sc
         lmax = sc.numerics.lmax
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        rows = c[:, None] * self.legendre[tuple(sc.dir_in)][:lmax + 1] * self.ang.weights
+        rows = self.c_l[:, None] * self.legendre[tuple(sc.dir_in)][:lmax + 1] * self.ang.weights
         proj = self._projection(rows, j, sc.scatterers[j].center_array
                                 - sc.scatterers[h].center_array, sc.dir_out, eps_seq)
         S = (self.offshell(h).half_shell(eps_seq)[:, :, :-1] * proj).sum(axis=1)
@@ -388,9 +384,8 @@ class ScenarioEngine:
     def t_elem(self, j: int, eps: float) -> complex:
         """On-shell element <k1|t_j(z)|k2> of scatterer j."""
         lmax = self.sc.numerics.lmax
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
         P = legendre_table(lmax, float(np.dot(self.sc.dir_out, self.sc.dir_in)))
-        return self._phase(j, j) * complex(np.sum(c * P * self.offshell(j).on_shell(eps)))
+        return self._phase(j, j) * complex(np.sum(self.c_l * P * self.offshell(j).on_shell(eps)))
 
     def x_lattice(self, alphas, eps_seq,
                   pair: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
@@ -549,8 +544,7 @@ class ScenarioEngine:
         node table.
         """
         lmax = self.sc.numerics.lmax
-        c = (2 * np.arange(lmax + 1) + 1) / (4.0 * np.pi)
-        P = c[:, None] * self.legendre[tuple(direction)][:lmax + 1]
+        P = self.c_l[:, None] * self.legendre[tuple(direction)][:lmax + 1]
         PL = self.legendre[_unit_axis(D)]
         G = (P.T[:, :, None] * PL.T[:, None, :]).reshape(self.ang.size, -1)
         # real rows take one real product; complex ones two, rather than

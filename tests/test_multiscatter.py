@@ -663,38 +663,51 @@ def test_corrupted_spectral_column_trips_cross_check(monkeypatch):
     original = multiscatter.ls_spectrum
 
     def corrupted(pot, lmax, grid, eps):
+        # the spectrum forms its half-shell columns from the corrupted X
         sp = original(pot, lmax, grid, eps)
-        return dataclasses.replace(sp, half=sp.half * (1.0 + 1e-6))
+        return dataclasses.replace(sp, X=sp.X * (1.0 + 1e-6))
 
     monkeypatch.setattr(multiscatter, "ls_spectrum", corrupted)
     with pytest.raises(RuntimeError, match="cross-check"):
         _small_wells().ls_health()
+    # no caller can hand a spectrum columns of its own
+    sp = _small_wells().offshell(0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sp, half=sp.half * (1.0 + 1e-6))
 
 
 def test_rescaled_factors_trip_factor_cross_check():
-    # Born-3 reads B and X, not the stored half-shell columns: a spectrum
-    # whose B is rescaled after the stage was built keeps its LU
-    # cross-check (it reads ``half``) but not B^T X B = half; measured 2.0e-6
-    # relative, against exactly 0 untampered (one helper forms both)
+    # Born-3 reads B and X; a spectrum rebuilt with a rescaled B forms its
+    # half-shell columns from that B, bit for bit, so the LU cross-check
+    # of those columns fails too: measured 2.0e-6 relative, against 1e-8
     import dataclasses
+
+    from multiscat.lippmann import _half_shell
 
     eng = _small_wells()
     sp = eng.offshell(0)
-    eng._spectra[eng.sc.scatterers[0].potential] = dataclasses.replace(sp, B=sp.B * (1 + 1e-6))
-    with pytest.raises(RuntimeError, match="factor cross-check"):
+    rescaled = dataclasses.replace(sp, B=sp.B * (1 + 1e-6))
+    assert np.array_equal(rescaled.half, _half_shell(rescaled.B, sp.X))
+    eng._spectra[eng.sc.scatterers[0].potential] = rescaled
+    with pytest.raises(RuntimeError, match="LS cross-check"):
         eng.ls_health()
 
 
 def test_stored_tables_are_read_only():
     # a table rescaled after it was built would still agree with itself in
-    # every health check that reads it, so none can be rescaled in place
+    # every health check that reads it, so none can be rescaled in place,
+    # in the spectrum the stage built or in one rebuilt from it
+    import dataclasses
+
     eng = _small_wells()
     sp = eng.offshell(0)
     with pytest.raises(ValueError, match="read-only"):
         sp.B *= 1 + 1e-6
     with pytest.raises(ValueError, match="read-only"):
         eng.pv *= 2
-    for table in (sp.X, sp.half, *eng.rayleigh.values(), *eng.legendre.values()):
+    rebuilt = dataclasses.replace(sp, B=sp.B * 2, X=sp.X * 2)
+    for table in (sp.X, sp.half, rebuilt.B, rebuilt.X, rebuilt.half, eng.c_l,
+                  *eng.rayleigh.values(), *eng.legendre.values()):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
     # the momentum grid the tables were built on is not one of them
