@@ -81,6 +81,7 @@ from multiscat.specfun import (
     gauss_legendre,
     gauss_panels,
     plm_norm_table,
+    sin_cos,
     sph_index,
     tri_index,
     ylm_table,
@@ -336,8 +337,13 @@ def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh, out):
     the larger cell radius (3 w/(4 pi))^{1/3}.  The kernel's phase
     e^{ikd}/(4 pi i d) = (sin kd - i cos kd)/(4 pi d) goes into the last
     axis of the real (len(pj), len(ph), 2) array ``out``, whose complex view
-    is the matrix.  ``KtildeDiscretization.build`` passes the j nodes of one
-    phi node and that node's slice of its table.
+    is the matrix.  sin kd and cos kd come from one half-angle tangent
+    t = tan(kd/2) (``specfun.sin_cos``), written straight into the two
+    halves of ``out``; the amplitude scale carries the sign of
+    -cos kd = (t^2 - 1)/(1 + t^2).  Beside ``out`` the slice forms d, the
+    scale, t and 1 + t^2, each of one slice's (len(pj), len(ph)) size.
+    ``KtildeDiscretization.build`` passes the j nodes of one phi node and
+    that node's slice of its table.
     """
     amp_j = np.sqrt(wj * np.abs(sj.potential.evaluate(
         np.linalg.norm(pj - sj.center_array, axis=1)))) / (4.0 * np.pi)
@@ -355,10 +361,11 @@ def _ktilde_matrix(sj, sh, k0, pj, wj, ph, wh, out):
     scale = np.multiply.outer(amp_j, amp_h)
     scale /= d
     d *= k0
-    np.sin(d, out=out[..., 0])
-    np.cos(d, out=out[..., 1])
-    out *= scale[..., None]
-    np.negative(out[..., 1], out=out[..., 1])
+    sin_cos(d, out=(out[..., 0], out[..., 1]))
+    out[..., 0] *= scale
+    # -cos kd = (t^2 - 1)/(1 + t^2): the sign rides on the scale
+    np.negative(scale, out=scale)
+    out[..., 1] *= scale
 
 
 def schatten4_norm(sj: Scatterer, sh: Scatterer, k0: float,

@@ -40,11 +40,14 @@ systems are solved in one ``np.linalg.solve``, each gated:
 max|(I - s A) X - s I| above 1e-8 raises PoleProximityError, and which
 forms its half-shell columns B^T X B[:, -1] itself.  The engine reads every
 l at once from it, and no (n x n) t-matrix table is formed.
-``solve_offshell_t`` is the direct route: ``vl_matrix`` assembles V_l
-alone, and one LU solve of the full collocation system gives the
-half-shell column at one z, with the same weights.  The engine's one
-cross-check per distinct potential compares the factorised column
-against it, and so the B and X it is formed from.
+``solve_offshell_t`` is the direct route to the half-shell column at one
+z, with the same weights, and without the factors: where the radial rule
+is shorter than the grid plus k0 (a wide table) it solves the
+(n_r x n_r) system of J diag(d) J^T, and where it is longer one LU of the
+full collocation system; either way its residual gate reads the full
+system against V_l from ``vl_matrix``.  The engine's one cross-check per
+distinct potential compares the factorised column against it, and so
+the B and X it is formed from.
 
 ``ls_weights`` is the one copy of R0(z) = (z - q^2)^{-1} on the momentum
 rule.  ``_solve`` and ``solve_offshell_t`` read it, and ``multiscatter``
@@ -336,24 +339,41 @@ def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
                      grid: MomentumGrid) -> np.ndarray:
     """t_l(p_i, k0; z) over the grid nodes plus k0 (the half-shell column), solved directly.
 
-    ``vl_matrix`` assembles V_l on the grid plus k0 and one LU solve of the
-    full collocation system (I - V diag(d)) t = V e_k0, with the weights d
-    of ``ls_weights``, gives the column alone; the system matrix is built
-    in place as -V diag(d) with 1 added on its diagonal.  Raises
-    PoleProximityError when its residual max|(I - V diag(d)) t - V e_k0| /
+    The column solves the collocation system (I - V diag(d)) t = V e_k0 on
+    the grid plus k0, with the weights d of ``ls_weights`` and V = V_l from
+    ``vl_matrix``.  V = J^T diag(c) J on the n_r nodes of ``_radial_rule``
+    (J[r, i] = j_l(p_i r)), so where that rule is shorter than the grid
+    plus k0 (a wide table) t = J^T y, with y from the (n_r x n_r) system
+    (I - diag(c) J diag(d) J^T) y = c * J e_k0; where it is longer (a tall
+    table, as for the long-range kinds) one LU solve of the full system
+    gives t.  Either way the residual is that of the full system against
+    ``vl_matrix``'s V, from two real products with V, and
+    PoleProximityError is raised when max|(I - V diag(d)) t - V e_k0| /
     max|V e_k0| exceeds 1e-8.
     """
     if abs(grid.k0 - z.k0) > 1e-12:
         raise ValueError("grid and energy disagree about k0")
-    V = vl_matrix(pot, l, np.concatenate([grid.nodes, [z.k0]]))
-    A = V * -ls_weights(grid, [z.eps])
-    A.flat[::A.shape[0] + 1] += 1.0
+    momenta = np.concatenate([grid.nodes, [z.k0]])
+    V = vl_matrix(pot, l, momenta)
+    d = ls_weights(grid, [z.eps])[0]
     v = V[:, -1]
+    rs, c = _radial_rule(pot, float(momenta.max()), 1)
     try:
-        t = np.linalg.solve(A, v.astype(complex))
+        if rs.size < momenta.size:
+            J = bessel_j_table(l, np.outer(rs, momenta))[l]
+            A = -c[:, None] * ((J * d.real) @ J.T + 1j * ((J * d.imag) @ J.T))
+            A.flat[::A.shape[0] + 1] += 1.0
+            y = np.linalg.solve(A, (c * J[:, -1]).astype(complex))
+            t = J.T @ y.real + 1j * (J.T @ y.imag)
+        else:
+            A = V * -d
+            A.flat[::A.shape[0] + 1] += 1.0
+            t = np.linalg.solve(A, v.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
-    resid = np.max(np.abs(A @ t - v)) / max(np.max(np.abs(v)), 1e-300)
+    u = d * t
+    resid = (np.max(np.abs(t - (V @ u.real + 1j * (V @ u.imag)) - v))
+             / max(np.max(np.abs(v)), 1e-300))
     if resid > 1e-8:
         raise PoleProximityError(
             f"LS solve ill-conditioned at z={z.z} (residual {resid:.2e}); "

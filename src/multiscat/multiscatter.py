@@ -61,6 +61,7 @@ from multiscat.specfun import (
     AngularGrid,
     bessel_j_table,
     legendre_table,
+    sin_cos,
     sph_index,
     ylm_table,
 )
@@ -296,7 +297,7 @@ class ScenarioEngine:
 
         Per distinct potential (``offshell``): the grid bound states and
         the solve rank per l; the relative difference of the l = 0
-        half-shell column at eps_min from one direct LU solve of it
+        half-shell column at eps_min from one direct solve of it
         (solve_offshell_t), which must stay below 1e-8 (the spectrum forms
         that column from the B and X that Born-3 reads, so it checks them
         too); and per l the gap of the on-shell t_l extrapolated over the
@@ -304,10 +305,12 @@ class ScenarioEngine:
         extrapolation's Richardson error, both relative to max_l |t_l(0)|.
         Over all of them: the worst solve residual, the largest gap and the
         largest error; a gap above the error sets ``extrapolation_flag``
-        and logs a warning.  The LU is
-        solved before ``offshell`` first builds the stage, so its (n x n)
-        transients are freed before the stage's long-lived arrays are
-        allocated.
+        and logs a warning.  A wide table (a radial rule shorter than the
+        grid plus k0, as on both bundled configs) needs no (n + 1)^2 LU:
+        the direct solve is (n_r x n_r), and only its residual reads the
+        (n + 1)^2 V_l.  The direct solve runs before ``offshell`` first
+        builds the stage, so its (n x n) transients are freed before the
+        stage's long-lived arrays are allocated.
         """
         sc = self.sc
         eps_seq = sc.eps_sequence()
@@ -410,10 +413,10 @@ class ScenarioEngine:
         tol = self.sc.numerics.tail_tol
         # branch-continued alpha phase: e^{i alpha q} on the outgoing and
         # e^{-i alpha q} on the incoming half of the free propagation
-        aq = np.outer(alphas, q)
+        sin, cos = sin_cos(np.outer(alphas, q))
         S, Sy = self.pair_profile(pair, eps_seq)
         contrib = ls_weights(self.grid, eps_seq)[:, None, :-1] * (
-            S[:, None] * np.cos(aq) - Sy[:, None] * np.sin(aq))
+            S[:, None] * cos - Sy[:, None] * sin)
         totals = self._phase(j, h) * np.sum(contrib, axis=-1)
         est = _tail_estimate(q, contrib)
         size = np.maximum(np.abs(totals), 1e-300)

@@ -9,6 +9,9 @@
   library's Schatten norms carry |V|^{1/2} instead);
 * ``ktilde_kernel`` - the two-center kernel evaluated pointwise, with no
   regularisation of near-coincident points;
+* ``ktilde_slice_trig`` - one phi node's slice of the grid kernel, the
+  library's ``_ktilde_matrix`` with its phase from ``np.sin`` and
+  ``np.cos`` of k d;
 * ``dense_grid_schatten4`` - the grid Schatten-4 norm from the dense
   (n_nodes x n_nodes) kernel with the complex phi on the library's ball
   grids, in the lab frame;
@@ -145,6 +148,23 @@ def _capped_ktilde(j, h, z, x, wx, y, wy):
     rh = np.linalg.norm(y - h.center_array, axis=-1)
     return (phi(j.potential, rj)[:, None] * phi(h.potential, rh)[None, :]
             * np.exp(1j * np.sqrt(z.z) * r) / (4.0j * np.pi * r))
+
+
+def ktilde_slice_trig(sj, sh, k0, pj, wj, ph, wh):
+    """sqrt(w_x |V_j|) e^{ikd}/(4 pi i d) sqrt(w_y |V_h|), complex, d capped as in ``_ktilde_matrix``.
+
+    The h nodes lie at phi = 0; the phase is (sin kd - i cos kd)/(4 pi d)
+    from ``np.sin`` and ``np.cos``.
+    """
+    amp_j = np.sqrt(wj * np.abs(sj.potential.evaluate(np.linalg.norm(pj - sj.center_array, axis=1))))
+    amp_h = np.sqrt(wh * np.abs(sh.potential.evaluate(np.linalg.norm(ph - sh.center_array, axis=1))))
+    cap_j = (2.0 / 3.0) * (3.0 * wj / (4.0 * np.pi)) ** (1.0 / 3.0)
+    cap_h = (2.0 / 3.0) * (3.0 * wh / (4.0 * np.pi)) ** (1.0 / 3.0)
+    d = np.sqrt(np.subtract.outer(pj[:, 0], ph[:, 0]) ** 2 + (pj[:, 1] ** 2)[:, None]
+                + np.subtract.outer(pj[:, 2], ph[:, 2]) ** 2)
+    d = np.maximum(d, np.maximum.outer(cap_j, cap_h))
+    phase = np.sin(k0 * d) - 1j * np.cos(k0 * d)
+    return np.outer(amp_j, amp_h) * phase / (4.0 * np.pi * d)
 
 
 def dense_grid_schatten4(j, h, z, n_radial, angular_order, kernel=None):

@@ -11,6 +11,7 @@ from multiscat.greens import (
     KtildeDiscretization,
     _ball_grid,
     _gaunt_integrals,
+    _ktilde_matrix,
     _legendre_rule,
     _nu_weights,
     schatten4_norm,
@@ -33,6 +34,7 @@ from oracles import (
     expansion_value,
     g_entry,
     ktilde_kernel,
+    ktilde_slice_trig,
     nu_fixed_rule,
     phi,
     r0_kernel,
@@ -152,6 +154,30 @@ def test_ktilde_matrix_matches_pointwise_oracle():
     inverse = mult * np.cos(2.0 * np.pi * np.outer(m, m) / n_phi) / n_phi
     got = np.einsum("nm,mrc->nrc", inverse, K.matrix)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize("sj, sh", [
+    (Scatterer((0, 0, 0), gaussian(-1.0, 1.0)), Scatterer((0, 0, 1.0), gaussian(-1.0, 1.0))),
+    (Scatterer((0, 0, 0), gaussian(1.5, 0.8)), Scatterer((0.5, 0.3, 0.9), gaussian(-1.0, 1.0))),
+], ids=["bundled", "mixed_sign_off_axis"])
+def test_ktilde_slices_match_trig_oracle(sj, sh):
+    # the half-angle phase of every phi node's slice, at both levels of the
+    # default grid Schatten norm, against a copy of the slice built with
+    # np.sin and np.cos of k d
+    k0 = 1.0
+    aj = Scatterer((0, 0, 0), sj.potential)
+    ah = Scatterer((0, 0, np.linalg.norm(sh.center_array - sj.center_array)), sh.potential)
+    for level in ((12, 9), (18, 14)):
+        pj, wj, n_phi = _ball_grid(aj, *level)
+        ph, wh, _ = _ball_grid(ah, *level)
+        pj, wj = pj.reshape(-1, n_phi, 3), wj.reshape(-1, n_phi)
+        ph, wh = ph[::n_phi], wh[::n_phi]
+        for i in range(n_phi // 2 + 1):
+            out = np.empty((pj.shape[0], ph.shape[0], 2))
+            _ktilde_matrix(aj, ah, k0, pj[:, i], wj[:, i], ph, wh, out)
+            want = ktilde_slice_trig(aj, ah, k0, pj[:, i], wj[:, i], ph, wh)
+            got = out.view(complex)[..., 0]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (level, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import DEG60_OUT
+from multiscat import lippmann
 from multiscat.lippmann import (
     ComplexEnergy,
     MomentumGrid,
@@ -11,7 +13,9 @@ from multiscat.lippmann import (
     solve_offshell_t,
     vl_matrix,
 )
+from multiscat.multiscatter import Numerics, Scenario, ScenarioEngine
 from multiscat.potentials import (
+    Scatterer,
     exponential,
     gaussian,
     square_well,
@@ -407,6 +411,51 @@ def test_half_shell_table_is_formed_from_the_spectrum_factors():
         assert np.max(np.abs(want[e] - ref)) <= 1e-14 * np.max(np.abs(ref)), e
     eps = [0.1, 0.0, 0.2, 0.1]
     assert np.array_equal(sp.half_shell(eps), np.stack([want[e] for e in eps]))
+
+
+def _wells_grid(R_len):
+    """The momentum grid of two unit square wells R_len apart at k0 = 1, lmax 8."""
+    well = square_well(-1.0, 1.0)
+    return ScenarioEngine(Scenario(
+        scatterers=(Scatterer((0.0, 0.0, 0.0), well), Scatterer((0.0, 0.0, R_len), well)),
+        k0=1.0, dir_in=(0.0, 0.0, 1.0), dir_out=DEG60_OUT, numerics=Numerics(lmax=8))).grid
+
+
+@pytest.mark.parametrize("case", ["wells", "gaussians", "wells_R20", "exponential"])
+def test_direct_route_matches_dense_lu(case, request):
+    # wide tables: the bundled wells (401 nodes with k0, a 43-node radial
+    # rule), the bundled Gaussians (209, 63) and the wells at R = 20 (829,
+    # 43), where V_l has rank <= n_r and the direct route solves an
+    # (n_r x n_r) system; a tall one: exponential(-2, 0.7) (338, 640), which
+    # keeps the collocation LU.  Either column must be the full LU's
+    if case == "wells_R20":
+        pot, grid = square_well(-1.0, 1.0), _wells_grid(20.0)
+        assert grid.size == 828
+    elif case == "exponential":
+        pot, grid = exponential(-2.0, 0.7), default_grid(1.0)
+    else:
+        engine = request.getfixturevalue({"wells": "wells_engine",
+                                          "gaussians": "overlap_engine"}[case])
+        pot, grid = engine.sc.scatterers[0].potential, engine.grid
+    n_r = _radial_rule(pot, float(grid.nodes.max()), 1)[0].size
+    assert (n_r > grid.size + 1) == (case == "exponential")
+    for eps in (0.025, 0.0):
+        z = ComplexEnergy(1.0, eps)
+        col = offshell_table(pot, 0, z, grid).half_shell()
+        direct = solve_offshell_t(pot, 0, z, grid)
+        assert np.max(np.abs(direct - col)) <= 1e-12 * np.max(np.abs(col)), eps
+
+
+def test_direct_route_residual_reads_the_full_system(monkeypatch):
+    # the wide route solves with J and c alone; its residual is that of the
+    # full collocation system against vl_matrix's V, so a V that disagrees
+    # with J^T diag(c) J by 1e-6 fails the gate
+    vl = lippmann.vl_matrix
+    monkeypatch.setattr(lippmann, "vl_matrix", lambda *a, **k: (1.0 + 1e-6) * vl(*a, **k))
+    pot, grid = square_well(-1.0, 1.0), _wells_grid(5.0)
+    assert _radial_rule(pot, float(grid.nodes.max()), 1)[0].size < grid.size + 1
+    with pytest.raises(PoleProximityError, match="ill-conditioned"):
+        solve_offshell_t(pot, 0, ComplexEnergy(1.0, 0.025), grid)
 
 
 def test_corrupted_solve_raises_pole_proximity(monkeypatch):

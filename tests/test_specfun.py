@@ -14,6 +14,7 @@ from multiscat.specfun import (
     gauss_legendre,
     legendre_table,
     plm_norm_table,
+    sin_cos,
     sph_index,
     ylm_table,
 )
@@ -31,6 +32,29 @@ from oracles import (
 # ---------------------------------------------------------------------------
 # spherical Bessel family
 # ---------------------------------------------------------------------------
+
+def test_sin_cos_matches_numpy():
+    # random x on [0, 1e6], and the multiples k pi/2 with their
+    # floating-point neighbours, where sin or cos passes through 0 or +-1
+    x = np.random.default_rng(11).uniform(0.0, 1e6, 200_000)
+    k = np.arange(-4000, 4001) * (0.5 * np.pi)
+    edges = np.concatenate([k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
+    for xs in (x, edges, x.reshape(400, 500)):
+        sin, cos = sin_cos(xs)
+        assert sin.shape == cos.shape == xs.shape
+        assert np.max(np.abs(sin - np.sin(xs))) <= 2.3e-16
+        assert np.max(np.abs(cos - np.cos(xs))) <= 2.3e-16
+    assert sin_cos(0.0) == (0.0, 1.0)
+    for xs in (2.5, -1.0e5, 3):
+        sin, cos = sin_cos(xs)
+        assert np.ndim(sin) == np.ndim(cos) == 0
+        assert abs(sin - np.sin(xs)) <= 2.3e-16 and abs(cos - np.cos(xs)) <= 2.3e-16
+    # the out= path writes both into (strided) views and gives the same bits
+    buf = np.empty((x.size, 2))
+    sin, cos = sin_cos(x, out=(buf[:, 0], buf[:, 1]))
+    assert np.shares_memory(sin, buf) and np.shares_memory(cos, buf)
+    np.testing.assert_array_equal(buf, np.stack(sin_cos(x), axis=-1))
+
 
 def _hankel_plus(L, x):
     """h+_0..h+_L = j + i y from the two tables."""
