@@ -17,7 +17,9 @@
 # check only the first pair), runs a
 # non-overlapping pair of unequal wells through the spectral Schatten norm
 # (both bundled pairs repeat one potential) and checks that every k's
-# refinement delta stays at round-off (<= 1e-12), runs a pair of
+# refinement delta stays at round-off (<= 1e-12), runs the bundled wells
+# nearly touching (R = 2.05: exit status 0, every k's refinement delta
+# <= 1e-12, and a final l-truncation at k0 above its starting one), runs a pair of
 # non-overlapping Gaussians through the on-shell comparison (phase shifts of
 # a smooth potential: the pair passes, its on-shell equivalence is among the
 # comparisons and its Schatten norm is the spectral one), runs an overlapping
@@ -132,6 +134,15 @@ output:
 YAML
 "$multiscat" run "$tmp/unequal_wells.yaml"
 "$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and len(s['lmax']) == 4, s; assert max(s['refinement_deltas']) <= 1e-12, s" out/unequal_wells/report.json
+
+echo "== nearly touching wells (the spectral norm grows its l-truncation until it converges)"
+sed -e 's/^  - center: \[0.0, 0.0, 5.0\]$/  - center: [0.0, 0.0, 2.05]/' \
+  -e 's|dir: out/nonoverlap_wells|dir: out/touching_wells|' \
+  configs/nonoverlap_wells.yaml > "$tmp/touching_wells.yaml"
+grep -q '^  - center: \[0.0, 0.0, 2.05\]$' "$tmp/touching_wells.yaml"
+"$multiscat" run "$tmp/touching_wells.yaml"
+# k0 = 1 is the second k; it starts at 1 + 4 * 2^(1/3) + 6 l's (r_max = 1)
+"$python" -c "import json, sys; s = json.load(open(sys.argv[1]))['schatten']; assert s['method'] == 'spectral' and max(s['refinement_deltas']) <= 1e-12, s; assert s['lmax'][1] > int(1.0 + 4.0 * 2.0 ** (1.0 / 3.0)) + 6, s" out/touching_wells/report.json
 
 echo "== a non-overlapping pair of Gaussians (on-shell phase shifts of a smooth potential)"
 cat > "$tmp/gaussian_pair.yaml" <<YAML

@@ -32,6 +32,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,7 +173,7 @@ def validate_config(text: str) -> RunConfig:
     errors: list = []
     warnings: list = []
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([("<file>", f"not parseable as YAML: {exc}")])
     if not isinstance(raw, dict):
@@ -359,6 +360,12 @@ def run(config: RunConfig) -> int:
 
     payload = report.to_json_dict()
     payload["config_warnings"] = config.warnings
+    # what decides the last digits: the numpy and BLAS builds and BLAS threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    payload["environment"] = {
+        "numpy": np.__version__, "blas": {k: blas.get(k) for k in ("name", "version")},
+        "threads": {v: os.environ.get(v) for v in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_summary(outdir / "summary.csv", report)
     _write_plotdata(outdir, report)

@@ -29,8 +29,8 @@ it over L against the waves of every k at once.  ``structure_constants``
 finds the columns M of Y_LM(R^) that are nonzero and visits only the
 pairs (m, m') with m - m' among them: with R on the z axis that is M = 0,
 the 2 lmax + 1 pairs m = m' (17 of 289 at lmax 8), and off it every pair.
-The spectral Schatten norm calls it once per m with R along z, for all
-its k in one contraction, and never builds the dense matrix.  The
+The spectral Schatten norm calls it per m with R along z, for every k of
+a round in one contraction, and never builds the dense matrix.  The
 triangle and parity zeros of the Gaunt table are imposed exactly, not
 left to the quadrature: once L exceeds k|R|, h+_L
 grows like (2L-1)!!/(k|R|)^{L+1}, so roundoff of 1e-16 in a forbidden
@@ -67,6 +67,7 @@ singular value.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -86,6 +87,8 @@ from multiscat.specfun import (
     tri_index,
     ylm_table,
 )
+
+log = logging.getLogger("multiscat")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +401,9 @@ def _refinement_delta(coarse: float, fine: float) -> float:
     return float(abs(fine - coarse) / max(abs(fine), 1e-300))
 
 
-#: Largest l kept by the spectral Schatten norm's coarse estimate.
+#: Refinement delta at which the spectral Schatten norm stops growing a k's truncation.
+_SPECTRAL_DELTA_TARGET = 1e-13
+#: Largest coarse l-truncation it grows to; a delta left above target there is logged.
 _SPECTRAL_LMAX_CAP = 100
 #: Exponent r of the decay diagnostic's integrand ||K||_4^r.
 _DECAY_EXPONENT = 4.5
@@ -414,20 +419,6 @@ def _nu_weights(pot: Potential, ks, lmax: int, scale: int) -> np.ndarray:
     return ((J * J) @ (0.5 * np.pi * np.abs(c))).T
 
 
-def spectral_truncations(pot_j: Potential, pot_h: Potential, ks, R_len: float) -> list:
-    """The l-truncation of the spectral Schatten-4 norm's coarse estimate at each k.
-
-    The refined estimate keeps 8 more l's.
-    """
-    # past l ~ ka the coupled entries decay geometrically with ratio
-    # (r_eff_j + r_eff_h)/R; pad enough l's for ~1e-8 truncation
-    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
-    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
-    r_max = max(pot_j.effective_radius(), pot_h.effective_radius())
-    return [min(int(k * r_max + 4.0 * (k * r_max + 1.0) ** (1.0 / 3.0)) + pad,
-                _SPECTRAL_LMAX_CAP) for k in ks]
-
-
 def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
                             R_len: float) -> list:
     """Schatten-4 norms for non-overlapping spherical scatterers at every k in ``ks``.
@@ -435,53 +426,62 @@ def schatten4_norm_spectral(pot_j: Potential, pot_h: Potential, ks,
     Uses the displaced spherical-wave factorisation: in a frame with R
     along z the kernel block-diagonalises in the azimuthal index m, and
     its singular values are those of diag(sqrt(nu_l)) g_m diag(sqrt(nu_l'))
-    per block, where nu_l are |V|-weighted Bessel moments.  Exact up to the
-    l-truncation (``spectral_truncations``), which the returned delta
-    monitors: one ``(value, delta)`` per k, the value at lmax + 8 and the
-    delta its relative change from lmax.
+    per block, where nu_l are |V|-weighted Bessel moments.  Returns one
+    ``(value, delta, lmax)`` per k: the value at lmax + 8 l's on twice the
+    radial nodes, and delta its relative change from lmax.  Each k starts at
+    lmax = k r_max + 4 (k r_max + 1)^{1/3} + 6; while its delta exceeds
+    ``_SPECTRAL_DELTA_TARGET`` (or is NaN) it grows by 8 l's and is swept
+    again, up to ``_SPECTRAL_LMAX_CAP``, where a delta left above it is logged.
 
-    One sweep over m serves every k.  The Gaunt table does not depend on
-    k: each m's table is built once, at the largest truncation any k
-    needs, on one folded Legendre rule and Gaunt mask (``_legendre_rule``)
-    built for the whole sweep, and one contraction takes it against every
-    k's M = 0 waves.  Each k's Hankel table is built at its own truncation
-    2 (lmax + 8) and zero-padded to the largest; that is exact, because the
-    mask zeroes every L > l + l', and building it higher would overflow
-    y_L at small k|R|.  The nu moments come from one Bessel table per
-    distinct potential and level over all k (``_nu_weights``), and the
-    sqrt(nu) rows of each k are zero past its truncation, so every k's
-    blocks of one m reduce in one stacked ``_sigma4``.
+    One sweep over m serves every k of a round: each m's Gaunt table is
+    built once, at the round's largest truncation, and contracted against
+    every k's M = 0 waves.  Each k's Hankel table is built at its own
+    truncation 2 (lmax + 8) and zero-padded: the Gaunt mask zeroes every
+    L > l + l', and a higher table would overflow y_L at small k|R|.  The
+    sqrt(nu) rows are zero past each k's truncation, so every k's blocks of
+    one m reduce in one stacked ``_sigma4``.
     """
     if pot_j.effective_radius() + pot_h.effective_radius() >= R_len:
         raise ValueError("spectral Schatten norm requires non-overlapping supports")
     ks = np.array(ks, dtype=float)
-    lmaxes = np.array(spectral_truncations(pot_j, pot_h, ks, R_len))
-    top = int(lmaxes.max()) + 8
-    # per level (the coarse estimate on the LS stage's radial rule, and the
-    # refined one with 8 more l's on twice its nodes) root[i, l] =
-    # sqrt(nu_l(k_i)), zero past the truncation of k_i
-    roots = []
-    for extra, scale in ((0, 1), (8, 2)):
-        keep = np.arange(top + 1) <= (lmaxes + extra)[:, None]
-        root = {p: np.sqrt(np.where(keep, _nu_weights(p, ks, top, scale), 0.0))
-                for p in {pot_j, pot_h}}
-        roots.append((root[pot_j], root[pot_h]))
-    # the M = 0 waves of every k; Y_L0 along +z is sqrt((2L + 1)/(4 pi))
-    Ls = np.arange(2 * top + 1)
-    waves = np.zeros((Ls.size, ks.size), dtype=complex)
-    for i, (k, lmax) in enumerate(zip(ks, lmaxes)):
-        waves[:2 * (lmax + 8) + 1, i] = _hankel_coefficients(k, R_len, 2 * (lmax + 8))
-    waves *= np.sqrt((2 * Ls + 1) / (4.0 * np.pi))[:, None]
-    rule = _legendre_rule(top)
-    sums = np.zeros((2, ks.size))
-    for m in range(top + 1):
-        g = _g_block(ks, waves, _gaunt_integrals(m, m, rule), m, m)
-        for level, (root_j, root_h) in enumerate(roots):
-            # the +m and -m blocks coincide
-            sums[level] += (1.0 if m == 0 else 2.0) * _sigma4(
-                root_j[:, m:, None] * g * root_h[:, None, m:])
-    v1, v2 = sums ** 0.25
-    return [(float(b), _refinement_delta(a, b)) for a, b in zip(v1, v2)]
+    ka = ks * max(pot_j.effective_radius(), pot_h.effective_radius())
+    lmaxes = np.minimum((ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)).astype(int) + 6, _SPECTRAL_LMAX_CAP)
+    values, deltas, grow = np.zeros(ks.size), np.zeros(ks.size), np.ones(ks.size, dtype=bool)
+    while grow.any():
+        kr, lr = ks[grow], lmaxes[grow]
+        top = int(lr.max()) + 8
+        # root[i, l] = sqrt(nu_l(k_i)) per level: the coarse one on the LS
+        # stage's radial rule, the refined one on twice its nodes
+        roots = []
+        for extra, scale in ((0, 1), (8, 2)):
+            keep = np.arange(top + 1) <= (lr + extra)[:, None]
+            root = {p: np.sqrt(np.where(keep, _nu_weights(p, kr, top, scale), 0.0))
+                    for p in {pot_j, pot_h}}
+            roots.append((root[pot_j], root[pot_h]))
+        # the M = 0 waves of every k; Y_L0 along +z is sqrt((2L + 1)/(4 pi))
+        Ls = np.arange(2 * top + 1)
+        waves = np.zeros((Ls.size, kr.size), dtype=complex)
+        for i, (k, lmax) in enumerate(zip(kr, lr)):
+            waves[:2 * (lmax + 8) + 1, i] = _hankel_coefficients(k, R_len, 2 * (lmax + 8))
+        waves *= np.sqrt((2 * Ls + 1) / (4.0 * np.pi))[:, None]
+        rule = _legendre_rule(top)
+        sums = np.zeros((2, kr.size))
+        for m in range(top + 1):
+            g = _g_block(kr, waves, _gaunt_integrals(m, m, rule), m, m)
+            for level, (root_j, root_h) in enumerate(roots):
+                # the +m and -m blocks coincide
+                sums[level] += (1.0 if m == 0 else 2.0) * _sigma4(
+                    root_j[:, m:, None] * g * root_h[:, None, m:])
+        v1, v2 = sums ** 0.25
+        values[grow], deltas[grow] = v2, [_refinement_delta(a, b) for a, b in zip(v1, v2)]
+        # every k left out of the next round has converged or is at the cap
+        grow = ~(deltas <= _SPECTRAL_DELTA_TARGET) & (lmaxes < _SPECTRAL_LMAX_CAP)
+        lmaxes[grow] = np.minimum(lmaxes[grow] + 8, _SPECTRAL_LMAX_CAP)
+    for k, lmax, delta in zip(ks, lmaxes, deltas):
+        if not delta <= _SPECTRAL_DELTA_TARGET:
+            log.warning("spectral Schatten-4 norm at k = %g: refinement delta %.2e above "
+                        "%.0e at the l-truncation cap %d", k, delta, _SPECTRAL_DELTA_TARGET, lmax)
+    return [(float(v), float(d), int(lm)) for v, d, lm in zip(values, deltas, lmaxes)]
 
 
 def schatten4_decay_diagnostic(k_values, norms) -> dict:

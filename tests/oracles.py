@@ -38,7 +38,8 @@
   (``scipy.integrate.quad``);
 * ``zaxis_blocks`` and ``spectral_schatten4_per_k`` - the m-diagonal
   structure-constant blocks with R along z, and the spectral Schatten-4 norm
-  at one k from them, each Gaunt table built at that k's own truncation;
+  at one k from them, with the library's stopping rule run for that k alone
+  and each Gaunt table built at that k's own truncation;
 * ``nu_fixed_rule`` - the spectral norm's Bessel moments nu_l(k) on a fixed
   Gauss rule per support segment, whatever the k;
 * ``numerov_segment`` and ``phase_shift_scalar`` - one l's phase shift on
@@ -70,6 +71,7 @@ from functools import lru_cache
 import numpy as np
 
 from multiscat.greens import (
+    _SPECTRAL_DELTA_TARGET,
     _SPECTRAL_LMAX_CAP,
     _ball_grid,
     _g_block,
@@ -191,28 +193,32 @@ def zaxis_blocks(k: float, R_len: float, lmax: int):
 
 
 def spectral_schatten4_per_k(pot_j, pot_h, k: float, R_len: float):
-    """(value, delta) of the spectral Schatten-4 norm at one k, from zaxis_blocks.
+    """(value, delta, lmax) of the spectral Schatten-4 norm at one k, from zaxis_blocks.
 
-    The same truncations and radial rules as the library's batched
-    ``schatten4_norm_spectral``, with every Gaunt table built for this k
-    alone.
+    The stopping rule of the library's batched ``schatten4_norm_spectral``,
+    run for this k alone: start at k r_max + 4 (k r_max + 1)^{1/3} + 6 l's
+    and grow by 8 while the delta of the level 8 l's up (on twice the
+    radial nodes) exceeds the target, up to the cap.  Every Gaunt table is
+    built for this k and truncation alone.
     """
     ka = k * max(pot_j.effective_radius(), pot_h.effective_radius())
-    ratio = (pot_j.effective_radius() + pot_h.effective_radius()) / R_len
-    pad = int(min(60.0, max(12.0, -18.0 / np.log(min(ratio, 0.95)))))
-    lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + pad, _SPECTRAL_LMAX_CAP)
-    blocks = zaxis_blocks(k, R_len, lmax + 8)
+    lmax = min(int(ka + 4.0 * (ka + 1.0) ** (1.0 / 3.0)) + 6, _SPECTRAL_LMAX_CAP)
+    while True:
+        blocks = zaxis_blocks(k, R_len, lmax + 8)
 
-    def total(lm, scale):
-        root_j = np.sqrt(_nu_weights(pot_j, [k], lm, scale)[0])
-        root_h = np.sqrt(_nu_weights(pot_h, [k], lm, scale)[0])
-        return sum((1.0 if m == 0 else 2.0) * _sigma4(
-            root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1] * root_h[None, m:])
-            for m in range(lm + 1)) ** 0.25
+        def total(lm, scale):
+            root_j = np.sqrt(_nu_weights(pot_j, [k], lm, scale)[0])
+            root_h = np.sqrt(_nu_weights(pot_h, [k], lm, scale)[0])
+            return sum((1.0 if m == 0 else 2.0) * _sigma4(
+                root_j[m:, None] * blocks[m][:lm - m + 1, :lm - m + 1] * root_h[None, m:])
+                for m in range(lm + 1)) ** 0.25
 
-    v1 = total(lmax, 1)
-    v2 = total(lmax + 8, 2)
-    return v2, abs(v2 - v1) / max(abs(v2), 1e-300)
+        v1 = total(lmax, 1)
+        v2 = total(lmax + 8, 2)
+        delta = abs(v2 - v1) / max(abs(v2), 1e-300)
+        if delta <= _SPECTRAL_DELTA_TARGET or lmax == _SPECTRAL_LMAX_CAP:
+            return v2, delta, lmax
+        lmax = min(lmax + 8, _SPECTRAL_LMAX_CAP)
 
 
 def nu_fixed_rule(pot, ks, lmax: int, n_radial: int) -> np.ndarray:

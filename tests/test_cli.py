@@ -444,6 +444,32 @@ def test_report_echoes_every_numerics_field(tmp_path):
     assert echo["n_inner"] == Numerics().n_inner and echo["lmax"] == 2
 
 
+def test_report_records_the_environment_summary_keeps_its_columns(tmp_path, monkeypatch):
+    # the numpy and BLAS builds and the BLAS thread settings decide a
+    # report's last digits: report.json records them, summary.csv does not
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    one = MINIMAL.split("  - center: [0.0, 0.0, 5.0]")[0]
+    p = tmp_path / "c.yaml"
+    p.write_text(f"{one}numerics:\n  lmax: 2\noutput:\n  dir: {tmp_path}\n")
+    assert main(["run", str(p)]) == 0
+    env = json.loads((tmp_path / "report.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"numpy": np.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"]},
+                   "threads": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}}
+    assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == [
+            "schema_version", "k0", "n_scatterers", "pair_gap",
+            "x0_direct_re", "x0_direct_im", "x0_direct_err",
+            "x0_structconst_re", "x0_structconst_im", "onshell_rel_diff",
+            "phase_law_max", "alpha_flatness", "y_average_rel_diff",
+            "born1_abs", "born2_abs", "born3_abs",
+            "schatten4", "schatten4_delta", "passed"]
+
+
 def test_run_determinism_byte_identical(tmp_path):
     cfg = _small_config(tmp_path, "det")
     assert main(["run", str(cfg)]) == 0

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import fields
 
 import numpy as np
@@ -26,7 +27,7 @@ from multiscat.potentials import (
     square_well,
     truncated_coulomb,
 )
-from multiscat.specfun import sph_index
+from multiscat.specfun import bessel_y_table, sph_index
 
 from oracles import (
     ConvergenceRegionError,
@@ -371,7 +372,7 @@ def test_schatten_grid_vs_spectral_nonoverlap():
     pj = square_well(-1.0, 1.0)
     sj = Scatterer((0, 0, 0), pj)
     sh = Scatterer((0, 0, 3.0), pj)
-    [(vs, _)] = schatten4_norm_spectral(pj, pj, [2.0], 3.0)
+    [(vs, _, _)] = schatten4_norm_spectral(pj, pj, [2.0], 3.0)
     vg, _ = schatten4_norm(sj, sh, 2.0, 12, 10)
     assert vg == pytest.approx(vs, rel=1e-3)
 
@@ -523,7 +524,7 @@ def test_x0_cross_identity_momentum_vs_coordinate():
 
 def test_schatten_decay_direction():
     pj = square_well(-1.0, 1.0)
-    (v5, d5), (v12, d12) = schatten4_norm_spectral(pj, pj, [5.0, 12.0], 3.0)
+    (v5, d5, _), (v12, d12, _) = schatten4_norm_spectral(pj, pj, [5.0, 12.0], 3.0)
     assert v12 < v5
     assert d5 < 0.05 and d12 < 0.05
 
@@ -537,33 +538,42 @@ def test_schatten_spectral_pinned_values(k, R_len, expected):
     # values of the earlier per-(l, l') loop implementation, square well
     # v0 = -1, a = 1
     pot = square_well(-1.0, 1.0)
-    [(value, _)] = schatten4_norm_spectral(pot, pot, [k], R_len)
+    [(value, _, _)] = schatten4_norm_spectral(pot, pot, [k], R_len)
     assert value == pytest.approx(expected, rel=1e-10)
 
 
 _DECAY_KS = ([0.5, 1.0, 2.0, 3.0], [3.0, 0.5, 2.0, 1.0])
 
 
-@pytest.mark.parametrize("pots,R_len,ks_lists", [
-    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 5.0, _DECAY_KS),
-    ((square_well(-1.0, 1.0), square_well(-0.7, 1.3)), 4.0, _DECAY_KS),
-    # k|R| = 0.3 against a top truncation of 65: y_130(0.3) overflows, so
-    # the k = 0.1 waves must be built at that k's own truncation
-    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 3.0, ([0.1, 6.0],)),
-], ids=["wells", "mixed", "wide_k"])
-def test_batched_spectral_norms_match_per_k(pots, R_len, ks_lists):
-    # one sweep over m at the largest truncation, every k's waves zero-padded
-    # to it, against Gaunt tables and waves built per k at each k's own
-    # truncation; the k values are those of the wells decay diagnostic, in
-    # both orders, and a pair far apart
+@pytest.mark.parametrize("pots,R_len,ks_lists,overflows", [
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 5.0, _DECAY_KS, False),
+    ((square_well(-1.0, 1.0), square_well(-0.7, 1.3)), 4.0, _DECAY_KS, False),
+    # k|R| = 0.3 against a top truncation of 59 + 8: y_134(0.3) overflows,
+    # so the k = 0.1 waves must be built at that k's own truncation
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 3.0, ([0.1, 40.0],), True),
+    # nearly touching wells: every k grows twice past its starting truncation
+    ((square_well(-1.0, 1.0), square_well(-1.0, 1.0)), 2.05, _DECAY_KS, False),
+], ids=["wells", "mixed", "wide_k", "touching"])
+def test_batched_spectral_norms_match_per_k(pots, R_len, ks_lists, overflows):
+    # one sweep over m at the largest truncation of each round, every k's
+    # waves zero-padded to it, against Gaunt tables and waves built per k at
+    # each k's own truncation, with the stopping rule run per k; the k values
+    # are those of the wells decay diagnostic, in both orders, and a pair far
+    # apart
     for ks in ks_lists:
         batched = schatten4_norm_spectral(*pots, ks, R_len)
         assert len(batched) == len(ks)
-        for k, (value, delta) in zip(ks, batched):
-            ref_value, ref_delta = spectral_schatten4_per_k(*pots, k, R_len)
+        for k, (value, delta, lmax) in zip(ks, batched):
+            ref_value, ref_delta, ref_lmax = spectral_schatten4_per_k(*pots, k, R_len)
+            assert lmax == ref_lmax
             assert value == pytest.approx(ref_value, rel=1e-12)
             # delta differences close numbers: it carries their 1e-12 absolutely
             assert abs(delta - ref_delta) <= 1e-12
+            assert delta <= greens._SPECTRAL_DELTA_TARGET
+        if overflows:
+            top = max(lmax for _, _, lmax in batched) + 8
+            with pytest.raises(OverflowError):
+                bessel_y_table(2 * top, min(ks) * R_len)
 
 
 @pytest.mark.parametrize("pot", [
@@ -585,13 +595,33 @@ def test_nu_weights_match_a_fixed_rule(pot, scale):
     assert np.all(np.abs(nu - ref)[seen] <= 1e-12 * ref[seen])
 
 
-def test_spectral_delta_sees_the_truncation(monkeypatch):
+def test_spectral_delta_sees_the_truncation(monkeypatch, caplog):
     # the bundled wells at k = 3: three l's leave the refinement (eight more
-    # l's) a visible change, the default cap only round-off
+    # l's) a visible change, which the cap stops with one warning; the
+    # default cap leaves only round-off, and no warning
     pot = square_well(-1.0, 1.0)
     monkeypatch.setattr(greens, "_SPECTRAL_LMAX_CAP", 3)
-    [(_, delta)] = schatten4_norm_spectral(pot, pot, [3.0], 5.0)
-    assert delta > 1e-3
+    with caplog.at_level(logging.WARNING, logger="multiscat"):
+        [(_, delta, lmax)] = schatten4_norm_spectral(pot, pot, [3.0], 5.0)
+    assert delta > 1e-3 and lmax == 3
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert f"k = 3: refinement delta {delta:.2e}" in record.getMessage()
+    assert "cap 3" in record.getMessage()
+    caplog.clear()
     monkeypatch.setattr(greens, "_SPECTRAL_LMAX_CAP", 100)
-    [(_, delta)] = schatten4_norm_spectral(pot, pot, [3.0], 5.0)
-    assert delta <= 1e-13
+    with caplog.at_level(logging.WARNING, logger="multiscat"):
+        norms = schatten4_norm_spectral(pot, pot, [0.5, 1.0, 2.0, 3.0], 5.0)
+    assert max(d for _, d, _ in norms) <= 1e-13
+    assert not caplog.records
+
+
+def test_spectral_truncation_grows_until_the_delta_converges():
+    # nearly touching wells (gap 0.05) at k = 1: the start of 12 l's and the
+    # next 20 leave deltas above the target, 28 meets it; the value is that
+    # of the earlier fixed truncation of 66 l's
+    pot = square_well(-1.0, 1.0)
+    [(value, delta, lmax)] = schatten4_norm_spectral(pot, pot, [1.0], 2.05)
+    assert lmax == 28
+    assert delta <= greens._SPECTRAL_DELTA_TARGET
+    assert value == pytest.approx(0.1701426668856255, rel=1e-14)

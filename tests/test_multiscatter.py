@@ -35,6 +35,7 @@ from oracles import (
     onshell_chain,
     onshell_series_term,
     pv_operator_dense,
+    spectral_schatten4_per_k,
     spline_slopes_dense,
     standing_companion,
 )
@@ -866,7 +867,7 @@ def test_pair_run_with_a_zero_potential_names_the_vanishing_x0():
 
 
 def test_report_records_every_spectral_refinement_delta():
-    from multiscat.greens import schatten4_norm_spectral, spectral_truncations
+    from multiscat.greens import _SPECTRAL_DELTA_TARGET, schatten4_norm_spectral
 
     eng = _small_wells()
     schatten = eng.verify().schatten
@@ -875,7 +876,10 @@ def test_report_records_every_spectral_refinement_delta():
     assert schatten["refinement_deltas"][ks.index(eng.sc.k0)] == schatten["refinement_delta"]
     pots = tuple(s.potential for s in eng.sc.scatterers)
     norms = schatten4_norm_spectral(*pots, ks, 3.0)
-    assert schatten["refinement_deltas"] == [d for _, d in norms]
-    # each k's coarse truncation, in the same order; it grows with k
-    assert schatten["lmax"] == spectral_truncations(*pots, ks, 3.0)
+    assert schatten["refinement_deltas"] == [d for _, d, _ in norms]
+    assert max(schatten["refinement_deltas"]) <= _SPECTRAL_DELTA_TARGET
+    # each k's final coarse truncation, in the same order, is the one the
+    # stopping rule reaches for that k alone; it grows with k
+    assert schatten["lmax"] == [lm for _, _, lm in norms]
+    assert schatten["lmax"] == [spectral_schatten4_per_k(*pots, k, 3.0)[2] for k in ks]
     assert schatten["lmax"] == sorted(schatten["lmax"]) and len(schatten["lmax"]) == 4
