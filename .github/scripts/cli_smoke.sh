@@ -25,15 +25,15 @@
 # comparisons and its Schatten norm is the spectral one), runs an overlapping
 # pair of a repulsive and an attractive Gaussian off the z axis through the
 # grid Schatten norm (finite and positive, refinement delta below 0.05),
-# runs the two long-range kinds (radial rules longer than the momentum grid:
-# the LS factors' tall-table form), two bound-state wells and a repulsive
-# well (no bound state: the LS stage's positive-sign branch) with one
-# scatterer each, checks that no run raises the LS extrapolation flag, that
-# every report read for it (the bundled ones, the Gaussian pair, the
+# runs the two long-range kinds (radial rules longer than the momentum grid,
+# through the same LS path as the bundled configs), two bound-state wells
+# and a repulsive well (no bound state: the LS stage's positive-sign branch)
+# with one scatterer each, checks that no run raises the LS extrapolation
+# flag, that every report read for it (the bundled ones, the Gaussian pair, the
 # long-range kinds and the single wells) gives every potential one LS rank
 # and bound-state count per partial wave, a solve residual below 1e-8 and
 # an LS cross-check below 1e-12 (the factorised half-shell column against
-# the direct solve; the largest measured is 1.6e-14, on the truncated
+# the direct solve; the largest measured is 3.0e-15, on the truncated
 # Coulomb), that a misspelled config key and a
 # removed one fail validation with exit status 2, and that a potential with
 # a bad v0, a and rc fails validation with exit status 2 and all three field

@@ -30,21 +30,19 @@ Rev. C 8 (1973) 46) that is exact for this discretised operator:
 with the weights d of ``ls_weights`` over the grid plus k0: Nystrom for
 eps > 0, and for eps = 0 the Haftel-Tabakin on-shell subtraction (Nucl.
 Phys. A158 (1970) 1).  The factors of every l come from one stacked QR
-of diag(sqrt|c|) J_l along its long side and the SVD of the square
-triangular factor alone, each l cut at numpy's ``matrix_rank`` tolerance,
-so every potential kind solves in the numerical rank k <= min(n_r, n + 1)
-of V_l (k = 0 for a zero potential), where one stacked Birman-Schwinger
-eigenvalue count gives the grid bound states (``_bound_states``).  Zero
+of (diag(sqrt|c|) J_l)^T and the SVD of its triangular factor alone, each
+l cut at numpy's ``matrix_rank`` tolerance, so every potential kind
+solves in the numerical rank k <= min(n_r, n + 1) of V_l (k = 0 for a
+zero potential), where one stacked Birman-Schwinger eigenvalue count
+gives the grid bound states (``_bound_states``).  Zero
 beyond each l's rank, the factors form one ``LSSpectrum``, whose (eps, l)
 systems are solved in one ``np.linalg.solve``, each gated:
 max|(I - s A) X - s I| above 1e-8 raises PoleProximityError, and which
 forms its half-shell columns B^T X B[:, -1] itself.  The engine reads every
 l at once from it, and no (n x n) t-matrix table is formed.
 ``solve_offshell_t`` is the direct route to the half-shell column at one
-z, with the same weights, and without the factors: where the radial rule
-is shorter than the grid plus k0 (a wide table) it solves the
-(n_r x n_r) system of J diag(d) J^T, and where it is longer one LU of the
-full collocation system; either way its residual gate reads the full
+z, with the same weights, and without the factors: it solves the
+(n_r x n_r) system of J diag(d) J^T, and its residual gate reads the full
 system against V_l from ``vl_matrix``.  The engine's one cross-check per
 distinct potential compares the factorised column against it, and so
 the B and X it is formed from.
@@ -278,27 +276,25 @@ def _factors(pot: Potential, lmax: int, grid: MomentumGrid) -> tuple:
 
     One radial rule (``_radial_rule``) and one Bessel table give
     V_l = s M_l^T M_l, M_l = diag(sqrt|c|) J_l, since c takes only the sign
-    of v0 (or 0).  One stacked QR along each M_l's long side and the SVD of
-    its square triangular factor alone give the singular values of M_l
-    without its long singular vectors (Chan, ACM TOMS 8 (1982) 72): a wide
-    M_l (n_r < n + 1) is R^T Q^T with R^T = U S V'^T, so B_l = U_k^T M_l; a
-    tall one is Q R with R = U' S W^T, so B_l = S_k W_k^T.  Each l is cut
-    at numpy's ``matrix_rank`` tolerance to its rank k_l, and B is
-    (lmax + 1, k, n + 1), with k = max k_l and zeros beyond each k_l.
+    of v0 (or 0).  One stacked QR of M_l^T and the SVD of its triangular
+    factor alone give the singular values of M_l without its long singular
+    vectors (Chan, ACM TOMS 8 (1982) 72): M_l = R^T Q^T with
+    R^T = U S V'^T, so B_l = U_k^T M_l.  Each l is cut at numpy's
+    ``matrix_rank`` tolerance to its rank k_l, and B is (lmax + 1, k, n + 1),
+    with k = max k_l and zeros beyond each k_l.
     """
     momenta = np.concatenate([grid.nodes, [grid.k0]])
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
     M = bessel_j_table(lmax, np.outer(rs, momenta))
     M *= np.sqrt(np.abs(c))[:, None]
-    wide = M.shape[1] < M.shape[2]
-    R = np.linalg.qr(M.transpose(0, 2, 1) if wide else M, mode="r")
-    # R = U_R S Wt: a wide M_l has R^T = Wt^T S U_R^T, so the rows of Wt are
-    # U^T there, and W^T of a tall one
-    sv, Wt = np.linalg.svd(R)[1:]
+    # R = U_R S Wt with M_l^T = Q R, so M_l = Wt^T S (Q U_R)^T: the rows of Wt
+    # are the left singular vectors of M_l
+    R = np.linalg.qr(M.transpose(0, 2, 1), mode="r")
+    sv, Wt = np.linalg.svd(R, full_matrices=False)[1:]
     keep = sv > sv[:, :1] * max(M.shape[1:]) * np.finfo(float).eps
     rank = tuple(int(r) for r in keep.sum(axis=1))
     k = max(rank)
-    B = Wt[:, :k] @ M if wide else sv[:, :k, None] * Wt[:, :k]
+    B = Wt[:, :k] @ M
     B[~keep[:, :k]] = 0.0
     s = float(np.sign(pot.v0))
     return B, s, rank, _bound_states(B, s, grid)
@@ -342,14 +338,11 @@ def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
     The column solves the collocation system (I - V diag(d)) t = V e_k0 on
     the grid plus k0, with the weights d of ``ls_weights`` and V = V_l from
     ``vl_matrix``.  V = J^T diag(c) J on the n_r nodes of ``_radial_rule``
-    (J[r, i] = j_l(p_i r)), so where that rule is shorter than the grid
-    plus k0 (a wide table) t = J^T y, with y from the (n_r x n_r) system
-    (I - diag(c) J diag(d) J^T) y = c * J e_k0; where it is longer (a tall
-    table, as for the long-range kinds) one LU solve of the full system
-    gives t.  Either way the residual is that of the full system against
-    ``vl_matrix``'s V, from two real products with V, and
-    PoleProximityError is raised when max|(I - V diag(d)) t - V e_k0| /
-    max|V e_k0| exceeds 1e-8.
+    (J[r, i] = j_l(p_i r)), so t = J^T y, with y from the (n_r x n_r)
+    system (I - diag(c) J diag(d) J^T) y = c * J e_k0.  The residual is
+    that of the full system against ``vl_matrix``'s V, from two real
+    products with V, and PoleProximityError is raised when
+    max|(I - V diag(d)) t - V e_k0| / max|V e_k0| exceeds 1e-8.
     """
     if abs(grid.k0 - z.k0) > 1e-12:
         raise ValueError("grid and energy disagree about k0")
@@ -358,19 +351,14 @@ def solve_offshell_t(pot: Potential, l: int, z: ComplexEnergy,
     d = ls_weights(grid, [z.eps])[0]
     v = V[:, -1]
     rs, c = _radial_rule(pot, float(momenta.max()), 1)
+    J = bessel_j_table(l, np.outer(rs, momenta))[l]
+    A = -c[:, None] * ((J * d.real) @ J.T + 1j * ((J * d.imag) @ J.T))
+    A.flat[::A.shape[0] + 1] += 1.0
     try:
-        if rs.size < momenta.size:
-            J = bessel_j_table(l, np.outer(rs, momenta))[l]
-            A = -c[:, None] * ((J * d.real) @ J.T + 1j * ((J * d.imag) @ J.T))
-            A.flat[::A.shape[0] + 1] += 1.0
-            y = np.linalg.solve(A, (c * J[:, -1]).astype(complex))
-            t = J.T @ y.real + 1j * (J.T @ y.imag)
-        else:
-            A = V * -d
-            A.flat[::A.shape[0] + 1] += 1.0
-            t = np.linalg.solve(A, v.astype(complex))
+        y = np.linalg.solve(A, (c * J[:, -1]).astype(complex))
     except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"LS system singular at z={z.z}: {exc}") from exc
+    t = J.T @ y.real + 1j * (J.T @ y.imag)
     u = d * t
     resid = (np.max(np.abs(t - (V @ u.real + 1j * (V @ u.imag)) - v))
              / max(np.max(np.abs(v)), 1e-300))

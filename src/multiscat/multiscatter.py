@@ -304,12 +304,10 @@ class ScenarioEngine:
         extrapolation's Richardson error, both relative to max_l |t_l(0)|.
         Over all of them: the worst solve residual, the largest gap and the
         largest error; a gap above the error sets ``extrapolation_flag``
-        and logs a warning.  A wide table (a radial rule shorter than the
-        grid plus k0, as on both bundled configs) needs no (n + 1)^2 LU:
-        the direct solve is (n_r x n_r), and only its residual reads the
-        (n + 1)^2 V_l.  The direct solve runs before ``offshell`` first
-        builds the stage, so its (n x n) transients are freed before the
-        stage's long-lived arrays are allocated.
+        and logs a warning.  The direct solve is (n_r x n_r) on the radial
+        rule, and only its residual reads the (n + 1)^2 V_l.  It runs before
+        ``offshell`` first builds the stage, so its (n x n) transients are
+        freed before the stage's long-lived arrays are allocated.
         """
         sc = self.sc
         eps_seq = sc.eps_sequence()

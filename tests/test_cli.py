@@ -614,3 +614,55 @@ def test_bundled_configs_validate():
         cfg = validate_config((CONFIG_DIR / name).read_text())
         assert cfg.scenario.k0 == 1.0
         assert cfg.warnings == []
+
+
+def _scalars(obj, path=""):
+    """(path, value) of every scalar in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _scalars(value, f"{path}/{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _scalars(value, f"{path}/{i}")
+    else:
+        yield path, obj
+
+
+def test_bundled_wells_under_one_and_two_blas_threads(tmp_path):
+    # byte-identical summary.csv holds for one BLAS build and one thread
+    # count; another count reorders some BLAS reductions.  Measured with
+    # OpenBLAS on 2 vCPU: 1 against 2 threads differ in 137 of 288 numeric
+    # report values, at worst 1.1e-10 relative (phase_law_residuals at
+    # alpha 0.25, a residual of 1.2e-5), and in 5 summary.csv columns
+    cfg = tmp_path / "wells.yaml"
+    cfg.write_text((CONFIG_DIR / "nonoverlap_wells.yaml").read_text().replace(
+        "dir: out/nonoverlap_wells", "dir: out"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run_at(threads, name):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update({v: str(threads) for v in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-m", "multiscat.cli", "run", str(cfg)],
+                              cwd=tmp_path / name, env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / name / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report.pop("environment")["threads"]["OPENBLAS_NUM_THREADS"] == str(threads)
+        return report, (out / "summary.csv").read_bytes()
+
+    one, summary = run_at(1, "one")
+    again, summary_again = run_at(1, "again")
+    two = run_at(2, "two")[0]
+    assert summary_again == summary and again == one
+    one, two = dict(_scalars(one)), dict(_scalars(two))
+    assert one.keys() == two.keys()
+    for path, a in one.items():
+        b = two[path]
+        if isinstance(a, float) and isinstance(b, float):
+            assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (path, a, b)
+        else:
+            assert a == b, path

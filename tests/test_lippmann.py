@@ -169,7 +169,7 @@ def test_onshell_unitarity_of_extrapolated_element():
 
 
 def test_pole_proximity_error(monkeypatch):
-    # a singular collocation system must surface as PoleProximityError,
+    # a singular LS system must surface as PoleProximityError,
     # never as a silent garbage table
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
@@ -303,9 +303,10 @@ def test_stacked_factors_match_the_per_l_oracle(pot, grid):
                          ids=[p.kind for p in ALL_KINDS] + ["repulsive"])
 def test_sign_form_reproduces_the_vl_matrix(pot, grid, wide):
     # s B_l^T B_l against vl_matrix's independent J^T diag(c) J on the grid
-    # plus k0, through both forms of _factors: every M_l wider than long on
-    # the dense grid, every one taller than wide on the small grid; measured
-    # at worst 2.6e-14 of max|V_l| (the well, tall)
+    # plus k0, through the one path of _factors on both table shapes: every
+    # M_l wider than long on the dense grid, every one taller than wide on
+    # the small grid; measured at worst 5.7e-15 of max|V_l| (the truncated
+    # Coulomb, wide)
     momenta = np.concatenate([grid.nodes, [grid.k0]])
     assert (_radial_rule(pot, float(momenta.max()), 1)[0].size < momenta.size) == wide
     B, s, rank, _ = _factors(pot, 8, grid)
@@ -423,11 +424,11 @@ def _wells_grid(R_len):
 
 @pytest.mark.parametrize("case", ["wells", "gaussians", "wells_R20", "exponential"])
 def test_direct_route_matches_dense_lu(case, request):
-    # wide tables: the bundled wells (401 nodes with k0, a 43-node radial
-    # rule), the bundled Gaussians (209, 63) and the wells at R = 20 (829,
-    # 43), where V_l has rank <= n_r and the direct route solves an
-    # (n_r x n_r) system; a tall one: exponential(-2, 0.7) (338, 640), which
-    # keeps the collocation LU.  Either column must be the full LU's
+    # radial rules shorter than the grid plus k0: the bundled wells (401
+    # nodes with k0, a 43-node radial rule), the bundled Gaussians (209, 63)
+    # and the wells at R = 20 (829, 43); and one longer:
+    # exponential(-2, 0.7) (338, 640).  The direct route solves the
+    # (n_r x n_r) system of every one, and its column must be the full LU's
     if case == "wells_R20":
         pot, grid = square_well(-1.0, 1.0), _wells_grid(20.0)
         assert grid.size == 828
@@ -447,7 +448,7 @@ def test_direct_route_matches_dense_lu(case, request):
 
 
 def test_direct_route_residual_reads_the_full_system(monkeypatch):
-    # the wide route solves with J and c alone; its residual is that of the
+    # the direct route solves with J and c alone; its residual is that of the
     # full collocation system against vl_matrix's V, so a V that disagrees
     # with J^T diag(c) J by 1e-6 fails the gate
     vl = lippmann.vl_matrix

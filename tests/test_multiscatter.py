@@ -1,5 +1,6 @@
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
+from multiscat import multiscatter
+from multiscat.cli import validate_config
 from multiscat.lippmann import ComplexEnergy, MomentumGrid
 from multiscat.multiscatter import (
     ExtrapolationError,
@@ -721,10 +724,6 @@ def test_extrapolation_flag(caplog):
     # measured: the small wells at their default eps 5.8e-2 against 8.0e-3,
     # the bundled wells at half their default eps 3.9e-5 against 4.9e-6
     # (both flag), the bundled configs 1.2e-6 against 7.8e-6 and 8.6e-6
-    from pathlib import Path
-
-    from multiscat.cli import validate_config
-
     with caplog.at_level("WARNING", logger="multiscat"):
         health = _small_wells().ls_health()
     assert health["extrapolation_flag"]
@@ -812,6 +811,89 @@ def test_born2_identity_gate_fails_on_a_perturbed_lattice_entry(monkeypatch):
     gate = {c["name"]: c for c in report.comparisons}["born2_identity"]
     assert gate["value"] > gate["tolerance"] and not gate["passed"]
     assert not report.passed
+
+
+def _scaled_sy(scale):
+    """A planted defect: the standing-wave companion Sy of every pair profile times ``scale``."""
+    def plant(monkeypatch):
+        original = ScenarioEngine.pair_profile
+
+        def planted(self, pair, eps_seq):
+            S, Sy = original(self, pair, eps_seq)
+            return S, scale * Sy
+
+        monkeypatch.setattr(ScenarioEngine, "pair_profile", planted)
+    return plant
+
+
+def _onshell_t1_off_by_a_percent(monkeypatch):
+    # the on-shell t_1 of the structure-constant route, which both wells share
+    original = multiscatter.onshell_t_lm
+
+    def planted(eta, k0):
+        t = original(eta, k0)
+        t[1] *= 1.01
+        return t
+
+    monkeypatch.setattr(multiscatter, "onshell_t_lm", planted)
+
+
+def _born2_pair_term_off(monkeypatch):
+    # X_0 of pair (0, 1) in born_term(2)'s pair terms, not in the lattice:
+    # the lattice patch of the test above moves X_0, and so every other gate
+    # (onshell_equivalence 9.3e-5 -> 3.2e-4)
+    original = ScenarioEngine.pair_terms
+
+    def planted(self, eps):
+        terms = original(self, eps)
+        terms[(0, 1)] *= 1.0 + 1e-4
+        return terms
+
+    monkeypatch.setattr(ScenarioEngine, "pair_terms", planted)
+
+
+# (planted defect, the gates that guard it); measured on the bundled wells:
+# unperturbed onshell_equivalence 9.27e-5, phase_law 1.30e-4, alpha_flatness
+# 1.42e-4, y_average 6.29e-5 and born2_identity 0; Sy zeroed reads 1.5,
+# 0.998 and 0.626 on its three gates, Sy negated 3.0, 1.99 and 1.25, t_1
+# off by 1% 3.52e-3 and the pair term off by 1e-4 4.38e-5
+PLANTED_DEFECTS = {
+    "sy_zeroed": (_scaled_sy(0.0), {"phase_law", "alpha_flatness", "y_average"}),
+    "sy_negated": (_scaled_sy(-1.0), {"phase_law", "alpha_flatness", "y_average"}),
+    "onshell_t1": (_onshell_t1_off_by_a_percent, {"onshell_equivalence"}),
+    "born2_pair_term": (_born2_pair_term_off, {"born2_identity"}),
+}
+
+
+def _bundled_wells_gates():
+    scenario = validate_config(
+        (Path(__file__).resolve().parent.parent / "configs" / "nonoverlap_wells.yaml")
+        .read_text()).scenario
+    return {c["name"]: c for c in ScenarioEngine(scenario).verify().comparisons}
+
+
+@pytest.fixture(scope="module")
+def bundled_wells_gates():
+    return _bundled_wells_gates()
+
+
+@pytest.mark.parametrize("defect", PLANTED_DEFECTS)
+def test_each_gate_fails_on_its_planted_defect(defect, bundled_wells_gates, monkeypatch):
+    # the gates a defect guards fail on it, every other gate keeps its
+    # unperturbed value, and every gate the run emits has a planted defect
+    clean = bundled_wells_gates
+    assert all(c["passed"] for c in clean.values())
+    assert set(clean) == set().union(*(fails for _, fails in PLANTED_DEFECTS.values()))
+    plant, fails = PLANTED_DEFECTS[defect]
+    plant(monkeypatch)
+    gates = _bundled_wells_gates()
+    assert set(gates) == set(clean)
+    for name, gate in gates.items():
+        if name in fails:
+            assert gate["value"] > gate["tolerance"] and not gate["passed"], gate
+        else:
+            assert gate["passed"]
+            assert abs(gate["value"] - clean[name]["value"]) <= 1e-12 * clean[name]["value"], gate
 
 
 def test_run_computes_each_order_two_pair_term_once(monkeypatch):
